@@ -585,6 +585,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # q_n, p_{n,mu} and --digits up to 10000 print integers longer than
+    # Python's default 4300-digit int->str limit (3.10.7+ and 3.11+).
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

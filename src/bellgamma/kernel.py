@@ -1,50 +1,49 @@
-"""Backend selection for the sequence-summation kernel.
+"""The sequence-summation kernel: rows of q_n and p_{n,mu}.
 
-Prefers the compiled extension (bellgamma._native) and falls back to
-the pure-Python twin.  Setting BELLGAMMA_PURE=1 forces the fallback,
-which is also how the two implementations are compared in tests and
-benchmarks.  Both expose the same integer-level contract; this module
-adds the Fraction wrapping.
+_pure does the integer-level work over a range of rows; this module
+picks the harmonic scale d = lcm(1..n_hi) and adds the Fraction wrapping.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
+from . import _pure
 from .numerics import lcm_upto
-
-if os.environ.get("BELLGAMMA_PURE", "") not in ("", "0"):
-    from . import _pure as _impl
-else:
-    try:
-        from . import _native as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pure as _impl
 
 
 def backend_name() -> str:
-    """Name of the active kernel backend: "native" or "pure"."""
-    return _impl.backend_name()
+    """Name of the kernel implementation; always "pure"."""
+    return "pure"
 
 
-def raw_tables(a: int, n_max: int, mu_max: int):
-    """Integer-level kernel output: (q, pnum, d).
+def raw_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
+    """Integer-level kernel output for rows n_lo..n_hi: (q, pnum, d).
 
-    q[n] is exact; pnum[mu-1][n] = p_{n,mu} * d^mu with d = lcm(1..n_max).
+    q[i] = q_{n_lo+i} exactly; pnum[mu-1][i] = p_{n_lo+i,mu} * d^mu with
+    d = lcm(1..n_hi).
     """
     if a < 2:
         raise ValueError("a must be at least 2")
-    if n_max < 0 or mu_max < 0:
-        raise ValueError("n_max and mu_max must be nonnegative")
-    d = lcm_upto(n_max) if (mu_max and n_max >= 1) else 1
-    q, pnum = _impl.seq_tables(a, n_max, mu_max, d)
+    if not 0 <= n_lo <= n_hi:
+        raise ValueError("require 0 <= n_lo <= n_hi")
+    if mu_max < 0:
+        raise ValueError("mu_max must be nonnegative")
+    d = lcm_upto(n_hi) if (mu_max and n_hi >= 1) else 1
+    q, pnum = _pure.seq_rows(a, n_lo, n_hi, mu_max, d)
     return q, pnum, d
 
 
-def seq_tables(a: int, n_max: int, mu_max: int):
-    """(q, p) with q[n] = q_n (int) and p[mu-1][n] = p_{n,mu} (Fraction)."""
-    q, pnum, d = raw_tables(a, n_max, mu_max)
+def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
+    """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
+    p[mu-1][i] = p_{n_lo+i,mu} (Fraction)."""
+    q, pnum, d = raw_rows(a, n_lo, n_hi, mu_max)
     p = [[Fraction(v, d ** (mu + 1)) for v in row]
          for mu, row in enumerate(pnum)]
     return q, p
+
+
+def seq_tables(a: int, n_max: int, mu_max: int):
+    """(q, p) with q[n] = q_n (int) and p[mu-1][n] = p_{n,mu} (Fraction)
+    for every n in 0..n_max."""
+    return seq_rows(a, 0, n_max, mu_max)

@@ -115,6 +115,15 @@ def _div_nearest(a: int, b: int) -> int:
     return q
 
 
+def _decimal_str(m: int) -> str:
+    """str(m) for an integer m >= 0, also past Python's int->str limit."""
+    if m.bit_length() < 14000:  # at most 4215 digits: inside the default limit
+        return str(m)
+    k = m.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(m, 10 ** k)
+    return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
+
+
 def _fix_atanh_recip(q: int, w: int) -> int:
     """atanh(1/q) at scale w (integer q >= 2), as a fixed-point mantissa."""
     p = 10 ** w // q
@@ -302,8 +311,8 @@ class BigFix:
         sign = "-" if m < 0 else ""
         m = abs(m)
         if s == 0:
-            return sign + str(m)
-        digits = str(m).rjust(s + 1, "0")
+            return sign + _decimal_str(m)
+        digits = _decimal_str(m).rjust(s + 1, "0")
         return f"{sign}{digits[:-s]}.{digits[-s:]}"
 
     def __repr__(self) -> str:
@@ -341,7 +350,7 @@ class BigFix:
         """floor(log10 |value|) for a nonzero value, exact."""
         if self.mantissa == 0:
             raise ValueError("log10_floor of zero")
-        return len(str(abs(self.mantissa))) - 1 - self.scale
+        return len(_decimal_str(abs(self.mantissa))) - 1 - self.scale
 
 
 # ---------------------------------------------------------------------------

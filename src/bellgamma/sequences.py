@@ -7,6 +7,11 @@ exactly here: the residual identity linking p, q and the F_{n,mu} sums,
 the denominator bound lcm(1..n)^mu, the five classical recurrences, and
 the alternating tail of the integral remainder.  Floating point enters
 only in convergence measurements, through fixed-point BigFix.
+
+Costs: a single value (q_at, p_at, convergence_row) is one O(n) sum over
+k from the kernel, unless a cached prefix table already holds it.  Prefix
+tables (q_seq, p_seq) are append-only: asking for more rows computes only
+the rows not yet cached.
 """
 
 from __future__ import annotations
@@ -65,48 +70,74 @@ def r_val(a: int, n: int, k: int, m: int) -> Rat:
                                + (-1) ** m * (a - 1) * harmonic(k, m))
 
 
-# Table cache keyed by (a, mu_max); regrown with doubling so ascending
-# single-point sweeps stay quadratic overall.
+# Prefix tables keyed by (a, mu_max): rows 0..len(q)-1 of q and of
+# p_1..p_{mu_max}.  A lookup at mu is served by any table of the same a
+# with mu_max >= mu.  A table is only ever extended, by appending the rows
+# it lacks; single values never create or extend one.  Nothing is evicted.
 _TABLES: dict[tuple[int, int], tuple[list, list]] = {}
 
 
-def _tables(a: int, n_max: int, mu_max: int):
-    if a < 2:
-        raise ValueError("a must be at least 2")
+def _check_mu(a: int, mu: int) -> None:
+    if not 1 <= mu <= a - 1:
+        raise ValueError("require 1 <= mu <= a-1")
+
+
+def _covering(a: int, mu: int, n: int):
+    """A cached table holding row n of q and of p_1..p_mu, or None."""
+    for (b, m), table in _TABLES.items():
+        if b == a and m >= mu and len(table[0]) > n:
+            return table
+    return None
+
+
+def _prefix(a: int, mu: int, n_max: int):
+    """A table (q, p) covering rows 0..n_max for p_1..p_mu; when none is
+    cached, the (a, mu) table gets its missing rows appended."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    key = (a, mu_max)
-    hit = _TABLES.get(key)
-    if hit is None or len(hit[0]) <= n_max:
-        have = len(hit[0]) - 1 if hit else -1
-        q, p = kernel.seq_tables(a, max(n_max, 2 * have), mu_max)
-        _TABLES[key] = (q, p)
-        hit = (q, p)
+    hit = _covering(a, mu, n_max)
+    if hit is None:
+        q, p = _TABLES.get((a, mu), ([], [[] for _ in range(mu)]))
+        q_new, p_new = kernel.seq_rows(a, len(q), n_max, mu)
+        q += q_new
+        for row, new in zip(p, p_new):
+            row += new
+        hit = _TABLES[(a, mu)] = (q, p)
     return hit
+
+
+def _single(a: int, mu: int, n: int):
+    """(q_n, p_{n,mu}), with p None for mu = 0: read from a covering
+    prefix table, else computed by one O(n) sum over k."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    table, i = _covering(a, mu, n), n
+    if table is None:
+        table, i = kernel.seq_rows(a, n, n, mu), 0
+    q, p = table
+    return q[i], p[mu - 1][i] if mu else None
 
 
 def q_seq(a: int, n_max: int) -> list:
     """q_0..q_{n_max} as exact integers."""
-    return list(_tables(a, n_max, 0)[0][:n_max + 1])
+    return list(_prefix(a, 0, n_max)[0][:n_max + 1])
 
 
 def p_seq(a: int, mu: int, n_max: int) -> list:
     """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1."""
-    if not 1 <= mu <= a - 1:
-        raise ValueError("require 1 <= mu <= a-1")
-    return list(_tables(a, n_max, mu)[1][mu - 1][:n_max + 1])
+    _check_mu(a, mu)
+    return list(_prefix(a, mu, n_max)[1][mu - 1][:n_max + 1])
 
 
 def q_at(a: int, n: int):
-    """Single value q_n, served from the table cache."""
-    return _tables(a, n, 0)[0][n]
+    """Single value q_n; O(n) unless a prefix table already holds it."""
+    return _single(a, 0, n)[0]
 
 
 def p_at(a: int, mu: int, n: int) -> Rat:
-    """Single value p_{n,mu}, served from the table cache."""
-    if not 1 <= mu <= a - 1:
-        raise ValueError("require 1 <= mu <= a-1")
-    return _tables(a, n, mu)[1][mu - 1][n]
+    """Single value p_{n,mu}; O(n) unless a prefix table already holds it."""
+    _check_mu(a, mu)
+    return _single(a, mu, n)[1]
 
 
 def integrality_check(a: int, mu: int, n: int) -> bool:
@@ -173,10 +204,10 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     The residual identity asserts this is the zero polynomial for every
     n; any nonzero return value is a counterexample witness.
     """
-    if not 1 <= mu <= a - 1:
-        raise ValueError("require 1 <= mu <= a-1")
+    _check_mu(a, mu)
     mi = a - 1
-    res = SymPoly.const(p_at(a, mu, n), mi) - q_at(a, n) * alpha_poly(a, mu, mi)
+    q, p = _single(a, mu, n)
+    res = SymPoly.const(p, mi) - q * alpha_poly(a, mu, mi)
     for nu in range(1, mu + 1):
         res = res - lambda_coeff(a, mu, nu) * F_sym(a, nu, n)
     return res
@@ -434,8 +465,8 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     predicted = corollary_exponent(a, n)
     if digits is None:
         digits = 30 + max(0, math.ceil(-predicted / math.log(10)))
-    p = p_at(a, mu, n)
-    q = q_at(a, n)
+    _check_mu(a, mu)
+    q, p = _single(a, mu, n)
     ap = alpha_poly(a, mu, mu)
     logs = []
     for guard in (10, 20):

@@ -1,12 +1,14 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from bellgamma import cli
+from bellgamma import cli, sequences
 
 
 def run_cli(capsys, *argv):
@@ -256,3 +258,63 @@ def test_subprocess_determinism():
     two = subprocess.run(cmd, capture_output=True, check=True)
     assert one.stdout == two.stdout
     assert one.stdout.decode().count("\n") == 5
+
+
+def test_approx_past_int_str_limit():
+    # q_1548 for a = 2 has 4301 digits, one past Python's default limit
+    env = dict(os.environ)
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    out = subprocess.run(
+        [sys.executable, "-m", "bellgamma.cli", "approx", "--a", "2",
+         "--mu", "1", "--n", "1548"], env=env, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    line = out.stdout.splitlines()[2]
+    assert line.startswith("q = ")
+    digits = line[len("q = "):]
+    assert len(digits) == 4301
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == sequences.q_at(2, 1548)
+
+
+# sha256 of stdout as printed when every single value was read from an
+# O(n^2) table; the O(n) single-value sums must not change a byte.
+OUTPUT_DIGESTS = {
+    "table --a 2 --mu 1 --n 0:200:25":
+        "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
+    "table --a 2 --mu 1 --n 150:300:30 --format json":
+        "e9b360f60582e3cec7dad0c2ffbf8ec252048ca619c14934d3d26c6a3f41387e",
+    "table --a 3 --mu 1 --n 0:160:20 --format csv":
+        "938c4e01dbe5f38f34c5081ea053804e1b77f9c37723107e558afefa57e4c03a",
+    "table --a 3 --mu 2 --n 0:1000:100":
+        "565e05378f48cae19f5eea7cb46ebdbe75bb5d7f6a6d5c14ac09e23efc76b5c7",
+    "table --a 3 --mu 2 --n 90:180:15 --qn-ratio":
+        "322cdfd431c865131c12579aebdeca0055c4dc78f2ac9fb1b58a054c52e9f45e",
+    "table --a 4 --mu 3 --n 0:120:15 --format json":
+        "6ae9dbbc48610d0de80cd05fe230c1462a01158a958f5ff6a77da47509da075d",
+    "table --a 4 --mu 2 --n 60:120:20 --qn-ratio --format csv":
+        "5f5e4fa64428fa3cbaa99c36de380ef8729475ab632b3f3282d6cd530911856a",
+    "approx --a 5 --mu 4 --n 400":
+        "9e25b45e47fa9e892e6c289d18377e532124b84ce39f911d9ccf3f5d3cf64e5f",
+    "approx --a 6 --mu 3 --n 150 --format json":
+        "60782636ade541db3008833938ac09e3bf555acc66870db0a6bffe70dfc298e3",
+    "approx --a 7 --mu 6 --n 90 --format csv":
+        "531913e361b5d1e12d4bb2b81082916edf31fb351b5d40392d33655141745dce",
+    "approx --a 8 --mu 1 --n 200":
+        "1143f80ebfb756f5acb8c34773a33611099986009e179f73306cb6739283bdf1",
+    "verify --suite integrality --a 8":
+        "773179a6fdfde134718c563b1f1b869d9037837addb2b0547d13d6e82228f043",
+    "verify --suite lemma1 --a 5":
+        "e0fbb624bfda565fe6d7c09479446940959c2aba873b53271547b2656892f66f",
+    "verify --suite recurrences --nmax 120":
+        "2684c74e7b88aed170c8bf9f403807588368669e5e2b88c205c71b683ffb2342",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))
+def test_output_digests_unchanged(argv, capsys):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[argv]

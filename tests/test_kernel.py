@@ -1,8 +1,5 @@
-"""Backend selection and pure/native kernel parity."""
+"""The sequence kernel against a direct Fraction oracle."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -10,11 +7,6 @@ import pytest
 from bellgamma import _pure, kernel
 from bellgamma.bell import bell_ladder
 from bellgamma.numerics import binom, factorial, lcm_upto
-
-try:
-    from bellgamma import _native
-except ImportError:
-    _native = None
 
 
 def oracle_tables(a, n_max, mu_max):
@@ -44,16 +36,13 @@ def oracle_tables(a, n_max, mu_max):
 
 
 def test_backend_name():
-    assert kernel.backend_name() in ("pure", "native")
-    assert _pure.backend_name() == "pure"
-    if _native is not None:
-        assert _native.backend_name() == "native"
+    assert kernel.backend_name() == "pure"
 
 
 def test_pure_matches_fraction_oracle():
     for a, n_max, mu_max in ((2, 12, 1), (3, 10, 2), (4, 8, 3)):
         d = lcm_upto(n_max)
-        q, pnum = _pure.seq_tables(a, n_max, mu_max, d)
+        q, pnum = _pure.seq_rows(a, 0, n_max, mu_max, d)
         oq, op = oracle_tables(a, n_max, mu_max)
         assert q == oq
         for mu in range(1, mu_max + 1):
@@ -61,12 +50,17 @@ def test_pure_matches_fraction_oracle():
             assert got == op[mu - 1]
 
 
-@pytest.mark.skipif(_native is None, reason="compiled backend not built")
-def test_native_matches_pure():
-    for a, n_max, mu_max in ((2, 25, 1), (3, 20, 2), (5, 15, 4)):
-        d = lcm_upto(n_max)
-        assert _native.seq_tables(a, n_max, mu_max, d) == \
-            _pure.seq_tables(a, n_max, mu_max, d)
+def test_row_range_matches_full_table():
+    for a, n_max, mu_max in ((2, 14, 1), (3, 12, 2), (5, 9, 4)):
+        q, p = kernel.seq_tables(a, n_max, mu_max)
+        for n_lo, n_hi in ((0, 0), (0, n_max), (3, 7), (n_max, n_max)):
+            rq, rp = kernel.seq_rows(a, n_lo, n_hi, mu_max)
+            assert rq == q[n_lo:n_hi + 1]
+            assert rp == [row[n_lo:n_hi + 1] for row in p]
+    with pytest.raises(ValueError):
+        kernel.seq_rows(3, 5, 4, 1)
+    with pytest.raises(ValueError):
+        kernel.seq_rows(3, -1, 4, 1)
 
 
 def test_scaled_harmonics():
@@ -76,12 +70,10 @@ def test_scaled_harmonics():
         for i in range(11):
             want = sum(Fraction(1, j ** m) for j in range(1, i + 1)) * d ** m
             assert sh[m - 1][i] == want
-    if _native is not None:
-        assert _native.scaled_harmonics(10, 3, d) == sh
 
 
 def test_kernel_raw_tables_wrapping():
-    q, p, d = kernel.raw_tables(3, 8, 2)
+    q, p, d = kernel.raw_rows(3, 0, 8, 2)
     assert d == lcm_upto(8)
     q2, frac_p = kernel.seq_tables(3, 8, 2)
     assert q2 == q
@@ -89,19 +81,11 @@ def test_kernel_raw_tables_wrapping():
         for n in range(9):
             assert frac_p[mu - 1][n] == Fraction(p[mu - 1][n], d ** mu)
     with pytest.raises(ValueError):
-        kernel.raw_tables(1, 5, 1)
+        kernel.raw_rows(1, 0, 5, 1)
 
 
 def test_mu_zero_needs_no_scaling():
-    q, p, d = kernel.raw_tables(2, 6, 0)
+    q, p, d = kernel.raw_rows(2, 0, 6, 0)
     assert d == 1 and p == []
     assert q[2] == sum(binom(2, k) ** 2 * factorial(k) for k in range(3))
 
-
-def test_pure_env_override():
-    code = ("import bellgamma.kernel as k; print(k.backend_name())")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, BELLGAMMA_PURE="1"),
-        capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -141,6 +142,28 @@ def test_bigfix_to_decimal():
     assert BigFix.from_int(2, 3).to_decimal() == "2.000"
     assert BigFix.from_fraction(Fraction(1, 3), 10).to_decimal() == \
         "0.3333333333"
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Python's default int->str digit limit, whatever earlier tests set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_bigfix_to_decimal_10000_digits(default_int_str_limit):
+    third = BigFix.from_fraction(Fraction(-1, 3), 10000)
+    assert third.to_decimal() == "-0." + "3" * 10000
+    big = BigFix(10 ** 10000 + 7 * 10 ** 5000 + 9, 5000)
+    text = big.to_decimal()
+    assert text == "1" + "0" * 4999 + "7." + "0" * 4999 + "9"
+    assert big.log10_floor() == 5000
+    assert BigFix.from_int(10 ** 6000, 0).to_decimal() == "1" + "0" * 6000
 
 
 def test_bigfix_rescale():

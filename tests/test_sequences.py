@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from test_kernel import oracle_tables
 
+from bellgamma import kernel, sequences
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
 from bellgamma.numerics import PrecisionError, binom, factorial, lcm_upto
@@ -91,10 +93,64 @@ def test_pq_validation():
         q_seq(1, 5)
 
 
-def test_table_cache_regrowth():
+def test_table_cache_regrowth(monkeypatch):
     # Ask small then large; cached prefix must agree with a fresh run.
     assert q_at(5, 4) == q_seq(5, 12)[4]
     assert p_at(5, 2, 10) == p_seq(5, 2, 12)[10]
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    fresh_q, fresh_p = kernel.seq_tables(5, 12, 3)
+    assert q_seq(5, 5) == fresh_q[:6]
+    table_q = sequences._TABLES[(5, 0)][0]
+    assert q_seq(5, 12) == fresh_q
+    # the rows 6..12 were appended to the same table, nothing more
+    assert sequences._TABLES[(5, 0)][0] is table_q and len(table_q) == 13
+    assert p_seq(5, 3, 4) == fresh_p[2][:5]
+    assert p_seq(5, 3, 12) == fresh_p[2]
+    # lookups at a smaller mu are served by the (5, 3) table
+    keys = set(sequences._TABLES)
+    assert p_seq(5, 1, 12) == fresh_p[0]
+    assert p_seq(5, 2, 12) == fresh_p[1]
+    assert set(sequences._TABLES) == keys
+
+
+def _table_shape():
+    return {key: len(q) for key, (q, _) in sequences._TABLES.items()}
+
+
+@pytest.mark.parametrize("a", range(2, 9))
+def test_single_values_in_every_cache_state(a, monkeypatch):
+    n_max = 10
+    oq, op = oracle_tables(a, n_max, a - 1)
+
+    def check_all():
+        shape = _table_shape()
+        for n in range(n_max + 1):
+            assert q_at(a, n) == oq[n]
+            for mu in range(1, a):
+                assert p_at(a, mu, n) == op[mu - 1][n]
+        # single values never create or extend a table
+        assert _table_shape() == shape
+
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    check_all()  # cold: every value is one sum
+    assert sequences._TABLES == {}
+    p_seq(a, a - 1, n_max)
+    check_all()  # covered by a table
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    q_seq(a, 4)
+    p_seq(a, a - 1, n_max // 2)
+    check_all()  # tables shorter than n_max
+
+
+def test_convergence_row_reads_one_sum(monkeypatch):
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    calls = []
+    real = kernel.seq_rows
+    monkeypatch.setattr(kernel, "seq_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    rec = convergence_row(4, 2, 20)
+    assert calls == [(4, 20, 20, 2)]
+    assert (rec.q, rec.p) == (q_at(4, 20), p_at(4, 2, 20))
 
 
 def test_p_seq_against_direct_composition():
