@@ -5,14 +5,16 @@ them checkable in exact arithmetic."""
 from .asymptotics import (CPoint, ExponentProfile, RootRefinementError,
                           bm_coeffs, corollary_exponent, exponent_profile,
                           lagrange_coeff, linform_exponent, profile_to_json,
-                          qn_log_asymptotic, saddle_roots, saddle_seed)
+                          qn_log_asymptotic, root_report, saddle_roots,
+                          saddle_seed)
 from .bell import (bell_eval, bell_eval_partitions, bell_ladder,
                    partition_multinomial, partitions)
 from .bernoulli import PolyQ, bernoulli_at, csc_power_coeffs, gen_bernoulli
 from .kernel import backend_name, seq_tables
 from .numerics import (BigFix, PrecisionError, Rat, bernoulli_number, binom,
                        factorial, gamma_const, lcm_upto, poch, zeta_const)
-from .powerseries import SeriesQ, ps_exp, ps_log1p, ps_mul, ps_recip
+from .powerseries import (SeriesQ, ps_exp, ps_log1p, ps_mul, ps_pow,
+                          ps_recip)
 from .sequences import (ApproxRecord, HarmonicCache, RecurrenceSpec,
                         aptekarev_seq, convergence_row, f_deriv_sym, F_sym,
                         harmonic, integrality_check, lemma1_residual,
@@ -35,8 +37,8 @@ __all__ = [
     "lambda_coeff", "lcm_upto", "lemma1_residual", "linform_exponent",
     "make_paper_recurrences", "p_at", "p_seq", "partition_multinomial",
     "partitions", "poch", "profile_to_json", "ps_exp", "ps_log1p", "ps_mul",
-    "ps_recip", "q_at", "q_seq", "qn_log_asymptotic", "r_val",
-    "records_to_csv", "recurrence_check", "recurrence_generate",
+    "ps_pow", "ps_recip", "q_at", "q_seq", "qn_log_asymptotic", "r_val",
+    "records_to_csv", "root_report", "recurrence_check", "recurrence_generate",
     "saddle_roots", "saddle_seed", "seq_tables", "sp_eval", "tail_series",
     "zeta_const",
 ]

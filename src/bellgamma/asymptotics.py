@@ -177,3 +177,18 @@ def saddle_roots(a: int, u: int, n: int) -> list:
     if len({(r.re, r.im) for r in roots}) != a:
         raise ArithmeticError("refined roots collide; expected %d distinct" % a)
     return roots
+
+
+def root_report(a: int, u: int, n: int) -> list:
+    """(k, re, im, residual_over_n, seed_distance) for each saddle root.
+
+    residual_over_n is |e^{i pi u} n (t-1)^a - t^{a-1}| / n at the refined
+    root t, and seed_distance is |t - saddle_seed(a, u, n, k)|.
+    """
+    e_u = complex(math.cos(math.pi * u), math.sin(math.pi * u))
+    rows = []
+    for k, r in enumerate(saddle_roots(a, u, n)):
+        t = r.as_complex()
+        res = abs(e_u * n * (t - 1) ** a - t ** (a - 1)) / n
+        rows.append((k, r.re, r.im, res, abs(t - saddle_seed(a, u, n, k))))
+    return rows

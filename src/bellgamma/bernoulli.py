@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from .numerics import Rat, binom
-from .powerseries import SeriesQ, ps_mul, ps_recip
+from .powerseries import SeriesQ, ps_pow, ps_recip
 
 _N_LIMIT = 200
 _M_LIMIT = 50
@@ -153,17 +153,7 @@ def _core_power(m: int, order: int) -> SeriesQ:
     """(z/(e^z - 1))^m as a truncated series."""
     key = (m, order)
     if key not in _CORE_CACHE:
-        inv = ps_recip(_euler_core(order))
-        acc = SeriesQ.one(order)
-        base = inv
-        k = m
-        while k:
-            if k & 1:
-                acc = ps_mul(acc, base)
-            k >>= 1
-            if k:
-                base = ps_mul(base, base)
-        _CORE_CACHE[key] = acc
+        _CORE_CACHE[key] = ps_pow(ps_recip(_euler_core(order)), m)
     return _CORE_CACHE[key]
 
 
@@ -198,14 +188,4 @@ def _csc_power_series(m: int, nmax: int) -> list[Fraction]:
     # sin z / z = sum (-1)^j z^{2j} / (2j+1)!  ->  series in w
     sinc = SeriesQ([Fraction((-1) ** j, factorial(2 * j + 1))
                     for j in range(nmax + 1)], nmax)
-    inv = ps_recip(sinc)
-    acc = SeriesQ.one(nmax)
-    base = inv
-    k = m
-    while k:
-        if k & 1:
-            acc = ps_mul(acc, base)
-        k >>= 1
-        if k:
-            base = ps_mul(base, base)
-    return list(acc.coeffs)
+    return list(ps_pow(ps_recip(sinc), m).coeffs)

@@ -8,57 +8,39 @@ Subcommands:
   asymptotics  exponent coefficient profiles
   roots        saddle-root refinement report
 
-Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 precision failure.  BELLGAMMA_DIGITS sets the default precision
-(50 when unset); identical invocations produce byte-identical output.
+Exit codes: 0 success, 1 verification failure, 2 usage error (also an
+--out file that cannot be opened), 3 precision failure.  BELLGAMMA_DIGITS
+sets the default precision (50 when unset); identical invocations produce
+byte-identical output.
+
+Each command takes the parsed and range-checked argparse namespace and
+returns its output text with the exit code; main writes the text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotics as asy
 from . import bell, bernoulli, sequences as seq
-from .numerics import BigFix, PrecisionError, binom, gamma_const, zeta_const
+from .numerics import (LN10, BigFix, PrecisionError, binom, gamma_const,
+                       zeta_const)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-_LN10 = math.log(10)
-
 
 class UsageError(ValueError):
     """Invalid flag combination or value; maps to exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Validated invocation parameters for one command."""
-
-    command: str
-    a: int = 3
-    mu: int | None = None
-    n: int | None = None
-    n_range: tuple | None = None
-    u: int = 0
-    digits: int | None = None
-    env_digits: int = 50
-    fmt: str = "text"
-    out: str | None = None
-    suite: str | None = None
-    nmax: int | None = None
-    zeta_max: int = 5
-    kind: str | None = None
-    qn_ratio: bool = False
 
 
 def _parse_range(text: str) -> tuple:
@@ -139,99 +121,92 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
+def _check_args(args) -> None:
+    """Range-check the parsed arguments; adds args.env_digits (from
+    BELLGAMMA_DIGITS) and, for table, args.n_range."""
     try:
-        cfg.env_digits = int(os.environ.get("BELLGAMMA_DIGITS", "50"))
+        args.env_digits = int(os.environ.get("BELLGAMMA_DIGITS", "50"))
     except ValueError:
         raise UsageError("BELLGAMMA_DIGITS must be an integer")
-    if not 1 <= cfg.env_digits <= 10000:
+    if not 1 <= args.env_digits <= 10000:
         raise UsageError("BELLGAMMA_DIGITS out of range 1..10000")
-    cfg.fmt = args.fmt
-    cfg.out = args.out
-    cfg.digits = args.digits
-    if cfg.digits is not None and not 1 <= cfg.digits <= 10000:
+    if args.digits is not None and not 1 <= args.digits <= 10000:
         raise UsageError("--digits out of range 1..10000")
-    if hasattr(args, "a"):
-        cfg.a = args.a
-        if not 2 <= cfg.a <= 8:
-            raise UsageError("--a out of range 2..8")
-    if getattr(args, "mu", None) is not None:
-        cfg.mu = args.mu
-        if not 1 <= cfg.mu <= cfg.a - 1:
-            raise UsageError("--mu out of range 1..a-1")
+    if hasattr(args, "a") and not 2 <= args.a <= 8:
+        raise UsageError("--a out of range 2..8")
+    mu = getattr(args, "mu", None)
+    if mu is not None and not 1 <= mu <= args.a - 1:
+        raise UsageError("--mu out of range 1..a-1")
     if args.command == "approx":
-        cfg.n = args.n
-        if cfg.n < 0:
+        if args.n < 0:
             raise UsageError("--n must be nonnegative")
     elif args.command == "table":
-        cfg.n_range = _parse_range(args.n)
-        cfg.qn_ratio = args.qn_ratio
+        args.n_range = _parse_range(args.n)
     elif args.command == "verify":
-        cfg.suite = args.suite
-        cfg.nmax = args.nmax
-        if cfg.nmax is not None and cfg.nmax < 0:
+        if args.nmax is not None and args.nmax < 0:
             raise UsageError("--nmax must be nonnegative")
+        if args.suite == "recurrences" and args.nmax is not None:
+            if args.nmax < 6:
+                raise UsageError("--nmax too small for the recurrence suite")
     elif args.command == "constants":
-        cfg.zeta_max = args.zeta_max
-        if not 2 <= cfg.zeta_max <= 20:
+        if not 2 <= args.zeta_max <= 20:
             raise UsageError("--zeta-max out of range 2..20")
     elif args.command == "asymptotics":
-        cfg.kind = args.kind
-        cfg.n = args.n
-        if cfg.n is not None and cfg.n < 1:
+        if args.n is not None and args.n < 1:
             raise UsageError("--n must be positive")
     elif args.command == "roots":
-        cfg.u = args.u
-        cfg.n = args.n
-        if abs(cfg.u) > cfg.a:
+        if abs(args.u) > args.a:
             raise UsageError("--u must satisfy |u| <= a")
-        if cfg.n < 1000:
+        if args.n < 1000:
             raise UsageError("--n must be at least 1000")
-    return cfg
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(path):
+    """The stream for the output, opened before any work is done."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError("cannot open --out file %r: %s"
+                         % (path, exc.strerror or exc))
 
 
-def _row_digits(cfg: RunConfig, n: int) -> int:
-    if cfg.digits is not None:
-        return cfg.digits
-    predicted = asy.corollary_exponent(cfg.a, n)
-    auto = 30 + max(0, math.ceil(-predicted / _LN10))
-    return max(cfg.env_digits, auto)
+def _json(obj) -> str:
+    return json.dumps(obj, separators=(", ", ": ")) + "\n"
 
 
-def cmd_approx(cfg: RunConfig) -> int:
-    digits = _row_digits(cfg, cfg.n)
-    row = seq.convergence_row(cfg.a, cfg.mu, cfg.n, digits)
+def _row_digits(args, n: int) -> int:
+    if args.digits is not None:
+        return args.digits
+    auto = seq.auto_digits(asy.corollary_exponent(args.a, n))
+    return max(args.env_digits, auto)
+
+
+def cmd_approx(args) -> tuple[str, int]:
+    digits = _row_digits(args, args.n)
+    row = seq.convergence_row(args.a, args.mu, args.n, digits)
     dec = BigFix.from_fraction(row.p / row.q, min(digits, 40)).to_decimal()
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         text = seq.records_to_csv([row])
-    elif cfg.fmt == "json":
-        text = json.dumps({
+    elif args.fmt == "json":
+        text = _json({
             "a": row.a, "mu": row.mu, "n": row.n,
             "p": "%d/%d" % (row.p.numerator, row.p.denominator),
             "q": str(row.q), "p_over_q": dec,
-            "err_log10": row.err_log / _LN10,
-            "predicted_log10": row.predicted_exponent / _LN10,
-        }, separators=(", ", ": ")) + "\n"
+            "err_log10": row.err_log / LN10,
+            "predicted_log10": row.predicted_exponent / LN10,
+        })
     else:
         text = "".join((
             "a=%d mu=%d n=%d\n" % (row.a, row.mu, row.n),
             "p = %d/%d\n" % (row.p.numerator, row.p.denominator),
             "q = %d\n" % row.q,
             "p/q = %s\n" % dec,
-            "err_log10 = %.6g\n" % (row.err_log / _LN10),
-            "predicted_log10 = %.6g\n" % (row.predicted_exponent / _LN10),
+            "err_log10 = %.6g\n" % (row.err_log / LN10),
+            "predicted_log10 = %.6g\n" % (row.predicted_exponent / LN10),
         ))
-    _emit(text, cfg)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _qn_ratio(a: int, n: int) -> float | None:
@@ -240,23 +215,23 @@ def _qn_ratio(a: int, n: int) -> float | None:
     return math.exp(math.log(seq.q_at(a, n)) - asy.qn_log_asymptotic(a, n))
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    start, stop, step = cfg.n_range
+def cmd_table(args) -> tuple[str, int]:
+    start, stop, step = args.n_range
     ns = range(start, stop + 1, step)
-    rows = [seq.convergence_row(cfg.a, cfg.mu, n, _row_digits(cfg, n))
+    rows = [seq.convergence_row(args.a, args.mu, n, _row_digits(args, n))
             for n in ns]
-    ratios = [_qn_ratio(cfg.a, n) for n in ns] if cfg.qn_ratio else None
-    if cfg.fmt == "json":
+    ratios = [_qn_ratio(args.a, n) for n in ns] if args.qn_ratio else None
+    if args.fmt == "json":
         objs = []
         for i, r in enumerate(rows):
             obj = {"a": r.a, "mu": r.mu, "n": r.n,
                    "p_num": r.p.numerator, "p_den": r.p.denominator,
-                   "q": r.q, "err_log10": r.err_log / _LN10,
-                   "predicted_log10": r.predicted_exponent / _LN10}
+                   "q": r.q, "err_log10": r.err_log / LN10,
+                   "predicted_log10": r.predicted_exponent / LN10}
             if ratios is not None:
                 obj["qn_ratio"] = ratios[i]
             objs.append(obj)
-        text = json.dumps(objs, separators=(", ", ": ")) + "\n"
+        text = _json(objs)
     else:
         text = seq.records_to_csv(rows)
         if ratios is not None:
@@ -265,20 +240,19 @@ def cmd_table(cfg: RunConfig) -> int:
             for i, v in enumerate(ratios):
                 lines[i + 1] += "," + ("" if v is None else "%.6g" % v)
             text = "\n".join(lines) + "\n"
-        if cfg.fmt == "text":
+        if args.fmt == "text":
             grid = [line.split(",") for line in text.splitlines()]
             widths = [max(len(row[i]) for row in grid)
                       for i in range(len(grid[0]))]
             text = "\n".join("  ".join(cell.rjust(w)
                                        for cell, w in zip(row, widths))
                              for row in grid) + "\n"
-    _emit(text, cfg)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def _suite_lemma1(cfg: RunConfig):
-    a = cfg.a
-    nmax = 10 if cfg.nmax is None else cfg.nmax
+def _suite_lemma1(args):
+    a = args.a
+    nmax = 10 if args.nmax is None else args.nmax
     out = []
     for mu in range(1, a):
         ok = all(seq.lemma1_residual(a, mu, n).is_zero()
@@ -288,10 +262,8 @@ def _suite_lemma1(cfg: RunConfig):
     return out
 
 
-def _suite_recurrences(cfg: RunConfig):
-    nmax = 60 if cfg.nmax is None else cfg.nmax
-    if nmax < 6:
-        raise UsageError("--nmax too small for the recurrence suite")
+def _suite_recurrences(args):
+    nmax = 60 if args.nmax is None else args.nmax
     recs = seq.make_paper_recurrences()
     out = []
     qt, pt = seq.aptekarev_seq(nmax)
@@ -329,9 +301,9 @@ def _suite_recurrences(cfg: RunConfig):
     return out
 
 
-def _suite_integrality(cfg: RunConfig):
-    a = cfg.a
-    nmax = 50 if cfg.nmax is None else cfg.nmax
+def _suite_integrality(args):
+    a = args.a
+    nmax = 50 if args.nmax is None else args.nmax
     out = []
     q = seq.q_seq(a, nmax)
     out.append(("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
@@ -344,7 +316,7 @@ def _suite_integrality(cfg: RunConfig):
     return out
 
 
-def _suite_bernoulli(cfg: RunConfig):
+def _suite_bernoulli(args):
     x = bernoulli.PolyQ.x()
     out = []
     ok = True
@@ -398,7 +370,7 @@ def _suite_bernoulli(cfg: RunConfig):
     return out
 
 
-def _suite_bell(cfg: RunConfig):
+def _suite_bell(args):
     rng = random.Random(20250814)
     out = []
     ok = True
@@ -430,8 +402,8 @@ def _suite_bell(cfg: RunConfig):
     return out
 
 
-def _suite_tail(cfg: RunConfig):
-    digits = cfg.digits if cfg.digits is not None else 30
+def _suite_tail(args):
+    digits = args.digits if args.digits is not None else 30
     out = []
     for a in (2, 3, 4):
         ok = True
@@ -444,24 +416,20 @@ def _suite_tail(cfg: RunConfig):
     return out
 
 
-def _suite_saddle(cfg: RunConfig):
+def _suite_saddle(args):
     n = 10 ** 6
     out = []
     for a in (2, 3, 4):
         ok = True
         for u in range(-a, a + 1):
             try:
-                roots = asy.saddle_roots(a, u, n)
+                rows = asy.root_report(a, u, n)
             except ArithmeticError:
                 ok = False
                 continue
-            ok = ok and len(roots) == a
-            e_u = complex(math.cos(math.pi * u), math.sin(math.pi * u))
-            for k, r in enumerate(roots):
-                t = r.as_complex()
-                res = abs(e_u * n * (t - 1) ** a - t ** (a - 1))
-                ok = ok and res / n < 1e-8
-                ok = ok and abs(t - asy.saddle_seed(a, u, n, k)) < 1e-3
+            ok = ok and len(rows) == a
+            for _, _, _, res, dist in rows:
+                ok = ok and res < 1e-8 and dist < 1e-3
         out.append(("saddle roots refined: a=%d, all |u|<=%d, n=10^6" % (a, a),
                     ok))
     return out
@@ -478,37 +446,35 @@ _SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    checks = _SUITES[cfg.suite](cfg)
+def cmd_verify(args) -> tuple[str, int]:
+    checks = _SUITES[args.suite](args)
     lines = []
     passed = 0
     for name, ok in checks:
         lines.append(("PASS " if ok else "FAIL ") + name)
         passed += ok
     lines.append("%d/%d checks passed" % (passed, len(checks)))
-    _emit("\n".join(lines) + "\n", cfg)
-    return EXIT_OK if passed == len(checks) else EXIT_VERIFY
+    return ("\n".join(lines) + "\n",
+            EXIT_OK if passed == len(checks) else EXIT_VERIFY)
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    digits = cfg.digits if cfg.digits is not None else cfg.env_digits
-    names = ["gamma"] + ["zeta(%d)" % m for m in range(2, cfg.zeta_max + 1)]
-    vals = [gamma_const(digits)] + [zeta_const(m, digits)
-                                    for m in range(2, cfg.zeta_max + 1)]
-    if cfg.fmt == "json":
+def cmd_constants(args) -> tuple[str, int]:
+    digits = args.digits if args.digits is not None else args.env_digits
+    ms = range(2, args.zeta_max + 1)
+    names = ["gamma"] + ["zeta(%d)" % m for m in ms]
+    vals = [gamma_const(digits)] + [zeta_const(m, digits) for m in ms]
+    if args.fmt == "json":
         obj = {"digits": digits,
                "gamma": vals[0].to_decimal(),
-               "zeta": {str(m): v.to_decimal()
-                        for m, v in zip(range(2, cfg.zeta_max + 1), vals[1:])}}
-        text = json.dumps(obj, separators=(", ", ": ")) + "\n"
-    elif cfg.fmt == "csv":
+               "zeta": {str(m): v.to_decimal() for m, v in zip(ms, vals[1:])}}
+        text = _json(obj)
+    elif args.fmt == "csv":
         text = "name,value\n" + "".join(
             "%s,%s\n" % (n, v.to_decimal()) for n, v in zip(names, vals))
     else:
         text = "".join("%s = %s\n" % (n, v.to_decimal())
                        for n, v in zip(names, vals))
-    _emit(text, cfg)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 def _exponent_value(kind: str, a: int, n: int) -> float:
@@ -519,18 +485,18 @@ def _exponent_value(kind: str, a: int, n: int) -> float:
     return asy.corollary_exponent(a, n)
 
 
-def cmd_asymptotics(cfg: RunConfig) -> int:
-    kinds = (cfg.kind,) if cfg.kind else asy.PROFILE_KINDS
-    profiles = [asy.exponent_profile(cfg.a, k) for k in kinds]
-    if cfg.fmt == "json":
+def cmd_asymptotics(args) -> tuple[str, int]:
+    kinds = (args.kind,) if args.kind else asy.PROFILE_KINDS
+    profiles = [asy.exponent_profile(args.a, k) for k in kinds]
+    if args.fmt == "json":
         objs = []
         for pr in profiles:
             obj = {"a": pr.a, "kind": pr.kind, "b": [str(v) for v in pr.b]}
-            if cfg.n is not None:
-                obj["value_at_n"] = _exponent_value(pr.kind, cfg.a, cfg.n)
+            if args.n is not None:
+                obj["value_at_n"] = _exponent_value(pr.kind, args.a, args.n)
             objs.append(obj)
-        text = json.dumps(objs, separators=(", ", ": ")) + "\n"
-    elif cfg.fmt == "csv":
+        text = _json(objs)
+    elif args.fmt == "csv":
         lines = ["a,kind,m,b_m"]
         for pr in profiles:
             for m, v in enumerate(pr.b, start=1):
@@ -541,28 +507,20 @@ def cmd_asymptotics(cfg: RunConfig) -> int:
         for pr in profiles:
             parts.append("a=%d kind=%s\n" % (pr.a, pr.kind))
             parts.append("b = %s\n" % ", ".join(str(v) for v in pr.b))
-            if cfg.n is not None:
-                parts.append("value(n=%d) = %.6g\n"
-                             % (cfg.n, _exponent_value(pr.kind, cfg.a, cfg.n)))
+            if args.n is not None:
+                value = _exponent_value(pr.kind, args.a, args.n)
+                parts.append("value(n=%d) = %.6g\n" % (args.n, value))
         text = "".join(parts)
-    _emit(text, cfg)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_roots(cfg: RunConfig) -> int:
-    roots = asy.saddle_roots(cfg.a, cfg.u, cfg.n)
-    e_u = complex(math.cos(math.pi * cfg.u), math.sin(math.pi * cfg.u))
-    rows = []
-    for k, r in enumerate(roots):
-        t = r.as_complex()
-        res = abs(e_u * cfg.n * (t - 1) ** cfg.a - t ** (cfg.a - 1)) / cfg.n
-        dist = abs(t - asy.saddle_seed(cfg.a, cfg.u, cfg.n, k))
-        rows.append((k, r.re, r.im, res, dist))
-    if cfg.fmt == "json":
+def cmd_roots(args) -> tuple[str, int]:
+    rows = asy.root_report(args.a, args.u, args.n)
+    if args.fmt == "json":
         objs = [{"k": k, "re": re, "im": im, "residual_over_n": res,
                  "seed_distance": dist} for k, re, im, res, dist in rows]
-        text = json.dumps(objs, separators=(", ", ": ")) + "\n"
-    elif cfg.fmt == "csv":
+        text = _json(objs)
+    elif args.fmt == "csv":
         lines = ["k,re,im,residual_over_n,seed_distance"]
         lines += ["%d,%.12g,%.12g,%.6g,%.6g" % row for row in rows]
         text = "\n".join(lines) + "\n"
@@ -570,8 +528,7 @@ def cmd_roots(cfg: RunConfig) -> int:
         text = "".join(
             "root %d: re=%.12g im=%.12g |p|/n=%.6g seed_distance=%.6g\n" % row
             for row in rows)
-    _emit(text, cfg)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
 _COMMANDS = {
@@ -590,11 +547,13 @@ def main(argv=None) -> int:
     lift = getattr(sys, "set_int_max_str_digits", None)
     if lift is not None:
         lift(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        _check_args(args)
+        with _open_out(args.out) as fh:
+            text, code = _COMMANDS[args.command](args)
+            fh.write(text)
+        return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE

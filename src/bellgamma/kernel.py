@@ -1,14 +1,21 @@
 """The sequence-summation kernel: rows of q_n and p_{n,mu}.
 
-_pure does the integer-level work over a range of rows; this module
-picks the harmonic scale d = lcm(1..n_hi) and adds the Fraction wrapping.
+Computes q_n = sum C(n,k)^a k! and p_{n,mu} for a range of rows n.  Each
+row is one O(n) sum over k, so a single value costs one row, not a
+table.  The harmonic numbers H_k^{(m)} are scaled by D^m, with D =
+lcm(1..n_hi) divisible by every integer up to the last row, which keeps
+the whole inner loop in integer arithmetic: the Bell polynomial Y_mu is
+isobaric of weight mu, so feeding it r_m * D^m yields exactly
+D^mu * Y_mu(r_1..r_mu).  This is also a constructive proof of the
+integrality statement D_n^mu p_{n,mu} in Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
-from . import _pure
+from .bell import bell_ladder
 from .numerics import lcm_upto
 
 
@@ -17,12 +24,37 @@ def backend_name() -> str:
     return "pure"
 
 
-def raw_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
-    """Integer-level kernel output for rows n_lo..n_hi: (q, pnum, d).
+def weights(a: int, n: int):
+    """Yield (k, C(n,k)^a k!) for k = 0..n."""
+    c = 1  # C(n, k), updated multiplicatively
+    kf = 1  # k!
+    for k in range(n + 1):
+        if k:
+            c = c * (n - k + 1) // k
+            kf *= k
+        yield k, c ** a * kf
 
-    q[i] = q_{n_lo+i} exactly; pnum[mu-1][i] = p_{n_lo+i,mu} * d^mu with
-    d = lcm(1..n_hi).
+
+def scaled_harmonics(n_max: int, m_max: int, d: int) -> list[list[int]]:
+    """sh[m-1][i] = H_i^{(m)} * d^m, integers, for i <= n_max, m <= m_max.
+
+    d must be divisible by every integer in 1..n_max.
     """
+    out = []
+    for m in range(1, m_max + 1):
+        dm = d ** m
+        row = [0] * (n_max + 1)
+        acc = 0
+        for i in range(1, n_max + 1):
+            acc += dm // i ** m  # exact: i^m divides d^m
+            row[i] = acc
+        out.append(row)
+    return out
+
+
+def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
+    """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
+    p[mu-1][i] = p_{n_lo+i,mu} (Fraction)."""
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 <= n_lo <= n_hi:
@@ -30,16 +62,26 @@ def raw_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
     d = lcm_upto(n_hi) if (mu_max and n_hi >= 1) else 1
-    q, pnum = _pure.seq_rows(a, n_lo, n_hi, mu_max, d)
-    return q, pnum, d
-
-
-def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
-    """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
-    p[mu-1][i] = p_{n_lo+i,mu} (Fraction)."""
-    q, pnum, d = raw_rows(a, n_lo, n_hi, mu_max)
-    p = [[Fraction(v, d ** (mu + 1)) for v in row]
-         for mu, row in enumerate(pnum)]
+    sh = scaled_harmonics(n_hi, mu_max, d)
+    fac = [factorial(m - 1) for m in range(1, mu_max + 1)]
+    sign = [(-1) ** m for m in range(1, mu_max + 1)]
+    am1 = a - 1
+    q = []
+    p = [[] for _ in range(mu_max)]
+    for n in range(n_lo, n_hi + 1):
+        qn = 0
+        acc = [0] * mu_max
+        for k, w in weights(a, n):
+            qn += w
+            if mu_max:
+                rs = [fac[m] * (a * sh[m][n - k] + sign[m] * am1 * sh[m][k])
+                      for m in range(mu_max)]
+                ys = bell_ladder(rs)
+                for mu in range(mu_max):
+                    acc[mu] += w * ys[mu + 1]
+        q.append(qn)
+        for mu in range(mu_max):
+            p[mu].append(Fraction(acc[mu], d ** (mu + 1)))
     return q, p
 
 

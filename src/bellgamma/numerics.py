@@ -116,9 +116,11 @@ def _div_nearest(a: int, b: int) -> int:
 
 
 def _decimal_str(m: int) -> str:
-    """str(m) for an integer m >= 0, also past Python's int->str limit."""
+    """str(m) for an integer m, also past Python's int->str limit."""
     if m.bit_length() < 14000:  # at most 4215 digits: inside the default limit
         return str(m)
+    if m < 0:
+        return "-" + _decimal_str(-m)
     k = m.bit_length() * 3 // 20  # about half the digits
     hi, lo = divmod(m, 10 ** k)
     return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")

@@ -86,6 +86,21 @@ def ps_mul(s: SeriesQ, t: SeriesQ) -> SeriesQ:
     return SeriesQ(out, n)
 
 
+def ps_pow(s: SeriesQ, k: int) -> SeriesQ:
+    """s^k for k >= 0, by binary powering."""
+    if k < 0:
+        raise ValueError("ps_pow requires k >= 0")
+    acc = SeriesQ.one(s.order)
+    base = s
+    while k:
+        if k & 1:
+            acc = ps_mul(acc, base)
+        k >>= 1
+        if k:
+            base = ps_mul(base, base)
+    return acc
+
+
 def ps_recip(s: SeriesQ) -> SeriesQ:
     """Multiplicative inverse; requires a nonzero constant term."""
     if s.coeffs[0] == 0:

@@ -25,8 +25,8 @@ from fractions import Fraction
 from . import kernel
 from .bell import bell_ladder
 from .bernoulli import PolyQ
-from .numerics import (BigFix, PrecisionError, Rat, factorial, gamma_const,
-                       lcm_upto, zeta_const)
+from .numerics import (LN10, BigFix, PrecisionError, Rat, _decimal_str,
+                       factorial, gamma_const, lcm_upto, zeta_const)
 from .symring import SymPoly, alpha_poly, lambda_coeff, sp_eval
 
 _log = logging.getLogger(__name__)
@@ -174,13 +174,7 @@ def _f_sym_all(a: int, n: int):
     mu_max = a - 1
     mi = max(mu_max, 1)
     acc = [SymPoly.zero(mi) for _ in range(mu_max + 1)]
-    c = 1
-    kf = 1
-    for k in range(n + 1):
-        if k:
-            c = c * (n - k + 1) // k
-            kf *= k
-        w = c ** a * kf
+    for k, w in kernel.weights(a, n):
         if mu_max:
             xs = [f_deriv_sym(a, n, k, m) for m in range(1, mu_max + 1)]
             ys = bell_ladder(xs)
@@ -389,9 +383,7 @@ def aptekarev_seq(n_max: int):
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     d = lcm_upto(2 * n_max) if n_max >= 1 else 1
-    sh = [0] * (2 * n_max + 1)
-    for i in range(1, 2 * n_max + 1):
-        sh[i] = sh[i - 1] + d // i
+    sh = kernel.scaled_harmonics(2 * n_max, 1, d)[0]
     q = []
     p = []
     for n in range(n_max + 1):
@@ -453,18 +445,24 @@ class ApproxRecord:
     predicted_exponent: float
 
 
+def auto_digits(predicted: float) -> int:
+    """Working digits for an error of about exp(predicted): the digits
+    that resolve it, ceil(-predicted/ln 10) when positive, plus 30."""
+    return 30 + max(0, math.ceil(-predicted / LN10))
+
+
 def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> ApproxRecord:
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
-    digits defaults to ceil(-predicted/ln 10) + 30.  The error is
-    evaluated at two guard scales; disagreement or an unresolvable
-    difference raises PrecisionError.
+    digits defaults to auto_digits(predicted).  The error is evaluated at
+    two guard scales; disagreement or an unresolvable difference raises
+    PrecisionError.
     """
     from .asymptotics import corollary_exponent
 
     predicted = corollary_exponent(a, n)
     if digits is None:
-        digits = 30 + max(0, math.ceil(-predicted / math.log(10)))
+        digits = auto_digits(predicted)
     _check_mu(a, mu)
     q, p = _single(a, mu, n)
     ap = alpha_poly(a, mu, mu)
@@ -487,12 +485,15 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
 
 
 def records_to_csv(records) -> str:
-    """CSV rows for ApproxRecords; rationals exact, logs in base 10."""
-    ln10 = math.log(10)
+    """CSV rows for ApproxRecords; rationals exact, logs in base 10.
+
+    The integers are printed in full whatever Python's int->str limit.
+    """
     lines = [CSV_HEADER]
     for r in records:
-        lines.append("%d,%d,%d,%d,%d,%d,%s,%s" % (
-            r.a, r.mu, r.n, r.p.numerator, r.p.denominator, r.q,
-            "%.6g" % (r.err_log / ln10),
-            "%.6g" % (r.predicted_exponent / ln10)))
+        lines.append("%d,%d,%d,%s,%s,%s,%s,%s" % (
+            r.a, r.mu, r.n, _decimal_str(r.p.numerator),
+            _decimal_str(r.p.denominator), _decimal_str(r.q),
+            "%.6g" % (r.err_log / LN10),
+            "%.6g" % (r.predicted_exponent / LN10)))
     return "\n".join(lines) + "\n"

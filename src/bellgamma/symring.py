@@ -182,14 +182,6 @@ class SymPoly:
         return f"SymPoly({self})"
 
 
-def sp_add(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p + q
-
-
-def sp_mul(p: SymPoly, q: SymPoly) -> SymPoly:
-    return p * q
-
-
 def _alpha_args(a: int, mu: int, m_index: int) -> list:
     """Bell arguments x_1 = g, x_m = (m-1)! (a + (-1)^m (a-1)) z_m."""
     xs = [SymPoly.gamma(m_index)]

@@ -8,7 +8,14 @@ import sys
 
 import pytest
 
+import bellgamma
 from bellgamma import cli, sequences
+
+# The environment of a `python -m bellgamma.cli` child: the package is
+# found where this process found it, installed or not.
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (os.path.dirname(os.path.dirname(bellgamma.__file__)),
+                  os.environ.get("PYTHONPATH")))))
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +124,18 @@ def test_out_file(tmp_path, capsys):
     text = target.read_text()
     assert text.splitlines()[0].startswith("a,mu,n,")
     assert len(text.splitlines()) == 5
+
+
+def test_out_unopenable_is_usage_error(tmp_path, capsys, monkeypatch):
+    computed = []
+    monkeypatch.setattr(sequences, "convergence_row",
+                        lambda *args: computed.append(args))
+    target = tmp_path / "missing" / "rows.csv"
+    code, out, err = run_cli(capsys, "table", "--a", "2", "--mu", "1",
+                             "--n", "0:3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert computed == []  # nothing was computed before the failure
 
 
 def test_constants_output(capsys):
@@ -254,15 +273,15 @@ def test_precision_exit_code(capsys):
 def test_subprocess_determinism():
     cmd = [sys.executable, "-m", "bellgamma.cli", "table", "--a", "3",
            "--mu", "2", "--n", "0:12:4"]
-    one = subprocess.run(cmd, capture_output=True, check=True)
-    two = subprocess.run(cmd, capture_output=True, check=True)
+    one = subprocess.run(cmd, env=CHILD_ENV, capture_output=True, check=True)
+    two = subprocess.run(cmd, env=CHILD_ENV, capture_output=True, check=True)
     assert one.stdout == two.stdout
     assert one.stdout.decode().count("\n") == 5
 
 
 def test_approx_past_int_str_limit():
     # q_1548 for a = 2 has 4301 digits, one past Python's default limit
-    env = dict(os.environ)
+    env = dict(CHILD_ENV)
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     out = subprocess.run(
         [sys.executable, "-m", "bellgamma.cli", "approx", "--a", "2",
@@ -279,8 +298,10 @@ def test_approx_past_int_str_limit():
     assert value == sequences.q_at(2, 1548)
 
 
-# sha256 of stdout as printed when every single value was read from an
-# O(n^2) table; the O(n) single-value sums must not change a byte.
+# sha256 of stdout as printed by earlier versions of the package, with
+# BELLGAMMA_DIGITS unset: the first 14 when every single value was read
+# from an O(n^2) table, the rest before `kernel` and `cli` lost their
+# pass-through layers.  Refactors must not change a byte.
 OUTPUT_DIGESTS = {
     "table --a 2 --mu 1 --n 0:200:25":
         "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
@@ -310,11 +331,58 @@ OUTPUT_DIGESTS = {
         "e0fbb624bfda565fe6d7c09479446940959c2aba873b53271547b2656892f66f",
     "verify --suite recurrences --nmax 120":
         "2684c74e7b88aed170c8bf9f403807588368669e5e2b88c205c71b683ffb2342",
+    "table --a 2 --mu 1 --n 0:60:10 --format text":
+        "ed0725b0d2ad1398ae2dc0a03ef4f5d6e0fd32e9a149565e0107365717ff1b0a",
+    "table --a 3 --mu 2 --n 20:80:20 --qn-ratio --format text":
+        "a8ac9cbd2691ef73bb239d50a8d17b5d27723047d2d0944ae70ca3c55fa84674",
+    "constants":
+        "8da80c2ad7bd3ebafc796fc850e70aeeea14ce77b7070a3cfbf638b7d3bf5a79",
+    "constants --digits 80 --zeta-max 7 --format csv":
+        "1e28da3445727bed05ab722a5a4df12bdbeb9f38d2e2b84c470705223dcb67ab",
+    "constants --digits 120 --zeta-max 4 --format json":
+        "2c4b83ba5547bc5ade8216d99b7fe313e065d157d4b3f306383a5d7479ba0395",
+    "asymptotics --a 5":
+        "d7763bd7f749d38de726f7aac1149c651373bf6987b9a1af3130fcd4e8917e61",
+    "asymptotics --a 4 --n 1000":
+        "2fe029e7ad402f02aaed3f9098c09ada6c4b7e4bbe95644eadd117d04e23c8ee",
+    "asymptotics --a 6 --kind theorem-qn --n 250":
+        "d3fdcdaeefaaf09c374ae47c3b06ecd2301087c2966134847c566f628760ec60",
+    "asymptotics --a 3 --format csv":
+        "b2a0126783e4b0d64a99bfa20c4c78102cbb51a2c72d4c8cee2055c73d355983",
+    "asymptotics --a 7 --n 300 --format csv":
+        "642442f1c869d51069bd5890c163eb139363380170a1e242c2cb7ad0d41d2e80",
+    "asymptotics --a 5 --format text":
+        "c417213b0ac8e7af1641f5169d0e3e105b1bbe0d0d31c97840794580d514ccb7",
+    "asymptotics --a 8 --kind corollary --n 5000 --format text":
+        "470db94ea6cfb685b38560eeb2b07988c4fb4e5ccd14cfd6724c459f437e4fc2",
+    "asymptotics --a 2 --n 40 --format text":
+        "59920b605f6fda842ca27535de1314a235ee5bc49fd7fd4b70456ba5894eee54",
+    "roots --a 3 --u 1 --format csv":
+        "545976eb812bf84094d5844e555dc3305c7812aee60ce2685f6dc52f46f8697c",
+    "roots --a 6 --u 0 --n 1000 --format csv":
+        "0661de45dab0c949ab920353d37b9ec1cf98d6041c21c07aea352d80a6e2c486",
+    "roots --a 5 --u -3 --n 1000 --format json":
+        "0f40a1b791236089033a37dfa2540d225d1a7676c5c7b327ee995fa751b7a639",
+    "roots --a 2 --u 2 --format json":
+        "6627f98367283b36f93082fb07b73c4d87fe142b6f78fff1f4c385132fa5f800",
+    "roots --a 4 --u 2 --n 100000000":
+        "b89929709d1137e4daaa45343de1af6d083dab85a4db528aa7ee262fa7159025",
+    "roots --a 7 --u 7":
+        "d054b15844ab91260c7e52f611fcce80fcb6106d7640fb6d7f06cf6913e7146c",
+    "verify --suite bernoulli":
+        "55f7ac7ae27fc7aa0eab44489d8549738c077c604f4e731698d2fbae5a4ee0d0",
+    "verify --suite bell":
+        "b7d2db39dbb91be171bdd0e640f94a68629e18f6d6c936d2551f476b52981bb6",
+    "verify --suite tail":
+        "1235da922c5c1748c544afcde0596767a3d4bfbc4460c1d1d709fdaa073ac371",
+    "verify --suite saddle":
+        "efc8f87946a8a697f227cd19a5e77fa2125dd605876bff933b83f0e34b51b858",
 }
 
 
 @pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))
-def test_output_digests_unchanged(argv, capsys):
+def test_output_digests_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[argv]

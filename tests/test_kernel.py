@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from bellgamma import _pure, kernel
+from bellgamma import kernel
 from bellgamma.bell import bell_ladder
 from bellgamma.numerics import binom, factorial, lcm_upto
 
@@ -39,15 +39,16 @@ def test_backend_name():
     assert kernel.backend_name() == "pure"
 
 
-def test_pure_matches_fraction_oracle():
+def test_seq_tables_match_fraction_oracle():
     for a, n_max, mu_max in ((2, 12, 1), (3, 10, 2), (4, 8, 3)):
-        d = lcm_upto(n_max)
-        q, pnum = _pure.seq_rows(a, 0, n_max, mu_max, d)
+        q, p = kernel.seq_tables(a, n_max, mu_max)
         oq, op = oracle_tables(a, n_max, mu_max)
-        assert q == oq
+        assert q == oq and all(isinstance(v, int) for v in q)
+        assert p == op
+        # the scale D = lcm(1..n_max) clears every denominator
+        d = lcm_upto(n_max)
         for mu in range(1, mu_max + 1):
-            got = [Fraction(pnum[mu - 1][n], d ** mu) for n in range(n_max + 1)]
-            assert got == op[mu - 1]
+            assert all((v * d ** mu).denominator == 1 for v in p[mu - 1])
 
 
 def test_row_range_matches_full_table():
@@ -61,31 +62,33 @@ def test_row_range_matches_full_table():
         kernel.seq_rows(3, 5, 4, 1)
     with pytest.raises(ValueError):
         kernel.seq_rows(3, -1, 4, 1)
+    with pytest.raises(ValueError):
+        kernel.seq_rows(1, 0, 5, 1)
+    with pytest.raises(ValueError):
+        kernel.seq_rows(3, 0, 5, -1)
 
 
 def test_scaled_harmonics():
     d = lcm_upto(10)
-    sh = _pure.scaled_harmonics(10, 3, d)
+    sh = kernel.scaled_harmonics(10, 3, d)
     for m in range(1, 4):
         for i in range(11):
             want = sum(Fraction(1, j ** m) for j in range(1, i + 1)) * d ** m
             assert sh[m - 1][i] == want
 
 
-def test_kernel_raw_tables_wrapping():
-    q, p, d = kernel.raw_rows(3, 0, 8, 2)
-    assert d == lcm_upto(8)
-    q2, frac_p = kernel.seq_tables(3, 8, 2)
-    assert q2 == q
-    for mu in range(1, 3):
-        for n in range(9):
-            assert frac_p[mu - 1][n] == Fraction(p[mu - 1][n], d ** mu)
-    with pytest.raises(ValueError):
-        kernel.raw_rows(1, 0, 5, 1)
+def test_weights():
+    for a, n in ((2, 0), (3, 7), (5, 12)):
+        assert list(kernel.weights(a, n)) == [
+            (k, binom(n, k) ** a * factorial(k)) for k in range(n + 1)]
 
 
-def test_mu_zero_needs_no_scaling():
-    q, p, d = kernel.raw_rows(2, 0, 6, 0)
-    assert d == 1 and p == []
+def test_mu_zero_needs_no_scaling(monkeypatch):
+    def no_lcm(n):
+        raise AssertionError("mu_max = 0 must not compute lcm(1..n)")
+
+    monkeypatch.setattr(kernel, "lcm_upto", no_lcm)
+    q, p = kernel.seq_rows(2, 0, 6, 0)
+    assert p == []
     assert q[2] == sum(binom(2, k) ** 2 * factorial(k) for k in range(3))
 

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from bellgamma.powerseries import SeriesQ, ps_exp, ps_log1p, ps_mul, ps_recip
+from bellgamma.powerseries import (SeriesQ, ps_exp, ps_log1p, ps_mul, ps_pow,
+                                   ps_recip)
 
 
 def rand_series(rng, order, zero_const=False):
@@ -106,3 +107,13 @@ def test_exp_log_require_zero_constant():
         ps_exp(SeriesQ([1, 1], 3))
     with pytest.raises(ValueError):
         ps_log1p(SeriesQ([2, 1], 3))
+
+
+def test_ps_pow_matches_repeated_product():
+    s = rand_series(random.Random(11), 6)
+    acc = SeriesQ.one(6)
+    for k in range(9):
+        assert ps_pow(s, k) == acc
+        acc = ps_mul(acc, s)
+    with pytest.raises(ValueError):
+        ps_pow(s, -1)

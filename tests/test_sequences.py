@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -434,3 +435,21 @@ def test_records_to_csv():
     assert lines[0] == "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
     assert lines[1] == "2,1,0,0,1,1,-0.238662,0"
     assert lines[2].startswith("2,1,3,59,3,34,")
+
+
+def test_records_to_csv_past_int_str_limit():
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("this Python has no int->str limit")
+    q = q_at(2, 1548)  # 4301 digits, one past the default limit of 4300
+    rec = ApproxRecord(2, 1, 1548, Fraction(-3 * q - 1, 7), q, -2.0, -3.0)
+    old = sys.get_int_max_str_digits()
+    try:
+        set_limit(0)
+        want = "2,1,1548,%d,%d,%d,-0.868589,-1.30288" % (
+            rec.p.numerator, rec.p.denominator, q)
+        set_limit(4300)
+        text = records_to_csv([rec])
+    finally:
+        set_limit(old)
+    assert text.splitlines()[1] == want
