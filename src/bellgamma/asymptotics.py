@@ -11,6 +11,7 @@ are refined by complex Newton iteration from the order-3 expansion seed.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -34,11 +35,16 @@ def bm_coeffs(a: int) -> list:
     z^m/(m+1)!) minus sum_{m<=a} (2-m/a)_{m-1} z^m/m!, all exact."""
     if a < 2:
         raise ValueError("a must be at least 2")
+    return list(_bm_coeffs(a))
+
+
+@functools.lru_cache(maxsize=16)
+def _bm_coeffs(a: int) -> tuple:
     s = [Fraction(0)] * (a + 1)
     for m in range(1, a + 1):
         s[m] = poch(Fraction(2) - Fraction(m + 1, a), m) / factorial(m + 1)
     logpart = ps_log1p(SeriesQ(s, a))
-    return [-a * logpart[m] - lagrange_coeff(a, m) for m in range(1, a + 1)]
+    return tuple(-a * logpart[m] - lagrange_coeff(a, m) for m in range(1, a + 1))
 
 
 def linform_exponent(a: int, n: int) -> float:

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from . import asymptotics as asy
 from . import bell, bernoulli, sequences as seq
-from .numerics import (LN10, BigFix, PrecisionError, binom, gamma_const,
-                       zeta_const)
+from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError, binom,
+                       gamma_const, zeta_const)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -218,8 +218,15 @@ def _qn_ratio(a: int, n: int) -> float | None:
 def cmd_table(args) -> tuple[str, int]:
     start, stop, step = args.n_range
     ns = range(start, stop + 1, step)
-    rows = [seq.convergence_row(args.a, args.mu, n, _row_digits(args, n))
-            for n in ns]
+    digits = [_row_digits(args, n) for n in ns]
+    # The most precise constants first: every row rounds from them.  Past
+    # the oracles' limit the first row too deep fails as it would alone.
+    top = min(max(digits) + 20, _MAX_DIGITS)
+    gamma_const(top)
+    for m in range(2, args.mu + 1):
+        zeta_const(m, top)
+    rows = [seq.convergence_row(args.a, args.mu, n, d)
+            for n, d in zip(ns, digits)]
     ratios = [_qn_ratio(args.a, n) for n in ns] if args.qn_ratio else None
     if args.fmt == "json":
         objs = []
@@ -544,11 +551,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     # q_n, p_{n,mu} and --digits up to 10000 print integers longer than
     # Python's default 4300-digit int->str limit (3.10.7+ and 3.11+).
-    lift = getattr(sys, "set_int_max_str_digits", None)
-    if lift is not None:
-        lift(0)
-    args = build_parser().parse_args(argv)
+    # The caller's limit is restored on the way out.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         with _open_out(args.out) as fh:
             text, code = _COMMANDS[args.command](args)
@@ -560,6 +569,9 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print("precision failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -361,29 +361,131 @@ class BigFix:
 
 _MAX_DIGITS = 10000
 _GUARD = 15
+# Candidate cutoffs N = 2^j.  The head sum rounds once per 16 terms, so
+# its error stays below 2^16 units at scale 10^-(digits + _GUARD).
+_J_RANGE = range(4, 21)
+
+
+def _em_parameters(log10_term, target: int, m: int,
+                   what: str) -> tuple[int, int]:
+    """Cutoff N = 2^j and tail length K of an Euler-Maclaurin sum whose
+    head terms are k^-m (m = 1 for gamma).
+
+    log10_term(k, n) bounds log10 |term k| of the tail for cutoff n; the
+    first k <= N/4 below 10**-target is the first omitted term, so
+    K = k - 1.  Among the j in _J_RANGE the one with the least estimated
+    cost N (m + 1) (target + 330) + 8 K^3 wins: a head term costs a share
+    of a division at the working precision that grows with m, and the
+    tangent-number triangle behind the tail grows like K^3.  The cost
+    falls and then rises with j, so the scan stops at the first rise.
+    """
+    head_cost = (m + 1) * (target + 330)
+    best = None
+    for j in _J_RANGE:
+        n = 1 << j
+        kk = next((k - 1 for k in range(1, (n >> 2) + 1)
+                   if log10_term(k, n) < -target), None)
+        if kk is None:
+            continue
+        cost = n * head_cost + 8 * kk ** 3
+        if best is not None and cost >= best[0]:
+            break
+        best = (cost, j, kk)
+    if best is None:
+        raise PrecisionError("no Euler-Maclaurin parameters for %s at %d "
+                             "digits" % (what, target))
+    return best[1], best[2]
 
 
 def _em_parameters_gamma(target: int) -> tuple[int, int]:
-    """Pick N = 2^j and term count K so the first omitted Euler-Maclaurin
-    term for H_N - ln N is below 10**-target.  Uses the bound
-    |B_{2k}| <= 3.3 (2k)! / (2 pi)^{2k}."""
-    for j in (13, 15, 17, 20, 22):
-        n = 1 << j
-        log2pin = math.log10(2 * math.pi * n)
-        lb_prev = None
-        for k in range(1, 1201):
-            lb = (math.log10(3.3) + math.lgamma(2 * k + 1) / LN10
-                  - math.log10(2 * k) - 2 * k * log2pin)
-            if lb < -target:
-                # term k is the first omitted one
-                return j, k - 1
-            if lb_prev is not None and lb > lb_prev:
-                break  # terms started growing; N too small
-            lb_prev = lb
-    raise PrecisionError("no Euler-Maclaurin parameters for %d digits" % target)
+    """Cutoff exponent j and tail length K for H_N - ln N, from the bound
+    |B_{2k}| <= 3.3 (2k)! / (2 pi)^{2k} on the first omitted term."""
+    def log10_term(k, n):
+        return (math.log10(3.3) + math.lgamma(2 * k + 1) / LN10
+                - math.log10(2 * k) - 2 * k * math.log10(2 * math.pi * n))
+    return _em_parameters(log10_term, target, 1, "gamma")
 
 
-_GAMMA_CACHE: dict[int, int] = {}
+def _em_parameters_zeta(m: int, target: int) -> tuple[int, int]:
+    """Cutoff exponent h and tail length J for zeta(m), by the same bound."""
+    lgm = math.lgamma(m)
+
+    def log10_term(j, n):
+        return (math.log10(3.3) + (math.lgamma(m + 2 * j - 1) - lgm) / LN10
+                - 2 * j * math.log10(2 * math.pi) - (m + 2 * j - 1) * math.log10(n))
+    return _em_parameters(log10_term, target, m, "zeta(%d)" % m)
+
+
+def _check_digits(name: str, digits: int) -> None:
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if digits > _MAX_DIGITS:
+        raise PrecisionError("%s supports at most %d digits" % (name, _MAX_DIGITS))
+
+
+# One (digits, mantissa) pair per constant: the most precise value so far.
+# Key "gamma" in _GAMMA_CACHE, m in _ZETA_CACHE.
+_GAMMA_CACHE: dict[str, tuple[int, int]] = {}
+_ZETA_CACHE: dict[int, tuple[int, int]] = {}
+
+
+def _round_cached(have: int, mant: int, digits: int) -> int | None:
+    """mant * 10**-have rounded to `digits` <= have digits, or None when
+    the discarded digits lie within the cached value's error bound (one
+    unit of its last digit) of a half unit, where the rounding could go
+    either way."""
+    if have == digits:
+        return mant
+    unit = 10 ** (have - digits)
+    q, r = divmod(mant, unit)
+    if abs(2 * r - unit) <= 2:
+        return None
+    return q + (2 * r > unit)
+
+
+def _oracle(cache: dict, key, digits: int, compute) -> BigFix:
+    """The constant `key` at `digits`: rounded from the cached mantissa
+    when that is more precise and the rounding is certain, else
+    compute(digits), which replaces a less precise cached value."""
+    hit = cache.get(key)
+    if hit is not None and hit[0] >= digits:
+        mant = _round_cached(hit[0], hit[1], digits)
+        if mant is None:
+            mant = compute(digits)
+        return BigFix(mant, digits)
+    mant = compute(digits)
+    cache[key] = (digits, mant)
+    return BigFix(mant, digits)
+
+
+def _head_sum(one: int, n: int, m: int) -> int:
+    """sum_{k=1..n} one / k^m in blocks of 16 terms: each block is summed
+    exactly over its common denominator and rounded once.  One division
+    by a few-limb integer costs far less than 16 by one-limb ones."""
+    acc = 0
+    for k0 in range(1, n + 1, 16):
+        p, q = 0, 1
+        for k in range(k0, min(k0 + 16, n + 1)):
+            km = k ** m
+            p = p * km + q
+            q *= km
+        acc += _div_nearest(one * p, q)
+    return acc
+
+
+def _gamma_mantissa(digits: int) -> int:
+    w = digits + _GUARD
+    j, kk = _em_parameters_gamma(digits + 10)
+    n = 1 << j
+    one = 10 ** w
+    acc = _head_sum(one, n, 1) - j * _ln2_fix(w) - _div_nearest(one, 2 * n)
+    _extend_tangent(kk)  # one triangle build instead of incremental growth
+    # B_{2k} / (2k N^{2k}) = (-1)^(k+1) T_k / ((4^k - 1) 2^{2k(j+1)})
+    for k in range(1, kk + 1):
+        t = _tangent[k - 1] * one
+        acc += _div_nearest(t if k & 1 else -t,
+                            ((1 << 2 * k) - 1) << (2 * k * (j + 1)))
+    return _div_nearest(acc, 10 ** _GUARD)
 
 
 def gamma_const(digits: int) -> BigFix:
@@ -393,50 +495,28 @@ def gamma_const(digits: int) -> BigFix:
     truncation error bounded by the first omitted term; N is a power of
     two so ln N needs only ln 2.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if digits > _MAX_DIGITS:
-        raise PrecisionError("gamma_const supports at most %d digits" % _MAX_DIGITS)
-    if digits in _GAMMA_CACHE:
-        return BigFix(_GAMMA_CACHE[digits], digits)
+    _check_digits("gamma_const", digits)
+    return _oracle(_GAMMA_CACHE, "gamma", digits, _gamma_mantissa)
+
+
+def _zeta_mantissa(m: int, digits: int) -> int:
     w = digits + _GUARD
-    j, kk = _em_parameters_gamma(digits + 10)
-    n = 1 << j
+    h, jj = _em_parameters_zeta(m, digits + 10)
+    n = 1 << h
     one = 10 ** w
-    h = 0
-    for k in range(1, n + 1):
-        h += _div_nearest(one, k)
-    acc = h - j * _ln2_fix(w) - _div_nearest(one, 2 * n)
-    _extend_tangent(kk)  # one triangle build instead of incremental growth
-    npow = 1
-    n2 = n * n
-    for k in range(1, kk + 1):
-        npow *= n2
-        b = bernoulli_number(2 * k)
-        acc += _div_nearest(b.numerator * one, b.denominator * 2 * k * npow)
-    mant = _div_nearest(acc, 10 ** _GUARD)
-    _GAMMA_CACHE[digits] = mant
-    return BigFix(mant, digits)
-
-
-def _em_parameters_zeta(m: int, target: int) -> tuple[int, int]:
-    lgm = math.lgamma(m)
-    for h in (8, 10, 12, 14, 16):
-        n = 1 << h
-        lgn = math.log10(n)
-        lb_prev = None
-        for j in range(1, 1201):
-            lb = (math.log10(3.3) + (math.lgamma(m + 2 * j - 1) - lgm) / LN10
-                  - 2 * j * math.log10(2 * math.pi) - (m + 2 * j - 1) * lgn)
-            if lb < -target:
-                return h, j - 1
-            if lb_prev is not None and lb > lb_prev:
-                break
-            lb_prev = lb
-    raise PrecisionError("no Euler-Maclaurin parameters for zeta(%d)" % m)
-
-
-_ZETA_CACHE: dict[tuple[int, int], int] = {}
+    acc = _head_sum(one, n, m)
+    acc += _div_nearest(one, (m - 1) * n ** (m - 1))
+    acc -= _div_nearest(one, 2 * n ** m)
+    _extend_tangent(jj)
+    # B_{2j}/(2j)! (m)_{2j-1} N^{1-m-2j}
+    #   = (-1)^(j+1) T_j C(m+2j-2, m-1) / ((4^j - 1) 2^{2j + h(m+2j-1)})
+    c = m  # C(m+2j-2, m-1)
+    for j in range(1, jj + 1):
+        t = _tangent[j - 1] * c * one
+        acc += _div_nearest(t if j & 1 else -t,
+                            ((1 << 2 * j) - 1) << (2 * j + h * (m + 2 * j - 1)))
+        c = c * (m + 2 * j - 1) * (m + 2 * j) // (2 * j * (2 * j + 1))
+    return _div_nearest(acc, 10 ** _GUARD)
 
 
 def zeta_const(m: int, digits: int) -> BigFix:
@@ -448,28 +528,6 @@ def zeta_const(m: int, digits: int) -> BigFix:
     """
     if m < 2:
         raise ValueError("zeta_const requires m >= 2")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if digits > _MAX_DIGITS:
-        raise PrecisionError("zeta_const supports at most %d digits" % _MAX_DIGITS)
-    key = (m, digits)
-    if key in _ZETA_CACHE:
-        return BigFix(_ZETA_CACHE[key], digits)
-    w = digits + _GUARD
-    h, jj = _em_parameters_zeta(m, digits + 10)
-    n = 1 << h
-    one = 10 ** w
-    acc = 0
-    for k in range(1, n + 1):
-        acc += _div_nearest(one, k ** m)
-    acc += _div_nearest(one, (m - 1) * n ** (m - 1))
-    acc -= _div_nearest(one, 2 * n ** m)
-    _extend_tangent(jj)
-    for j in range(1, jj + 1):
-        b = bernoulli_number(2 * j)
-        pochm = poch(m, 2 * j - 1)  # integer rising factorial
-        acc += _div_nearest(b.numerator * pochm * one,
-                            b.denominator * factorial(2 * j) * n ** (m + 2 * j - 1))
-    mant = _div_nearest(acc, 10 ** _GUARD)
-    _ZETA_CACHE[key] = mant
-    return BigFix(mant, digits)
+    _check_digits("zeta_const", digits)
+    return _oracle(_ZETA_CACHE, m, digits,
+                   lambda d: _zeta_mantissa(m, d))

@@ -466,17 +466,20 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     _check_mu(a, mu)
     q, p = _single(a, mu, n)
     ap = alpha_poly(a, mu, mu)
+    errs = {}
+    # guard 20 first, so that guard 10's constants round from its mantissas
+    for guard in (20, 10):
+        s = digits + guard
+        alpha = sp_eval(ap, gamma_const(s),
+                        [zeta_const(m, s) for m in range(2, mu + 1)])
+        errs[guard] = abs(alpha - BigFix.from_fraction(p / q, s))
     logs = []
     for guard in (10, 20):
-        s = digits + guard
-        g = gamma_const(s)
-        zv = [zeta_const(m, s) for m in range(2, mu + 1)]
-        alpha = sp_eval(ap, g, zv)
-        err = abs(alpha - BigFix.from_fraction(p / q, s))
-        if err.is_zero():
+        if errs[guard].is_zero():
             raise PrecisionError(
-                "difference vanishes at %d digits; raise digits" % s)
-        logs.append(float(err.ln()))
+                "difference vanishes at %d digits; raise digits"
+                % (digits + guard))
+        logs.append(float(errs[guard].ln()))
     if abs(logs[0] - logs[1]) > 1e-6 * max(1.0, abs(logs[0])):
         raise PrecisionError(
             "guard evaluations disagree (%r vs %r); raise digits"

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellgamma
-from bellgamma import cli, sequences
+from bellgamma import cli, numerics, sequences
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -270,6 +270,47 @@ def test_precision_exit_code(capsys):
     assert err.startswith("precision failure")
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int->str digit limit in this Python")
+def test_main_restores_int_str_limit(capsys):
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        for argv in (["constants", "--digits", "20"],
+                     ["approx", "--a", "9", "--mu", "1", "--n", "2"],
+                     ["approx", "--a", "3", "--mu", "1", "--n", "50",
+                      "--digits", "2"]):
+            run_cli(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            cli.main(["nothere"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "--a", "3", "--mu", "2", "--n", "100"],
+    ["table", "--a", "4", "--mu", "3", "--n", "0:200:40"],
+])
+def test_rows_compute_each_constant_once(argv, capsys, monkeypatch):
+    # Every row and both guard evaluations round from one computation of
+    # each constant, made at the deepest precision needed.
+    monkeypatch.setattr(numerics, "_GAMMA_CACHE", {})
+    monkeypatch.setattr(numerics, "_ZETA_CACHE", {})
+    computed = []  # (digits,) for gamma, (m, digits) for zeta(m)
+    for name in ("_gamma_mantissa", "_zeta_mantissa"):
+        def counted(*args, fn=getattr(numerics, name)):
+            computed.append(args)
+            return fn(*args)
+        monkeypatch.setattr(numerics, name, counted)
+    code, _, _ = run_cli(capsys, *argv)
+    mu = int(argv[argv.index("--mu") + 1])
+    assert code == 0
+    assert [c[:-1] for c in computed] == [()] + [(m,) for m in range(2, mu + 1)]
+    assert len({c[-1] for c in computed}) == 1
+
+
 def test_subprocess_determinism():
     cmd = [sys.executable, "-m", "bellgamma.cli", "table", "--a", "3",
            "--mu", "2", "--n", "0:12:4"]
@@ -377,6 +418,10 @@ OUTPUT_DIGESTS = {
         "1235da922c5c1748c544afcde0596767a3d4bfbc4460c1d1d709fdaa073ac371",
     "verify --suite saddle":
         "efc8f87946a8a697f227cd19a5e77fa2125dd605876bff933b83f0e34b51b858",
+    "constants --digits 1000 --zeta-max 4 --format json":
+        "9940dac56f2fde701a589a153660728bb62e180df83b9d3d07c95dc9658651b3",
+    "constants --digits 300 --zeta-max 20 --format csv":
+        "de375ef6d96a118997f53e76a4f3319d8f315706449c5c1a847b6689189ecf95",
 }
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from bellgamma import numerics
 from bellgamma.numerics import (
     BigFix,
     PrecisionError,
@@ -263,3 +264,131 @@ def test_precision_bounds():
         zeta_const(3, 10001)
     with pytest.raises(ValueError):
         zeta_const(3, 0)
+
+
+# ---------------------------------------------------------------------------
+# Euler-Maclaurin planning and the one-mantissa caches
+# ---------------------------------------------------------------------------
+
+def _log10_gamma_term(k, n):
+    return (math.log10(3.3) + math.lgamma(2 * k + 1) / math.log(10)
+            - math.log10(2 * k) - 2 * k * math.log10(2 * math.pi * n))
+
+
+def _log10_zeta_term(m):
+    def term(j, n):
+        return (math.log10(3.3) + (math.lgamma(m + 2 * j - 1) - math.lgamma(m))
+                / math.log(10) - 2 * j * math.log10(2 * math.pi)
+                - (m + 2 * j - 1) * math.log10(n))
+    return term
+
+
+def _tail_length(term, target, n):
+    """Terms before the first one below 10**-target, among k <= n/4."""
+    return next((k - 1 for k in range(1, n // 4 + 1)
+                 if term(k, n) < -target), None)
+
+
+@pytest.mark.parametrize("target", [20, 80, 310, 1010, 2010, 7010])
+def test_em_parameters_least_cost(target):
+    # The plan meets the target with the shortest tail for its N, and no
+    # neighbouring N has a lower estimated cost N (m+1) (target+330) + 8 K^3.
+    plans = [(numerics._em_parameters_gamma(target), _log10_gamma_term, 1)]
+    plans += [(numerics._em_parameters_zeta(m, target), _log10_zeta_term(m), m)
+              for m in (2, 3, 7, 20)]
+    for (j, kk), term, m in plans:
+        def cost(j, kk):
+            return (1 << j) * (m + 1) * (target + 330) + 8 * kk ** 3
+        assert kk == _tail_length(term, target, 1 << j)
+        for nj in (j - 1, j + 1):
+            k2 = _tail_length(term, target, 1 << nj)
+            assert k2 is None or cost(j, kk) <= cost(nj, k2)
+
+
+def test_em_parameters_right_sized():
+    # Cost-regression guard: 70 digits need no 2^13-term head sum, and
+    # 7000 digits are not held to a short one.
+    assert numerics._em_parameters_gamma(80)[0] <= 9
+    assert numerics._em_parameters_zeta(3, 80)[0] <= 9
+    assert numerics._em_parameters_gamma(7010)[0] >= 15
+    assert numerics._em_parameters_zeta(3, 7010)[0] >= 15
+
+
+def test_em_parameters_cover_10000_digits():
+    # Planning only: the 10000-digit sums themselves take seconds.
+    assert numerics._em_parameters_gamma(10010)[0] <= 20
+    for m in range(2, 21):
+        assert numerics._em_parameters_zeta(m, 10010)[0] <= 20
+
+
+@pytest.fixture
+def empty_caches(monkeypatch):
+    monkeypatch.setattr(numerics, "_GAMMA_CACHE", {})
+    monkeypatch.setattr(numerics, "_ZETA_CACHE", {})
+
+
+@pytest.mark.parametrize("m", [None, 2, 3, 7])
+def test_rounded_from_cache_matches_fresh(m, empty_caches):
+    if m is None:
+        const, fresh = gamma_const, numerics._gamma_mantissa
+    else:
+        const = lambda d: zeta_const(m, d)  # noqa: E731
+        fresh = lambda d: numerics._zeta_mantissa(m, d)  # noqa: E731
+    top = 400
+    const(top)
+    for d in range(top - 1, 0, -7):
+        assert const(d).mantissa == fresh(d)
+    cache = numerics._GAMMA_CACHE if m is None else numerics._ZETA_CACHE
+    assert list(cache.values()) == [(top, fresh(top))]
+
+
+def test_ambiguous_tail_computes_directly(empty_caches):
+    # Seeded mantissas whose discarded digits are exactly half a unit
+    # (and wrong in the kept ones): the value must come from a direct
+    # computation, which is not cached.
+    d = 30
+    for cache, key, const, fresh in (
+            (numerics._GAMMA_CACHE, "gamma", gamma_const,
+             numerics._gamma_mantissa),
+            (numerics._ZETA_CACHE, 3, lambda d: zeta_const(3, d),
+             lambda d: numerics._zeta_mantissa(3, d))):
+        seeded = (d + 4, (fresh(d) + 7) * 10 ** 4 + 5000)
+        cache[key] = seeded
+        assert const(d).mantissa == fresh(d)
+        assert cache[key] == seeded
+        # one unit further from the half, the rounding is certain
+        cache[key] = (d + 4, seeded[1] + 2)
+        assert const(d).mantissa == fresh(d) + 8
+
+
+def test_caches_hold_one_entry_per_constant(empty_caches, monkeypatch):
+    computed = []
+
+    def counted(fn):
+        def wrapper(*args):
+            computed.append(args)
+            return fn(*args)
+        return wrapper
+
+    for name in ("_gamma_mantissa", "_zeta_mantissa"):
+        monkeypatch.setattr(numerics, name, counted(getattr(numerics, name)))
+    for d in (40, 90, 60, 90, 20):
+        gamma_const(d)
+        for m in (2, 5):
+            zeta_const(m, d)
+    # computed at 40 and at 90; 60, 90 again and 20 come from the cache
+    assert computed == [(40,), (2, 40), (5, 40), (90,), (2, 90), (5, 90)]
+    assert numerics._GAMMA_CACHE == {"gamma": (90, gamma_const(90).mantissa)}
+    assert sorted(numerics._ZETA_CACHE) == [2, 5]
+    assert all(v[0] == 90 for v in numerics._ZETA_CACHE.values())
+
+
+def test_constants_match_mpmath(empty_caches):
+    mpmath = pytest.importorskip("mpmath")
+    for digits in (1000, 3000):
+        mpmath.mp.dps = digits + 20
+        refs = [(gamma_const(digits), mpmath.euler)]
+        refs += [(zeta_const(m, digits), mpmath.zeta(m)) for m in (2, 3, 5)]
+        for val, ref in refs:
+            want = int(mpmath.nint(ref * mpmath.mpf(10) ** digits))
+            assert val.mantissa == want
