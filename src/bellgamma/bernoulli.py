@@ -1,15 +1,15 @@
 """Generalized Bernoulli polynomials B_n^{(m)}(x) and the csc-power series.
 
 B_n^{(m)}(x) is n! times the z^n coefficient of (z/(e^z - 1))^m e^{xz};
-the extraction runs through exact truncated power series, and the
-classical recursion and addition formulas are kept as test oracles
-rather than used for construction.
+the coefficients of (z/(e^z - 1))^m come from Miller's power recurrence,
+cached per m, and the classical recursion and addition formulas are kept
+as test oracles rather than used for construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .numerics import Rat, binom
 from .powerseries import SeriesQ, ps_pow, ps_recip
@@ -21,13 +21,14 @@ _M_LIMIT = 50
 class PolyQ:
     """Dense univariate polynomial over Q, ascending coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs):
         cs = [Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
+        self._scaled = None
 
     @classmethod
     def const(cls, c) -> "PolyQ":
@@ -98,11 +99,32 @@ class PolyQ:
         return result
 
     def __call__(self, x):
-        """Horner evaluation; exact for Rat input."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation; exact for Rat input.
+
+        At a rational x = u/v this is one integer Horner pass,
+        sum_i (D c_i) u^i v^{deg-i}, over D v^deg, with D the common
+        denominator of the coefficients; other arguments (a PolyQ, a
+        float) go through Horner in their own arithmetic.
+        """
+        if not isinstance(x, (int, Fraction)):
+            acc = Fraction(0)
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        if not self.coeffs:
+            return Fraction(0)
+        if self._scaled is None:
+            d = lcm(*(c.denominator for c in self.coeffs))
+            self._scaled = (d, [c.numerator * (d // c.denominator)
+                                for c in reversed(self.coeffs)])
+        d, scaled = self._scaled
+        u, v = x.numerator, x.denominator
+        acc = 0
+        vk = 1
+        for c in scaled:
+            acc = acc * u + c * vk
+            vk *= v
+        return Fraction(acc, d * v ** (len(scaled) - 1))
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -123,12 +145,6 @@ class PolyQ:
         return f"PolyQ({self.coeffs!r})"
 
 
-def _euler_core(order: int) -> SeriesQ:
-    """(e^z - 1)/z truncated: sum_{j} z^j/(j+1)!."""
-    return SeriesQ([Fraction(1, factorial(j + 1)) for j in range(order + 1)],
-                   order)
-
-
 def gen_bernoulli(n: int, m: int) -> PolyQ:
     """B_n^{(m)}(x) as an exact polynomial in x.
 
@@ -142,19 +158,33 @@ def gen_bernoulli(n: int, m: int) -> PolyQ:
                          % (_N_LIMIT, _M_LIMIT))
     core = _core_power(m, n)
     nfac = factorial(n)
-    coeffs = [core.coeffs[n - i] * nfac / factorial(i) for i in range(n + 1)]
+    coeffs = [core[n - i] * nfac / factorial(i) for i in range(n + 1)]
     return PolyQ(coeffs)
 
 
-_CORE_CACHE: dict[tuple[int, int], SeriesQ] = {}
+# m -> coefficients c_0..c_K of (z/(e^z - 1))^m, extended in place; a
+# lower order is a prefix.  At most _M_LIMIT lists of _N_LIMIT + 1 terms.
+_CORE_CACHE: dict[int, list[Fraction]] = {}
 
 
-def _core_power(m: int, order: int) -> SeriesQ:
-    """(z/(e^z - 1))^m as a truncated series."""
-    key = (m, order)
-    if key not in _CORE_CACHE:
-        _CORE_CACHE[key] = ps_pow(ps_recip(_euler_core(order)), m)
-    return _CORE_CACHE[key]
+def _core_power(m: int, order: int) -> list[Fraction]:
+    """Coefficients of z^0..z^order in (z/(e^z - 1))^m = g^{-m}.
+
+    With g = (e^z - 1)/z = sum_j z^j/(j+1)!, J. C. P. Miller's recurrence
+    for powers of a series (Knuth, TAOCP Vol. 2, 4.7) gives c_0 = 1 and
+    k c_k = sum_{j=1..k} ((1-m) j - k) c_{k-j}/(j+1)!: O(order^2) once
+    per m, and each order after the first is a cached prefix.  Each sum
+    is taken in integers over the lcm of its terms' denominators.
+    """
+    cs = _CORE_CACHE.setdefault(m, [Fraction(1)])
+    for k in range(len(cs), order + 1):
+        dens = [cs[k - j].denominator * factorial(j + 1)
+                for j in range(1, k + 1)]
+        big = lcm(*dens)
+        acc = sum(((1 - m) * j - k) * cs[k - j].numerator * (big // d)
+                  for j, d in enumerate(dens, 1))
+        cs.append(Fraction(acc, big * k))
+    return cs[:order + 1]
 
 
 def bernoulli_at(n: int, m: int, x) -> Fraction:

@@ -70,20 +70,30 @@ def poch(x, m: int):
 # T_1, T_2, ...; extended on demand.  T_k relates to B_{2k} by
 # B_{2k} = (-1)^(k+1) * 2k * T_k / (4^k (4^k - 1)).
 _tangent: list[int] = []
+# Column K = len(_tangent) of the triangle after passes 1..K, the only
+# state a new column needs.
+_tangent_edge: list[int] = []
 
 
 def _extend_tangent(kmax: int) -> None:
-    global _tangent
-    if kmax < 1 or len(_tangent) >= kmax:
-        return
-    t = [0] * (kmax + 1)
-    t[1] = 1
-    for k in range(2, kmax + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, kmax + 1):
-        for j in range(k, kmax + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    _tangent = t[1:]
+    """Grow _tangent to T_1..T_kmax, one new column at a time.
+
+    Column j after pass k is V(k, j) = (j-k) V(k, j-1) + (j-k+2) V(k-1, j),
+    with V(1, j) = (j-1)! and T_j = V(j, j); so column j needs only column
+    j-1, and the columns already built are never revisited.
+    """
+    global _tangent_edge
+    for j in range(len(_tangent) + 1, kmax + 1):
+        v = (j - 1) * _tangent_edge[0] if j > 1 else 1
+        col = [v]
+        for k in range(2, j):
+            v = (j - k) * _tangent_edge[k - 1] + (j - k + 2) * v
+            col.append(v)
+        if j > 1:
+            v *= 2  # V(j, j): the V(j, j-1) term has weight 0
+            col.append(v)
+        _tangent.append(v)
+        _tangent_edge = col
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -479,7 +489,7 @@ def _gamma_mantissa(digits: int) -> int:
     n = 1 << j
     one = 10 ** w
     acc = _head_sum(one, n, 1) - j * _ln2_fix(w) - _div_nearest(one, 2 * n)
-    _extend_tangent(kk)  # one triangle build instead of incremental growth
+    _extend_tangent(kk)
     # B_{2k} / (2k N^{2k}) = (-1)^(k+1) T_k / ((4^k - 1) 2^{2k(j+1)})
     for k in range(1, kk + 1):
         t = _tangent[k - 1] * one

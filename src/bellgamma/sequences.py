@@ -9,9 +9,11 @@ the alternating tail of the integral remainder.  Floating point enters
 only in convergence measurements, through fixed-point BigFix.
 
 Costs: a single value (q_at, p_at, convergence_row) is one O(n) sum over
-k from the kernel, unless a cached prefix table already holds it.  Prefix
-tables (q_seq, p_seq) are append-only: asking for more rows computes only
-the rows not yet cached.
+k from the kernel, unless the cached prefix store of its a already holds
+it.  There is one store per a, holding q and every p_1..p_{a-1} together;
+q_seq and p_seq grow it by appending only the rows not yet cached, so
+q_seq alone also builds the p's of its a.  The tail series is summed in
+integers over its running denominator.
 """
 
 from __future__ import annotations
@@ -70,11 +72,10 @@ def r_val(a: int, n: int, k: int, m: int) -> Rat:
                                + (-1) ** m * (a - 1) * harmonic(k, m))
 
 
-# Prefix tables keyed by (a, mu_max): rows 0..len(q)-1 of q and of
-# p_1..p_{mu_max}.  A lookup at mu is served by any table of the same a
-# with mu_max >= mu.  A table is only ever extended, by appending the rows
-# it lacks; single values never create or extend one.  Nothing is evicted.
-_TABLES: dict[tuple[int, int], tuple[list, list]] = {}
+# One prefix store per a: rows 0..len(q)-1 of q and of p_1..p_{a-1}.  A
+# store is only ever extended, by appending the rows it lacks; single
+# values never create or extend one.  Nothing is evicted.
+_TABLES: dict[int, tuple[list, list]] = {}
 
 
 def _check_mu(a: int, mu: int) -> None:
@@ -82,36 +83,35 @@ def _check_mu(a: int, mu: int) -> None:
         raise ValueError("require 1 <= mu <= a-1")
 
 
-def _covering(a: int, mu: int, n: int):
-    """A cached table holding row n of q and of p_1..p_mu, or None."""
-    for (b, m), table in _TABLES.items():
-        if b == a and m >= mu and len(table[0]) > n:
-            return table
-    return None
+def _covering(a: int, n: int):
+    """The cached store of a if it holds row n, else None."""
+    table = _TABLES.get(a)
+    return table if table is not None and len(table[0]) > n else None
 
 
-def _prefix(a: int, mu: int, n_max: int):
-    """A table (q, p) covering rows 0..n_max for p_1..p_mu; when none is
-    cached, the (a, mu) table gets its missing rows appended."""
+def _prefix(a: int, n_max: int):
+    """The store (q, p) of a, with its missing rows up to n_max appended."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    hit = _covering(a, mu, n_max)
-    if hit is None:
-        q, p = _TABLES.get((a, mu), ([], [[] for _ in range(mu)]))
-        q_new, p_new = kernel.seq_rows(a, len(q), n_max, mu)
+    table = _TABLES.get(a)
+    if table is None:
+        table = ([], [[] for _ in range(a - 1)])
+    q, p = table
+    if len(q) <= n_max:
+        q_new, p_new = kernel.seq_rows(a, len(q), n_max, a - 1)
         q += q_new
         for row, new in zip(p, p_new):
             row += new
-        hit = _TABLES[(a, mu)] = (q, p)
-    return hit
+        _TABLES[a] = table
+    return table
 
 
 def _single(a: int, mu: int, n: int):
-    """(q_n, p_{n,mu}), with p None for mu = 0: read from a covering
-    prefix table, else computed by one O(n) sum over k."""
+    """(q_n, p_{n,mu}), with p None for mu = 0: read from the prefix
+    store of a when it holds row n, else computed by one O(n) sum over k."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table, i = _covering(a, mu, n), n
+    table, i = _covering(a, n), n
     if table is None:
         table, i = kernel.seq_rows(a, n, n, mu), 0
     q, p = table
@@ -119,14 +119,19 @@ def _single(a: int, mu: int, n: int):
 
 
 def q_seq(a: int, n_max: int) -> list:
-    """q_0..q_{n_max} as exact integers."""
-    return list(_prefix(a, 0, n_max)[0][:n_max + 1])
+    """q_0..q_{n_max} as exact integers.
+
+    The rows come from the prefix store of a, which holds every
+    p_1..p_{a-1} too, so this also builds the p's of a up to n_max.
+    """
+    return _prefix(a, n_max)[0][:n_max + 1]
 
 
 def p_seq(a: int, mu: int, n_max: int) -> list:
-    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1."""
+    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1, read
+    from the prefix store of a."""
     _check_mu(a, mu)
-    return list(_prefix(a, mu, n_max)[1][mu - 1][:n_max + 1])
+    return _prefix(a, n_max)[1][mu - 1][:n_max + 1]
 
 
 def q_at(a: int, n: int):
@@ -168,7 +173,7 @@ def f_deriv_sym(a: int, n: int, k: int, m: int) -> SymPoly:
     return coeff * SymPoly.zeta(m, mi) + SymPoly.const(r_val(a, n, k, m), mi)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def _f_sym_all(a: int, n: int):
     """F_{n,mu} for every mu = 0..a-1 in one pass over k."""
     mu_max = a - 1
@@ -241,45 +246,34 @@ class RecurrenceSpec:
 
 
 def _rhs(spec: RecurrenceSpec, n: int) -> Rat:
+    """The inhomogeneous side of spec at n; 0 when homogeneous."""
     if spec.inhom is None:
         return Fraction(0)
     num, den = spec.inhom
-    d = den(Fraction(n))
+    d = den(n)
     if d == 0:
         raise ArithmeticError("inhomogeneous denominator vanishes at n=%d" % n)
-    return num(Fraction(n)) / d
+    return num(n) / d
 
 
 def recurrence_check(spec: RecurrenceSpec, seq, n_range) -> bool:
     """Exact check of spec against seq at every n in n_range.
 
-    Comparisons clear the inhomogeneous denominator, so integer
-    sequences are verified in pure integer arithmetic.  A vanishing
-    leading coefficient is reported and the point skipped.
+    A vanishing leading coefficient is reported and the point skipped.
     """
     for n in n_range:
         if n < spec.n_min:
             raise ValueError("relation not asserted below n_min=%d" % spec.n_min)
         if n + spec.offsets[-1] >= len(seq):
             raise ValueError("sequence too short for n=%d" % n)
-        x = Fraction(n)
-        if spec.coeffs[-1](x) == 0:
+        if spec.coeffs[-1](n) == 0:
             _log.warning("%s: leading coefficient vanishes at n=%d, point skipped",
                          spec.name, n)
             continue
-        lhs = sum(c(x) * seq[n + off]
+        lhs = sum(c(n) * seq[n + off]
                   for off, c in zip(spec.offsets, spec.coeffs))
-        if spec.inhom is None:
-            if lhs != 0:
-                return False
-        else:
-            num, den = spec.inhom
-            d = den(x)
-            if d == 0:
-                raise ArithmeticError(
-                    "inhomogeneous denominator vanishes at n=%d" % n)
-            if lhs * d != num(x):
-                return False
+        if lhs != _rhs(spec, n):
+            return False
     return True
 
 
@@ -288,13 +282,12 @@ def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
     ys = [Fraction(v) for v in spec.initial]
     n = spec.n_min
     while len(ys) <= n_max:
-        x = Fraction(n)
-        lead = spec.coeffs[-1](x)
+        lead = spec.coeffs[-1](n)
         if lead == 0:
             raise ArithmeticError("leading coefficient vanishes at n=%d" % n)
         acc = _rhs(spec, n)
         for off, c in zip(spec.offsets[:-1], spec.coeffs[:-1]):
-            acc -= c(x) * ys[n + off]
+            acc -= c(n) * ys[n + off]
         ys.append(acc / lead)
         n += 1
     return ys[:n_max + 1]
@@ -413,23 +406,24 @@ def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
         raise ValueError("require n >= 1")
     if digits < 1:
         raise ValueError("digits must be positive")
-    bound = Fraction(1, 10 ** (digits + 5))
-    acc = Fraction(0)
+    # Term k is num/den; the partial sum is acc/den over the same
+    # running denominator, so each step is one integer multiply-add.
+    scale = 10 ** (digits + 5)
+    acc = 0
     k = 0
     num = 1
     den = 1
-    while True:
-        t = Fraction(num, den)
-        if t < bound:
-            break
+    while num * scale >= den:
         if ((u + 1) * k + a - 1) % 2:
-            acc -= t
+            acc -= num
         else:
-            acc += t
+            acc += num
         k += 1
+        f = (n + 1 + k) ** a
         num *= k ** (a - 1)
-        den *= (n + 1 + k) ** a
-    return BigFix.from_fraction(acc / (n + 1) ** a, digits)
+        den *= f
+        acc *= f
+    return BigFix.from_fraction(Fraction(acc, den * (n + 1) ** a), digits)
 
 
 @dataclass(frozen=True)

@@ -6,22 +6,28 @@ from math import factorial
 
 import pytest
 
+from bellgamma import bernoulli
 from bellgamma.bernoulli import (
     PolyQ,
+    _core_power,
     bernoulli_at,
     csc_power_coeffs,
     gen_bernoulli,
 )
 from bellgamma.numerics import bernoulli_number, binom
-from bellgamma.powerseries import SeriesQ, ps_mul, ps_recip
+from bellgamma.powerseries import SeriesQ, ps_mul, ps_pow, ps_recip
+
+
+def expm1_over_t(order):
+    """(e^t - 1)/t truncated at t^order."""
+    return SeriesQ([Fraction(1, factorial(k + 1)) for k in range(order + 1)],
+                   order)
 
 
 def bernoulli_gf_value(n, m, x):
     """Independent oracle: n! [t^n] (t/(e^t-1))^m e^{xt}, all exact."""
     order = n
-    expm1_over_t = SeriesQ(
-        [Fraction(1, factorial(k + 1)) for k in range(order + 1)], order)
-    base = ps_recip(expm1_over_t)
+    base = ps_recip(expm1_over_t(order))
     acc = SeriesQ([1], order)
     for _ in range(m):
         acc = ps_mul(acc, base)
@@ -44,6 +50,49 @@ def test_polyq_basics():
     assert (1 - q)(4) == -3
     assert PolyQ.const(Fraction(1, 2)).coeffs == [Fraction(1, 2)]
     assert PolyQ.x()(9) == 9
+
+
+def horner_fraction(p, x):
+    """Reference: plain Horner in Fraction arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def test_polyq_call_matches_fraction_horner():
+    rng = random.Random(20261018)
+    polys = [PolyQ([]), PolyQ([Fraction(-3, 7)]), PolyQ([0, 0, 5])]
+    polys += [PolyQ([Fraction(rng.randint(-60, 60), rng.randint(1, 40))
+                     for _ in range(rng.randint(1, 10))]) for _ in range(40)]
+    points = [0, 1, -1, 6, -13, 10 ** 30, Fraction(1, 3), Fraction(-5, 4),
+              Fraction(22, 7), Fraction(-7, 10 ** 12)]
+    for p in polys:
+        for x in points:
+            want = horner_fraction(p, x)
+            for _ in range(2):  # the second call reuses the cached scaling
+                got = p(x)
+                assert type(got) is Fraction and got == want
+    # a PolyQ argument composes, through the generic Horner
+    y = PolyQ.x() + Fraction(1, 3)
+    for p in polys[:12]:
+        assert p(y) == horner_fraction(p, y)
+    assert PolyQ([1, 2])(0.5) == 2.0
+
+
+@pytest.mark.parametrize("orders", [(40, 27, 13, 1, 0), (0, 1, 13, 27, 40),
+                                    (13, 40, 0, 27, 1)],
+                         ids=["descending", "ascending", "mixed"])
+def test_core_power_matches_series_powering(orders, monkeypatch):
+    # Reference: the binary powering of the reciprocal series.
+    ref = {n: ps_recip(expm1_over_t(n)) for n in orders}
+    monkeypatch.setattr(bernoulli, "_CORE_CACHE", {})
+    for m in range(1, 13):
+        for n in orders:
+            assert _core_power(m, n) == ps_pow(ref[n], m).coeffs
+        # one list per m, as long as the deepest order asked
+        assert len(bernoulli._CORE_CACHE[m]) == max(orders) + 1
+    assert sorted(bernoulli._CORE_CACHE) == list(range(1, 13))
 
 
 def test_gen_bernoulli_classical_case():

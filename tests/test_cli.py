@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellgamma
-from bellgamma import cli, numerics, sequences
+from bellgamma import cli, kernel, numerics, sequences
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -184,6 +184,32 @@ def test_verify_lemma1_small(capsys):
                            "--a", "3", "--nmax", "5")
     assert code == 0
     assert out.splitlines()[-1] == "2/2 checks passed"
+
+
+def test_verify_lemma1_builds_each_f_once(capsys):
+    # n runs outside mu, so one cached F_{n,.} serves every mu, and the
+    # bounded cache ends the run holding no more than its bound.
+    f_all = sequences._f_sym_all
+    f_all.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1",
+                           "--a", "4", "--nmax", "40")
+    info = f_all.cache_info()
+    f_all.cache_clear()
+    assert code == 0 and out.splitlines()[-1] == "3/3 checks passed"
+    assert info.misses == 41
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 41
+
+
+def test_verify_integrality_builds_one_store(capsys, monkeypatch):
+    monkeypatch.setattr(sequences, "_TABLES", {})
+    calls = []
+    real = kernel.seq_rows
+    monkeypatch.setattr(kernel, "seq_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "integrality",
+                           "--a", "5", "--nmax", "30")
+    assert code == 0 and out.splitlines()[-1] == "5/5 checks passed"
+    assert calls == [(5, 0, 30, 4)]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

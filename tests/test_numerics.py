@@ -113,6 +113,45 @@ def test_bernoulli_sum_identity():
         assert sum(binom(n, k) * bernoulli_number(k) for k in range(n)) == 0
 
 
+def tangent_triangle(kmax):
+    """Reference: T_1..T_kmax from one fresh in-place triangle build."""
+    t = [0] * (kmax + 1)
+    t[1] = 1
+    for k in range(2, kmax + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, kmax + 1):
+        for j in range(k, kmax + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+@pytest.fixture
+def empty_tangent(monkeypatch):
+    monkeypatch.setattr(numerics, "_tangent", [])
+    monkeypatch.setattr(numerics, "_tangent_edge", [])
+
+
+@pytest.mark.parametrize("steps", [(1, 2, 3), (30, 75), (75,), (12, 5, 40)])
+def test_tangent_triangle_grows(steps, empty_tangent):
+    for k in steps:
+        numerics._extend_tangent(k)
+    assert numerics._tangent == tangent_triangle(max(steps))
+
+
+def test_tangent_extension_keeps_old_columns(empty_tangent):
+    numerics._extend_tangent(30)
+    numerics._tangent[0] = -1  # marker: a rebuild would overwrite it
+    numerics._extend_tangent(75)
+    fresh = tangent_triangle(75)
+    assert numerics._tangent[0] == -1
+    assert numerics._tangent[1:] == fresh[1:]
+    numerics._tangent[0] = 1
+    # B_n for 2k <= 150 through the grown triangle: sum_{k<n} C(n,k) B_k = 0
+    bs = [bernoulli_number(n) for n in range(151)]
+    assert all(sum(binom(n, k) * bs[k] for k in range(n)) == 0
+               for n in range(2, 151))
+
+
 def test_bigfix_roundtrip_and_arithmetic():
     rng = random.Random(91)
     for _ in range(40):

@@ -11,7 +11,8 @@ from test_kernel import oracle_tables
 from bellgamma import kernel, sequences
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
-from bellgamma.numerics import PrecisionError, binom, factorial, lcm_upto
+from bellgamma.numerics import (BigFix, PrecisionError, binom, factorial,
+                                lcm_upto)
 from bellgamma.sequences import (
     ApproxRecord,
     HarmonicCache,
@@ -99,19 +100,27 @@ def test_table_cache_regrowth(monkeypatch):
     assert q_at(5, 4) == q_seq(5, 12)[4]
     assert p_at(5, 2, 10) == p_seq(5, 2, 12)[10]
     monkeypatch.setattr(sequences, "_TABLES", {})
-    fresh_q, fresh_p = kernel.seq_tables(5, 12, 3)
+    fresh_q, fresh_p = kernel.seq_tables(5, 12, 4)
+    calls = []
+    real = kernel.seq_rows
+    monkeypatch.setattr(kernel, "seq_rows",
+                        lambda *args: calls.append(args) or real(*args))
     assert q_seq(5, 5) == fresh_q[:6]
-    table_q = sequences._TABLES[(5, 0)][0]
+    # one store per a, holding q and every p_1..p_4 together
+    assert list(sequences._TABLES) == [5]
+    table_q, table_p = sequences._TABLES[5]
+    assert [len(row) for row in table_p] == [6] * 4
     assert q_seq(5, 12) == fresh_q
-    # the rows 6..12 were appended to the same table, nothing more
-    assert sequences._TABLES[(5, 0)][0] is table_q and len(table_q) == 13
-    assert p_seq(5, 3, 4) == fresh_p[2][:5]
-    assert p_seq(5, 3, 12) == fresh_p[2]
-    # lookups at a smaller mu are served by the (5, 3) table
-    keys = set(sequences._TABLES)
-    assert p_seq(5, 1, 12) == fresh_p[0]
-    assert p_seq(5, 2, 12) == fresh_p[1]
-    assert set(sequences._TABLES) == keys
+    # the rows 6..12 were appended to the same lists, nothing more
+    assert sequences._TABLES[5][0] is table_q and len(table_q) == 13
+    assert all(now is before and len(now) == 13 for now, before
+               in zip(sequences._TABLES[5][1], table_p))
+    # every mu is served by the store, without a new key or new rows
+    for mu in range(1, 5):
+        assert p_seq(5, mu, 4) == fresh_p[mu - 1][:5]
+        assert p_seq(5, mu, 12) == fresh_p[mu - 1]
+    assert list(sequences._TABLES) == [5]
+    assert calls == [(5, 0, 5, 4), (5, 6, 12, 4)]
 
 
 def _table_shape():
@@ -384,6 +393,40 @@ def test_tail_series_first_term_and_bound():
                     / (n + 1) ** a
                 assert abs(t - t0) <= Fraction(2, ((n + 1) * (n + 2)) ** a)
                 assert (t < 0) == (a % 2 == 0)
+
+
+def tail_fraction(a, u, n, digits):
+    """Reference: the alternating tail summed term by term in Fractions."""
+    bound = Fraction(1, 10 ** (digits + 5))
+    acc = Fraction(0)
+    k = 0
+    num = 1
+    den = 1
+    while True:
+        t = Fraction(num, den)
+        if t < bound:
+            break
+        acc += -t if ((u + 1) * k + a - 1) % 2 else t
+        k += 1
+        num *= k ** (a - 1)
+        den *= (n + 1 + k) ** a
+    return acc / (n + 1) ** a
+
+
+def test_tail_series_matches_fraction_loop(monkeypatch):
+    # The exact rational handed to BigFix is compared, not only its digits.
+    seen = []
+    real = BigFix.from_fraction
+    monkeypatch.setattr(BigFix, "from_fraction", classmethod(
+        lambda cls, fr, scale: seen.append(fr) or real(fr, scale)))
+    for a in range(2, 6):
+        for u in range(-a, a + 1):
+            for n in (1, 2, 5, 20, 37):
+                for digits in (1, 30, 400):
+                    want = tail_fraction(a, u, n, digits)
+                    got = tail_series(a, u, n, digits)
+                    assert seen.pop() == want
+                    assert got == real(want, digits)
 
 
 def test_tail_series_depends_on_u_parity():
