@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .numerics import Rat, factorial, poch
@@ -82,46 +81,36 @@ def qn_log_asymptotic(a: int, n: int) -> float:
     return val
 
 
-@dataclass(frozen=True)
-class ExponentProfile:
+class ExponentProfile(namedtuple("ExponentProfile", "a b kind")):
     """Exact b coefficients for one exponent family."""
 
-    a: int
-    b: tuple
-    kind: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError("unknown kind %r" % (self.kind,))
-        if len(self.b) != self.a:
+    def __new__(cls, a: int, b: tuple, kind: str):
+        if kind not in PROFILE_KINDS:
+            raise ValueError("unknown kind %r" % (kind,))
+        if len(b) != a:
             raise ValueError("need b_1..b_a")
-        if self.b[0] != -self.a or self.b[1] != Fraction(1 - self.a, 2):
+        if b[0] != -a or b[1] != Fraction(1 - a, 2):
             raise ValueError("b coefficients fail closed-form check")
-        if self.a >= 3 and self.b[2] != Fraction((1 - self.a) * (2 * self.a - 3), 6 * self.a):
+        if a >= 3 and b[2] != Fraction((1 - a) * (2 * a - 3), 6 * a):
             raise ValueError("b coefficients fail closed-form check")
+        return super().__new__(cls, a, b, kind)
 
 
 def exponent_profile(a: int, kind: str) -> ExponentProfile:
     return ExponentProfile(a, tuple(bm_coeffs(a)), kind)
 
 
-def profile_to_json(profile: ExponentProfile) -> str:
-    """Deterministic JSON with b entries as fraction strings."""
-    return json.dumps({"a": profile.a, "kind": profile.kind,
-                       "b": [str(v) for v in profile.b]},
-                      separators=(", ", ": "))
-
-
-@dataclass(frozen=True)
-class CPoint:
+class CPoint(namedtuple("CPoint", "re im")):
     """A double-precision complex point; components must be finite."""
 
-    re: float
-    im: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+    def __new__(cls, re: float, im: float):
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise ValueError("CPoint components must be finite")
+        return super().__new__(cls, re, im)
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)

@@ -14,7 +14,10 @@ sets the default precision (50 when unset); identical invocations produce
 byte-identical output.
 
 Each command takes the parsed and range-checked argparse namespace and
-returns its output text with the exit code; main writes the text.
+returns its output text with the exit code; main writes the text.  A
+command imports the modules it runs itself, so a process compiles only
+those: constants, asymptotics and roots never load sequences, and only
+verify loads the suites (module verify).
 """
 
 from __future__ import annotations
@@ -24,19 +27,25 @@ import contextlib
 import json
 import math
 import os
-import random
 import sys
-from fractions import Fraction
 
 from . import asymptotics as asy
-from . import bell, bernoulli, sequences as seq
-from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError, binom,
+from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError,
                        gamma_const, zeta_const)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+
+# convergence_row evaluates each row at digits + 20 (and + 10), so approx
+# and table accept --digits only up to the oracles' limit less 20.
+_ROW_GUARD = 20
+# Past 10^64 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
+# other, fall within double rounding of one another and refine to the
+# same point: a = 4, u = 1 collides at 10^65 and already at 6*10^64.  A
+# scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8, |u| <= a.
+_ROOTS_N_MAX = 10 ** 64
 
 
 class UsageError(ValueError):
@@ -128,10 +137,13 @@ def _check_args(args) -> None:
         args.env_digits = int(os.environ.get("BELLGAMMA_DIGITS", "50"))
     except ValueError:
         raise UsageError("BELLGAMMA_DIGITS must be an integer")
-    if not 1 <= args.env_digits <= 10000:
-        raise UsageError("BELLGAMMA_DIGITS out of range 1..10000")
-    if args.digits is not None and not 1 <= args.digits <= 10000:
-        raise UsageError("--digits out of range 1..10000")
+    top = _MAX_DIGITS
+    if args.command in ("approx", "table"):
+        top -= _ROW_GUARD
+    if not 1 <= args.env_digits <= top:
+        raise UsageError("BELLGAMMA_DIGITS out of range 1..%d" % top)
+    if args.digits is not None and not 1 <= args.digits <= top:
+        raise UsageError("--digits out of range 1..%d" % top)
     if hasattr(args, "a") and not 2 <= args.a <= 8:
         raise UsageError("--a out of range 2..8")
     mu = getattr(args, "mu", None)
@@ -154,11 +166,16 @@ def _check_args(args) -> None:
     elif args.command == "asymptotics":
         if args.n is not None and args.n < 1:
             raise UsageError("--n must be positive")
+        if args.n is not None and args.n > sys.float_info.max:
+            # the exponents are evaluated in double precision
+            raise UsageError("--n out of range 1..%g" % sys.float_info.max)
     elif args.command == "roots":
         if abs(args.u) > args.a:
             raise UsageError("--u must satisfy |u| <= a")
         if args.n < 1000:
             raise UsageError("--n must be at least 1000")
+        if args.n > _ROOTS_N_MAX:
+            raise UsageError("--n must be at most 10^64")
 
 
 def _open_out(path):
@@ -177,6 +194,8 @@ def _json(obj) -> str:
 
 
 def _row_digits(args, n: int) -> int:
+    from . import sequences as seq
+
     if args.digits is not None:
         return args.digits
     auto = seq.auto_digits(asy.corollary_exponent(args.a, n))
@@ -184,6 +203,8 @@ def _row_digits(args, n: int) -> int:
 
 
 def cmd_approx(args) -> tuple[str, int]:
+    from . import sequences as seq
+
     digits = _row_digits(args, args.n)
     row = seq.convergence_row(args.a, args.mu, args.n, digits)
     dec = BigFix.from_fraction(row.p / row.q, min(digits, 40)).to_decimal()
@@ -210,18 +231,22 @@ def cmd_approx(args) -> tuple[str, int]:
 
 
 def _qn_ratio(a: int, n: int) -> float | None:
+    from . import sequences as seq
+
     if n < 1:
         return None
     return math.exp(math.log(seq.q_at(a, n)) - asy.qn_log_asymptotic(a, n))
 
 
 def cmd_table(args) -> tuple[str, int]:
+    from . import sequences as seq
+
     start, stop, step = args.n_range
     ns = range(start, stop + 1, step)
     digits = [_row_digits(args, n) for n in ns]
     # The most precise constants first: every row rounds from them.  Past
     # the oracles' limit the first row too deep fails as it would alone.
-    top = min(max(digits) + 20, _MAX_DIGITS)
+    top = min(max(digits) + _ROW_GUARD, _MAX_DIGITS)
     gamma_const(top)
     for m in range(2, args.mu + 1):
         zeta_const(m, top)
@@ -257,203 +282,10 @@ def cmd_table(args) -> tuple[str, int]:
     return text, EXIT_OK
 
 
-def _suite_lemma1(args):
-    a = args.a
-    nmax = 10 if args.nmax is None else args.nmax
-    # n outer, so each F_{n,.} is built once and serves every mu
-    ok = dict.fromkeys(range(1, a), True)
-    for n in range(nmax + 1):
-        for mu in ok:
-            ok[mu] = ok[mu] and seq.lemma1_residual(a, mu, n).is_zero()
-    return [("lemma1 residual zero: a=%d mu=%d n=0..%d" % (a, mu, nmax), good)
-            for mu, good in ok.items()]
-
-
-def _suite_recurrences(args):
-    nmax = 60 if args.nmax is None else args.nmax
-    recs = seq.make_paper_recurrences()
-    out = []
-    qt, pt = seq.aptekarev_seq(nmax)
-    out.append(("recurrence aptekarev_q vs explicit sum, n=2..%d" % (nmax - 1),
-                seq.recurrence_check(recs["aptekarev_q"], qt, range(2, nmax))))
-    out.append(("recurrence aptekarev_p vs explicit sum, n=2..%d" % (nmax - 1),
-                seq.recurrence_check(recs["aptekarev_p"], pt, range(2, nmax))))
-    for name in ("rivoal_q", "rivoal_p"):
-        s = seq.recurrence_generate(recs[name], nmax)
-        ok = seq.recurrence_check(recs[name], s, range(0, nmax - 2))
-        out.append(("recurrence %s vs generated values, n=0..%d"
-                    % (name, nmax - 3), ok))
-    out.append(("recurrence a2_q vs explicit sum, n=0..%d" % (nmax - 2),
-                seq.recurrence_check(recs["a2_q"], seq.q_seq(2, nmax),
-                                     range(0, nmax - 1))))
-    out.append(("recurrence a2_p1 vs explicit sum, n=0..%d" % (nmax - 2),
-                seq.recurrence_check(recs["a2_p1"], seq.p_seq(2, 1, nmax),
-                                     range(0, nmax - 1))))
-    out.append(("recurrence a3_q vs explicit sum, n=2..%d" % (nmax - 1),
-                seq.recurrence_check(recs["a3_q"], seq.q_seq(3, nmax),
-                                     range(2, nmax))))
-    for mu in (1, 2):
-        name = "a3_p%d" % mu
-        out.append(("recurrence %s vs explicit sum, n=2..%d" % (name, nmax - 1),
-                    seq.recurrence_check(recs[name], seq.p_seq(3, mu, nmax),
-                                         range(2, nmax))))
-    out.append(("recurrence a4_q vs explicit sum, n=2..%d" % (nmax - 2),
-                seq.recurrence_check(recs["a4_q"], seq.q_seq(4, nmax),
-                                     range(2, nmax - 1))))
-    for mu in (1, 2, 3):
-        name = "a4_p%d" % mu
-        out.append(("recurrence %s vs explicit sum, n=2..%d" % (name, nmax - 2),
-                    seq.recurrence_check(recs[name], seq.p_seq(4, mu, nmax),
-                                         range(2, nmax - 1))))
-    return out
-
-
-def _suite_integrality(args):
-    a = args.a
-    nmax = 50 if args.nmax is None else args.nmax
-    out = []
-    q = seq.q_seq(a, nmax)
-    out.append(("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
-                all(isinstance(v, int) and v > 0 for v in q)))
-    for mu in range(1, a):
-        ok = all(seq.integrality_check(a, mu, n) for n in range(nmax + 1))
-        out.append(("integrality lcm(1..n)^%d p_{n,%d} integral: a=%d n=0..%d"
-                    % (mu, mu, a, nmax), ok))
-    return out
-
-
-def _suite_bernoulli(args):
-    x = bernoulli.PolyQ.x()
-    out = []
-    ok = True
-    for m in range(0, 9):
-        want = bernoulli.PolyQ.const(1)
-        for j in range(1, m + 1):
-            want = want * (x - j)
-        ok = ok and bernoulli.gen_bernoulli(m, m + 1) == want
-    out.append(("bernoulli falling-factorial identity m=0..8", ok))
-    ok = True
-    for m in range(1, 9):
-        for n in range(0, 9):
-            lhs = m * bernoulli.gen_bernoulli(n, m + 1)
-            rhs = (m - n) * bernoulli.gen_bernoulli(n, m)
-            if n:
-                rhs = rhs + n * (x - m) * bernoulli.gen_bernoulli(n - 1, m)
-            ok = ok and lhs == rhs
-    out.append(("bernoulli order-raising recursion n,m<=8", ok))
-    ok = True
-    y = Fraction(1, 3)
-    for m in range(1, 6):
-        for n in range(0, 9):
-            lhs = bernoulli.gen_bernoulli(n, m)(x + y)
-            rhs = sum((binom(n, k) * bernoulli.bernoulli_at(k, m, y))
-                      * x ** (n - k) for k in range(n + 1))
-            ok = ok and lhs == rhs
-    out.append(("bernoulli addition formula at y=1/3, n<=8 m<=5", ok))
-    ok = True
-    for m in range(2, 13, 2):
-        s = sum(binom(m, k) * bernoulli.bernoulli_at(k, m + 1,
-                                                     Fraction(m + 1, 2)) * 2 ** k
-                for k in range(m + 1))
-        ok = ok and s == 0
-    out.append(("bernoulli even-order alternating sum m=2,4,..,12", ok))
-    ok = True
-    for m in range(1, 7):
-        for n in range(0, 7):
-            ok = ok and bernoulli.bernoulli_at(2 * n + 1, m,
-                                               Fraction(m, 2)) == 0
-    out.append(("bernoulli odd values vanish at midpoint m<=6 n<=6", ok))
-    ok = True
-    try:
-        for m in range(1, 6):
-            cs = bernoulli.csc_power_coeffs(m, 15)
-            ok = ok and len(cs) == 16 and cs[0] == 1
-        ok = ok and bernoulli.csc_power_coeffs(1, 2) == [1, Fraction(1, 6),
-                                                         Fraction(7, 360)]
-    except ArithmeticError:
-        ok = False
-    out.append(("bernoulli csc-power dual-route coefficients m<=5 N<=15", ok))
-    return out
-
-
-def _suite_bell(args):
-    rng = random.Random(20250814)
-    out = []
-    ok = True
-    for n in range(0, 9):
-        for _ in range(4):
-            xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for _ in range(n)]
-            ok = ok and bell.bell_eval(xs) == bell.bell_eval_partitions(xs)
-    out.append(("bell ladder vs partition sum, n<=8 random rationals", ok))
-    ok = True
-    for n in range(0, 8):
-        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-              for _ in range(n)]
-        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-              for _ in range(n)]
-        lhs = bell.bell_eval([a + b for a, b in zip(xs, ys)])
-        rhs = sum(binom(n, k) * bell.bell_eval(xs[:k])
-                  * bell.bell_eval(ys[:n - k]) for k in range(n + 1))
-        ok = ok and lhs == rhs
-    out.append(("bell addition theorem, n<=7", ok))
-    ok = True
-    c = Fraction(3, 7)
-    for n in range(0, 8):
-        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-              for _ in range(n)]
-        scaled = [c ** (j + 1) * v for j, v in enumerate(xs)]
-        ok = ok and bell.bell_eval(scaled) == c ** n * bell.bell_eval(xs)
-    out.append(("bell isobaric scaling, n<=7", ok))
-    return out
-
-
-def _suite_tail(args):
-    digits = args.digits if args.digits is not None else 30
-    out = []
-    for a in (2, 3, 4):
-        ok = True
-        for u in range(-a, a + 1):
-            for n in (5, 10, 20):
-                t = seq.tail_series(a, u, n, digits)
-                ok = ok and abs(float(t)) <= math.e / (n + 1) ** a
-        out.append(("tail bound |sum| <= e/(n+1)^%d: all |u|<=%d, "
-                    "n in {5,10,20}" % (a, a), ok))
-    return out
-
-
-def _suite_saddle(args):
-    n = 10 ** 6
-    out = []
-    for a in (2, 3, 4):
-        ok = True
-        for u in range(-a, a + 1):
-            try:
-                rows = asy.root_report(a, u, n)
-            except ArithmeticError:
-                ok = False
-                continue
-            ok = ok and len(rows) == a
-            for _, _, _, res, dist in rows:
-                ok = ok and res < 1e-8 and dist < 1e-3
-        out.append(("saddle roots refined: a=%d, all |u|<=%d, n=10^6" % (a, a),
-                    ok))
-    return out
-
-
-_SUITES = {
-    "lemma1": _suite_lemma1,
-    "recurrences": _suite_recurrences,
-    "integrality": _suite_integrality,
-    "bernoulli": _suite_bernoulli,
-    "bell": _suite_bell,
-    "tail": _suite_tail,
-    "saddle": _suite_saddle,
-}
-
-
 def cmd_verify(args) -> tuple[str, int]:
-    checks = _SUITES[args.suite](args)
+    from .verify import SUITES
+
+    checks = SUITES[args.suite](args)
     lines = []
     passed = 0
     for name, ok in checks:

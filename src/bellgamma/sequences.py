@@ -19,19 +19,15 @@ integers over its running denominator.
 from __future__ import annotations
 
 import functools
-import logging
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import kernel
 from .bell import bell_ladder
-from .bernoulli import PolyQ
 from .numerics import (LN10, BigFix, PrecisionError, Rat, _decimal_str,
                        factorial, gamma_const, lcm_upto, zeta_const)
 from .symring import SymPoly, alpha_poly, lambda_coeff, sp_eval
-
-_log = logging.getLogger(__name__)
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
 
@@ -212,8 +208,8 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     return res
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(namedtuple(
+        "RecurrenceSpec", "name offsets coeffs inhom initial n_min")):
     """Linear recurrence sum_i coeffs[i](n) y_{n+offsets[i]} = inhom(n).
 
     offsets are ascending taps relative to the running index n; the
@@ -223,22 +219,20 @@ class RecurrenceSpec:
     generation needs.
     """
 
-    name: str
-    offsets: tuple
-    coeffs: tuple
-    inhom: tuple | None
-    initial: tuple
-    n_min: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if list(self.offsets) != sorted(set(self.offsets)):
+    def __new__(cls, name: str, offsets: tuple, coeffs: tuple,
+                inhom: tuple | None, initial: tuple, n_min: int):
+        if list(offsets) != sorted(set(offsets)):
             raise ValueError("offsets must be strictly ascending")
-        if len(self.offsets) != len(self.coeffs):
+        if len(offsets) != len(coeffs):
             raise ValueError("one coefficient polynomial per tap")
-        if self.n_min + self.offsets[0] < 0:
+        if n_min + offsets[0] < 0:
             raise ValueError("n_min leaves a tap below index 0")
-        if len(self.initial) != self.n_min + self.offsets[-1]:
+        if len(initial) != n_min + offsets[-1]:
             raise ValueError("initial values must cover y_0..y_{n_min+max_offset-1}")
+        return super().__new__(cls, name, offsets, coeffs, inhom, initial,
+                               n_min)
 
     @property
     def order(self) -> int:
@@ -267,8 +261,13 @@ def recurrence_check(spec: RecurrenceSpec, seq, n_range) -> bool:
         if n + spec.offsets[-1] >= len(seq):
             raise ValueError("sequence too short for n=%d" % n)
         if spec.coeffs[-1](n) == 0:
-            _log.warning("%s: leading coefficient vanishes at n=%d, point skipped",
-                         spec.name, n)
+            # imported in this rare branch alone: logging adds ~3 ms to
+            # the start-up of every command
+            import logging
+
+            logging.getLogger(__name__).warning(
+                "%s: leading coefficient vanishes at n=%d, point skipped",
+                spec.name, n)
             continue
         lhs = sum(c(n) * seq[n + off]
                   for off, c in zip(spec.offsets, spec.coeffs))
@@ -295,6 +294,8 @@ def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
 
 def make_paper_recurrences() -> dict:
     """The five classical recurrence families with their initial values."""
+    from .bernoulli import PolyQ
+
     n = PolyQ.x()
     recs = {}
 
@@ -426,17 +427,12 @@ def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
     return BigFix.from_fraction(Fraction(acc, den * (n + 1) ** a), digits)
 
 
-@dataclass(frozen=True)
-class ApproxRecord:
-    """One measured convergence row: exact p, q plus log-scale errors."""
+class ApproxRecord(namedtuple(
+        "ApproxRecord", "a mu n p q err_log predicted_exponent")):
+    """One measured convergence row: exact p (Rat), q (int) plus the
+    log-scale error err_log and the predicted_exponent (floats)."""
 
-    a: int
-    mu: int
-    n: int
-    p: Rat
-    q: int
-    err_log: float
-    predicted_exponent: float
+    __slots__ = ()
 
 
 def auto_digits(predicted: float) -> int:

@@ -1,7 +1,6 @@
 """Exponent coefficients, growth predictions, and saddle-point roots."""
 
 import cmath
-import json
 import math
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from bellgamma.asymptotics import (
     exponent_profile,
     lagrange_coeff,
     linform_exponent,
-    profile_to_json,
     qn_log_asymptotic,
     saddle_roots,
     saddle_seed,
@@ -175,13 +173,6 @@ def test_exponent_profile():
         ExponentProfile(3, (-3, -1), "corollary")
     with pytest.raises(ValueError):
         ExponentProfile(3, (-2, -1, Fraction(-1, 3)), "corollary")
-
-
-def test_profile_to_json():
-    text = profile_to_json(exponent_profile(3, "corollary"))
-    assert text == '{"a": 3, "kind": "corollary", "b": ["-3", "-1", "-1/3"]}'
-    data = json.loads(text)
-    assert data["b"] == ["-3", "-1", "-1/3"]
 
 
 def test_cpoint():

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellgamma
-from bellgamma import cli, kernel, numerics, sequences
+from bellgamma import cli, kernel, numerics, sequences, verify
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -213,7 +213,7 @@ def test_verify_integrality_builds_one_store(capsys, monkeypatch):
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(cli._SUITES, "bell",
+    monkeypatch.setitem(verify.SUITES, "bell",
                         lambda cfg: [("forced failure", False)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "bell")
     assert code == 1
@@ -296,6 +296,45 @@ def test_precision_exit_code(capsys):
     assert err.startswith("precision failure")
 
 
+@pytest.mark.parametrize("argv", [
+    # each exited 1 with a traceback before --n was range-checked
+    ("roots", "--a", "8", "--u", "3", "--n", str(10 ** 300)),
+    ("roots", "--a", "2", "--u", "0", "--n", str(10 ** 300)),
+    ("asymptotics", "--a", "3", "--kind", "corollary", "--n", str(10 ** 400)),
+])
+def test_large_n_is_usage_error(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --n ")
+
+
+def test_roots_refine_up_to_n_max():
+    # the bound roots accepts: every a and u still refine at it
+    from bellgamma.asymptotics import root_report
+    n = cli._ROOTS_N_MAX
+    for a in range(2, 9):
+        for u in range(-a, a + 1):
+            assert len(root_report(a, u, n)) == a
+
+
+def test_row_digits_leave_room_for_guard(capsys, monkeypatch):
+    # approx and table evaluate at digits + 20, so 9981 and up would fail
+    # in the oracles (exit 3) after the row was computed
+    code, out, err = run_cli(capsys, "approx", "--a", "2", "--mu", "1",
+                             "--n", "10", "--digits", "10000")
+    assert (code, out, err) == (2, "", "error: --digits out of range 1..9980\n")
+    code, _, err = run_cli(capsys, "table", "--a", "2", "--mu", "1",
+                           "--n", "0:3", "--digits", "9981")
+    assert code == 2 and "--digits" in err
+    monkeypatch.setenv("BELLGAMMA_DIGITS", "9981")
+    code, _, err = run_cli(capsys, "approx", "--a", "2", "--mu", "1",
+                           "--n", "3")
+    assert code == 2 and "BELLGAMMA_DIGITS" in err
+    monkeypatch.setenv("BELLGAMMA_DIGITS", "10000")
+    args = cli.build_parser().parse_args(["constants", "--digits", "10000"])
+    cli._check_args(args)  # constants keeps the oracles' full range
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int->str digit limit in this Python")
 def test_main_restores_int_str_limit(capsys):
@@ -363,6 +402,33 @@ def test_approx_past_int_str_limit():
         chunk = digits[i:i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
     assert value == sequences.q_at(2, 1548)
+
+
+# Each command loads only what it runs.  random and typing are left out:
+# `site` may load them before the package is imported.
+_NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    ("approx --a 3 --mu 1 --n 5", _NEVER, {"bellgamma.sequences"}),
+    ("constants --digits 30",
+     _NEVER | {"bellgamma.sequences", "bellgamma.symring", "bellgamma.kernel",
+               "bellgamma.bell"},
+     {"bellgamma.numerics"}),
+    ("verify --suite bell", {"dataclasses", "logging"}, {"bellgamma.verify"}),
+])
+def test_command_loads_only_what_it_runs(argv, absent, present):
+    probe = ("import sys\n"
+             "from bellgamma import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(' '.join(sys.modules))\n"
+             "sys.exit(code)\n")
+    out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
+                         env=CHILD_ENV, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    loaded = set(out.stdout.splitlines()[-1].split())
+    assert not loaded & absent
+    assert present <= loaded
 
 
 # sha256 of stdout as printed by earlier versions of the package, with
