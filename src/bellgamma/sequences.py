@@ -12,7 +12,10 @@ Costs: a single value (q_at, p_at, convergence_row) is one O(n) sum over
 k from the kernel, unless the cached prefix store of its a already holds
 it.  There is one store per a, holding q and every p_1..p_{a-1} together;
 q_seq and p_seq grow it by appending only the rows not yet cached, so
-q_seq alone also builds the p's of its a.  The tail series is summed in
+q_seq alone also builds the p's of its a.  The residual identity is
+checked on integer coefficients (lemma1_residual), with one kernel row
+per n for every mu; f_deriv_sym and F_sym build the same F_{n,mu} over
+Fraction as its independent test oracle.  The tail series is summed in
 integers over its running denominator.
 """
 
@@ -26,8 +29,9 @@ from fractions import Fraction
 from . import kernel
 from .bell import bell_ladder
 from .numerics import (LN10, BigFix, PrecisionError, Rat, _decimal_str,
-                       factorial, gamma_const, lcm_upto, zeta_const)
-from .symring import SymPoly, alpha_poly, lambda_coeff, sp_eval
+                       binom, factorial, gamma_const, lcm_upto,
+                       zeta_const)
+from .symring import SymPoly, alpha_poly, sp_eval
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
 
@@ -165,8 +169,14 @@ def f_deriv_sym(a: int, n: int, k: int, m: int) -> SymPoly:
     if m == 1:
         num = a * harmonic(n - k, 1) - (a - 1) * harmonic(k, 1)
         return SymPoly.const(num, mi) - SymPoly.gamma(mi)
-    coeff = factorial(m - 1) * ((-1) ** (m - 1) * (a - 1) - a)
-    return coeff * SymPoly.zeta(m, mi) + SymPoly.const(r_val(a, n, k, m), mi)
+    return (_deriv_coeff(a, m) * SymPoly.zeta(m, mi)
+            + SymPoly.const(r_val(a, n, k, m), mi))
+
+
+def _deriv_coeff(a: int, m: int) -> int:
+    """c_m = (m-1)!((-1)^{m-1}(a-1) - a), the coefficient of z_m in the
+    m-th derivative of the summand exponent (z_1 = g: c_1 = -1)."""
+    return factorial(m - 1) * ((-1) ** (m - 1) * (a - 1) - a)
 
 
 @functools.lru_cache(maxsize=32)
@@ -197,15 +207,23 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     """p_{n,mu} - q_n alpha_mu - sum_nu binom(mu,nu) alpha_{mu-nu} F_{n,nu}.
 
     The residual identity asserts this is the zero polynomial for every
-    n; any nonzero return value is a counterexample witness.
+    n; any nonzero return value is a counterexample witness.  It is
+    formed in integers, as D^mu times itself over Z[G, Z_2..] (module
+    lemma1), and the coefficient of a monomial of weight w is unscaled
+    by D^{mu-w}.
     """
+    # imported here: approx and table never compile the lemma-1 code
+    from .lemma1 import ZPoly, alpha_scaled, scaled_row
+
     _check_mu(a, mu)
-    mi = a - 1
-    q, p = _single(a, mu, n)
-    res = SymPoly.const(p, mi) - q * alpha_poly(a, mu, mi)
+    d, q, dp, f = scaled_row(a, n)
+    alpha = alpha_scaled(a)
+    res = ZPoly({(0,) * (a - 1): dp[mu - 1]}) + -q * alpha[mu]
     for nu in range(1, mu + 1):
-        res = res - lambda_coeff(a, mu, nu) * F_sym(a, nu, n)
-    return res
+        res = res + -binom(mu, nu) * alpha[mu - nu] * f[nu]
+    return SymPoly(a - 1, {
+        e: Fraction(c, d ** (mu - sum(i * x for i, x in enumerate(e, 1))))
+        for e, c in res.items()})
 
 
 class RecurrenceSpec(namedtuple(
@@ -408,20 +426,23 @@ def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
     if digits < 1:
         raise ValueError("digits must be positive")
     # Term k is num/den; the partial sum is acc/den over the same
-    # running denominator, so each step is one integer multiply-add.
-    scale = 10 ** (digits + 5)
+    # running denominator.  num * 10^(digits+5) is carried as a running
+    # product too, so no step multiplies two large integers.
     acc = 0
     k = 0
     num = 1
+    num_scaled = 10 ** (digits + 5)
     den = 1
-    while num * scale >= den:
+    while num_scaled >= den:
         if ((u + 1) * k + a - 1) % 2:
             acc -= num
         else:
             acc += num
         k += 1
         f = (n + 1 + k) ** a
-        num *= k ** (a - 1)
+        g = k ** (a - 1)
+        num *= g
+        num_scaled *= g
         den *= f
         acc *= f
     return BigFix.from_fraction(Fraction(acc, den * (n + 1) ** a), digits)

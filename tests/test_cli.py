@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import bellgamma
-from bellgamma import cli, kernel, numerics, sequences, verify
+from bellgamma import cli, kernel, lemma1, numerics, sequences, verify
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -186,16 +186,24 @@ def test_verify_lemma1_small(capsys):
     assert out.splitlines()[-1] == "2/2 checks passed"
 
 
-def test_verify_lemma1_builds_each_f_once(capsys):
-    # n runs outside mu, so one cached F_{n,.} serves every mu, and the
-    # bounded cache ends the run holding no more than its bound.
-    f_all = sequences._f_sym_all
+def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
+    # n runs outside mu, so one kernel row and one integer F_{n,.} per n
+    # serve every mu; the SymPoly oracle is never built, and the bounded
+    # cache ends the run holding no more than its bound.
+    calls = []
+    real = kernel.seq_rows
+    monkeypatch.setattr(kernel, "seq_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    scaled, f_all = lemma1.scaled_row, sequences._f_sym_all
+    scaled.cache_clear()
     f_all.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1",
                            "--a", "4", "--nmax", "40")
-    info = f_all.cache_info()
-    f_all.cache_clear()
+    info = scaled.cache_info()
+    scaled.cache_clear()
     assert code == 0 and out.splitlines()[-1] == "3/3 checks passed"
+    assert calls == [(4, n, n, 3) for n in range(41)]
+    assert f_all.cache_info().misses == 0
     assert info.misses == 41
     assert info.maxsize is not None and info.currsize <= info.maxsize < 41
 
@@ -416,6 +424,10 @@ _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
                "bellgamma.bell"},
      {"bellgamma.numerics"}),
     ("verify --suite bell", {"dataclasses", "logging"}, {"bellgamma.verify"}),
+    ("table --a 3 --mu 2 --n 0:20:10", {"bellgamma.lemma1"},
+     {"bellgamma.sequences"}),
+    ("verify --suite lemma1 --a 3 --nmax 2", {"dataclasses", "logging"},
+     {"bellgamma.lemma1"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent, present):
     probe = ("import sys\n"
@@ -433,8 +445,9 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
 
 # sha256 of stdout as printed by earlier versions of the package, with
 # BELLGAMMA_DIGITS unset: the first 14 when every single value was read
-# from an O(n^2) table, the rest before `kernel` and `cli` lost their
-# pass-through layers.  Refactors must not change a byte.
+# from an O(n^2) table, the next 25 before `kernel` and `cli` lost their
+# pass-through layers, the last while lemma 1 was still checked over
+# Fraction.  Refactors must not change a byte.
 OUTPUT_DIGESTS = {
     "table --a 2 --mu 1 --n 0:200:25":
         "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
@@ -514,6 +527,8 @@ OUTPUT_DIGESTS = {
         "9940dac56f2fde701a589a153660728bb62e180df83b9d3d07c95dc9658651b3",
     "constants --digits 300 --zeta-max 20 --format csv":
         "de375ef6d96a118997f53e76a4f3319d8f315706449c5c1a847b6689189ecf95",
+    "verify --suite lemma1 --a 8 --nmax 24":
+        "5d04bc56181c87963650e5963db39bc6fb6186c85e91bab79758f91e8d306661",
 }
 
 

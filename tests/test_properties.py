@@ -1,0 +1,150 @@
+"""Property tests: Bell identities in every ring the package feeds to the
+ladder, and BigFix arithmetic against exact Fractions.
+
+Examples are derandomized and no example database is kept, so every run
+draws the same cases.
+"""
+
+import operator
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
+from bellgamma.lemma1 import ZPoly  # noqa: E402
+from bellgamma.numerics import BigFix, binom  # noqa: E402
+from bellgamma.symring import SymPoly  # noqa: E402
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+M = 3  # symbols g, z2, z3
+ints = st.integers(-10 ** 6, 10 ** 6)
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+zpolys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * M),
+                         st.integers(-30, 30), min_size=1,
+                         max_size=4).map(ZPoly)
+RINGS = {"int": ints, "Fraction": fractions, "ZPoly": zpolys}
+
+
+def canon(x):
+    """A value comparable with ==: ZPoly keeps zero coefficients."""
+    return SymPoly(M, x) if isinstance(x, ZPoly) else x
+
+
+def ring_args(ring, max_n=6):
+    return st.integers(0, max_n).flatmap(
+        lambda n: st.tuples(st.lists(RINGS[ring], min_size=n, max_size=n),
+                            st.lists(RINGS[ring], min_size=n, max_size=n)))
+
+
+def check_addition(xs, ys):
+    # Y_n(x + y) = sum_k binom(n, k) Y_k(x) Y_{n-k}(y)
+    n = len(xs)
+    if not n:
+        return
+    yx, yy = bell_ladder(xs), bell_ladder(ys)
+    lhs = bell_eval(list(map(operator.add, xs, ys)))
+    rhs = reduce(operator.add, (binom(n, k) * yx[k] * yy[n - k]
+                                for k in range(n + 1)))
+    assert canon(lhs) == canon(rhs)
+
+
+def check_scaling(xs, c):
+    # Y_n(c x_1, c^2 x_2, ..., c^n x_n) = c^n Y_n(x_1, ..., x_n)
+    n = len(xs)
+    if not n:
+        return
+    scaled = [c ** j * x for j, x in enumerate(xs, 1)]
+    assert canon(bell_eval(scaled)) == canon(c ** n * bell_eval(xs))
+
+
+@PROPERTY
+@given(ring_args("int"))
+def test_bell_addition_int(args):
+    check_addition(*args)
+
+
+@PROPERTY
+@given(ring_args("Fraction"))
+def test_bell_addition_fraction(args):
+    check_addition(*args)
+
+
+@PROPERTY
+@given(ring_args("ZPoly", max_n=5))
+def test_bell_addition_zpoly(args):
+    check_addition(*args)
+
+
+@PROPERTY
+@given(ring_args("int"), st.integers(-12, 12))
+def test_bell_scaling_int(args, c):
+    check_scaling(args[0], c)
+
+
+@PROPERTY
+@given(ring_args("Fraction"), fractions)
+def test_bell_scaling_fraction(args, c):
+    check_scaling(args[0], c)
+
+
+@PROPERTY
+@given(ring_args("ZPoly", max_n=5), st.integers(-12, 12))
+def test_bell_scaling_zpoly(args, c):
+    check_scaling(args[0], c)
+
+
+@PROPERTY
+@given(zpolys, zpolys, st.integers(-9, 9))
+def test_zpoly_is_the_sympoly_ring_over_z(p, q, c):
+    sp, sq = SymPoly(M, p), SymPoly(M, q)
+    assert SymPoly(M, p + q) == sp + sq
+    assert SymPoly(M, p * q) == sp * sq
+    assert SymPoly(M, c * p) == c * sp == SymPoly(M, p * c)
+    assert SymPoly(M, p ** 0) == SymPoly.one(M)
+
+
+scales = st.integers(0, 40)
+mantissas = st.integers(-10 ** 60, 10 ** 60)
+
+
+def half_ulp(scale):
+    return Fraction(1, 2 * 10 ** scale)
+
+
+@PROPERTY
+@given(st.fractions(), scales)
+def test_bigfix_from_fraction_rounds_to_nearest(x, scale):
+    got = BigFix.from_fraction(x, scale)
+    assert got.scale == scale
+    assert abs(got.to_fraction() - x) <= half_ulp(scale)
+
+
+@PROPERTY
+@given(mantissas, mantissas, scales)
+def test_bigfix_add_sub_exact(m1, m2, scale):
+    x, y = BigFix(m1, scale), BigFix(m2, scale)
+    assert (x + y).to_fraction() == x.to_fraction() + y.to_fraction()
+    assert (x - y).to_fraction() == x.to_fraction() - y.to_fraction()
+
+
+@PROPERTY
+@given(mantissas, mantissas, scales)
+def test_bigfix_mul_rounds_to_nearest(m1, m2, scale):
+    x, y = BigFix(m1, scale), BigFix(m2, scale)
+    exact = x.to_fraction() * y.to_fraction()
+    assert abs((x * y).to_fraction() - exact) <= half_ulp(scale)
+
+
+@PROPERTY
+@given(mantissas, st.fractions(), scales)
+def test_bigfix_mul_rat_rounds_once(m, r, scale):
+    x = BigFix(m, scale)
+    exact = x.to_fraction() * r
+    assert abs(x.mul_rat(r).to_fraction() - exact) <= half_ulp(scale)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from test_kernel import oracle_tables
 
-from bellgamma import kernel, sequences
+from bellgamma import kernel, lemma1, sequences
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
 from bellgamma.numerics import (BigFix, PrecisionError, binom, factorial,
@@ -35,7 +35,7 @@ from bellgamma.sequences import (
     recurrence_generate,
     tail_series,
 )
-from bellgamma.symring import SymPoly
+from bellgamma.symring import SymPoly, alpha_poly, lambda_coeff
 
 
 def harmonic_direct(k, m):
@@ -257,10 +257,77 @@ def test_lemma1_residual_zero():
                 assert lemma1_residual(a, mu, n).is_zero()
 
 
-def test_lemma1_residual_detects_perturbation():
-    res = lemma1_residual(3, 2, 5)
-    assert res.is_zero()
-    assert not (res + SymPoly.const(1, res.m_index)).is_zero()
+def lemma1_oracle(a, mu, n):
+    """The residual built over Fraction from the SymPoly F_{n,nu}."""
+    mi = a - 1
+    q, p = kernel.seq_rows(a, n, n, mu)
+    res = SymPoly.const(p[mu - 1][0], mi) - q[0] * alpha_poly(a, mu, mi)
+    for nu in range(1, mu + 1):
+        res = res - lambda_coeff(a, mu, nu) * F_sym(a, nu, n)
+    return res
+
+
+_SEQ_ROWS = kernel.seq_rows
+
+
+def perturbed_rows(dp, dq):
+    """kernel.seq_rows with p_{n,mu} moved by dp/lcm(1..n)^mu, q_n by dq."""
+
+    def rows(a, n_lo, n_hi, mu_max):
+        q, p = _SEQ_ROWS(a, n_lo, n_hi, mu_max)
+        return ([v + dq for v in q],
+                [[v + Fraction(dp, lcm_upto(n) ** mu)
+                  for n, v in enumerate(row, n_lo)]
+                 for mu, row in enumerate(p, 1)])
+    return rows
+
+
+@pytest.fixture
+def fresh_lemma1_caches():
+    caches = (lemma1.scaled_row, sequences._f_sym_all)
+    for c in caches:
+        c.cache_clear()
+    yield
+    for c in caches:
+        c.cache_clear()
+
+
+def test_lemma1_residual_matches_oracle(monkeypatch, fresh_lemma1_caches):
+    # The integer residual, unscaled, equals the Fraction one coefficient
+    # by coefficient, also when p is off by 1/D^mu or q off by 1, and
+    # each of those makes every residual nonzero.
+    for a in range(2, 9):
+        for n in range(0, 9):
+            for dp, dq in ((0, 0), (1, 0), (0, 1)):
+                monkeypatch.setattr(kernel, "seq_rows", perturbed_rows(dp, dq))
+                lemma1.scaled_row.cache_clear()
+                for mu in range(1, a):
+                    got = lemma1_residual(a, mu, n)
+                    assert got == lemma1_oracle(a, mu, n)
+                    assert got.is_zero() == (dp == dq == 0)
+
+
+@pytest.mark.parametrize("m_bad", [2, 3])
+def test_lemma1_residual_detects_wrong_zeta_coeff(m_bad, monkeypatch,
+                                                  fresh_lemma1_caches):
+    # With c_m of f^{(m)} off by 1, the residual gains
+    # -binom(mu,m) p_{n,mu-m} z_m (p_{n,0} = q_n) for mu >= m, plus terms
+    # of higher degree in z_m, and still equals the Fraction oracle.
+    real = sequences._deriv_coeff
+    monkeypatch.setattr(sequences, "_deriv_coeff",
+                        lambda a, m: real(a, m) + (m == m_bad))
+    for a in range(m_bad + 1, 9):
+        z_m = tuple(int(i == m_bad - 1) for i in range(a - 1))
+        for n in range(0, 9):
+            for mu in range(1, a):
+                got = lemma1_residual(a, mu, n)
+                assert got == lemma1_oracle(a, mu, n)
+                if mu < m_bad:
+                    assert got.is_zero()
+                    continue
+                low = q_at(a, n) if mu == m_bad else p_at(a, mu - m_bad, n)
+                assert got.coeff(z_m) == -binom(mu, m_bad) * low
+                assert not got.is_zero() or low == 0
 
 
 def test_make_paper_recurrences_shape():
@@ -419,14 +486,17 @@ def test_tail_series_matches_fraction_loop(monkeypatch):
     real = BigFix.from_fraction
     monkeypatch.setattr(BigFix, "from_fraction", classmethod(
         lambda cls, fr, scale: seen.append(fr) or real(fr, scale)))
-    for a in range(2, 6):
-        for u in range(-a, a + 1):
-            for n in (1, 2, 5, 20, 37):
-                for digits in (1, 30, 400):
-                    want = tail_fraction(a, u, n, digits)
-                    got = tail_series(a, u, n, digits)
-                    assert seen.pop() == want
-                    assert got == real(want, digits)
+    cases = [(a, u, n, digits) for a in range(2, 6) for u in range(-a, a + 1)
+             for n in (1, 2, 5, 20, 37) for digits in (1, 30, 400)]
+    # long series of hundreds of terms: every a, both parities of u (the
+    # sign pattern) and of a, at the smallest and the largest n
+    cases += [(2, 0, 1, 3000), (3, 1, 37, 3000), (4, 1, 1, 3000),
+              (5, 0, 37, 3000)]
+    for a, u, n, digits in cases:
+        want = tail_fraction(a, u, n, digits)
+        got = tail_series(a, u, n, digits)
+        assert seen.pop() == want
+        assert got == real(want, digits)
 
 
 def test_tail_series_depends_on_u_parity():
