@@ -79,11 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "combinations of gamma and zeta values.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default="text"):
-        p.add_argument("--digits", type=int, default=None,
-                       help="working precision in decimal digits")
-        p.add_argument("--format", dest="fmt", default=fmt_default,
-                       choices=("csv", "json", "text"))
+    # Each command gets only the flags it reads: verify prints text
+    # lines alone, asymptotics and roots work in double precision.
+    def common(p, digits=True, fmt_default="text"):
+        if digits:
+            p.add_argument("--digits", type=int, default=None,
+                           help="working precision in decimal digits")
+        if fmt_default:
+            p.add_argument("--format", dest="fmt", default=fmt_default,
+                           choices=("csv", "json", "text"))
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("approx", help="one approximation row")
@@ -107,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bernoulli", "bell", "tail", "saddle"))
     p.add_argument("--a", type=int, default=3)
     p.add_argument("--nmax", type=int, default=None)
-    common(p)
+    common(p, fmt_default=None)
 
     p = sub.add_parser("constants", help="gamma and zeta reference values")
     p.add_argument("--zeta-max", type=int, default=5,
@@ -120,13 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one profile kind (default: all three)")
     p.add_argument("--n", type=int, default=None,
                    help="also evaluate the exponent at this n")
-    common(p, fmt_default="json")
+    common(p, digits=False, fmt_default="json")
 
     p = sub.add_parser("roots", help="saddle-root refinement report")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--u", type=int, default=0)
     p.add_argument("--n", type=int, default=10 ** 6)
-    common(p)
+    common(p, digits=False)
     return ap
 
 
@@ -142,7 +146,8 @@ def _check_args(args) -> None:
         top -= _ROW_GUARD
     if not 1 <= args.env_digits <= top:
         raise UsageError("BELLGAMMA_DIGITS out of range 1..%d" % top)
-    if args.digits is not None and not 1 <= args.digits <= top:
+    digits = getattr(args, "digits", None)
+    if digits is not None and not 1 <= digits <= top:
         raise UsageError("--digits out of range 1..%d" % top)
     if hasattr(args, "a") and not 2 <= args.a <= 8:
         raise UsageError("--a out of range 2..8")
@@ -230,12 +235,11 @@ def cmd_approx(args) -> tuple[str, int]:
     return text, EXIT_OK
 
 
-def _qn_ratio(a: int, n: int) -> float | None:
-    from . import sequences as seq
-
+def _qn_ratio(a: int, n: int, q: int) -> float | None:
+    """q = q_n over the asymptotic main term of q_n; None for n = 0."""
     if n < 1:
         return None
-    return math.exp(math.log(seq.q_at(a, n)) - asy.qn_log_asymptotic(a, n))
+    return math.exp(math.log(q) - asy.qn_log_asymptotic(a, n))
 
 
 def cmd_table(args) -> tuple[str, int]:
@@ -252,7 +256,8 @@ def cmd_table(args) -> tuple[str, int]:
         zeta_const(m, top)
     rows = [seq.convergence_row(args.a, args.mu, n, d)
             for n, d in zip(ns, digits)]
-    ratios = [_qn_ratio(args.a, n) for n in ns] if args.qn_ratio else None
+    ratios = ([_qn_ratio(args.a, r.n, r.q) for r in rows]
+              if args.qn_ratio else None)
     if args.fmt == "json":
         objs = []
         for i, r in enumerate(rows):

@@ -87,5 +87,8 @@ def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
 
 def seq_tables(a: int, n_max: int, mu_max: int):
     """(q, p) with q[n] = q_n (int) and p[mu-1][n] = p_{n,mu} (Fraction)
-    for every n in 0..n_max."""
+    for every n in 0..n_max.
+
+    sequences.q_seq/p_seq and the recurrences and integrality suites of
+    `verify` build their tables here, one call per a."""
     return seq_rows(a, 0, n_max, mu_max)

@@ -136,15 +136,18 @@ def _decimal_str(m: int) -> str:
     return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
 
 
-def _fix_atanh_recip(q: int, w: int) -> int:
-    """atanh(1/q) at scale w (integer q >= 2), as a fixed-point mantissa."""
+def _fix_arctan_recip(q: int, w: int, hyperbolic: bool) -> int:
+    """atanh(1/q) if hyperbolic, else atan(1/q), at scale w (integer
+    q >= 2), as a fixed-point mantissa: the sum over i of
+    (+-1)^i q^{-2i-1}/(2i+1), its signs alternating for atan."""
     p = 10 ** w // q
     acc = p
     q2 = q * q
     i = 1
     while p:
         p //= q2
-        acc += p // (2 * i + 1)
+        term = p // (2 * i + 1)
+        acc += -term if i & 1 and not hyperbolic else term
         i += 1
     return acc
 
@@ -155,7 +158,7 @@ _LN_CACHE: dict[tuple[str, int], int] = {}
 def _ln2_fix(w: int) -> int:
     key = ("ln2", w)
     if key not in _LN_CACHE:
-        _LN_CACHE[key] = 2 * _fix_atanh_recip(3, w)
+        _LN_CACHE[key] = 2 * _fix_arctan_recip(3, w, True)
     return _LN_CACHE[key]
 
 
@@ -163,7 +166,8 @@ def _ln10_fix(w: int) -> int:
     # ln 10 = ln(5/4) + 3 ln 2 and ln(5/4) = 2 atanh(1/9)
     key = ("ln10", w)
     if key not in _LN_CACHE:
-        _LN_CACHE[key] = 2 * _fix_atanh_recip(9, w) + 3 * _ln2_fix(w)
+        _LN_CACHE[key] = (2 * _fix_arctan_recip(9, w, True)
+                          + 3 * _ln2_fix(w))
     return _LN_CACHE[key]
 
 
@@ -172,20 +176,8 @@ def _pi_fix(w: int) -> int:
     key = ("pi", w)
     if key in _LN_CACHE:
         return _LN_CACHE[key]
-
-    def atan_recip(q: int) -> int:
-        p = 10 ** w // q
-        acc = p
-        q2 = q * q
-        i = 1
-        while p:
-            p //= q2
-            term = p // (2 * i + 1)
-            acc += -term if i & 1 else term
-            i += 1
-        return acc
-
-    v = 16 * atan_recip(5) - 4 * atan_recip(239)
+    v = (16 * _fix_arctan_recip(5, w, False)
+         - 4 * _fix_arctan_recip(239, w, False))
     _LN_CACHE[key] = v
     return v
 

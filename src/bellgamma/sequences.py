@@ -8,15 +8,14 @@ the denominator bound lcm(1..n)^mu, the five classical recurrences, and
 the alternating tail of the integral remainder.  Floating point enters
 only in convergence measurements, through fixed-point BigFix.
 
-Costs: a single value (q_at, p_at, convergence_row) is one O(n) sum over
-k from the kernel, unless the cached prefix store of its a already holds
-it.  There is one store per a, holding q and every p_1..p_{a-1} together;
-q_seq and p_seq grow it by appending only the rows not yet cached, so
-q_seq alone also builds the p's of its a.  The residual identity is
-checked on integer coefficients (lemma1_residual), with one kernel row
-per n for every mu; f_deriv_sym and F_sym build the same F_{n,mu} over
-Fraction as its independent test oracle.  The tail series is summed in
-integers over its running denominator.
+Costs: every q/p value comes straight from the kernel, and nothing is
+cached between calls.  A single value (q_at, p_at, convergence_row) is
+one kernel row, an O(n) sum over k; q_seq and p_seq are one kernel table
+of rows 0..n_max, O(n_max^2), and q_seq builds q alone.  The residual
+identity is checked on integer coefficients (lemma1_residual), with one
+kernel row per n for every mu; f_deriv_sym and F_sym build the same
+F_{n,mu} over Fraction as its independent test oracle.  The tail series
+is summed in integers over its running denominator.
 """
 
 from __future__ import annotations
@@ -72,77 +71,40 @@ def r_val(a: int, n: int, k: int, m: int) -> Rat:
                                + (-1) ** m * (a - 1) * harmonic(k, m))
 
 
-# One prefix store per a: rows 0..len(q)-1 of q and of p_1..p_{a-1}.  A
-# store is only ever extended, by appending the rows it lacks; single
-# values never create or extend one.  Nothing is evicted.
-_TABLES: dict[int, tuple[list, list]] = {}
-
-
 def _check_mu(a: int, mu: int) -> None:
     if not 1 <= mu <= a - 1:
         raise ValueError("require 1 <= mu <= a-1")
 
 
-def _covering(a: int, n: int):
-    """The cached store of a if it holds row n, else None."""
-    table = _TABLES.get(a)
-    return table if table is not None and len(table[0]) > n else None
-
-
-def _prefix(a: int, n_max: int):
-    """The store (q, p) of a, with its missing rows up to n_max appended."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    table = _TABLES.get(a)
-    if table is None:
-        table = ([], [[] for _ in range(a - 1)])
-    q, p = table
-    if len(q) <= n_max:
-        q_new, p_new = kernel.seq_rows(a, len(q), n_max, a - 1)
-        q += q_new
-        for row, new in zip(p, p_new):
-            row += new
-        _TABLES[a] = table
-    return table
-
-
-def _single(a: int, mu: int, n: int):
-    """(q_n, p_{n,mu}), with p None for mu = 0: read from the prefix
-    store of a when it holds row n, else computed by one O(n) sum over k."""
+def _row(a: int, mu: int, n: int):
+    """(q_n, p_{n,mu}), with p None for mu = 0: one O(n) kernel row."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    table, i = _covering(a, n), n
-    if table is None:
-        table, i = kernel.seq_rows(a, n, n, mu), 0
-    q, p = table
-    return q[i], p[mu - 1][i] if mu else None
+    q, p = kernel.seq_rows(a, n, n, mu)
+    return q[0], p[mu - 1][0] if mu else None
 
 
 def q_seq(a: int, n_max: int) -> list:
-    """q_0..q_{n_max} as exact integers.
-
-    The rows come from the prefix store of a, which holds every
-    p_1..p_{a-1} too, so this also builds the p's of a up to n_max.
-    """
-    return _prefix(a, n_max)[0][:n_max + 1]
+    """q_0..q_{n_max} as exact integers: one kernel table of q alone."""
+    return kernel.seq_tables(a, n_max, 0)[0]
 
 
 def p_seq(a: int, mu: int, n_max: int) -> list:
-    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1, read
-    from the prefix store of a."""
+    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1: one
+    kernel table of q and p_1..p_mu, of which p_mu is returned."""
     _check_mu(a, mu)
-    return _prefix(a, n_max)[1][mu - 1][:n_max + 1]
+    return kernel.seq_tables(a, n_max, mu)[1][mu - 1]
 
 
 def q_at(a: int, n: int):
-    """Single value q_n; O(n) unless a prefix table already holds it."""
-    return _single(a, 0, n)[0]
+    """Single value q_n: one O(n) kernel row."""
+    return _row(a, 0, n)[0]
 
 
 def p_at(a: int, mu: int, n: int) -> Rat:
-    """Single value p_{n,mu}; O(n) unless a prefix table already holds it."""
+    """Single value p_{n,mu}: one O(n) kernel row."""
     _check_mu(a, mu)
-    return _single(a, mu, n)[1]
+    return _row(a, mu, n)[1]
 
 
 def integrality_check(a: int, mu: int, n: int) -> bool:
@@ -475,7 +437,7 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     if digits is None:
         digits = auto_digits(predicted)
     _check_mu(a, mu)
-    q, p = _single(a, mu, n)
+    q, p = _row(a, mu, n)
     ap = alpha_poly(a, mu, mu)
     errs = {}
     # guard 20 first, so that guard 10's constants round from its mantissas

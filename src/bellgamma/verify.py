@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 from . import asymptotics as asy
-from . import bell, bernoulli, sequences as seq
-from .numerics import binom
+from . import bell, bernoulli, kernel, sequences as seq
+from .numerics import binom, lcm_upto
 
 
 def _suite_lemma1(args):
@@ -32,52 +32,35 @@ def _suite_lemma1(args):
 
 def _suite_recurrences(args):
     nmax = 60 if args.nmax is None else args.nmax
-    recs = seq.make_paper_recurrences()
+    tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
+    apt = seq.aptekarev_seq(nmax)
     out = []
-    qt, pt = seq.aptekarev_seq(nmax)
-    out.append(("recurrence aptekarev_q vs explicit sum, n=2..%d" % (nmax - 1),
-                seq.recurrence_check(recs["aptekarev_q"], qt, range(2, nmax))))
-    out.append(("recurrence aptekarev_p vs explicit sum, n=2..%d" % (nmax - 1),
-                seq.recurrence_check(recs["aptekarev_p"], pt, range(2, nmax))))
-    for name in ("rivoal_q", "rivoal_p"):
-        s = seq.recurrence_generate(recs[name], nmax)
-        ok = seq.recurrence_check(recs[name], s, range(0, nmax - 2))
-        out.append(("recurrence %s vs generated values, n=0..%d"
-                    % (name, nmax - 3), ok))
-    out.append(("recurrence a2_q vs explicit sum, n=0..%d" % (nmax - 2),
-                seq.recurrence_check(recs["a2_q"], seq.q_seq(2, nmax),
-                                     range(0, nmax - 1))))
-    out.append(("recurrence a2_p1 vs explicit sum, n=0..%d" % (nmax - 2),
-                seq.recurrence_check(recs["a2_p1"], seq.p_seq(2, 1, nmax),
-                                     range(0, nmax - 1))))
-    out.append(("recurrence a3_q vs explicit sum, n=2..%d" % (nmax - 1),
-                seq.recurrence_check(recs["a3_q"], seq.q_seq(3, nmax),
-                                     range(2, nmax))))
-    for mu in (1, 2):
-        name = "a3_p%d" % mu
-        out.append(("recurrence %s vs explicit sum, n=2..%d" % (name, nmax - 1),
-                    seq.recurrence_check(recs[name], seq.p_seq(3, mu, nmax),
-                                         range(2, nmax))))
-    out.append(("recurrence a4_q vs explicit sum, n=2..%d" % (nmax - 2),
-                seq.recurrence_check(recs["a4_q"], seq.q_seq(4, nmax),
-                                     range(2, nmax - 1))))
-    for mu in (1, 2, 3):
-        name = "a4_p%d" % mu
-        out.append(("recurrence %s vs explicit sum, n=2..%d" % (name, nmax - 2),
-                    seq.recurrence_check(recs[name], seq.p_seq(4, mu, nmax),
-                                         range(2, nmax - 1))))
+    for name, spec in seq.make_paper_recurrences().items():
+        family, _, which = name.partition("_")
+        source = "explicit sum"
+        if family == "aptekarev":
+            ys = apt[which == "p"]
+        elif family == "rivoal":
+            ys, source = seq.recurrence_generate(spec, nmax), "generated values"
+        else:  # "a3_q", "a3_p2": q or p_mu of a = 3 from its table
+            q, p = tables[int(family[1:])]
+            ys = q if which == "q" else p[int(which[1:]) - 1]
+        hi = nmax - spec.offsets[-1]
+        out.append(("recurrence %s vs %s, n=%d..%d" % (name, source,
+                                                       spec.n_min, hi),
+                    seq.recurrence_check(spec, ys, range(spec.n_min, hi + 1))))
     return out
 
 
 def _suite_integrality(args):
     a = args.a
     nmax = 50 if args.nmax is None else args.nmax
-    out = []
-    q = seq.q_seq(a, nmax)
-    out.append(("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
-                all(isinstance(v, int) and v > 0 for v in q)))
-    for mu in range(1, a):
-        ok = all(seq.integrality_check(a, mu, n) for n in range(nmax + 1))
+    q, p = kernel.seq_tables(a, nmax, a - 1)
+    out = [("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
+            all(isinstance(v, int) and v > 0 for v in q))]
+    for mu, row in enumerate(p, 1):
+        ok = all((lcm_upto(n) ** mu * v).denominator == 1
+                 for n, v in enumerate(row))
         out.append(("integrality lcm(1..n)^%d p_{n,%d} integral: a=%d n=0..%d"
                     % (mu, mu, a, nmax), ok))
     return out

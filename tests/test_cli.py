@@ -96,6 +96,18 @@ def test_table_qn_ratio_column(capsys):
     assert 0.5 < ratio < 2.0
 
 
+def test_table_qn_ratio_reads_each_row_once(capsys, monkeypatch):
+    # the ratio column reuses q_n from the row, with no second kernel row
+    calls = []
+    real = kernel.seq_rows
+    monkeypatch.setattr(kernel, "seq_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    code, _, _ = run_cli(capsys, "table", "--a", "3", "--mu", "2",
+                         "--n", "10:40:10", "--qn-ratio")
+    assert code == 0
+    assert calls == [(3, n, n, 2) for n in (10, 20, 30, 40)]
+
+
 def test_table_json(capsys):
     code, out, _ = run_cli(capsys, "table", "--a", "3", "--mu", "2",
                            "--n", "1:3", "--format", "json")
@@ -208,16 +220,21 @@ def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
     assert info.maxsize is not None and info.currsize <= info.maxsize < 41
 
 
-def test_verify_integrality_builds_one_store(capsys, monkeypatch):
-    monkeypatch.setattr(sequences, "_TABLES", {})
+@pytest.mark.parametrize("argv, passed, rows", [
+    ("verify --suite integrality --a 5 --nmax 30", "5/5", [(5, 0, 30, 4)]),
+    ("verify --suite recurrences --nmax 40", "13/13",
+     [(2, 0, 40, 1), (3, 0, 40, 2), (4, 0, 40, 3)]),
+], ids=["integrality", "recurrences"])
+def test_verify_integrality_builds_one_store(argv, passed, rows, capsys,
+                                             monkeypatch):
+    # one kernel table per a serves q and every p of that a
     calls = []
     real = kernel.seq_rows
     monkeypatch.setattr(kernel, "seq_rows",
                         lambda *args: calls.append(args) or real(*args))
-    code, out, _ = run_cli(capsys, "verify", "--suite", "integrality",
-                           "--a", "5", "--nmax", "30")
-    assert code == 0 and out.splitlines()[-1] == "5/5 checks passed"
-    assert calls == [(5, 0, 30, 4)]
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and out.splitlines()[-1] == passed + " checks passed"
+    assert calls == rows
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -287,6 +304,19 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "roots", "--a", "3", "--n", "10")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # flags these commands never read
+    "verify --suite tail --format json",
+    "roots --a 3 --digits 30",
+    "asymptotics --a 3 --digits 30",
+])
+def test_unread_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown(capsys):

@@ -95,69 +95,40 @@ def test_pq_validation():
         q_seq(1, 5)
 
 
-def test_table_cache_regrowth(monkeypatch):
-    # Ask small then large; cached prefix must agree with a fresh run.
-    assert q_at(5, 4) == q_seq(5, 12)[4]
-    assert p_at(5, 2, 10) == p_seq(5, 2, 12)[10]
-    monkeypatch.setattr(sequences, "_TABLES", {})
-    fresh_q, fresh_p = kernel.seq_tables(5, 12, 4)
+def _recorded_rows(monkeypatch):
+    """The argument tuples of every kernel.seq_rows call from now on."""
     calls = []
     real = kernel.seq_rows
     monkeypatch.setattr(kernel, "seq_rows",
                         lambda *args: calls.append(args) or real(*args))
-    assert q_seq(5, 5) == fresh_q[:6]
-    # one store per a, holding q and every p_1..p_4 together
-    assert list(sequences._TABLES) == [5]
-    table_q, table_p = sequences._TABLES[5]
-    assert [len(row) for row in table_p] == [6] * 4
-    assert q_seq(5, 12) == fresh_q
-    # the rows 6..12 were appended to the same lists, nothing more
-    assert sequences._TABLES[5][0] is table_q and len(table_q) == 13
-    assert all(now is before and len(now) == 13 for now, before
-               in zip(sequences._TABLES[5][1], table_p))
-    # every mu is served by the store, without a new key or new rows
-    for mu in range(1, 5):
-        assert p_seq(5, mu, 4) == fresh_p[mu - 1][:5]
-        assert p_seq(5, mu, 12) == fresh_p[mu - 1]
-    assert list(sequences._TABLES) == [5]
-    assert calls == [(5, 0, 5, 4), (5, 6, 12, 4)]
+    return calls
 
 
-def _table_shape():
-    return {key: len(q) for key, (q, _) in sequences._TABLES.items()}
+def test_q_seq_builds_q_alone(monkeypatch):
+    calls = _recorded_rows(monkeypatch)
+    assert q_seq(5, 12) == oracle_tables(5, 12, 0)[0]
+    assert calls == [(5, 0, 12, 0)]
+
+
+def test_p_seq_builds_up_to_its_mu(monkeypatch):
+    calls = _recorded_rows(monkeypatch)
+    assert p_seq(5, 2, 12) == oracle_tables(5, 12, 2)[1][1]
+    assert calls == [(5, 0, 12, 2)]
 
 
 @pytest.mark.parametrize("a", range(2, 9))
-def test_single_values_in_every_cache_state(a, monkeypatch):
+def test_single_values_in_every_cache_state(a):
+    # Nothing caches q/p values, so the cold state is the only one.
     n_max = 10
     oq, op = oracle_tables(a, n_max, a - 1)
-
-    def check_all():
-        shape = _table_shape()
-        for n in range(n_max + 1):
-            assert q_at(a, n) == oq[n]
-            for mu in range(1, a):
-                assert p_at(a, mu, n) == op[mu - 1][n]
-        # single values never create or extend a table
-        assert _table_shape() == shape
-
-    monkeypatch.setattr(sequences, "_TABLES", {})
-    check_all()  # cold: every value is one sum
-    assert sequences._TABLES == {}
-    p_seq(a, a - 1, n_max)
-    check_all()  # covered by a table
-    monkeypatch.setattr(sequences, "_TABLES", {})
-    q_seq(a, 4)
-    p_seq(a, a - 1, n_max // 2)
-    check_all()  # tables shorter than n_max
+    for n in range(n_max + 1):
+        assert q_at(a, n) == oq[n]
+        for mu in range(1, a):
+            assert p_at(a, mu, n) == op[mu - 1][n]
 
 
 def test_convergence_row_reads_one_sum(monkeypatch):
-    monkeypatch.setattr(sequences, "_TABLES", {})
-    calls = []
-    real = kernel.seq_rows
-    monkeypatch.setattr(kernel, "seq_rows",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = _recorded_rows(monkeypatch)
     rec = convergence_row(4, 2, 20)
     assert calls == [(4, 20, 20, 2)]
     assert (rec.q, rec.p) == (q_at(4, 20), p_at(4, 2, 20))
