@@ -66,14 +66,15 @@ def qn_log_asymptotic(a: int, n: int) -> float:
 
     log n! - log(sqrt(a) (2 pi)^{(a-1)/2}) - (a-1)^2/(2a) log n
     + sum_{m=1}^{a} (-1)^m b_m(a) n^{1-m/a}; the m = a term is the
-    constant b_a(a).  The factorial log is taken on the exact integer.
+    constant b_a(a).  log n! is lgamma(n + 1), in double precision; it
+    overflows (OverflowError) past n of about 2.5e305.
     """
     if a < 2:
         raise ValueError("a must be at least 2")
     if n < 1:
         raise ValueError("n must be positive")
     b = bm_coeffs(a)
-    val = math.log(factorial(n))
+    val = math.lgamma(n + 1)
     val -= 0.5 * math.log(a) + (a - 1) / 2 * math.log(2 * math.pi)
     val -= (a - 1) ** 2 / (2 * a) * math.log(n)
     val += sum((-1) ** m * float(b[m - 1]) * float(n) ** (1 - m / a)

@@ -46,6 +46,10 @@ _ROW_GUARD = 20
 # same point: a = 4, u = 1 collides at 10^65 and already at 6*10^64.  A
 # scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8, |u| <= a.
 _ROOTS_N_MAX = 10 ** 64
+# The flags each verify suite reads; passing it any other is a usage error.
+_SUITE_FLAGS = {"lemma1": ("a", "nmax"), "recurrences": ("nmax",),
+                "integrality": ("a", "nmax"), "bernoulli": (), "bell": (),
+                "tail": ("digits",), "saddle": ()}
 
 
 class UsageError(ValueError):
@@ -106,10 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, fmt_default="csv")
 
     p = sub.add_parser("verify", help="exact identity suites")
-    p.add_argument("--suite", required=True,
-                   choices=("lemma1", "recurrences", "integrality",
-                            "bernoulli", "bell", "tail", "saddle"))
-    p.add_argument("--a", type=int, default=3)
+    p.add_argument("--suite", required=True, choices=tuple(_SUITE_FLAGS))
+    p.add_argument("--a", type=int, default=None,
+                   help="lemma1 and integrality suites (default 3)")
     p.add_argument("--nmax", type=int, default=None)
     common(p, fmt_default=None)
 
@@ -149,7 +152,7 @@ def _check_args(args) -> None:
     digits = getattr(args, "digits", None)
     if digits is not None and not 1 <= digits <= top:
         raise UsageError("--digits out of range 1..%d" % top)
-    if hasattr(args, "a") and not 2 <= args.a <= 8:
+    if getattr(args, "a", None) is not None and not 2 <= args.a <= 8:
         raise UsageError("--a out of range 2..8")
     mu = getattr(args, "mu", None)
     if mu is not None and not 1 <= mu <= args.a - 1:
@@ -160,6 +163,11 @@ def _check_args(args) -> None:
     elif args.command == "table":
         args.n_range = _parse_range(args.n)
     elif args.command == "verify":
+        for flag in ("a", "nmax", "digits"):
+            if (getattr(args, flag) is not None
+                    and flag not in _SUITE_FLAGS[args.suite]):
+                raise UsageError("--%s is not read by the %s suite"
+                                 % (flag, args.suite))
         if args.nmax is not None and args.nmax < 0:
             raise UsageError("--nmax must be nonnegative")
         if args.suite == "recurrences" and args.nmax is not None:
@@ -174,6 +182,12 @@ def _check_args(args) -> None:
         if args.n is not None and args.n > sys.float_info.max:
             # the exponents are evaluated in double precision
             raise UsageError("--n out of range 1..%g" % sys.float_info.max)
+        if args.n is not None and args.kind in (None, "theorem-qn"):
+            try:
+                math.lgamma(args.n + 1)
+            except OverflowError:
+                raise UsageError("--n too large for theorem-qn: log n! "
+                                 "overflows a double")
     elif args.command == "roots":
         if abs(args.u) > args.a:
             raise UsageError("--u must satisfy |u| <= a")

@@ -13,6 +13,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -152,34 +153,24 @@ def _fix_arctan_recip(q: int, w: int, hyperbolic: bool) -> int:
     return acc
 
 
-_LN_CACHE: dict[tuple[str, int], int] = {}
-
-
+# Cached per scale w.  A table asks for new scales on every row, so the
+# caches keep only the recent ones.
+@functools.lru_cache(maxsize=32)
 def _ln2_fix(w: int) -> int:
-    key = ("ln2", w)
-    if key not in _LN_CACHE:
-        _LN_CACHE[key] = 2 * _fix_arctan_recip(3, w, True)
-    return _LN_CACHE[key]
+    return 2 * _fix_arctan_recip(3, w, True)
 
 
+@functools.lru_cache(maxsize=32)
 def _ln10_fix(w: int) -> int:
     # ln 10 = ln(5/4) + 3 ln 2 and ln(5/4) = 2 atanh(1/9)
-    key = ("ln10", w)
-    if key not in _LN_CACHE:
-        _LN_CACHE[key] = (2 * _fix_arctan_recip(9, w, True)
-                          + 3 * _ln2_fix(w))
-    return _LN_CACHE[key]
+    return 2 * _fix_arctan_recip(9, w, True) + 3 * _ln2_fix(w)
 
 
+@functools.lru_cache(maxsize=32)
 def _pi_fix(w: int) -> int:
     """pi at scale w by Machin's formula."""
-    key = ("pi", w)
-    if key in _LN_CACHE:
-        return _LN_CACHE[key]
-    v = (16 * _fix_arctan_recip(5, w, False)
-         - 4 * _fix_arctan_recip(239, w, False))
-    _LN_CACHE[key] = v
-    return v
+    return (16 * _fix_arctan_recip(5, w, False)
+            - 4 * _fix_arctan_recip(239, w, False))
 
 
 # ---------------------------------------------------------------------------

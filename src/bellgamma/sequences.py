@@ -175,17 +175,16 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     by D^{mu-w}.
     """
     # imported here: approx and table never compile the lemma-1 code
-    from .lemma1 import ZPoly, alpha_scaled, scaled_row
+    from .lemma1 import scaled_row
 
     _check_mu(a, mu)
     d, q, dp, f = scaled_row(a, n)
-    alpha = alpha_scaled(a)
-    res = ZPoly({(0,) * (a - 1): dp[mu - 1]}) + -q * alpha[mu]
+    res = -q * alpha_poly(a, mu) + dp[mu - 1]
     for nu in range(1, mu + 1):
-        res = res + -binom(mu, nu) * alpha[mu - nu] * f[nu]
+        res = res + -binom(mu, nu) * alpha_poly(a, mu - nu) * f[nu]
     return SymPoly(a - 1, {
         e: Fraction(c, d ** (mu - sum(i * x for i, x in enumerate(e, 1))))
-        for e, c in res.items()})
+        for e, c in res.terms.items()})
 
 
 class RecurrenceSpec(namedtuple(

@@ -4,15 +4,26 @@ g stands for Euler's constant and z_m for zeta(m); identities between
 the approximation sequences live in this ring, where they can be checked
 exactly.  Exponent keys are tuples (e_g, e_z2, ..., e_zM) of length M;
 M is the largest zeta index in scope (M = 1 means g only).
+
+Coefficients are ints or Fractions: int inputs stay ints, so a
+polynomial over Z (the scaled lemma-1 sums, the alpha_mu) is computed in
+integer arithmetic, and any other input is coerced to Fraction.  Zero
+coefficients are never stored.  The constructor validates its exponent
+keys; the ring operations build their results directly, since keys they
+form from valid keys are valid.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial
+from operator import add
 
 from .bell import bell_ladder
-from .numerics import BigFix, Rat, binom
+from .numerics import BigFix, binom
+
+_new = object.__new__
 
 
 class SymPoly:
@@ -26,11 +37,12 @@ class SymPoly:
         self.m_index = m_index
         clean = {}
         for expo, c in (terms or {}).items():
-            c = Fraction(c)
+            if type(c) is not int:
+                c = Fraction(c)
             if not c:
                 continue
             expo = tuple(expo)
-            if len(expo) != m_index or any(e < 0 for e in expo):
+            if len(expo) != m_index or min(expo) < 0:
                 raise ValueError("bad exponent vector %r for M=%d"
                                  % (expo, m_index))
             clean[expo] = c
@@ -48,73 +60,87 @@ class SymPoly:
 
     @classmethod
     def const(cls, c, m_index: int) -> "SymPoly":
-        return cls(m_index, {(0,) * m_index: Fraction(c)})
+        return cls(m_index, {(0,) * m_index: c})
 
     @classmethod
     def gamma(cls, m_index: int) -> "SymPoly":
-        e = [0] * m_index
-        e[0] = 1
-        return cls(m_index, {tuple(e): Fraction(1)})
+        return cls(m_index, {(1,) + (0,) * (m_index - 1): 1})
 
     @classmethod
     def zeta(cls, m: int, m_index: int) -> "SymPoly":
         if not 2 <= m <= m_index:
             raise ValueError(f"zeta index {m} out of scope (M={m_index})")
-        e = [0] * m_index
-        e[m - 1] = 1
-        return cls(m_index, {tuple(e): Fraction(1)})
+        return cls(m_index, {(0,) * (m - 1) + (1,) + (0,) * (m_index - m): 1})
 
     # ring operations --------------------------------------------------------
+    # Results are made by _new, slots set in place: on the small lemma-1
+    # polynomials a constructor call per result would dominate the work.
 
-    def _same(self, other: "SymPoly") -> None:
+    def __add__(self, other):
+        # SymPoly first: isinstance against Fraction, an ABC, is slow
+        if not isinstance(other, SymPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = SymPoly.const(other, self.m_index)
         if self.m_index != other.m_index:
             raise ValueError("SymPoly M mismatch: %d vs %d"
                              % (self.m_index, other.m_index))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymPoly.const(other, self.m_index)
-        self._same(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return SymPoly(self.m_index, out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        r = _new(SymPoly)
+        r.m_index = self.m_index
+        r.terms = out
+        return r
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymPoly(self.m_index, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymPoly.const(other, self.m_index)
-        return self + (-other)
+        return self + -other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return SymPoly(self.m_index,
-                           {e: c * v for e, v in self.terms.items()})
-        self._same(other)
-        out: dict = {}
+        r = _new(SymPoly)
+        r.m_index = self.m_index
+        if not isinstance(other, SymPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            r.terms = ({e: other * c for e, c in self.terms.items()}
+                       if other else {})
+            return r
+        if self.m_index != other.m_index:
+            raise ValueError("SymPoly M mismatch: %d vs %d"
+                             % (self.m_index, other.m_index))
+        out = {}
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return SymPoly(self.m_index, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                c = out.get(e, 0) + c1 * c2
+                if c:
+                    out[e] = c
+                else:
+                    del out[e]
+        r.terms = out
+        return r
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = SymPoly.one(self.m_index)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
+        # in place, as bell_ladder takes ** 0 once per ladder
+        result = _new(SymPoly)
+        result.m_index = self.m_index
+        result.terms = {(0,) * self.m_index: 1}
+        for _ in range(k):
+            result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -131,14 +157,14 @@ class SymPoly:
 
     # inspection -------------------------------------------------------------
 
-    def coeff(self, expo) -> Fraction:
-        return self.terms.get(tuple(expo), Fraction(0))
+    def coeff(self, expo) -> int | Fraction:
+        return self.terms.get(tuple(expo), 0)
 
     def gamma_degree(self) -> int:
         return max((e[0] for e in self.terms), default=0)
 
-    def constant_part(self) -> Fraction:
-        return self.terms.get((0,) * self.m_index, Fraction(0))
+    def constant_part(self) -> int | Fraction:
+        return self.terms.get((0,) * self.m_index, 0)
 
     # rendering --------------------------------------------------------------
 
@@ -182,26 +208,32 @@ class SymPoly:
         return f"SymPoly({self})"
 
 
-def _alpha_args(a: int, mu: int, m_index: int) -> list:
-    """Bell arguments x_1 = g, x_m = (m-1)! (a + (-1)^m (a-1)) z_m."""
-    xs = [SymPoly.gamma(m_index)]
-    for m in range(2, mu + 1):
-        scal = factorial(m - 1) * (a + (-1) ** m * (a - 1))
-        xs.append(scal * SymPoly.zeta(m, m_index))
-    return xs
-
-
 def alpha_poly(a: int, mu: int, m_index: int | None = None) -> SymPoly:
-    """Y_mu at the gamma/zeta point, as a SymPoly; alpha_poly(a,0) = 1."""
+    """Y_mu at the gamma/zeta point, as a SymPoly; alpha_poly(a,0) = 1.
+
+    The Bell arguments are integer multiples of the symbols, so every
+    coefficient is an int.  Results are cached and shared: a SymPoly is
+    never modified in place.
+    """
     if a < 2:
         raise ValueError("a must be >= 2")
     if mu < 0 or mu > a - 1:
         raise ValueError(f"mu={mu} out of range for a={a}")
     if m_index is None:
         m_index = max(a - 1, 1)
+    return _alpha_poly(a, mu, m_index)
+
+
+@functools.lru_cache(maxsize=64)
+def _alpha_poly(a: int, mu: int, m_index: int) -> SymPoly:
+    """Y_mu at x_1 = g, x_m = (m-1)! (a + (-1)^m (a-1)) z_m."""
     if mu == 0:
         return SymPoly.one(m_index)
-    return bell_ladder(_alpha_args(a, mu, m_index))[mu]
+    xs = [SymPoly.gamma(m_index)]
+    for m in range(2, mu + 1):
+        scal = factorial(m - 1) * (a + (-1) ** m * (a - 1))
+        xs.append(scal * SymPoly.zeta(m, m_index))
+    return bell_ladder(xs)[mu]
 
 
 def alpha_mu(a: int, mu: int) -> SymPoly:

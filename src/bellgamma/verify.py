@@ -1,10 +1,10 @@
 """The exact identity suites behind `bellgamma verify`.
 
 Each suite takes the parsed command-line namespace (it reads a, nmax and
-digits) and returns a list of (check name, passed) pairs; SUITES maps
-the names accepted by `verify --suite` to them.  Only the verify command
-imports this module, so no other command loads the Bell, Bernoulli and
-recurrence code the suites need.
+digits, None when not given) and returns a list of (check name, passed)
+pairs; SUITES maps the names accepted by `verify --suite` to them.  Only
+the verify command imports this module, so no other command loads the
+Bell, Bernoulli and recurrence code the suites need.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .numerics import binom, lcm_upto
 
 
 def _suite_lemma1(args):
-    a = args.a
+    a = 3 if args.a is None else args.a
     nmax = 10 if args.nmax is None else args.nmax
     # n outer, so each F_{n,.} is built once and serves every mu
     ok = dict.fromkeys(range(1, a), True)
@@ -53,7 +53,7 @@ def _suite_recurrences(args):
 
 
 def _suite_integrality(args):
-    a = args.a
+    a = 3 if args.a is None else args.a
     nmax = 50 if args.nmax is None else args.nmax
     q, p = kernel.seq_tables(a, nmax, a - 1)
     out = [("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -307,16 +308,31 @@ def test_usage_errors(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # flags these commands never read
+    # flags these commands never read: argparse rejects them
     "verify --suite tail --format json",
     "roots --a 3 --digits 30",
     "asymptotics --a 3 --digits 30",
+    # flags verify has, but this suite never reads
+    "verify --suite tail --nmax 5",
+    "verify --suite tail --a 4",
+    "verify --suite recurrences --a 4",
+    "verify --suite recurrences --digits 40",
+    "verify --suite lemma1 --digits 40",
+    "verify --suite integrality --digits 40",
+    "verify --suite bernoulli --nmax 5",
+    "verify --suite bell --a 3",
+    "verify --suite saddle --digits 40",
 ])
 def test_unread_flags_are_usage_errors(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv.split())
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert ("unrecognized arguments" in err
+            or err.startswith("error: --%s is not read by the %s suite"
+                              % (argv.split()[-2][2:], argv.split()[2])))
 
 
 def test_argparse_rejects_unknown(capsys):
@@ -339,11 +355,32 @@ def test_precision_exit_code(capsys):
     ("roots", "--a", "8", "--u", "3", "--n", str(10 ** 300)),
     ("roots", "--a", "2", "--u", "0", "--n", str(10 ** 300)),
     ("asymptotics", "--a", "3", "--kind", "corollary", "--n", str(10 ** 400)),
+    # log n! overflows a double, and the default kinds include theorem-qn
+    ("asymptotics", "--a", "3", "--n", str(10 ** 306)),
+    ("asymptotics", "--a", "5", "--kind", "theorem-qn", "--n", str(10 ** 306)),
 ])
 def test_large_n_is_usage_error(argv, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: --n ")
+
+
+def test_asymptotics_large_n_in_range(capsys):
+    # log n! is lgamma(n + 1), so theorem-qn at 10^7 returns at once,
+    # and the other kinds reach 10^306
+    code, out, _ = run_cli(capsys, "asymptotics", "--a", "3", "--kind",
+                           "theorem-qn", "--n", str(10 ** 7))
+    assert code == 0
+    n = 10 ** 7  # the closed form of test_qn_log_asymptotic_a3_closed_form
+    want = (math.lgamma(n + 1) + 3 * n ** (2 / 3) - n ** (1 / 3) + 1 / 3
+            - (2 / 3) * math.log(n) - 0.5 * math.log(3)
+            - math.log(2 * math.pi))
+    assert math.isclose(json.loads(out)[0]["value_at_n"], want,
+                        rel_tol=1e-12)
+    for kind in ("corollary", "theorem-linear-form"):
+        code, out, _ = run_cli(capsys, "asymptotics", "--a", "3", "--kind",
+                               kind, "--n", str(10 ** 306))
+        assert code == 0 and math.isfinite(json.loads(out)[0]["value_at_n"])
 
 
 def test_roots_refine_up_to_n_max():

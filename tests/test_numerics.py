@@ -422,6 +422,22 @@ def test_caches_hold_one_entry_per_constant(empty_caches, monkeypatch):
     assert all(v[0] == 90 for v in numerics._ZETA_CACHE.values())
 
 
+def test_constant_mantissa_caches_are_bounded(capsys):
+    # each row of a table takes ln at new scales, so it asks for ln 2
+    # and ln 10 at more scales than the caches keep; pi likewise
+    from bellgamma import cli
+
+    caches = (numerics._ln2_fix, numerics._ln10_fix, numerics._pi_fix)
+    for cache in caches:
+        cache.cache_clear()
+    assert cli.main("table --a 2 --mu 1 --n 0:800:20".split()) == 0
+    for scale in range(1, 41):
+        BigFix.pi(scale)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
+
+
 def test_constants_match_mpmath(empty_caches):
     mpmath = pytest.importorskip("mpmath")
     for digits in (1000, 3000):

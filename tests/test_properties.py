@@ -1,5 +1,6 @@
 """Property tests: Bell identities in every ring the package feeds to the
-ladder, and BigFix arithmetic against exact Fractions.
+ladder, SymPoly over int against Fraction coefficients, and BigFix
+arithmetic against exact Fractions and mpmath.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -16,7 +17,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
-from bellgamma.lemma1 import ZPoly  # noqa: E402
 from bellgamma.numerics import BigFix, binom  # noqa: E402
 from bellgamma.symring import SymPoly  # noqa: E402
 
@@ -26,15 +26,10 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 M = 3  # symbols g, z2, z3
 ints = st.integers(-10 ** 6, 10 ** 6)
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-zpolys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * M),
-                         st.integers(-30, 30), min_size=1,
-                         max_size=4).map(ZPoly)
-RINGS = {"int": ints, "Fraction": fractions, "ZPoly": zpolys}
-
-
-def canon(x):
-    """A value comparable with ==: ZPoly keeps zero coefficients."""
-    return SymPoly(M, x) if isinstance(x, ZPoly) else x
+int_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * M),
+                            st.integers(-30, 30), min_size=1, max_size=4)
+sympolys = int_terms.map(lambda terms: SymPoly(M, terms))
+RINGS = {"int": ints, "Fraction": fractions, "SymPoly": sympolys}
 
 
 def ring_args(ring, max_n=6):
@@ -52,7 +47,7 @@ def check_addition(xs, ys):
     lhs = bell_eval(list(map(operator.add, xs, ys)))
     rhs = reduce(operator.add, (binom(n, k) * yx[k] * yy[n - k]
                                 for k in range(n + 1)))
-    assert canon(lhs) == canon(rhs)
+    assert lhs == rhs
 
 
 def check_scaling(xs, c):
@@ -61,7 +56,7 @@ def check_scaling(xs, c):
     if not n:
         return
     scaled = [c ** j * x for j, x in enumerate(xs, 1)]
-    assert canon(bell_eval(scaled)) == canon(c ** n * bell_eval(xs))
+    assert bell_eval(scaled) == c ** n * bell_eval(xs)
 
 
 @PROPERTY
@@ -77,8 +72,8 @@ def test_bell_addition_fraction(args):
 
 
 @PROPERTY
-@given(ring_args("ZPoly", max_n=5))
-def test_bell_addition_zpoly(args):
+@given(ring_args("SymPoly", max_n=5))
+def test_bell_addition_sympoly(args):
     check_addition(*args)
 
 
@@ -95,19 +90,27 @@ def test_bell_scaling_fraction(args, c):
 
 
 @PROPERTY
-@given(ring_args("ZPoly", max_n=5), st.integers(-12, 12))
-def test_bell_scaling_zpoly(args, c):
+@given(ring_args("SymPoly", max_n=5), st.integers(-12, 12))
+def test_bell_scaling_sympoly(args, c):
     check_scaling(args[0], c)
 
 
+def over_q(terms):
+    return SymPoly(M, {e: Fraction(c) for e, c in terms.items()})
+
+
 @PROPERTY
-@given(zpolys, zpolys, st.integers(-9, 9))
-def test_zpoly_is_the_sympoly_ring_over_z(p, q, c):
-    sp, sq = SymPoly(M, p), SymPoly(M, q)
-    assert SymPoly(M, p + q) == sp + sq
-    assert SymPoly(M, p * q) == sp * sq
-    assert SymPoly(M, c * p) == c * sp == SymPoly(M, p * c)
-    assert SymPoly(M, p ** 0) == SymPoly.one(M)
+@given(int_terms, int_terms, st.integers(-9, 9))
+def test_sympoly_int_and_fraction_coefficients_agree(p, q, c):
+    # int coefficients stay ints through the ring operations, and give
+    # the same polynomials as the same coefficients taken as Fractions
+    zp, zq, fp, fq = SymPoly(M, p), SymPoly(M, q), over_q(p), over_q(q)
+    for got, want in ((zp + zq, fp + fq), (zp * zq, fp * fq),
+                      (c * zp, c * fp), (zp * c, fp * Fraction(c))):
+        assert got == want
+        assert all(type(v) is int for v in got.terms.values())
+    assert (zp + (-1) * zp).is_zero() and (fp + (-1) * fp).is_zero()
+    assert zp ** 0 == fp ** 0 == SymPoly.one(M)
 
 
 scales = st.integers(0, 40)
@@ -148,3 +151,16 @@ def test_bigfix_mul_rat_rounds_once(m, r, scale):
     x = BigFix(m, scale)
     exact = x.to_fraction() * r
     assert abs(x.mul_rat(r).to_fraction() - exact) <= half_ulp(scale)
+
+
+@PROPERTY
+@given(st.integers(1, 1000).flatmap(
+    lambda scale: st.tuples(st.integers(1, 10 ** (scale + 40)),
+                            st.just(scale))))
+def test_bigfix_ln_within_one_ulp(case):
+    mpmath = pytest.importorskip("mpmath")
+    m, scale = case
+    with mpmath.workdps(scale + 60):
+        unit = mpmath.mpf(10) ** -scale
+        err = abs(BigFix(m, scale).ln().mantissa * unit - mpmath.log(m * unit))
+        assert err <= unit
