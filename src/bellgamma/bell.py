@@ -10,13 +10,25 @@ with the partition-sum formula kept as an independent oracle:
 
     Y_n = sum over partitions (k_1..k_n), sum j*k_j = n, of
           n!/(k_1!...k_n!) * prod (x_j / j!)^{k_j}.
+
+The ladder is the one production route, shared by the kernel (on ints,
+once per summand), the lemma-1 check (on SymPoly) and alpha_mu; it reads
+each binomial row C(j-1, .) from a small cache and skips the factor
+C(j-1, 0) = 1.
 """
 
 from __future__ import annotations
 
+import functools
 from math import comb, factorial
 
 _PARTITION_LIMIT = 20
+
+
+@functools.lru_cache(maxsize=32)
+def _binomials(j: int) -> tuple:
+    """(C(j, 0), ..., C(j, j))."""
+    return tuple(comb(j, i) for i in range(j + 1))
 
 
 def bell_ladder(xs) -> list:
@@ -25,9 +37,10 @@ def bell_ladder(xs) -> list:
     one = xs[0] ** 0 if xs else 1
     ys = [one]
     for j in range(1, len(xs) + 1):
-        acc = comb(j - 1, 0) * xs[0] * ys[j - 1]
+        row = _binomials(j - 1)
+        acc = xs[0] * ys[j - 1]  # C(j-1, 0) = 1
         for i in range(1, j):
-            acc = acc + comb(j - 1, i) * xs[i] * ys[j - 1 - i]
+            acc = acc + row[i] * xs[i] * ys[j - 1 - i]
         ys.append(acc)
     return ys
 

@@ -3,28 +3,39 @@
 B_n^{(m)}(x) is n! times the z^n coefficient of (z/(e^z - 1))^m e^{xz};
 the coefficients of (z/(e^z - 1))^m come from Miller's power recurrence,
 cached per m, and the classical recursion and addition formulas are kept
-as test oracles rather than used for construction.
+as test oracles rather than used for construction.  Each B_n^{(m)} is
+built once per process (a bounded cache shared by every caller, so a
+PolyQ is never mutated), and PolyQ keeps integer coefficients as ints:
+the recurrence polynomials of module sequences have no Fraction in them.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import factorial, lcm
 
-from .numerics import Rat, binom
 from .powerseries import SeriesQ, ps_pow, ps_recip
 
 _N_LIMIT = 200
 _M_LIMIT = 50
 
+_new = object.__new__
+
 
 class PolyQ:
-    """Dense univariate polynomial over Q, ascending coefficients."""
+    """Dense univariate polynomial over Q, ascending coefficients.
+
+    Int coefficients stay ints (any other input is coerced to Fraction),
+    so polynomials over Z, such as the recurrence coefficients, never pay
+    for Fraction arithmetic.  A PolyQ is never mutated once built:
+    gen_bernoulli hands out cached instances.
+    """
 
     __slots__ = ("coeffs", "_scaled")
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
@@ -52,21 +63,27 @@ class PolyQ:
     def __hash__(self):
         return hash(tuple(self.coeffs))
 
+    # Ring results are built by _poly from coefficients that are already
+    # ints or Fractions, so no operation coerces them again.
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolyQ):
             other = PolyQ([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [Fraction(0)] * (n - len(self.coeffs))
-        b = other.coeffs + [Fraction(0)] * (n - len(other.coeffs))
-        return PolyQ([x + y for x, y in zip(a, b)])
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = a.copy()
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyQ([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, PolyQ):
             other = PolyQ([other])
         return self + (-other)
 
@@ -74,19 +91,20 @@ class PolyQ:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return PolyQ([c * v for v in self.coeffs])
+        if not isinstance(other, PolyQ):
+            c = (other if type(other) is int or type(other) is Fraction
+                 else Fraction(other))
+            return _poly([c * v for v in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return PolyQ([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return _poly([])
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 if b:
                     out[i + j] += a * b
-        return PolyQ(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -98,13 +116,25 @@ class PolyQ:
             result = result * self
         return result
 
+    def scaled(self) -> tuple:
+        """(D, (D c_deg, ..., D c_0)): the least common denominator D of
+        the coefficients and the coefficients times D as ints, highest
+        degree first; computed once per polynomial.  The polynomial's
+        value at an integer n is the integer Horner value of that tuple
+        at n, over D."""
+        if self._scaled is None:
+            d = lcm(*(c.denominator for c in self.coeffs))
+            self._scaled = (d, tuple(c.numerator * (d // c.denominator)
+                                     for c in reversed(self.coeffs)))
+        return self._scaled
+
     def __call__(self, x):
         """Horner evaluation; exact for Rat input.
 
         At a rational x = u/v this is one integer Horner pass,
         sum_i (D c_i) u^i v^{deg-i}, over D v^deg, with D the common
-        denominator of the coefficients; other arguments (a PolyQ, a
-        float) go through Horner in their own arithmetic.
+        denominator of the coefficients (scaled); other arguments (a
+        PolyQ, a float) go through Horner in their own arithmetic.
         """
         if not isinstance(x, (int, Fraction)):
             acc = Fraction(0)
@@ -113,11 +143,7 @@ class PolyQ:
             return acc
         if not self.coeffs:
             return Fraction(0)
-        if self._scaled is None:
-            d = lcm(*(c.denominator for c in self.coeffs))
-            self._scaled = (d, [c.numerator * (d // c.denominator)
-                                for c in reversed(self.coeffs)])
-        d, scaled = self._scaled
+        d, scaled = self.scaled()
         u, v = x.numerator, x.denominator
         acc = 0
         vk = 1
@@ -145,21 +171,41 @@ class PolyQ:
         return f"PolyQ({self.coeffs!r})"
 
 
+def _poly(cs: list) -> PolyQ:
+    """PolyQ over the fresh list cs of ints and Fractions, taken as is
+    after its trailing zeros are dropped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = _new(PolyQ)
+    p.coeffs = cs
+    p._scaled = None
+    return p
+
+
 def gen_bernoulli(n: int, m: int) -> PolyQ:
     """B_n^{(m)}(x) as an exact polynomial in x.
 
     (z/(e^z-1))^m = (sum z^j/(j+1)!)^{-m}; with its coefficients c_k,
-    B_n^{(m)}(x) = n! sum_k c_k x^{n-k}/(n-k)!.
+    B_n^{(m)}(x) = n! sum_k c_k x^{n-k}/(n-k)!.  The polynomial is
+    cached and shared between callers (see _gen_bernoulli).
     """
     if n < 0 or m < 1:
         raise ValueError("gen_bernoulli requires n >= 0, m >= 1")
     if n > _N_LIMIT or m > _M_LIMIT:
         raise ValueError("gen_bernoulli limited to n <= %d, m <= %d"
                          % (_N_LIMIT, _M_LIMIT))
+    return _gen_bernoulli(n, m)
+
+
+@functools.lru_cache(maxsize=256)
+def _gen_bernoulli(n: int, m: int) -> PolyQ:
+    """gen_bernoulli without its checks: the verify suite asks for 178
+    distinct (n, m) 660 times.  Coefficients that are integers are
+    stored as ints."""
     core = _core_power(m, n)
     nfac = factorial(n)
-    coeffs = [core[n - i] * nfac / factorial(i) for i in range(n + 1)]
-    return PolyQ(coeffs)
+    coeffs = [core[n - i] * (nfac // factorial(i)) for i in range(n + 1)]
+    return _poly([c.numerator if c.denominator == 1 else c for c in coeffs])
 
 
 # m -> coefficients c_0..c_K of (z/(e^z - 1))^m, extended in place; a

@@ -16,20 +16,20 @@ byte-identical output.
 Each command takes the parsed and range-checked argparse namespace and
 returns its output text with the exit code; main writes the text.  A
 command imports the modules it runs itself, so a process compiles only
-those: constants, asymptotics and roots never load sequences, and only
-verify loads the suites (module verify).
+those: constants loads neither asymptotics nor sequences, asymptotics
+and roots never load sequences, json is loaded only to print json, and
+only verify loads the suites (module verify), each of which imports its
+own modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
 
-from . import asymptotics as asy
 from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError,
                        gamma_const, zeta_const)
 
@@ -46,6 +46,9 @@ _ROW_GUARD = 20
 # same point: a = 4, u = 1 collides at 10^65 and already at 6*10^64.  A
 # scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8, |u| <= a.
 _ROOTS_N_MAX = 10 ** 64
+# The values of asymptotics --kind, asymptotics.PROFILE_KINDS spelled out
+# so that building the parser does not import that module.
+_PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
 # The flags each verify suite reads; passing it any other is a usage error.
 _SUITE_FLAGS = {"lemma1": ("a", "nmax"), "recurrences": ("nmax",),
                 "integrality": ("a", "nmax"), "bernoulli": (), "bell": (),
@@ -123,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("asymptotics", help="exponent coefficient profiles")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--kind", default=None, choices=asy.PROFILE_KINDS,
+    p.add_argument("--kind", default=None, choices=_PROFILE_KINDS,
                    help="one profile kind (default: all three)")
     p.add_argument("--n", type=int, default=None,
                    help="also evaluate the exponent at this n")
@@ -209,10 +212,13 @@ def _open_out(path):
 
 
 def _json(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(", ", ": ")) + "\n"
 
 
 def _row_digits(args, n: int) -> int:
+    from . import asymptotics as asy
     from . import sequences as seq
 
     if args.digits is not None:
@@ -251,6 +257,8 @@ def cmd_approx(args) -> tuple[str, int]:
 
 def _qn_ratio(a: int, n: int, q: int) -> float | None:
     """q = q_n over the asymptotic main term of q_n; None for n = 0."""
+    from . import asymptotics as asy
+
     if n < 1:
         return None
     return math.exp(math.log(q) - asy.qn_log_asymptotic(a, n))
@@ -335,6 +343,8 @@ def cmd_constants(args) -> tuple[str, int]:
 
 
 def _exponent_value(kind: str, a: int, n: int) -> float:
+    from . import asymptotics as asy
+
     if kind == "theorem-linear-form":
         return asy.linform_exponent(a, n)
     if kind == "theorem-qn":
@@ -343,7 +353,9 @@ def _exponent_value(kind: str, a: int, n: int) -> float:
 
 
 def cmd_asymptotics(args) -> tuple[str, int]:
-    kinds = (args.kind,) if args.kind else asy.PROFILE_KINDS
+    from . import asymptotics as asy
+
+    kinds = (args.kind,) if args.kind else _PROFILE_KINDS
     profiles = [asy.exponent_profile(args.a, k) for k in kinds]
     if args.fmt == "json":
         objs = []
@@ -372,6 +384,8 @@ def cmd_asymptotics(args) -> tuple[str, int]:
 
 
 def cmd_roots(args) -> tuple[str, int]:
+    from . import asymptotics as asy
+
     rows = asy.root_report(args.a, args.u, args.n)
     if args.fmt == "json":
         objs = [{"k": k, "re": re, "im": im, "residual_over_n": res,

@@ -2,12 +2,16 @@
 
 Computes q_n = sum C(n,k)^a k! and p_{n,mu} for a range of rows n.  Each
 row is one O(n) sum over k, so a single value costs one row, not a
-table.  The harmonic numbers H_k^{(m)} are scaled by D^m, with D =
-lcm(1..n_hi) divisible by every integer up to the last row, which keeps
-the whole inner loop in integer arithmetic: the Bell polynomial Y_mu is
-isobaric of weight mu, so feeding it r_m * D^m yields exactly
-D^mu * Y_mu(r_1..r_mu).  This is also a constructive proof of the
-integrality statement D_n^mu p_{n,mu} in Z.
+table.  The weights w_k = C(n,k)^a k! advance by the exact ratio
+(n-k+1)^a / k^{a-1}, so no power of a large binomial is ever formed, and
+a q-only table is a plain sum of them.  The harmonic numbers
+H_k^{(m)} are scaled by D^m, with D = lcm(1..n_hi) divisible by every
+integer up to the last row, which keeps the whole inner loop in integer
+arithmetic: the two halves of D^m r_m(k), one in H_{n-k} and one in H_k,
+are tabulated once per call, and the Bell polynomial Y_mu is isobaric of
+weight mu, so feeding it r_m * D^m yields exactly D^mu * Y_mu(r_1..r_mu).
+This is also a constructive proof of the integrality statement
+D_n^mu p_{n,mu} in Z.
 """
 
 from __future__ import annotations
@@ -25,14 +29,17 @@ def backend_name() -> str:
 
 
 def weights(a: int, n: int):
-    """Yield (k, C(n,k)^a k!) for k = 0..n."""
-    c = 1  # C(n, k), updated multiplicatively
-    kf = 1  # k!
-    for k in range(n + 1):
-        if k:
-            c = c * (n - k + 1) // k
-            kf *= k
-        yield k, c ** a * kf
+    """Yield (k, C(n,k)^a k!) for k = 0..n.
+
+    Each weight follows from the one before by the exact ratio
+    w_k = w_{k-1} (n-k+1)^a / k^{a-1}, one product and one division by
+    small integers, never a power of the large C(n,k)."""
+    w = 1
+    am1 = a - 1
+    yield 0, w
+    for k in range(1, n + 1):
+        w = w * (n - k + 1) ** a // k ** am1
+        yield k, w
 
 
 def scaled_harmonics(n_max: int, m_max: int, d: int) -> list[list[int]]:
@@ -62,10 +69,14 @@ def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
     d = lcm_upto(n_hi) if (mu_max and n_hi >= 1) else 1
-    sh = scaled_harmonics(n_hi, mu_max, d)
-    fac = [factorial(m - 1) for m in range(1, mu_max + 1)]
-    sign = [(-1) ** m for m in range(1, mu_max + 1)]
-    am1 = a - 1
+    # D^m r_m(k) = hi[m-1][n-k] + lo[m-1][k], both halves once per call
+    hi, lo = [], []
+    for m, row in enumerate(scaled_harmonics(n_hi, mu_max, d), 1):
+        c = factorial(m - 1)
+        hi.append([c * a * v for v in row])
+        c *= (-1) ** m * (a - 1)
+        lo.append([c * v for v in row])
+    dens = [d ** mu for mu in range(1, mu_max + 1)]
     q = []
     p = [[] for _ in range(mu_max)]
     for n in range(n_lo, n_hi + 1):
@@ -74,14 +85,12 @@ def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
         for k, w in weights(a, n):
             qn += w
             if mu_max:
-                rs = [fac[m] * (a * sh[m][n - k] + sign[m] * am1 * sh[m][k])
-                      for m in range(mu_max)]
-                ys = bell_ladder(rs)
+                ys = bell_ladder([h[n - k] + g[k] for h, g in zip(hi, lo)])
                 for mu in range(mu_max):
                     acc[mu] += w * ys[mu + 1]
         q.append(qn)
         for mu in range(mu_max):
-            p[mu].append(Fraction(acc[mu], d ** (mu + 1)))
+            p[mu].append(Fraction(acc[mu], dens[mu]))
     return q, p
 
 

@@ -218,39 +218,46 @@ class RecurrenceSpec(namedtuple(
         return self.offsets[-1] - self.offsets[0]
 
 
-def _rhs(spec: RecurrenceSpec, n: int) -> Rat:
-    """The inhomogeneous side of spec at n; 0 when homogeneous."""
-    if spec.inhom is None:
-        return Fraction(0)
-    num, den = spec.inhom
-    d = den(n)
-    if d == 0:
-        raise ArithmeticError("inhomogeneous denominator vanishes at n=%d" % n)
-    return num(n) / d
-
-
 def recurrence_check(spec: RecurrenceSpec, seq, n_range) -> bool:
-    """Exact check of spec against seq at every n in n_range.
-
-    A vanishing leading coefficient is reported and the point skipped.
-    """
+    """Exact check of spec against seq at every n in n_range, in integers:
+    with L the lcm of seq's denominators, c(n) = h_c(n)/D_c (PolyQ.scaled)
+    and D the lcm of the taps' D_c, sum_i h_i(n) (D/D_i) L y_{n+off_i}
+    is compared with D L num(n)/den(n).  A vanishing leading coefficient
+    is reported and the point skipped."""
+    big = math.lcm(*(v.denominator for v in seq))
+    ys = [v.numerator * (big // v.denominator) for v in seq]
+    # a homogeneous relation as num/den = 0/1
+    polys = [c.scaled() for c in spec.coeffs] + (
+        [c.scaled() for c in spec.inhom] if spec.inhom
+        else [(1, (0,)), (1, (1,))])
+    d = math.lcm(*(dc for dc, _ in polys[:-2]))
+    (dn, _), (dd, _) = polys[-2:]
+    scale = dd * big * d
     for n in n_range:
         if n < spec.n_min:
             raise ValueError("relation not asserted below n_min=%d" % spec.n_min)
         if n + spec.offsets[-1] >= len(seq):
             raise ValueError("sequence too short for n=%d" % n)
-        if spec.coeffs[-1](n) == 0:
-            # imported in this rare branch alone: logging adds ~3 ms to
-            # the start-up of every command
-            import logging
+        hs = []
+        for _, cs in polys:
+            h = 0
+            for c in cs:
+                h = h * n + c
+            hs.append(h)
+        *hs, hn, hd = hs
+        if hs[-1] == 0:
+            import logging  # here alone: it adds ~3 ms to every start-up
 
             logging.getLogger(__name__).warning(
                 "%s: leading coefficient vanishes at n=%d, point skipped",
                 spec.name, n)
             continue
-        lhs = sum(c(n) * seq[n + off]
-                  for off, c in zip(spec.offsets, spec.coeffs))
-        if lhs != _rhs(spec, n):
+        if hd == 0:
+            raise ArithmeticError(
+                "inhomogeneous denominator vanishes at n=%d" % n)
+        lhs = sum(h * (d // dc) * ys[n + off]
+                  for h, (dc, _), off in zip(hs, polys, spec.offsets))
+        if lhs * dn * hd != hn * scale:
             return False
     return True
 
@@ -263,7 +270,14 @@ def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
         lead = spec.coeffs[-1](n)
         if lead == 0:
             raise ArithmeticError("leading coefficient vanishes at n=%d" % n)
-        acc = _rhs(spec, n)
+        acc = Fraction(0)
+        if spec.inhom is not None:
+            num, den = spec.inhom
+            dv = den(n)
+            if dv == 0:
+                raise ArithmeticError(
+                    "inhomogeneous denominator vanishes at n=%d" % n)
+            acc = num(n) / dv
         for off, c in zip(spec.offsets[:-1], spec.coeffs[:-1]):
             acc -= c(n) * ys[n + off]
         ys.append(acc / lead)

@@ -3,22 +3,22 @@
 Each suite takes the parsed command-line namespace (it reads a, nmax and
 digits, None when not given) and returns a list of (check name, passed)
 pairs; SUITES maps the names accepted by `verify --suite` to them.  Only
-the verify command imports this module, so no other command loads the
-Bell, Bernoulli and recurrence code the suites need.
+the verify command imports this module, and each suite imports the
+modules it runs itself, so a request compiles only its suite's code:
+the bell suite never loads sequences or bernoulli, for instance.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 
-from . import asymptotics as asy
-from . import bell, bernoulli, kernel, sequences as seq
 from .numerics import binom, lcm_upto
 
 
 def _suite_lemma1(args):
+    from . import sequences as seq
+
     a = 3 if args.a is None else args.a
     nmax = 10 if args.nmax is None else args.nmax
     # n outer, so each F_{n,.} is built once and serves every mu
@@ -31,6 +31,8 @@ def _suite_lemma1(args):
 
 
 def _suite_recurrences(args):
+    from . import kernel, sequences as seq
+
     nmax = 60 if args.nmax is None else args.nmax
     tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
     apt = seq.aptekarev_seq(nmax)
@@ -53,6 +55,8 @@ def _suite_recurrences(args):
 
 
 def _suite_integrality(args):
+    from . import kernel
+
     a = 3 if args.a is None else args.a
     nmax = 50 if args.nmax is None else args.nmax
     q, p = kernel.seq_tables(a, nmax, a - 1)
@@ -67,6 +71,8 @@ def _suite_integrality(args):
 
 
 def _suite_bernoulli(args):
+    from . import bernoulli
+
     x = bernoulli.PolyQ.x()
     out = []
     ok = True
@@ -121,6 +127,10 @@ def _suite_bernoulli(args):
 
 
 def _suite_bell(args):
+    import random
+
+    from . import bell
+
     rng = random.Random(20250814)
     out = []
     ok = True
@@ -153,6 +163,8 @@ def _suite_bell(args):
 
 
 def _suite_tail(args):
+    from . import sequences as seq
+
     digits = args.digits if args.digits is not None else 30
     out = []
     for a in (2, 3, 4):
@@ -167,6 +179,8 @@ def _suite_tail(args):
 
 
 def _suite_saddle(args):
+    from . import asymptotics as asy
+
     n = 10 ** 6
     out = []
     for a in (2, 3, 4):

@@ -119,6 +119,19 @@ def test_gen_bernoulli_against_generating_function():
         assert bernoulli_at(n, m, x) == bernoulli_gf_value(n, m, x)
 
 
+def test_cached_gen_bernoulli_is_never_mutated():
+    b = gen_bernoulli(6, 3)
+    before = list(b.coeffs)
+    x = PolyQ.x()
+    results = [b + b, b + 0, 0 + b, b - 1, 1 - b, -b, 3 * b, b * x, b * b,
+               b * Fraction(1, 2), b ** 1, b + PolyQ([]), b(x + 1), sum([b, b])]
+    for r in results:  # no result shares its coefficient list with b
+        r.coeffs[:] = [99] * len(r.coeffs)
+    assert gen_bernoulli(6, 3) is b
+    assert b.coeffs == before
+    assert bernoulli._gen_bernoulli.__wrapped__(6, 3).coeffs == before
+
+
 def test_gen_bernoulli_guards():
     with pytest.raises(ValueError):
         gen_bernoulli(-1, 1)

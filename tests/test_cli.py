@@ -488,13 +488,21 @@ _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
     ("approx --a 3 --mu 1 --n 5", _NEVER, {"bellgamma.sequences"}),
     ("constants --digits 30",
      _NEVER | {"bellgamma.sequences", "bellgamma.symring", "bellgamma.kernel",
-               "bellgamma.bell"},
+               "bellgamma.bell", "bellgamma.asymptotics", "json"},
      {"bellgamma.numerics"}),
-    ("verify --suite bell", {"dataclasses", "logging"}, {"bellgamma.verify"}),
+    ("verify --suite bell",
+     {"dataclasses", "logging", "json", "bellgamma.bernoulli",
+      "bellgamma.sequences", "bellgamma.kernel", "bellgamma.symring",
+      "bellgamma.asymptotics"},
+     {"bellgamma.verify", "bellgamma.bell"}),
     ("table --a 3 --mu 2 --n 0:20:10", {"bellgamma.lemma1"},
      {"bellgamma.sequences"}),
     ("verify --suite lemma1 --a 3 --nmax 2", {"dataclasses", "logging"},
      {"bellgamma.lemma1"}),
+    ("verify --suite saddle", {"bellgamma.sequences", "bellgamma.bernoulli"},
+     {"bellgamma.asymptotics"}),
+    ("verify --suite bernoulli", {"bellgamma.sequences", "bellgamma.kernel"},
+     {"bellgamma.bernoulli"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent, present):
     probe = ("import sys\n"
@@ -508,6 +516,13 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
     loaded = set(out.stdout.splitlines()[-1].split())
     assert not loaded & absent
     assert present <= loaded
+
+
+def test_kind_choices_match_profile_kinds():
+    # cli spells the kinds out so that its parser never imports asymptotics
+    from bellgamma import asymptotics
+
+    assert cli._PROFILE_KINDS == asymptotics.PROFILE_KINDS
 
 
 # sha256 of stdout as printed by earlier versions of the package, with

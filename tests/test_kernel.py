@@ -40,7 +40,9 @@ def test_backend_name():
 
 
 def test_seq_tables_match_fraction_oracle():
-    for a, n_max, mu_max in ((2, 12, 1), (3, 10, 2), (4, 8, 3)):
+    # every mu the CLI accepts, up to a - 1 = 7
+    for a, n_max, mu_max in ((2, 12, 1), (3, 10, 2), (4, 8, 3), (6, 7, 5),
+                             (8, 6, 7)):
         q, p = kernel.seq_tables(a, n_max, mu_max)
         oq, op = oracle_tables(a, n_max, mu_max)
         assert q == oq and all(isinstance(v, int) for v in q)

@@ -9,6 +9,7 @@ draws the same cases.
 import operator
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,8 @@ from hypothesis import strategies as st  # noqa: E402
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
 from bellgamma.numerics import BigFix, binom  # noqa: E402
 from bellgamma.symring import SymPoly  # noqa: E402
+
+pytest_plugins = ["pytester"]
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=60)
@@ -164,3 +167,29 @@ def test_bigfix_ln_within_one_ulp(case):
         unit = mpmath.mpf(10) ** -scale
         err = abs(BigFix(m, scale).ln().mantissa * unit - mpmath.log(m * unit))
         assert err <= unit
+
+
+def test_failing_property_is_reported_not_internal_error(pytester):
+    # With the repository's own warning filters, hypothesis reporting a
+    # falsified property must fail that test alone: a warning raised as
+    # an error inside its report hook would abort the whole session.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        filters = tomllib.load(fh)["tool"]["pytest"]["ini_options"][
+            "filterwarnings"]
+    pytester.makeini("[pytest]\nfilterwarnings =\n"
+                     + "".join("    %s\n" % f for f in filters))
+    pytester.makepyfile("""
+        from hypothesis import given, strategies as st
+
+        @given(st.integers())
+        def test_falsified(x):
+            assert x < 5
+
+        def test_fine():
+            pass
+    """)
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    result.assert_outcomes(failed=1, passed=1)
+    assert "INTERNALERROR" not in result.stdout.str()

@@ -341,6 +341,40 @@ def test_recurrence_falsification():
     assert recurrence_check(specs["a3_q"], seq, range(8, 12)) is False
 
 
+def test_inhomogeneous_check_sees_one_unit_of_the_scale():
+    # p_{n,3} for a = 4 has denominator dividing D^3: a change by 1/D^3
+    # in one value is the smallest the table can carry.
+    spec = make_paper_recurrences()["a4_p3"]
+    ps = p_seq(4, 3, 30)
+    assert recurrence_check(spec, ps, range(2, 29)) is True
+    ps[15] += Fraction(1, lcm_upto(30) ** 3)
+    assert recurrence_check(spec, ps, range(2, 29)) is False
+    assert recurrence_check(spec, ps, range(2, 13)) is True
+
+
+def test_recurrence_check_fraction_coefficients():
+    # c0(n) y_n + c1(n) y_{n+1} = num(n)/den(n), every polynomial with
+    # non-integer coefficients; y is grown by hand in Fraction arithmetic.
+    c0 = (Fraction(1, 3), Fraction(2, 5))
+    c1 = (Fraction(-7, 2), 0, Fraction(1, 4))
+    num = (Fraction(5, 6), Fraction(-1, 9))
+    den = (Fraction(2, 3), 1)
+
+    def at(cs, n):
+        return sum(c * n ** i for i, c in enumerate(cs))
+
+    ys = [Fraction(3, 7)]
+    for n in range(20):
+        ys.append((at(num, n) / at(den, n) - at(c0, n) * ys[n]) / at(c1, n))
+    spec = RecurrenceSpec("fractional", (0, 1), (PolyQ(c0), PolyQ(c1)),
+                          (PolyQ(num), PolyQ(den)), (ys[0],), 0)
+    assert recurrence_check(spec, ys, range(20)) is True
+    assert recurrence_generate(spec, 20) == ys
+    ys[9] += Fraction(1, 10 ** 9)
+    assert recurrence_check(spec, ys, range(20)) is False
+    assert recurrence_check(spec, ys, range(8)) is True
+
+
 def test_recurrence_generate_matches_sums():
     specs = make_paper_recurrences()
     assert recurrence_generate(specs["a2_q"], 25) == q_seq(2, 25)
