@@ -24,19 +24,22 @@ _MODULES = {
     "bernoulli": ("PolyQ", "bernoulli_at", "csc_power_coeffs",
                   "gen_bernoulli"),
     "kernel": ("backend_name", "seq_tables"),
+    "lemma1": ("lemma1_residual",),
     "numerics": (
         "BigFix", "PrecisionError", "Rat", "bernoulli_number", "binom",
         "factorial", "gamma_const", "lcm_upto", "poch", "zeta_const"),
+    "oracles": ("F_sym", "HarmonicCache", "f_deriv_sym", "harmonic", "r_val"),
     "powerseries": ("SeriesQ", "ps_exp", "ps_log1p", "ps_mul", "ps_pow",
                     "ps_recip"),
+    "recurrences": (
+        "RecurrenceSpec", "aptekarev_seq", "make_paper_recurrences",
+        "recurrence_check", "recurrence_generate"),
     "sequences": (
-        "ApproxRecord", "HarmonicCache", "RecurrenceSpec", "aptekarev_seq",
-        "convergence_row", "f_deriv_sym", "F_sym", "harmonic",
-        "integrality_check", "lemma1_residual", "make_paper_recurrences",
-        "p_at", "p_seq", "q_at", "q_seq", "r_val", "records_to_csv",
-        "recurrence_check", "recurrence_generate", "tail_series"),
+        "ApproxRecord", "convergence_row", "integrality_check", "p_at",
+        "p_seq", "q_at", "q_seq", "records_to_csv"),
     "symring": ("SymPoly", "alpha_mu", "alpha_poly", "lambda_coeff",
                 "sp_eval"),
+    "tail": ("tail_series",),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()
             for name in names}

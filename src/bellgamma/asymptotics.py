@@ -1,11 +1,13 @@
 """Growth exponents, the q_n asymptotic formula, and saddle-root checks.
 
-The coefficients b_m(a) come from an exact power-series log expansion;
-they feed three exponent evaluations: the linear-form decay rate, its
-corollary form with cos(2 pi m / a) - 1 factors, and the log-scale
-asymptotic main term of q_n.  All coefficients stay rational until the
-final float evaluation.  Saddle roots of e^{i pi u} n (t-1)^a - t^{a-1}
-are refined by complex Newton iteration from the order-3 expansion seed.
+The coefficients b_m(a) come from an exact power-series log expansion,
+taken by its own short recurrence rather than through module
+powerseries; they feed three exponent evaluations: the linear-form
+decay rate, its corollary form with cos(2 pi m / a) - 1 factors, and
+the log-scale asymptotic main term of q_n.  All coefficients stay
+rational until the final float evaluation.  Saddle roots of
+e^{i pi u} n (t-1)^a - t^{a-1} are refined by complex Newton iteration
+from the order-3 expansion seed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .numerics import Rat, factorial, poch
-from .powerseries import SeriesQ, ps_log1p
 
 PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
 
@@ -42,8 +43,13 @@ def _bm_coeffs(a: int) -> tuple:
     s = [Fraction(0)] * (a + 1)
     for m in range(1, a + 1):
         s[m] = poch(Fraction(2) - Fraction(m + 1, a), m) / factorial(m + 1)
-    logpart = ps_log1p(SeriesQ(s, a))
-    return tuple(-a * logpart[m] - lagrange_coeff(a, m) for m in range(1, a + 1))
+    # L = log(1 + s) from L'(1 + s) = s':
+    # L_i = s_i - (1/i) sum_{j<i} j L_j s_{i-j}
+    log = [Fraction(0)] * (a + 1)
+    for i in range(1, a + 1):
+        acc = sum((j * log[j] * s[i - j] for j in range(1, i)), Fraction(0))
+        log[i] = s[i] - acc / i
+    return tuple(-a * log[m] - lagrange_coeff(a, m) for m in range(1, a + 1))
 
 
 def linform_exponent(a: int, n: int) -> float:

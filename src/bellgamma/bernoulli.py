@@ -6,7 +6,8 @@ cached per m, and the classical recursion and addition formulas are kept
 as test oracles rather than used for construction.  Each B_n^{(m)} is
 built once per process (a bounded cache shared by every caller, so a
 PolyQ is never mutated), and PolyQ keeps integer coefficients as ints:
-the recurrence polynomials of module sequences have no Fraction in them.
+the recurrence polynomials of module recurrences have no Fraction in
+them.  Only the second csc-power route loads module powerseries.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import factorial, lcm
-
-from .powerseries import SeriesQ, ps_pow, ps_recip
 
 _N_LIMIT = 200
 _M_LIMIT = 50
@@ -261,6 +260,9 @@ def csc_power_coeffs(m: int, nmax: int) -> list[Fraction]:
 
 def _csc_power_series(m: int, nmax: int) -> list[Fraction]:
     """(z/sin z)^m coefficients by series inversion, in w = z^2."""
+    # imported here: make_paper_recurrences needs PolyQ alone
+    from .powerseries import SeriesQ, ps_pow, ps_recip
+
     # sin z / z = sum (-1)^j z^{2j} / (2j+1)!  ->  series in w
     sinc = SeriesQ([Fraction((-1) ** j, factorial(2 * j + 1))
                     for j in range(nmax + 1)], nmax)

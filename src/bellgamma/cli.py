@@ -17,9 +17,11 @@ Each command takes the parsed and range-checked argparse namespace and
 returns its output text with the exit code; main writes the text.  A
 command imports the modules it runs itself, so a process compiles only
 those: constants loads neither asymptotics nor sequences, asymptotics
-and roots never load sequences, json is loaded only to print json, and
-only verify loads the suites (module verify), each of which imports its
-own modules.
+and roots never load sequences or powerseries, approx and table load
+sequences (the q/p rows and the convergence measurement) but none of
+the recurrence, lemma-1, tail or Bernoulli code, json is loaded only to
+print json, and only verify loads the suites (module verify), each of
+which imports its own modules.  No command loads module oracles.
 """
 
 from __future__ import annotations

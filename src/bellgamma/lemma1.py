@@ -1,5 +1,5 @@
-"""Lemma 1 on integer coefficients: the scaled F_{n,nu} sums that
-sequences.lemma1_residual checks, as SymPolys over Z[G, Z_2, ..., Z_M].
+"""Lemma 1, the residual identity linking p_{n,mu}, q_n and F_{n,nu},
+checked on integer coefficients over Z[G, Z_2, ..., Z_M].
 
 With D = lcm(1..n), G = D g and Z_m = D^m z_m, the m-th derivative of
 the summand exponent scales to D^m f^{(m)}(k) = c_m Z_m + D^m r_m(k),
@@ -7,18 +7,25 @@ which has integer coefficients.  Y_nu is isobaric of weight nu, so one
 Bell ladder on these values gives D^nu Y_nu(f'(k), ..., f^{(nu)}(k)) for
 every nu at once, and the alpha_mu, whose coefficients are integers,
 read the same in G, Z_m as in g, z_m up to the factor D^mu.  Only
-lemma1_residual imports this module, so the commands that never check
-lemma 1 never compile it.
+`verify --suite lemma1` and library callers import this module; its
+Fraction-valued oracle F_sym lives in module oracles.
 """
 
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 
-from . import kernel, sequences
+from . import kernel
 from .bell import bell_ladder
-from .numerics import factorial, lcm_upto
-from .symring import SymPoly
+from .numerics import binom, factorial, lcm_upto
+from .symring import SymPoly, alpha_poly
+
+
+def _deriv_coeff(a: int, m: int) -> int:
+    """c_m = (m-1)!((-1)^{m-1}(a-1) - a), the coefficient of z_m in the
+    m-th derivative of the summand exponent (z_1 = g: c_1 = -1)."""
+    return factorial(m - 1) * ((-1) ** (m - 1) * (a - 1) - a)
 
 
 @functools.lru_cache(maxsize=32)
@@ -35,10 +42,30 @@ def scaled_row(a: int, n: int):
     f = [SymPoly.zero(mu_max)] * a
     for k, w in kernel.weights(a, n):
         xs = [SymPoly(mu_max, {
-                  unit[m]: sequences._deriv_coeff(a, m + 1),
+                  unit[m]: _deriv_coeff(a, m + 1),
                   zero: factorial(m) * (a * sh[m][n - k]
                                         - (-1) ** m * (a - 1) * sh[m][k])})
               for m in range(mu_max)]
         for nu, y in enumerate(bell_ladder(xs)):
             f[nu] = f[nu] + w * y
     return d, q[0], [d ** mu * pm[0] for mu, pm in enumerate(p, 1)], f
+
+
+def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
+    """p_{n,mu} - q_n alpha_mu - sum_nu binom(mu,nu) alpha_{mu-nu} F_{n,nu}.
+
+    The residual identity asserts this is the zero polynomial for every
+    n; any nonzero return value is a counterexample witness.  It is
+    formed in integers, as D^mu times itself over Z[G, Z_2..]
+    (scaled_row), and the coefficient of a monomial of weight w is
+    unscaled by D^{mu-w}.
+    """
+    if not 1 <= mu <= a - 1:
+        raise ValueError("require 1 <= mu <= a-1")
+    d, q, dp, f = scaled_row(a, n)
+    res = -q * alpha_poly(a, mu) + dp[mu - 1]
+    for nu in range(1, mu + 1):
+        res = res + -binom(mu, nu) * alpha_poly(a, mu - nu) * f[nu]
+    return SymPoly(a - 1, {
+        e: Fraction(c, d ** (mu - sum(i * x for i, x in enumerate(e, 1))))
+        for e, c in res.terms.items()})

@@ -2,11 +2,14 @@
 
 A SeriesQ of order N carries coefficients for z^0 .. z^N; operations on
 order-N inputs yield order-N outputs and never look past the truncation.
-Everything is exact Fraction arithmetic.
+Everything is exact: int coefficients stay ints, as in PolyQ and
+SymPoly, any other input is coerced to Fraction, and a product is one
+integer convolution over the common denominator of each factor.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .numerics import Rat
@@ -18,13 +21,13 @@ class SeriesQ:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order: int | None = None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
             raise ValueError("order must be >= 0")
         if len(cs) < order + 1:
-            cs += [Fraction(0)] * (order + 1 - len(cs))
+            cs += [0] * (order + 1 - len(cs))
         self.coeffs = cs[: order + 1]
         self.order = order
 
@@ -36,7 +39,7 @@ class SeriesQ:
     def one(cls, order: int) -> "SeriesQ":
         return cls([1], order)
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> Rat:
         return self.coeffs[i]
 
     def __eq__(self, other) -> bool:
@@ -67,22 +70,32 @@ class SeriesQ:
         return SeriesQ([-a for a in self.coeffs], self.order)
 
     def scale(self, c) -> "SeriesQ":
-        c = Fraction(c)
+        c = c if type(c) is int else Fraction(c)
         return SeriesQ([c * a for a in self.coeffs], self.order)
 
 
+def _scaled(s: SeriesQ) -> tuple:
+    """(D, [D c_0, ..., D c_N]): the least common denominator D of the
+    coefficients and the coefficients times D, as ints."""
+    d = math.lcm(*(c.denominator for c in s.coeffs))
+    return d, [c.numerator * (d // c.denominator) for c in s.coeffs]
+
+
 def ps_mul(s: SeriesQ, t: SeriesQ) -> SeriesQ:
-    """Truncated Cauchy product."""
+    """Truncated Cauchy product, summed in integers over the product of
+    the factors' common denominators."""
     s._same_order(t)
     n = s.order
-    out = [Fraction(0)] * (n + 1)
-    for i, a in enumerate(s.coeffs):
-        if not a:
-            continue
-        for j in range(n + 1 - i):
-            b = t.coeffs[j]
-            if b:
-                out[i + j] += a * b
+    ds, a = _scaled(s)
+    dt, b = _scaled(t)
+    d = ds * dt
+    out = []
+    for k in range(n + 1):
+        acc = 0
+        for i in range(k + 1):
+            if a[i] and b[k - i]:
+                acc += a[i] * b[k - i]
+        out.append(acc // d if acc % d == 0 else Fraction(acc, d))
     return SeriesQ(out, n)
 
 
@@ -108,7 +121,7 @@ def ps_recip(s: SeriesQ) -> SeriesQ:
     n = s.order
     c0 = s.coeffs[0]
     out = [Fraction(0)] * (n + 1)
-    out[0] = 1 / c0
+    out[0] = Fraction(1) / c0
     for i in range(1, n + 1):
         acc = Fraction(0)
         for j in range(1, i + 1):

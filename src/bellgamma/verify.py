@@ -5,7 +5,8 @@ digits, None when not given) and returns a list of (check name, passed)
 pairs; SUITES maps the names accepted by `verify --suite` to them.  Only
 the verify command imports this module, and each suite imports the
 modules it runs itself, so a request compiles only its suite's code:
-the bell suite never loads sequences or bernoulli, for instance.
+the bell suite never loads sequences or bernoulli, and the tail suite
+adds module tail alone, for instance.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .numerics import binom, lcm_upto
 
 
 def _suite_lemma1(args):
-    from . import sequences as seq
+    from . import lemma1
 
     a = 3 if args.a is None else args.a
     nmax = 10 if args.nmax is None else args.nmax
@@ -25,32 +26,32 @@ def _suite_lemma1(args):
     ok = dict.fromkeys(range(1, a), True)
     for n in range(nmax + 1):
         for mu in ok:
-            ok[mu] = ok[mu] and seq.lemma1_residual(a, mu, n).is_zero()
+            ok[mu] = ok[mu] and lemma1.lemma1_residual(a, mu, n).is_zero()
     return [("lemma1 residual zero: a=%d mu=%d n=0..%d" % (a, mu, nmax), good)
             for mu, good in ok.items()]
 
 
 def _suite_recurrences(args):
-    from . import kernel, sequences as seq
+    from . import kernel, recurrences as rec
 
     nmax = 60 if args.nmax is None else args.nmax
     tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
-    apt = seq.aptekarev_seq(nmax)
+    apt = rec.aptekarev_seq(nmax)
     out = []
-    for name, spec in seq.make_paper_recurrences().items():
+    for name, spec in rec.make_paper_recurrences().items():
         family, _, which = name.partition("_")
         source = "explicit sum"
         if family == "aptekarev":
             ys = apt[which == "p"]
         elif family == "rivoal":
-            ys, source = seq.recurrence_generate(spec, nmax), "generated values"
+            ys, source = rec.recurrence_generate(spec, nmax), "generated values"
         else:  # "a3_q", "a3_p2": q or p_mu of a = 3 from its table
             q, p = tables[int(family[1:])]
             ys = q if which == "q" else p[int(which[1:]) - 1]
         hi = nmax - spec.offsets[-1]
         out.append(("recurrence %s vs %s, n=%d..%d" % (name, source,
                                                        spec.n_min, hi),
-                    seq.recurrence_check(spec, ys, range(spec.n_min, hi + 1))))
+                    rec.recurrence_check(spec, ys, range(spec.n_min, hi + 1))))
     return out
 
 
@@ -163,7 +164,7 @@ def _suite_bell(args):
 
 
 def _suite_tail(args):
-    from . import sequences as seq
+    from . import tail
 
     digits = args.digits if args.digits is not None else 30
     out = []
@@ -171,7 +172,7 @@ def _suite_tail(args):
         ok = True
         for u in range(-a, a + 1):
             for n in (5, 10, 20):
-                t = seq.tail_series(a, u, n, digits)
+                t = tail.tail_series(a, u, n, digits)
                 ok = ok and abs(float(t)) <= math.e / (n + 1) ** a
         out.append(("tail bound |sum| <= e/(n+1)^%d: all |u|<=%d, "
                     "n in {5,10,20}" % (a, a), ok))

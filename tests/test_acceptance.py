@@ -21,17 +21,15 @@ from bellgamma.bell import bell_eval_partitions, bell_ladder
 from bellgamma.bernoulli import bernoulli_at, csc_power_coeffs, gen_bernoulli
 from bellgamma.bernoulli import PolyQ
 from bellgamma.numerics import binom, factorial, gamma_const, lcm_upto
-from bellgamma.sequences import (
+from bellgamma.lemma1 import lemma1_residual
+from bellgamma.recurrences import (
     aptekarev_seq,
-    convergence_row,
-    lemma1_residual,
     make_paper_recurrences,
-    p_seq,
-    q_seq,
     recurrence_check,
     recurrence_generate,
-    tail_series,
 )
+from bellgamma.sequences import convergence_row, p_seq, q_seq
+from bellgamma.tail import tail_series
 
 E_UPPER = Fraction(271828182845905, 10 ** 14)  # rational upper bound for e
 

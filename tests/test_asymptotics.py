@@ -55,6 +55,17 @@ def test_bm_coeffs_against_oracle():
         assert bm_coeffs(a) == bm_oracle(a)
 
 
+def test_bm_coeffs_match_series_log():
+    # The log(1 + s) recurrence inside bm_coeffs against ps_log1p.
+    for a in range(2, 9):
+        s = [0] + [poch(Fraction(2) - Fraction(m + 1, a), m)
+                   / math.factorial(m + 1) for m in range(1, a + 1)]
+        log = ps_log1p(SeriesQ(s, a))
+        b = bm_coeffs(a)
+        assert b == [-a * log[m] - lagrange_coeff(a, m) for m in range(1, a + 1)]
+        assert all(type(v) is Fraction for v in b)
+
+
 def test_bm_closed_forms():
     # b_1 = -a, b_2 = (1-a)/2, b_3 = (1-a)(2a-3)/(6a), b_a = -1/a.
     for a in range(2, 9):

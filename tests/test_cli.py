@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import bellgamma
-from bellgamma import cli, kernel, lemma1, numerics, sequences, verify
+from bellgamma import cli, kernel, lemma1, numerics, oracles, sequences, verify
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -207,7 +207,7 @@ def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
     real = kernel.seq_rows
     monkeypatch.setattr(kernel, "seq_rows",
                         lambda *args: calls.append(args) or real(*args))
-    scaled, f_all = lemma1.scaled_row, sequences._f_sym_all
+    scaled, f_all = lemma1.scaled_row, oracles._f_sym_all
     scaled.cache_clear()
     f_all.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1",
@@ -482,6 +482,14 @@ def test_approx_past_int_str_limit():
 # Each command loads only what it runs.  random and typing are left out:
 # `site` may load them before the package is imported.
 _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
+# The Fraction oracles are for the tests alone.
+_ORACLES = {"bellgamma.oracles"}
+# approx and table run the q/p rows and the convergence measurement only.
+_ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.symring",
+         "bellgamma.asymptotics"}
+_ROWS_NEVER = _NEVER | _ORACLES | {
+    "bellgamma.recurrences", "bellgamma.lemma1", "bellgamma.tail",
+    "bellgamma.powerseries"}
 
 
 @pytest.mark.parametrize("argv, absent, present", [
@@ -503,6 +511,24 @@ _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
      {"bellgamma.asymptotics"}),
     ("verify --suite bernoulli", {"bellgamma.sequences", "bellgamma.kernel"},
      {"bellgamma.bernoulli"}),
+    ("approx --a 4 --mu 3 --n 100", _ROWS_NEVER, _ROWS),
+    ("table --a 2 --mu 1 --n 0:40:20 --qn-ratio", _ROWS_NEVER, _ROWS),
+    ("verify --suite tail --digits 30",
+     _ORACLES | {"bellgamma.symring", "bellgamma.kernel", "bellgamma.bell",
+                 "bellgamma.sequences"},
+     {"bellgamma.tail"}),
+    ("verify --suite recurrences --nmax 8",
+     _ORACLES | {"bellgamma.symring", "bellgamma.sequences",
+                 "bellgamma.powerseries"},
+     {"bellgamma.recurrences", "bellgamma.bernoulli"}),
+    ("asymptotics --a 5 --n 1000", _ORACLES | {"bellgamma.powerseries"},
+     {"bellgamma.asymptotics"}),
+    ("roots --a 3", _ORACLES | {"bellgamma.powerseries"},
+     {"bellgamma.asymptotics"}),
+    ("verify --suite lemma1 --a 4 --nmax 3", _ORACLES, {"bellgamma.lemma1"}),
+    ("verify --suite integrality --a 3 --nmax 5", _ORACLES,
+     {"bellgamma.kernel"}),
+    ("constants --digits 20 --zeta-max 3", _ORACLES, {"bellgamma.numerics"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent, present):
     probe = ("import sys\n"

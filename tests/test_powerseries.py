@@ -28,7 +28,11 @@ def shifted_down(s):
 def test_series_construction():
     s = SeriesQ([1, 2], 4)
     assert s.coeffs == [1, 2, 0, 0, 0]
-    assert all(isinstance(c, Fraction) for c in s.coeffs)
+    # int coefficients stay ints; anything else is coerced to Fraction
+    assert all(type(c) is int for c in s.coeffs)
+    h = SeriesQ([0.5, Fraction(2, 4)], 2)
+    assert h.coeffs == [Fraction(1, 2)] * 2 + [0]
+    assert [type(c) for c in h.coeffs] == [Fraction, Fraction, int]
     t = SeriesQ([1, 2, 3, 4], 1)
     assert t.coeffs == [1, 2]
     assert SeriesQ([5]).order == 0
@@ -117,3 +121,19 @@ def test_ps_pow_matches_repeated_product():
         acc = ps_mul(acc, s)
     with pytest.raises(ValueError):
         ps_pow(s, -1)
+
+
+def test_int_series_stay_exact():
+    # Int inputs never turn into floats, and integral products stay ints.
+    s = SeriesQ([1, -1], 5)
+    z = shifted_down(s)
+    for t in (ps_mul(s, s), ps_pow(s, 3), ps_recip(s), s.scale(2),
+              ps_exp(z), ps_log1p(z)):
+        assert all(type(c) in (int, Fraction) for c in t.coeffs)
+    assert ps_pow(s, 3).coeffs == [1, -3, 3, -1, 0, 0]
+    assert all(type(c) is int for c in ps_pow(s, 3).coeffs)
+    # 1/(3 + z) = sum (-1)^k z^k / 3^(k+1): no float 1/3 on the way
+    assert ps_recip(SeriesQ([3, 1], 3)).coeffs == [
+        Fraction(1, 3), Fraction(-1, 9), Fraction(1, 27), Fraction(-1, 81)]
+    assert ps_mul(s.scale(Fraction(1, 2)), s.scale(Fraction(2, 3))).coeffs == [
+        Fraction(1, 3), Fraction(-2, 3), Fraction(1, 3), 0, 0, 0]

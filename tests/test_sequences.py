@@ -8,34 +8,32 @@ from fractions import Fraction
 import pytest
 from test_kernel import oracle_tables
 
-from bellgamma import kernel, lemma1, sequences
+from bellgamma import kernel, lemma1, oracles
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
+from bellgamma.lemma1 import lemma1_residual
 from bellgamma.numerics import (BigFix, PrecisionError, binom, factorial,
                                 lcm_upto)
-from bellgamma.sequences import (
-    ApproxRecord,
-    HarmonicCache,
-    F_sym,
+from bellgamma.oracles import F_sym, HarmonicCache, f_deriv_sym, harmonic, r_val
+from bellgamma.recurrences import (
     RecurrenceSpec,
     aptekarev_seq,
-    convergence_row,
-    f_deriv_sym,
-    harmonic,
-    integrality_check,
-    lemma1_residual,
     make_paper_recurrences,
+    recurrence_check,
+    recurrence_generate,
+)
+from bellgamma.sequences import (
+    ApproxRecord,
+    convergence_row,
+    integrality_check,
     p_at,
     p_seq,
     q_at,
     q_seq,
-    r_val,
     records_to_csv,
-    recurrence_check,
-    recurrence_generate,
-    tail_series,
 )
 from bellgamma.symring import SymPoly, alpha_poly, lambda_coeff
+from bellgamma.tail import tail_series
 
 
 def harmonic_direct(k, m):
@@ -255,7 +253,7 @@ def perturbed_rows(dp, dq):
 
 @pytest.fixture
 def fresh_lemma1_caches():
-    caches = (lemma1.scaled_row, sequences._f_sym_all)
+    caches = (lemma1.scaled_row, oracles._f_sym_all)
     for c in caches:
         c.cache_clear()
     yield
@@ -284,8 +282,8 @@ def test_lemma1_residual_detects_wrong_zeta_coeff(m_bad, monkeypatch,
     # With c_m of f^{(m)} off by 1, the residual gains
     # -binom(mu,m) p_{n,mu-m} z_m (p_{n,0} = q_n) for mu >= m, plus terms
     # of higher degree in z_m, and still equals the Fraction oracle.
-    real = sequences._deriv_coeff
-    monkeypatch.setattr(sequences, "_deriv_coeff",
+    real = lemma1._deriv_coeff
+    monkeypatch.setattr(lemma1, "_deriv_coeff",
                         lambda a, m: real(a, m) + (m == m_bad))
     for a in range(m_bad + 1, 9):
         z_m = tuple(int(i == m_bad - 1) for i in range(a - 1))
