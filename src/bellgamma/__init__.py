@@ -21,13 +21,13 @@ _MODULES = {
     "bell": (
         "bell_eval", "bell_eval_partitions", "bell_ladder",
         "partition_multinomial", "partitions"),
-    "bernoulli": ("PolyQ", "bernoulli_at", "csc_power_coeffs",
-                  "gen_bernoulli"),
+    "bernoulli": ("PolyQ", "bernoulli_at", "bernoulli_number",
+                  "csc_power_coeffs", "gen_bernoulli"),
     "kernel": ("backend_name", "seq_tables"),
     "lemma1": ("lemma1_residual",),
     "numerics": (
-        "BigFix", "PrecisionError", "Rat", "bernoulli_number", "binom",
-        "factorial", "gamma_const", "lcm_upto", "poch", "zeta_const"),
+        "BigFix", "PrecisionError", "Rat", "binom", "factorial",
+        "gamma_const", "lcm_upto", "poch", "zeta_const"),
     "oracles": ("F_sym", "HarmonicCache", "f_deriv_sym", "harmonic", "r_val"),
     "powerseries": ("SeriesQ", "ps_exp", "ps_log1p", "ps_mul", "ps_pow",
                     "ps_recip"),
@@ -44,23 +44,7 @@ _MODULES = {
 _EXPORTS = {name: module for module, names in _MODULES.items()
             for name in names}
 
-__all__ = [
-    "ApproxRecord", "BigFix", "CPoint", "ExponentProfile", "F_sym",
-    "HarmonicCache", "PolyQ", "PrecisionError", "Rat", "RecurrenceSpec",
-    "RootRefinementError", "SeriesQ", "SymPoly", "alpha_mu", "alpha_poly",
-    "aptekarev_seq", "backend_name", "bell_eval", "bell_eval_partitions",
-    "bell_ladder", "bernoulli_at", "bernoulli_number", "binom", "bm_coeffs",
-    "convergence_row", "corollary_exponent", "csc_power_coeffs",
-    "exponent_profile", "f_deriv_sym", "factorial", "gamma_const",
-    "gen_bernoulli", "harmonic", "integrality_check", "lagrange_coeff",
-    "lambda_coeff", "lcm_upto", "lemma1_residual", "linform_exponent",
-    "make_paper_recurrences", "p_at", "p_seq", "partition_multinomial",
-    "partitions", "poch", "ps_exp", "ps_log1p", "ps_mul",
-    "ps_pow", "ps_recip", "q_at", "q_seq", "qn_log_asymptotic", "r_val",
-    "records_to_csv", "root_report", "recurrence_check", "recurrence_generate",
-    "saddle_roots", "saddle_seed", "seq_tables", "sp_eval", "tail_series",
-    "zeta_const",
-]
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):

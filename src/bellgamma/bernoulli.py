@@ -208,7 +208,8 @@ def _gen_bernoulli(n: int, m: int) -> PolyQ:
 
 
 # m -> coefficients c_0..c_K of (z/(e^z - 1))^m, extended in place; a
-# lower order is a prefix.  At most _M_LIMIT lists of _N_LIMIT + 1 terms.
+# lower order is a prefix.  At most _M_LIMIT lists of _N_LIMIT + 1 terms,
+# except that bernoulli_number(n) extends the list of m = 1 to n + 1.
 _CORE_CACHE: dict[int, list[Fraction]] = {}
 
 
@@ -230,6 +231,14 @@ def _core_power(m: int, order: int) -> list[Fraction]:
                   for j, d in enumerate(dens, 1))
         cs.append(Fraction(acc, big * k))
     return cs[:order + 1]
+
+
+def bernoulli_number(n: int) -> Fraction:
+    """The Bernoulli number B_n (B_1 = -1/2 convention): n! times the
+    z^n coefficient of z/(e^z - 1), so B_n = B_n^{(1)}(0)."""
+    if n < 0:
+        raise ValueError("bernoulli_number requires n >= 0")
+    return factorial(n) * _core_power(1, n)[n]
 
 
 def bernoulli_at(n: int, m: int, x) -> Fraction:

@@ -59,6 +59,21 @@ def scaled_harmonics(n_max: int, m_max: int, d: int) -> list[list[int]]:
     return out
 
 
+def harmonic_halves(a: int, n_hi: int, mu_max: int):
+    """(D, hi, lo) with D = lcm(1..n_hi) (1 when mu_max or n_hi is 0) and
+    D^m r_m(k) = hi[m-1][n-k] + lo[m-1][k] for every row n <= n_hi,
+    k <= n and m <= mu_max, where
+    r_m(k) = (m-1)! (a H_{n-k}^{(m)} + (-1)^m (a-1) H_k^{(m)})."""
+    d = lcm_upto(n_hi) if (mu_max and n_hi >= 1) else 1
+    hi, lo = [], []
+    for m, row in enumerate(scaled_harmonics(n_hi, mu_max, d), 1):
+        c = factorial(m - 1)
+        hi.append([c * a * v for v in row])
+        c *= (-1) ** m * (a - 1)
+        lo.append([c * v for v in row])
+    return d, hi, lo
+
+
 def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
     p[mu-1][i] = p_{n_lo+i,mu} (Fraction)."""
@@ -68,14 +83,7 @@ def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
         raise ValueError("require 0 <= n_lo <= n_hi")
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
-    d = lcm_upto(n_hi) if (mu_max and n_hi >= 1) else 1
-    # D^m r_m(k) = hi[m-1][n-k] + lo[m-1][k], both halves once per call
-    hi, lo = [], []
-    for m, row in enumerate(scaled_harmonics(n_hi, mu_max, d), 1):
-        c = factorial(m - 1)
-        hi.append([c * a * v for v in row])
-        c *= (-1) ** m * (a - 1)
-        lo.append([c * v for v in row])
+    d, hi, lo = harmonic_halves(a, n_hi, mu_max)
     dens = [d ** mu for mu in range(1, mu_max + 1)]
     q = []
     p = [[] for _ in range(mu_max)]

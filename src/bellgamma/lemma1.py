@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import kernel
 from .bell import bell_ladder
-from .numerics import binom, factorial, lcm_upto
+from .numerics import binom, factorial
 from .symring import SymPoly, alpha_poly
 
 
@@ -35,16 +35,13 @@ def scaled_row(a: int, n: int):
     Bell ladder per k every nu."""
     mu_max = a - 1
     q, p = kernel.seq_rows(a, n, n, mu_max)
-    d = lcm_upto(n)
-    sh = kernel.scaled_harmonics(n, mu_max, d)
+    d, hi, lo = kernel.harmonic_halves(a, n, mu_max)
     zero = (0,) * mu_max
     unit = [zero[:m] + (1,) + zero[m + 1:] for m in range(mu_max)]
     f = [SymPoly.zero(mu_max)] * a
     for k, w in kernel.weights(a, n):
-        xs = [SymPoly(mu_max, {
-                  unit[m]: _deriv_coeff(a, m + 1),
-                  zero: factorial(m) * (a * sh[m][n - k]
-                                        - (-1) ** m * (a - 1) * sh[m][k])})
+        xs = [SymPoly(mu_max, {unit[m]: _deriv_coeff(a, m + 1),
+                               zero: hi[m][n - k] + lo[m][k]})
               for m in range(mu_max)]
         for nu, y in enumerate(bell_ladder(xs)):
             f[nu] = f[nu] + w * y

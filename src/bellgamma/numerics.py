@@ -4,11 +4,13 @@ Rational arithmetic is carried by fractions.Fraction (aliased Rat).
 High-precision reals use BigFix, a decimal fixed-point value stored as
 an arbitrary-precision integer mantissa with value mantissa * 10**-scale.
 
-gamma_const and zeta_const are independent oracles computed by
-Euler-Maclaurin summation with the remainder bounded by the first
-omitted term, so every requested digit is certified.  Bernoulli numbers
-come from the tangent-number triangle, which keeps the hot loop in pure
-integer arithmetic.
+gamma_const and zeta_const are independent oracles, each one integer
+loop at digits + _GUARD working digits: Brent and McMillan's series for
+gamma and P. Borwein's alternating sum for zeta(m).  Their truncation
+and rounding bounds (in the docstrings of _gamma_mantissa and
+_zeta_mantissa) lie far below the guard digits, so each value is
+correctly rounded unless it lies within about 10^-9 of its last unit
+from a rounding tie.
 """
 
 from __future__ import annotations
@@ -62,55 +64,6 @@ def poch(x, m: int):
     for i in range(m):
         r *= x + i
     return r
-
-
-# ---------------------------------------------------------------------------
-# Bernoulli numbers via tangent numbers
-# ---------------------------------------------------------------------------
-
-# T_1, T_2, ...; extended on demand.  T_k relates to B_{2k} by
-# B_{2k} = (-1)^(k+1) * 2k * T_k / (4^k (4^k - 1)).
-_tangent: list[int] = []
-# Column K = len(_tangent) of the triangle after passes 1..K, the only
-# state a new column needs.
-_tangent_edge: list[int] = []
-
-
-def _extend_tangent(kmax: int) -> None:
-    """Grow _tangent to T_1..T_kmax, one new column at a time.
-
-    Column j after pass k is V(k, j) = (j-k) V(k, j-1) + (j-k+2) V(k-1, j),
-    with V(1, j) = (j-1)! and T_j = V(j, j); so column j needs only column
-    j-1, and the columns already built are never revisited.
-    """
-    global _tangent_edge
-    for j in range(len(_tangent) + 1, kmax + 1):
-        v = (j - 1) * _tangent_edge[0] if j > 1 else 1
-        col = [v]
-        for k in range(2, j):
-            v = (j - k) * _tangent_edge[k - 1] + (j - k + 2) * v
-            col.append(v)
-        if j > 1:
-            v *= 2  # V(j, j): the V(j, j-1) term has weight 0
-            col.append(v)
-        _tangent.append(v)
-        _tangent_edge = col
-
-
-def bernoulli_number(n: int) -> Fraction:
-    """The Bernoulli number B_n (B_1 = -1/2 convention)."""
-    if n < 0:
-        raise ValueError("bernoulli_number requires n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    k = n // 2
-    _extend_tangent(k)
-    four_k = 1 << (2 * k)
-    return Fraction((-1) ** (k + 1) * n * _tangent[k - 1], four_k * (four_k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -349,64 +302,14 @@ class BigFix:
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin oracles
+# gamma and zeta(m) oracles
 # ---------------------------------------------------------------------------
 
 _MAX_DIGITS = 10000
 _GUARD = 15
-# Candidate cutoffs N = 2^j.  The head sum rounds once per 16 terms, so
-# its error stays below 2^16 units at scale 10^-(digits + _GUARD).
-_J_RANGE = range(4, 21)
-
-
-def _em_parameters(log10_term, target: int, m: int,
-                   what: str) -> tuple[int, int]:
-    """Cutoff N = 2^j and tail length K of an Euler-Maclaurin sum whose
-    head terms are k^-m (m = 1 for gamma).
-
-    log10_term(k, n) bounds log10 |term k| of the tail for cutoff n; the
-    first k <= N/4 below 10**-target is the first omitted term, so
-    K = k - 1.  Among the j in _J_RANGE the one with the least estimated
-    cost N (m + 1) (target + 330) + 8 K^3 wins: a head term costs a share
-    of a division at the working precision that grows with m, and the
-    tangent-number triangle behind the tail grows like K^3.  The cost
-    falls and then rises with j, so the scan stops at the first rise.
-    """
-    head_cost = (m + 1) * (target + 330)
-    best = None
-    for j in _J_RANGE:
-        n = 1 << j
-        kk = next((k - 1 for k in range(1, (n >> 2) + 1)
-                   if log10_term(k, n) < -target), None)
-        if kk is None:
-            continue
-        cost = n * head_cost + 8 * kk ** 3
-        if best is not None and cost >= best[0]:
-            break
-        best = (cost, j, kk)
-    if best is None:
-        raise PrecisionError("no Euler-Maclaurin parameters for %s at %d "
-                             "digits" % (what, target))
-    return best[1], best[2]
-
-
-def _em_parameters_gamma(target: int) -> tuple[int, int]:
-    """Cutoff exponent j and tail length K for H_N - ln N, from the bound
-    |B_{2k}| <= 3.3 (2k)! / (2 pi)^{2k} on the first omitted term."""
-    def log10_term(k, n):
-        return (math.log10(3.3) + math.lgamma(2 * k + 1) / LN10
-                - math.log10(2 * k) - 2 * k * math.log10(2 * math.pi * n))
-    return _em_parameters(log10_term, target, 1, "gamma")
-
-
-def _em_parameters_zeta(m: int, target: int) -> tuple[int, int]:
-    """Cutoff exponent h and tail length J for zeta(m), by the same bound."""
-    lgm = math.lgamma(m)
-
-    def log10_term(j, n):
-        return (math.log10(3.3) + (math.lgamma(m + 2 * j - 1) - lgm) / LN10
-                - 2 * j * math.log10(2 * math.pi) - (m + 2 * j - 1) * math.log10(n))
-    return _em_parameters(log10_term, target, m, "zeta(%d)" % m)
+# alpha with alpha (ln alpha - 1) = 1, rounded up: past k = alpha N the
+# Brent-McMillan terms (N^k/k!)^2 fall below e^{-2N}.
+_BM_ALPHA = 3.5912
 
 
 def _check_digits(name: str, digits: int) -> None:
@@ -451,74 +354,99 @@ def _oracle(cache: dict, key, digits: int, compute) -> BigFix:
     return BigFix(mant, digits)
 
 
-def _head_sum(one: int, n: int, m: int) -> int:
-    """sum_{k=1..n} one / k^m in blocks of 16 terms: each block is summed
-    exactly over its common denominator and rounded once.  One division
-    by a few-limb integer costs far less than 16 by one-limb ones."""
-    acc = 0
-    for k0 in range(1, n + 1, 16):
-        p, q = 0, 1
-        for k in range(k0, min(k0 + 16, n + 1)):
-            km = k ** m
-            p = p * km + q
-            q *= km
-        acc += _div_nearest(one * p, q)
-    return acc
-
-
 def _gamma_mantissa(digits: int) -> int:
+    """gamma * 10**digits, rounded: algorithm B1 of R. P. Brent and
+    E. M. McMillan, "Some new algorithms for high-precision computation
+    of Euler's constant", Math. Comp. 34 (1980).
+
+    With B_k = (N^k/k!)^2 and A_k = B_k (H_k - ln N), U = sum A_k and
+    V = sum B_k = I_0(2N), gamma = U/V - K_0(2N)/I_0(2N).  N = 2^j is
+    the least power of two with 4N >= w ln 10 + 2 at w = digits + _GUARD,
+    so ln N = j ln 2.  The sums run over k = 0..ceil(alpha N).
+
+    Truncation: 0 < U/V - gamma = K_0(2N)/I_0(2N) < pi e^{-4N}
+    <= 0.43 10^-w, and by Stirling the terms past alpha N add about
+    e^{-4N} V, below 10^-w V.
+    Rounding, in units of 10^-w: each step floors B_k and A_k, one unit
+    each (A_k < 0 included), and an earlier unit grows by N^2/k^2 as the
+    terms do, so relative to V >= 10^w these floors move U/V by O(ln N)
+    units (under 10 up to 3000 digits).  ln N = j ln 2 errs by j times
+    the error of _ln2_fix(w), whose atanh(1/3) series floors about
+    1.05 w terms, so by less than 2j (1.05 w + 1) units, 3 10^5 at 10000
+    digits.  The quotient is rounded at scale 10^-w and then by
+    10^_GUARD, so only a value within about 10^-9 of a half unit of the
+    last digit could round the other way.
+    """
     w = digits + _GUARD
-    j, kk = _em_parameters_gamma(digits + 10)
-    n = 1 << j
-    one = 10 ** w
-    acc = _head_sum(one, n, 1) - j * _ln2_fix(w) - _div_nearest(one, 2 * n)
-    _extend_tangent(kk)
-    # B_{2k} / (2k N^{2k}) = (-1)^(k+1) T_k / ((4^k - 1) 2^{2k(j+1)})
-    for k in range(1, kk + 1):
-        t = _tangent[k - 1] * one
-        acc += _div_nearest(t if k & 1 else -t,
-                            ((1 << 2 * k) - 1) << (2 * k * (j + 1)))
-    return _div_nearest(acc, 10 ** _GUARD)
+    n, j = 1, 0
+    while 4 * n < w * LN10 + 2:
+        n, j = 2 * n, j + 1
+    b = 10 ** w
+    a = -j * _ln2_fix(w)
+    u, v = a, b
+    for k in range(1, math.ceil(_BM_ALPHA * n) + 1):
+        # B_k = B_{k-1} N^2/k^2, A_k = (A_{k-1} N^2/k + B_k)/k; N^2 = 4^j
+        b = (b << 2 * j) // (k * k)
+        a = ((a << 2 * j) // k + b) // k
+        u += a
+        v += b
+    return _div_nearest(_div_nearest(u * 10 ** w, v), 10 ** _GUARD)
 
 
 def gamma_const(digits: int) -> BigFix:
-    """Euler's constant, correct to `digits` decimal digits.
-
-    H_N = ln N + gamma + 1/(2N) - sum_{k>=1} B_{2k}/(2k N^{2k}) with the
-    truncation error bounded by the first omitted term; N is a power of
-    two so ln N needs only ln 2.
-    """
+    """Euler's constant, correct to `digits` decimal digits, by the
+    Brent-McMillan sum (_gamma_mantissa, which states its bounds)."""
     _check_digits("gamma_const", digits)
     return _oracle(_GAMMA_CACHE, "gamma", digits, _gamma_mantissa)
 
 
 def _zeta_mantissa(m: int, digits: int) -> int:
+    """zeta(m) * 10**digits, rounded: Algorithm 2 of P. Borwein, "An
+    efficient algorithm for the Riemann zeta function", CMS Conf. Proc.
+    27 (2000).
+
+    With d_k = n sum_{i<=k} (n+i-1)! 4^i / ((n-i)! (2i)!), integers with
+    d_n = T_n(3) >= (3+sqrt 8)^n / 2,
+    zeta(m) = sum_{k<n} (-1)^k (d_n - d_k) / (k+1)^m
+              / (d_n (1 - 2^{1-m})) + gamma_n(m).
+    The term ratio t_i / t_{i-1} = 4 (n+i-1)(n-i+1) / ((2i-1) 2i) makes
+    each division exact.  d_n is taken in a first pass over the t_i and
+    the sum in a second, so no list of d_k is kept.
+
+    Truncation: |gamma_n(m)| <= 2 / ((3+sqrt 8)^n Gamma(m) (1 - 2^{1-m}))
+    <= 4 (3+sqrt 8)^-n, below 0.07 10^-w for
+    n = ceil((w+1) ln 10 / ln(3+sqrt 8)) + 1 at w = digits + _GUARD.
+    Rounding: each of the n floors (d_n - d_k) // (k+1)^m costs less
+    than 1/d_n, so with the factor 2^{m-1}/(2^{m-1}-1) <= 2 all of them
+    move the sum by less than 4n (3+sqrt 8)^-n < 0.07 n 10^-w.  The
+    quotient is rounded at scale 10^-w and then by 10^_GUARD, so only a
+    value within about 10^-12 of a half unit of the last digit could
+    round the other way.
+    """
     w = digits + _GUARD
-    h, jj = _em_parameters_zeta(m, digits + 10)
-    n = 1 << h
-    one = 10 ** w
-    acc = _head_sum(one, n, m)
-    acc += _div_nearest(one, (m - 1) * n ** (m - 1))
-    acc -= _div_nearest(one, 2 * n ** m)
-    _extend_tangent(jj)
-    # B_{2j}/(2j)! (m)_{2j-1} N^{1-m-2j}
-    #   = (-1)^(j+1) T_j C(m+2j-2, m-1) / ((4^j - 1) 2^{2j + h(m+2j-1)})
-    c = m  # C(m+2j-2, m-1)
-    for j in range(1, jj + 1):
-        t = _tangent[j - 1] * c * one
-        acc += _div_nearest(t if j & 1 else -t,
-                            ((1 << 2 * j) - 1) << (2 * j + h * (m + 2 * j - 1)))
-        c = c * (m + 2 * j - 1) * (m + 2 * j) // (2 * j * (2 * j + 1))
-    return _div_nearest(acc, 10 ** _GUARD)
+    n = math.ceil((w + 1) * LN10 / math.log(3 + math.sqrt(8))) + 1
+
+    def terms():  # t_0..t_n, with d_k = t_0 + ... + t_k
+        t = 1
+        yield t
+        for i in range(1, n + 1):
+            t = t * (4 * (n + i - 1) * (n - i + 1)) // ((2 * i - 1) * 2 * i)
+            yield t
+
+    dn = sum(terms())
+    s = dk = 0
+    for k, t in zip(range(n), terms()):
+        dk += t
+        q = (dn - dk) // (k + 1) ** m
+        s += -q if k & 1 else q
+    c = 1 << (m - 1)
+    return _div_nearest(_div_nearest(s * c * 10 ** w, dn * (c - 1)),
+                        10 ** _GUARD)
 
 
 def zeta_const(m: int, digits: int) -> BigFix:
-    """zeta(m) for integer m >= 2, correct to `digits` decimal digits.
-
-    zeta(m) = sum_{k<=N} k^-m + N^{1-m}/(m-1) - N^-m/2
-              + sum_{j>=1} B_{2j}/(2j)! (m)_{2j-1} N^{-m-2j+1},
-    truncation error bounded by the first omitted term (m real > 1).
-    """
+    """zeta(m) for integer m >= 2, correct to `digits` decimal digits, by
+    Borwein's alternating sum (_zeta_mantissa, which states its bounds)."""
     if m < 2:
         raise ValueError("zeta_const requires m >= 2")
     _check_digits("zeta_const", digits)

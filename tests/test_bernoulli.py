@@ -11,10 +11,11 @@ from bellgamma.bernoulli import (
     PolyQ,
     _core_power,
     bernoulli_at,
+    bernoulli_number,
     csc_power_coeffs,
     gen_bernoulli,
 )
-from bellgamma.numerics import bernoulli_number, binom
+from bellgamma.numerics import binom
 from bellgamma.powerseries import SeriesQ, ps_mul, ps_pow, ps_recip
 
 

@@ -79,6 +79,19 @@ def test_scaled_harmonics():
             assert sh[m - 1][i] == want
 
 
+def test_harmonic_halves_give_scaled_r():
+    from bellgamma.oracles import r_val
+
+    for a, n_hi, mu_max in ((2, 0, 1), (3, 9, 2), (8, 7, 7)):
+        d, hi, lo = kernel.harmonic_halves(a, n_hi, mu_max)
+        assert d == lcm_upto(n_hi)
+        for n in range(n_hi + 1):
+            for k in range(n + 1):
+                for m in range(1, mu_max + 1):
+                    assert (hi[m - 1][n - k] + lo[m - 1][k]
+                            == d ** m * r_val(a, n, k, m))
+
+
 def test_weights():
     for a, n in ((2, 0), (3, 7), (5, 12)):
         assert list(kernel.weights(a, n)) == [

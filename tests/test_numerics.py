@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from bellgamma import numerics
+from bellgamma.bernoulli import bernoulli_number
 from bellgamma.numerics import (
     BigFix,
     PrecisionError,
-    bernoulli_number,
     binom,
     factorial,
     gamma_const,
@@ -109,47 +109,9 @@ def test_bernoulli_numbers():
 
 def test_bernoulli_sum_identity():
     # sum_{k<n} C(n,k) B_k = 0 for n >= 2.
-    for n in range(2, 24):
-        assert sum(binom(n, k) * bernoulli_number(k) for k in range(n)) == 0
-
-
-def tangent_triangle(kmax):
-    """Reference: T_1..T_kmax from one fresh in-place triangle build."""
-    t = [0] * (kmax + 1)
-    t[1] = 1
-    for k in range(2, kmax + 1):
-        t[k] = (k - 1) * t[k - 1]
-    for k in range(2, kmax + 1):
-        for j in range(k, kmax + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t[1:]
-
-
-@pytest.fixture
-def empty_tangent(monkeypatch):
-    monkeypatch.setattr(numerics, "_tangent", [])
-    monkeypatch.setattr(numerics, "_tangent_edge", [])
-
-
-@pytest.mark.parametrize("steps", [(1, 2, 3), (30, 75), (75,), (12, 5, 40)])
-def test_tangent_triangle_grows(steps, empty_tangent):
-    for k in steps:
-        numerics._extend_tangent(k)
-    assert numerics._tangent == tangent_triangle(max(steps))
-
-
-def test_tangent_extension_keeps_old_columns(empty_tangent):
-    numerics._extend_tangent(30)
-    numerics._tangent[0] = -1  # marker: a rebuild would overwrite it
-    numerics._extend_tangent(75)
-    fresh = tangent_triangle(75)
-    assert numerics._tangent[0] == -1
-    assert numerics._tangent[1:] == fresh[1:]
-    numerics._tangent[0] = 1
-    # B_n for 2k <= 150 through the grown triangle: sum_{k<n} C(n,k) B_k = 0
     bs = [bernoulli_number(n) for n in range(151)]
-    assert all(sum(binom(n, k) * bs[k] for k in range(n)) == 0
-               for n in range(2, 151))
+    for n in range(2, 151):
+        assert sum(binom(n, k) * bs[k] for k in range(n)) == 0
 
 
 def test_bigfix_roundtrip_and_arithmetic():
@@ -306,59 +268,8 @@ def test_precision_bounds():
 
 
 # ---------------------------------------------------------------------------
-# Euler-Maclaurin planning and the one-mantissa caches
+# the one-mantissa caches
 # ---------------------------------------------------------------------------
-
-def _log10_gamma_term(k, n):
-    return (math.log10(3.3) + math.lgamma(2 * k + 1) / math.log(10)
-            - math.log10(2 * k) - 2 * k * math.log10(2 * math.pi * n))
-
-
-def _log10_zeta_term(m):
-    def term(j, n):
-        return (math.log10(3.3) + (math.lgamma(m + 2 * j - 1) - math.lgamma(m))
-                / math.log(10) - 2 * j * math.log10(2 * math.pi)
-                - (m + 2 * j - 1) * math.log10(n))
-    return term
-
-
-def _tail_length(term, target, n):
-    """Terms before the first one below 10**-target, among k <= n/4."""
-    return next((k - 1 for k in range(1, n // 4 + 1)
-                 if term(k, n) < -target), None)
-
-
-@pytest.mark.parametrize("target", [20, 80, 310, 1010, 2010, 7010])
-def test_em_parameters_least_cost(target):
-    # The plan meets the target with the shortest tail for its N, and no
-    # neighbouring N has a lower estimated cost N (m+1) (target+330) + 8 K^3.
-    plans = [(numerics._em_parameters_gamma(target), _log10_gamma_term, 1)]
-    plans += [(numerics._em_parameters_zeta(m, target), _log10_zeta_term(m), m)
-              for m in (2, 3, 7, 20)]
-    for (j, kk), term, m in plans:
-        def cost(j, kk):
-            return (1 << j) * (m + 1) * (target + 330) + 8 * kk ** 3
-        assert kk == _tail_length(term, target, 1 << j)
-        for nj in (j - 1, j + 1):
-            k2 = _tail_length(term, target, 1 << nj)
-            assert k2 is None or cost(j, kk) <= cost(nj, k2)
-
-
-def test_em_parameters_right_sized():
-    # Cost-regression guard: 70 digits need no 2^13-term head sum, and
-    # 7000 digits are not held to a short one.
-    assert numerics._em_parameters_gamma(80)[0] <= 9
-    assert numerics._em_parameters_zeta(3, 80)[0] <= 9
-    assert numerics._em_parameters_gamma(7010)[0] >= 15
-    assert numerics._em_parameters_zeta(3, 7010)[0] >= 15
-
-
-def test_em_parameters_cover_10000_digits():
-    # Planning only: the 10000-digit sums themselves take seconds.
-    assert numerics._em_parameters_gamma(10010)[0] <= 20
-    for m in range(2, 21):
-        assert numerics._em_parameters_zeta(m, 10010)[0] <= 20
-
 
 @pytest.fixture
 def empty_caches(monkeypatch):
@@ -444,6 +355,22 @@ def test_constants_match_mpmath(empty_caches):
         mpmath.mp.dps = digits + 20
         refs = [(gamma_const(digits), mpmath.euler)]
         refs += [(zeta_const(m, digits), mpmath.zeta(m)) for m in (2, 3, 5)]
+        if digits == 1000:
+            refs += [(zeta_const(m, digits), mpmath.zeta(m)) for m in (7, 20)]
         for val, ref in refs:
             want = int(mpmath.nint(ref * mpmath.mpf(10) ** digits))
             assert val.mantissa == want
+
+
+def test_mantissas_match_mpmath_at_every_small_precision():
+    # Both series and their step counts change with the precision, so
+    # every digit count up to 60 is checked, for gamma and zeta(2..20).
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 90
+    refs = [(numerics._gamma_mantissa, mpmath.euler)]
+    refs += [(lambda d, m=m: numerics._zeta_mantissa(m, d), mpmath.zeta(m))
+             for m in range(2, 21)]
+    for digits in range(1, 61):
+        scale = mpmath.mpf(10) ** digits
+        for mantissa, ref in refs:
+            assert mantissa(digits) == int(mpmath.nint(ref * scale))
