@@ -37,8 +37,7 @@ _MODULES = {
     "sequences": (
         "ApproxRecord", "convergence_row", "integrality_check", "p_at",
         "p_seq", "q_at", "q_seq", "records_to_csv"),
-    "symring": ("SymPoly", "alpha_mu", "alpha_poly", "lambda_coeff",
-                "sp_eval"),
+    "symring": ("SymPoly", "alpha_mu", "alpha_poly", "lambda_coeff"),
     "tail": ("tail_series",),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()

@@ -11,10 +11,10 @@ with the partition-sum formula kept as an independent oracle:
     Y_n = sum over partitions (k_1..k_n), sum j*k_j = n, of
           n!/(k_1!...k_n!) * prod (x_j / j!)^{k_j}.
 
-The ladder is the one production route, shared by the kernel (on ints,
-once per summand), the lemma-1 check (on SymPoly) and alpha_mu; it reads
-each binomial row C(j-1, .) from a small cache and skips the factor
-C(j-1, 0) = 1.
+The ladder is the one production route, called once per kernel row (on
+Columns of ints over k), per lemma-1 row (on SymPoly over Columns) and
+per alpha_mu (on BigFix); it reads each binomial row C(j-1, .) from a
+small cache and skips the factor C(j-1, 0) = 1.
 """
 
 from __future__ import annotations

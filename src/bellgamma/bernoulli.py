@@ -3,11 +3,11 @@
 B_n^{(m)}(x) is n! times the z^n coefficient of (z/(e^z - 1))^m e^{xz};
 the coefficients of (z/(e^z - 1))^m come from Miller's power recurrence,
 cached per m, and the classical recursion and addition formulas are kept
-as test oracles rather than used for construction.  Each B_n^{(m)} is
-built once per process (a bounded cache shared by every caller, so a
-PolyQ is never mutated), and PolyQ keeps integer coefficients as ints:
-the recurrence polynomials of module recurrences have no Fraction in
-them.  Only the second csc-power route loads module powerseries.
+as test oracles rather than used for construction.  gen_bernoulli
+builds each B_n^{(m)} once per process (a bounded cache shared by every
+caller, so a PolyQ is never mutated); bernoulli_at evaluates it from
+the coefficients without building it.  PolyQ keeps integer coefficients
+as ints.  Only the second csc-power route loads module powerseries.
 """
 
 from __future__ import annotations
@@ -198,8 +198,8 @@ def gen_bernoulli(n: int, m: int) -> PolyQ:
 
 @functools.lru_cache(maxsize=256)
 def _gen_bernoulli(n: int, m: int) -> PolyQ:
-    """gen_bernoulli without its checks: the verify suite asks for 178
-    distinct (n, m) 660 times.  Coefficients that are integers are
+    """gen_bernoulli without its checks: the verify suite asks for 81
+    distinct (n, m) 262 times.  Coefficients that are integers are
     stored as ints."""
     core = _core_power(m, n)
     nfac = factorial(n)
@@ -242,8 +242,22 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_at(n: int, m: int, x) -> Fraction:
-    """Exact evaluation of B_n^{(m)} at a rational point."""
-    return gen_bernoulli(n, m)(Fraction(x))
+    """Exact B_n^{(m)}(x) at a rational x = u/v, without building the
+    polynomial: n! sum_k c_k x^{n-k}/(n-k)! with the c_k of _core_power,
+    one integer Horner pass over their common denominator D and v^n."""
+    if not (0 <= n <= _N_LIMIT and 1 <= m <= _M_LIMIT):
+        raise ValueError("bernoulli_at requires 0 <= n <= %d, 1 <= m <= %d"
+                         % (_N_LIMIT, _M_LIMIT))
+    x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    cs = _core_power(m, n)
+    d = lcm(*(c.denominator for c in cs))
+    acc, vk, f = 0, 1, 1  # f = n!/i! at x^i, i from n down
+    for i, c in zip(range(n, -1, -1), cs):
+        acc = acc * u + c.numerator * (d // c.denominator) * f * vk
+        vk *= v
+        f *= i
+    return Fraction(acc, d * v ** n)
 
 
 def csc_power_coeffs(m: int, nmax: int) -> list[Fraction]:
@@ -261,18 +275,19 @@ def csc_power_coeffs(m: int, nmax: int) -> list[Fraction]:
     bern = [Fraction((-1) ** n * 4 ** n)
             * bernoulli_at(2 * n, m, half_m) / factorial(2 * n)
             for n in range(nmax + 1)]
-    direct = _csc_power_series(m, nmax)
-    if bern != direct:
+    # imported here: make_paper_recurrences needs PolyQ alone
+    from .powerseries import ps_pow
+
+    if bern != list(ps_pow(_csc_series(nmax), m).coeffs):
         raise ArithmeticError("csc power series routes disagree")
     return bern
 
 
-def _csc_power_series(m: int, nmax: int) -> list[Fraction]:
-    """(z/sin z)^m coefficients by series inversion, in w = z^2."""
-    # imported here: make_paper_recurrences needs PolyQ alone
-    from .powerseries import SeriesQ, ps_pow, ps_recip
+@functools.lru_cache(maxsize=4)
+def _csc_series(nmax: int):
+    """z/sin z by series inversion, to order nmax in w = z^2: the
+    inverse of sin z / z = sum (-1)^j w^j / (2j+1)!, shared by every m."""
+    from .powerseries import SeriesQ, ps_recip
 
-    # sin z / z = sum (-1)^j z^{2j} / (2j+1)!  ->  series in w
-    sinc = SeriesQ([Fraction((-1) ** j, factorial(2 * j + 1))
-                    for j in range(nmax + 1)], nmax)
-    return list(ps_pow(ps_recip(sinc), m).coeffs)
+    return ps_recip(SeriesQ([Fraction((-1) ** j, factorial(2 * j + 1))
+                             for j in range(nmax + 1)], nmax))

@@ -6,18 +6,21 @@ table.  The weights w_k = C(n,k)^a k! advance by the exact ratio
 (n-k+1)^a / k^{a-1}, so no power of a large binomial is ever formed, and
 a q-only table is a plain sum of them.  The harmonic numbers
 H_k^{(m)} are scaled by D^m, with D = lcm(1..n_hi) divisible by every
-integer up to the last row, which keeps the whole inner loop in integer
+integer up to the last row, which keeps the whole row in integer
 arithmetic: the two halves of D^m r_m(k), one in H_{n-k} and one in H_k,
 are tabulated once per call, and the Bell polynomial Y_mu is isobaric of
 weight mu, so feeding it r_m * D^m yields exactly D^mu * Y_mu(r_1..r_mu).
-This is also a constructive proof of the integrality statement
-D_n^mu p_{n,mu} in Z.
+A row is one Bell ladder over Columns, the arguments' values over k =
+0..n, whose results the weights sum.  This is also a constructive proof
+of the integrality statement D_n^mu p_{n,mu} in Z.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import factorial
+from operator import add, mul
 
 from .bell import bell_ladder
 from .numerics import lcm_upto
@@ -26,6 +29,28 @@ from .numerics import lcm_upto
 def backend_name() -> str:
     """Name of the kernel implementation; always "pure"."""
     return "pure"
+
+
+class Column(tuple):
+    """Ints over k as one Bell-ladder argument: elementwise + and *, int
+    scalars on either side, ** 0 a column of ones.  A tuple, so that
+    `c += x` (as in SymPoly's ring operations) never extends it in place."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return Column(map(add, self, repeat(other) if type(other) is int
+                          else other))
+
+    def __mul__(self, other):
+        return Column(map(mul, self, repeat(other) if type(other) is int
+                          else other))
+
+    def __pow__(self, k: int):
+        return Column(map(pow, self, repeat(k)))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
 
 
 def weights(a: int, n: int):
@@ -74,9 +99,14 @@ def harmonic_halves(a: int, n_hi: int, mu_max: int):
     return d, hi, lo
 
 
+def r_columns(hi, lo, n: int) -> list:
+    """Row n's Columns [D^m r_m(k), k = 0..n], m = 1.., from the halves."""
+    return [Column(map(add, h[n::-1], g[:n + 1])) for h, g in zip(hi, lo)]
+
+
 def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
-    p[mu-1][i] = p_{n_lo+i,mu} (Fraction)."""
+    p[mu-1][i] = p_{n_lo+i,mu} (Fraction): one Bell ladder per row."""
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 <= n_lo <= n_hi:
@@ -84,21 +114,16 @@ def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
     d, hi, lo = harmonic_halves(a, n_hi, mu_max)
-    dens = [d ** mu for mu in range(1, mu_max + 1)]
     q = []
     p = [[] for _ in range(mu_max)]
     for n in range(n_lo, n_hi + 1):
-        qn = 0
-        acc = [0] * mu_max
-        for k, w in weights(a, n):
-            qn += w
-            if mu_max:
-                ys = bell_ladder([h[n - k] + g[k] for h, g in zip(hi, lo)])
-                for mu in range(mu_max):
-                    acc[mu] += w * ys[mu + 1]
-        q.append(qn)
-        for mu in range(mu_max):
-            p[mu].append(Fraction(acc[mu], dens[mu]))
+        ws = [w for _, w in weights(a, n)]
+        q.append(sum(ws))
+        if mu_max:
+            ys = bell_ladder(r_columns(hi, lo, n))
+            for mu in range(mu_max):
+                p[mu].append(Fraction(sum(map(mul, ws, ys[mu + 1])),
+                                      d ** (mu + 1)))
     return q, p
 
 

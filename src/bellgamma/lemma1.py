@@ -4,17 +4,18 @@ checked on integer coefficients over Z[G, Z_2, ..., Z_M].
 With D = lcm(1..n), G = D g and Z_m = D^m z_m, the m-th derivative of
 the summand exponent scales to D^m f^{(m)}(k) = c_m Z_m + D^m r_m(k),
 which has integer coefficients.  Y_nu is isobaric of weight nu, so one
-Bell ladder on these values gives D^nu Y_nu(f'(k), ..., f^{(nu)}(k)) for
-every nu at once, and the alpha_mu, whose coefficients are integers,
-read the same in G, Z_m as in g, z_m up to the factor D^mu.  Only
-`verify --suite lemma1` and library callers import this module; its
-Fraction-valued oracle F_sym lives in module oracles.
+Bell ladder on these values, D^m r_m(k) a kernel Column over k, gives
+D^nu Y_nu(f'(k), ..., f^{(nu)}(k)) for every k and nu at once, and the
+alpha_mu, with integer coefficients, read the same in G, Z_m as in g,
+z_m up to the factor D^mu.  Only `verify --suite lemma1` and library
+callers import this module; its Fraction oracle F_sym is in oracles.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
 
 from . import kernel
 from .bell import bell_ladder
@@ -32,19 +33,19 @@ def _deriv_coeff(a: int, m: int) -> int:
 def scaled_row(a: int, n: int):
     """(D, q_n, [D^mu p_{n,mu}], [D^nu F_{n,nu}]) for mu, nu up to a-1,
     with F over Z[G, Z_2..]: one kernel row serves every mu, and one
-    Bell ladder per k every nu."""
+    Bell ladder over c_m Z_m + (Column of D^m r_m(k)) every nu."""
     mu_max = a - 1
     q, p = kernel.seq_rows(a, n, n, mu_max)
     d, hi, lo = kernel.harmonic_halves(a, n, mu_max)
+    ws = [w for _, w in kernel.weights(a, n)]
     zero = (0,) * mu_max
-    unit = [zero[:m] + (1,) + zero[m + 1:] for m in range(mu_max)]
-    f = [SymPoly.zero(mu_max)] * a
-    for k, w in kernel.weights(a, n):
-        xs = [SymPoly(mu_max, {unit[m]: _deriv_coeff(a, m + 1),
-                               zero: hi[m][n - k] + lo[m][k]})
-              for m in range(mu_max)]
-        for nu, y in enumerate(bell_ladder(xs)):
-            f[nu] = f[nu] + w * y
+    xs = [SymPoly(mu_max, {zero[:m] + (1,) + zero[m + 1:]:
+                           _deriv_coeff(a, m + 1), zero: col}, coerce=False)
+          for m, col in enumerate(kernel.r_columns(hi, lo, n))]
+    f = [SymPoly(mu_max, {e: c * sum(ws) if type(c) is int
+                          else sum(map(mul, ws, c))
+                          for e, c in y.terms.items()})
+         for y in bell_ladder(xs)]
     return d, q[0], [d ** mu * pm[0] for mu, pm in enumerate(p, 1)], f
 
 

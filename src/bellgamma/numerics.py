@@ -194,10 +194,14 @@ class BigFix:
     def __abs__(self) -> "BigFix":
         return BigFix(abs(self.mantissa), self.scale)
 
-    def __mul__(self, other: "BigFix") -> "BigFix":
+    def __mul__(self, other: "BigFix | int") -> "BigFix":
+        if type(other) is int:  # exact: no rounding
+            return BigFix(self.mantissa * other, self.scale)
         self._same(other)
         return BigFix(_div_nearest(self.mantissa * other.mantissa,
                                    10 ** self.scale), self.scale)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other: "BigFix") -> "BigFix":
         self._same(other)
@@ -215,14 +219,12 @@ class BigFix:
         return BigFix(_div_nearest(self.mantissa * fr.numerator,
                                    fr.denominator), self.scale)
 
-    def pow_int(self, k: int) -> "BigFix":
+    def __pow__(self, k: int) -> "BigFix":
         """Integer power k >= 0, computed exactly then rounded once."""
         if k < 0:
-            raise ValueError("pow_int requires k >= 0")
+            raise ValueError("BigFix power requires k >= 0")
         if k == 0:
             return BigFix.from_int(1, self.scale)
-        if k == 1:
-            return self
         return BigFix(_div_nearest(self.mantissa ** k,
                                    10 ** (self.scale * (k - 1))), self.scale)
 
@@ -360,9 +362,10 @@ def _gamma_mantissa(digits: int) -> int:
     of Euler's constant", Math. Comp. 34 (1980).
 
     With B_k = (N^k/k!)^2 and A_k = B_k (H_k - ln N), U = sum A_k and
-    V = sum B_k = I_0(2N), gamma = U/V - K_0(2N)/I_0(2N).  N = 2^j is
-    the least power of two with 4N >= w ln 10 + 2 at w = digits + _GUARD,
-    so ln N = j ln 2.  The sums run over k = 0..ceil(alpha N).
+    V = sum B_k = I_0(2N), gamma = U/V - K_0(2N)/I_0(2N).  N, the least
+    2^j or 3 2^j with 4N >= w ln 10 + 2 at w = digits + _GUARD, overshoots
+    by at most 1.5x; ln N = j ln 2, or (j + 1) ln 2 + 2 atanh(1/5).  The
+    sums run over k = 0..ceil(alpha N).
 
     Truncation: 0 < U/V - gamma = K_0(2N)/I_0(2N) < pi e^{-4N}
     <= 0.43 10^-w, and by Stirling the terms past alpha N add about
@@ -370,24 +373,29 @@ def _gamma_mantissa(digits: int) -> int:
     Rounding, in units of 10^-w: each step floors B_k and A_k, one unit
     each (A_k < 0 included), and an earlier unit grows by N^2/k^2 as the
     terms do, so relative to V >= 10^w these floors move U/V by O(ln N)
-    units (under 10 up to 3000 digits).  ln N = j ln 2 errs by j times
-    the error of _ln2_fix(w), whose atanh(1/3) series floors about
-    1.05 w terms, so by less than 2j (1.05 w + 1) units, 3 10^5 at 10000
-    digits.  The quotient is rounded at scale 10^-w and then by
-    10^_GUARD, so only a value within about 10^-9 of a half unit of the
-    last digit could round the other way.
+    units (under 10 up to 3000 digits).  ln N errs by the floors of its
+    series: each ln 2 by less than 2 (1.05 w + 1) units (_ln2_fix, whose
+    atanh(1/3) series floors about 1.05 w terms) and 2 atanh(1/5) by
+    less than 2 (0.72 w + 1), so ln N by less than 2 (j + 2)(1.05 w + 1),
+    3 10^5 at 10000 digits.  The quotient is rounded at scale 10^-w and
+    then by 10^_GUARD, so only a value within about 10^-9 of a half unit
+    of the last digit could round the other way.
     """
     w = digits + _GUARD
     n, j = 1, 0
     while 4 * n < w * LN10 + 2:
         n, j = 2 * n, j + 1
-    b = 10 ** w
     a = -j * _ln2_fix(w)
+    if 3 * n >= w * LN10 + 2:  # N = 3 2^(j-2) is enough; w >= 16, j >= 4
+        n, j = 3 * n // 4, j - 2
+        a = -(j + 1) * _ln2_fix(w) - 2 * _fix_arctan_recip(5, w, True)
+    b = 10 ** w
     u, v = a, b
+    n2 = n * n
     for k in range(1, math.ceil(_BM_ALPHA * n) + 1):
-        # B_k = B_{k-1} N^2/k^2, A_k = (A_{k-1} N^2/k + B_k)/k; N^2 = 4^j
-        b = (b << 2 * j) // (k * k)
-        a = ((a << 2 * j) // k + b) // k
+        # B_k = B_{k-1} N^2/k^2, A_k = (A_{k-1} N^2/k + B_k)/k
+        b = b * n2 // (k * k)
+        a = (a * n2 // k + b) // k
         u += a
         v += b
     return _div_nearest(_div_nearest(u * 10 ** w, v), 10 ** _GUARD)

@@ -2,14 +2,14 @@
 
 q_n = sum_k C(n,k)^a k! and p_{n,mu} = sum_k C(n,k)^a k! Y_mu(r_1(k),...,
 r_mu(k)) approximate the Bell-polynomial combinations alpha_mu of gamma
-and zeta values from module symring.  This module serves the `approx`
-and `table` commands: single values, prefix tables, the denominator
-bound lcm(1..n)^mu, and the measured error of p/q against alpha_mu.
-Floating point enters only in those measurements, through fixed-point
-BigFix.  The exactly checked identities live in their own modules, so
-that these commands never compile them: lemma 1 in lemma1 (with its
-Fraction oracle F_sym in oracles), the classical recurrences in
-recurrences, and the alternating tail of the integral remainder in tail.
+and zeta values.  This module serves the `approx` and `table` commands:
+single values, prefix tables, the denominator bound lcm(1..n)^mu, and
+the measured error of p/q against alpha_mu, one Bell ladder over the
+BigFix constants.  Floating point enters only in those measurements.
+The exactly checked identities live in their own modules, so that these
+commands never compile them: lemma 1 in lemma1 (with symring and the
+oracle F_sym of oracles), the classical recurrences in recurrences, and
+the alternating tail of the integral remainder in tail.
 
 Costs: every q/p value comes straight from the kernel, and nothing is
 cached between calls.  A single value (q_at, p_at, convergence_row) is
@@ -23,9 +23,9 @@ import math
 from collections import namedtuple
 
 from . import kernel
+from .bell import bell_ladder
 from .numerics import (LN10, BigFix, PrecisionError, Rat, _decimal_str,
-                       gamma_const, lcm_upto, zeta_const)
-from .symring import alpha_poly, sp_eval
+                       factorial, gamma_const, lcm_upto, zeta_const)
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
 
@@ -89,6 +89,16 @@ def auto_digits(predicted: float) -> int:
     return 30 + max(0, math.ceil(-predicted / LN10))
 
 
+def _alpha(a: int, mu: int, scale: int) -> BigFix:
+    """alpha_mu = Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) at `scale`
+    digits, c_m = (m-1)! (a + (-1)^m (a-1)): one Bell ladder over BigFix,
+    each product rounded once (int scalings are exact)."""
+    xs = [gamma_const(scale)] + [
+        factorial(m - 1) * (a + (-1) ** m * (a - 1)) * zeta_const(m, scale)
+        for m in range(2, mu + 1)]
+    return bell_ladder(xs)[mu]
+
+
 def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> ApproxRecord:
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
@@ -103,14 +113,11 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
         digits = auto_digits(predicted)
     _check_mu(a, mu)
     q, p = _row(a, mu, n)
-    ap = alpha_poly(a, mu, mu)
     errs = {}
     # guard 20 first, so that guard 10's constants round from its mantissas
     for guard in (20, 10):
         s = digits + guard
-        alpha = sp_eval(ap, gamma_const(s),
-                        [zeta_const(m, s) for m in range(2, mu + 1)])
-        errs[guard] = abs(alpha - BigFix.from_fraction(p / q, s))
+        errs[guard] = abs(_alpha(a, mu, s) - BigFix.from_fraction(p / q, s))
     logs = []
     for guard in (10, 20):
         if errs[guard].is_zero():

@@ -1,16 +1,16 @@
 """Sparse polynomials over Q in the formal symbols g, z2, ..., zM.
 
-g stands for Euler's constant and z_m for zeta(m); identities between
-the approximation sequences live in this ring, where they can be checked
-exactly.  Exponent keys are tuples (e_g, e_z2, ..., e_zM) of length M;
-M is the largest zeta index in scope (M = 1 means g only).
+g stands for Euler's constant and z_m for zeta(m); lemma 1 alone (module
+lemma1 and its oracles) checks its identity exactly in this ring.
+Exponent keys are tuples (e_g, e_z2, ..., e_zM) of length M; M is the
+largest zeta index in scope (M = 1 means g only).
 
 Coefficients are ints or Fractions: int inputs stay ints, so a
 polynomial over Z (the scaled lemma-1 sums, the alpha_mu) is computed in
-integer arithmetic, and any other input is coerced to Fraction.  Zero
-coefficients are never stored.  The constructor validates its exponent
-keys; the ring operations build their results directly, since keys they
-form from valid keys are valid.
+integer arithmetic, and any other input is coerced to Fraction unless
+the constructor is told not to (lemma 1's Columns).  Zeros are never
+stored.  The constructor validates its exponent keys; the ring
+operations build their results directly from valid keys.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import factorial
 from operator import add
 
 from .bell import bell_ladder
-from .numerics import BigFix, binom
+from .numerics import binom
 
 _new = object.__new__
 
@@ -31,13 +31,16 @@ class SymPoly:
 
     __slots__ = ("m_index", "terms")
 
-    def __init__(self, m_index: int, terms=None):
+    def __init__(self, m_index: int, terms=None, *, coerce: bool = True):
+        """coerce=False keeps non-int coefficients as given, not Fractions:
+        ring elements with +, * and int scalars, as the kernel's Columns
+        over k on which lemma 1 runs one Bell ladder per row."""
         if m_index < 1:
             raise ValueError("m_index must be >= 1")
         self.m_index = m_index
         clean = {}
         for expo, c in (terms or {}).items():
-            if type(c) is not int:
+            if coerce and type(c) is not int:
                 c = Fraction(c)
             if not c:
                 continue
@@ -135,10 +138,7 @@ class SymPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        # in place, as bell_ladder takes ** 0 once per ladder
-        result = _new(SymPoly)
-        result.m_index = self.m_index
-        result.terms = {(0,) * self.m_index: 1}
+        result = SymPoly.one(self.m_index)
         for _ in range(k):
             result = result * self
         return result
@@ -250,39 +250,3 @@ def lambda_coeff(a: int, mu: int, nu: int) -> SymPoly:
     if not 1 <= mu <= a - 1:
         raise ValueError("lambda_coeff requires 1 <= mu <= a-1")
     return binom(mu, nu) * alpha_poly(a, mu - nu)
-
-
-def sp_eval(p: SymPoly, gamma_val: BigFix, zeta_vals) -> BigFix:
-    """Substitute numeric values; zeta_vals supplies z2..zM in order.
-
-    Coefficients stay exact; each monomial is rounded once per factor at
-    the working scale.
-    """
-    vals = [gamma_val] + list(zeta_vals)
-    if len(vals) != p.m_index:
-        raise ValueError("expected %d symbol values, got %d"
-                         % (p.m_index, len(vals)))
-    scale = gamma_val.scale
-    for v in vals:
-        if v.scale != scale:
-            raise ValueError("mixed scales in sp_eval")
-    # power tables, computed once per symbol
-    max_e = [0] * p.m_index
-    for e in p.terms:
-        for i, ei in enumerate(e):
-            max_e[i] = max(max_e[i], ei)
-    pows = []
-    for v, me in zip(vals, max_e):
-        row = [BigFix.from_int(1, scale)]
-        for _ in range(me):
-            row.append(row[-1] * v)
-        pows.append(row)
-    acc = BigFix.from_int(0, scale)
-    # deterministic order for reproducible rounding
-    for e in sorted(p.terms):
-        term = BigFix.from_int(1, scale)
-        for i, ei in enumerate(e):
-            if ei:
-                term = term * pows[i][ei]
-        acc = acc + term.mul_rat(p.terms[e])
-    return acc

@@ -53,6 +53,54 @@ def test_seq_tables_match_fraction_oracle():
             assert all((v * d ** mu).denominator == 1 for v in p[mu - 1])
 
 
+def test_rows_match_fraction_oracle_for_every_mu():
+    # every a the CLI accepts and every mu = 0..a-1, as single rows and
+    # as a range that starts past 0
+    for a in range(2, 9):
+        oq, op = oracle_tables(a, 13, a - 1)
+        for mu_max in range(a):
+            for n_lo, n_hi in ((0, 0), (1, 1), (13, 13), (5, 13)):
+                q, p = kernel.seq_rows(a, n_lo, n_hi, mu_max)
+                assert q == oq[n_lo:n_hi + 1]
+                assert p == [row[n_lo:n_hi + 1] for row in op[:mu_max]]
+
+
+def test_one_bell_ladder_per_row(monkeypatch):
+    from bellgamma import lemma1
+
+    calls = {"kernel": 0, "lemma1": 0}
+
+    def counting(module):
+        def ladder(xs):
+            calls[module] += 1
+            return bell_ladder(xs)
+        return ladder
+
+    for module in (kernel, lemma1):
+        monkeypatch.setattr(module, "bell_ladder",
+                            counting(module.__name__.split(".")[-1]))
+    for a, n_max, mu_max in ((2, 9, 1), (4, 6, 3), (8, 3, 7), (3, 5, 0)):
+        calls.update(kernel=0, lemma1=0)
+        kernel.seq_tables(a, n_max, mu_max)
+        assert calls == {"kernel": (n_max + 1) if mu_max else 0, "lemma1": 0}
+    for a, n in ((2, 0), (3, 7), (8, 4)):
+        calls.update(kernel=0, lemma1=0)
+        lemma1.scaled_row.__wrapped__(a, n)
+        assert calls == {"kernel": 1, "lemma1": 1}
+
+
+def test_column_ring_operations():
+    c = kernel.Column([3, -1, 4])
+    d = kernel.Column([2, 5, 0])
+    assert c + d == (5, 4, 4) and c * d == (6, -5, 0)
+    assert c + 0 == 0 + c == c and type(0 + c) is kernel.Column
+    assert 2 * c == c * 2 == (6, -2, 8)
+    assert c ** 0 == (1, 1, 1) and type(c ** 0) is kernel.Column
+    total = c
+    total += d  # a tuple: a new Column, c itself unchanged
+    assert total == (5, 4, 4) and c == (3, -1, 4)
+
+
 def test_row_range_matches_full_table():
     for a, n_max, mu_max in ((2, 14, 1), (3, 12, 2), (5, 9, 4)):
         q, p = kernel.seq_tables(a, n_max, mu_max)

@@ -207,10 +207,19 @@ def test_bigfix_mul_rat_pow_int():
     x = BigFix.from_fraction(Fraction(3, 7), 30)
     y = x.mul_rat(Fraction(7, 3))
     assert abs(y.to_fraction() - 1) <= Fraction(1, 10**29)
-    z = BigFix.from_fraction(Fraction(1, 2), 30).pow_int(10)
+    z = BigFix.from_fraction(Fraction(1, 2), 30) ** 10
     assert abs(z.to_fraction() - Fraction(1, 1024)) <= Fraction(1, 10**28)
-    w = BigFix.from_int(2, 20).pow_int(0)
+    w = BigFix.from_int(2, 20) ** 0
     assert w.to_fraction() == 1
+
+
+def test_bigfix_int_scaling_is_exact():
+    x = BigFix.from_fraction(Fraction(3, 7), 30)
+    for k in (0, 1, -5, 720, 10 ** 40):
+        assert k * x == x * k == BigFix(x.mantissa * k, 30)
+    assert (1800 * x).to_fraction() == 1800 * x.to_fraction()
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 def test_gamma_const_frozen():
@@ -243,8 +252,8 @@ def test_zeta_const_reference_values():
 def test_zeta_pi_power_identities():
     # zeta(2) = pi^2/6 and zeta(4) = pi^4/90.
     pi = BigFix.pi(45)
-    z2 = pi.pow_int(2).mul_rat(Fraction(1, 6)).to_fraction()
-    z4 = pi.pow_int(4).mul_rat(Fraction(1, 90)).to_fraction()
+    z2 = (pi ** 2).mul_rat(Fraction(1, 6)).to_fraction()
+    z4 = (pi ** 4).mul_rat(Fraction(1, 90)).to_fraction()
     assert abs(zeta_const(2, 45).to_fraction() - z2) <= Fraction(1, 10**43)
     assert abs(zeta_const(4, 45).to_fraction() - z4) <= Fraction(1, 10**43)
 

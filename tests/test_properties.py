@@ -18,7 +18,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
-from bellgamma.numerics import BigFix, binom  # noqa: E402
+from bellgamma.kernel import Column  # noqa: E402
+from bellgamma.numerics import (BigFix, binom, factorial,  # noqa: E402
+                                gamma_const, zeta_const)
+from bellgamma.sequences import _alpha  # noqa: E402
 from bellgamma.symring import SymPoly  # noqa: E402
 
 pytest_plugins = ["pytester"]
@@ -98,6 +101,19 @@ def test_bell_scaling_sympoly(args, c):
     check_scaling(args[0], c)
 
 
+@PROPERTY
+@given(st.integers(1, 7).flatmap(lambda n: st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.lists(ints, min_size=k, max_size=k),
+                       min_size=n, max_size=n))))
+def test_bell_ladder_over_columns_is_entrywise(columns):
+    # one ladder over Columns (as a kernel row runs it) gives, in entry
+    # k, the int ladder of the k-th entries
+    ys = bell_ladder([Column(c) for c in columns])
+    assert all(type(y) is Column for y in ys)
+    assert ys == [tuple(r) for r in
+                  zip(*(bell_ladder(list(e)) for e in zip(*columns)))]
+
+
 def over_q(terms):
     return SymPoly(M, {e: Fraction(c) for e, c in terms.items()})
 
@@ -154,6 +170,35 @@ def test_bigfix_mul_rat_rounds_once(m, r, scale):
     x = BigFix(m, scale)
     exact = x.to_fraction() * r
     assert abs(x.mul_rat(r).to_fraction() - exact) <= half_ulp(scale)
+
+
+def ladder_rounding_bound(xs, scale):
+    """Bound on |Y_n computed on BigFix - Y_n of the same values exact|.
+
+    The ladder forms Y_j as sum_i (C(j-1, i) x_{i+1}) Y_{j-1-i}, the
+    scaling by C exact, so each of the j rounded products adds at most
+    half a unit, and an error e in Y_{j-1-i} adds C(j-1, i) |x_{i+1}| e:
+    E_j <= sum_i (C(j-1, i) |x_{i+1}| E_{j-1-i} + u/2), E_0 = 0."""
+    es = [Fraction(0)]
+    for j in range(1, len(xs) + 1):
+        es.append(sum(binom(j - 1, i) * abs(xs[i]) * es[j - 1 - i]
+                      + half_ulp(scale) for i in range(j)))
+    return es[-1]
+
+
+@PROPERTY
+@given(st.integers(2, 8).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, a - 1))),
+    st.integers(1, 80))
+def test_bigfix_ladder_alpha_within_rounding_bound(case, scale):
+    a, mu = case
+    xs = [gamma_const(scale).to_fraction()] + [
+        factorial(m - 1) * (a + (-1) ** m * (a - 1))
+        * zeta_const(m, scale).to_fraction() for m in range(2, mu + 1)]
+    got = _alpha(a, mu, scale)
+    assert got.scale == scale
+    assert (abs(got.to_fraction() - bell_ladder(xs)[mu])
+            <= ladder_rounding_bound(xs, scale))
 
 
 @PROPERTY

@@ -5,14 +5,32 @@ from fractions import Fraction
 
 import pytest
 
+from bellgamma.bell import bell_ladder
 from bellgamma.numerics import BigFix, binom, gamma_const, zeta_const
+from bellgamma.sequences import _alpha, convergence_row
 from bellgamma.symring import (
     SymPoly,
     alpha_mu,
     alpha_poly,
     lambda_coeff,
-    sp_eval,
 )
+
+
+def sp_eval(p, gamma_val, zeta_vals):
+    """The SymPoly p at numeric BigFix values of g, z2..zM: the oracle
+    for the Bell ladder over the constants.  Coefficients stay exact;
+    each monomial is rounded once per factor."""
+    vals = [gamma_val] + list(zeta_vals)
+    assert len(vals) == p.m_index
+    scale = gamma_val.scale
+    acc = BigFix.from_int(0, scale)
+    for e in sorted(p.terms):
+        term = BigFix.from_int(1, scale)
+        for v, ei in zip(vals, e):
+            for _ in range(ei):
+                term = term * v
+        acc = acc + term.mul_rat(p.terms[e])
+    return acc
 
 
 def rand_poly(rng, mi=3):
@@ -139,47 +157,43 @@ def test_lambda_coeff():
         lambda_coeff(3, 3, 1)
 
 
-def test_sp_eval_known_value():
-    # g^2 + 5 z2 at 30 digits, checked against direct composition.
+def test_alpha_known_value():
+    # alpha_2 at a = 3 is g^2 + 5 z2: one rounded product, as composed
+    # directly.
     digits = 30
-    p = alpha_mu(3, 2)
     g = gamma_const(digits)
     z2 = zeta_const(2, digits)
-    got = sp_eval(p, g, [z2])
-    direct = g * g + z2.mul_rat(Fraction(5))
-    assert abs(got.to_fraction() - direct.to_fraction()) <= \
-        Fraction(1, 10 ** (digits - 2))
+    assert str(alpha_mu(3, 2)) == "g^2 + 5*z2"
+    assert _alpha(3, 2, digits) == g * g + 5 * z2
 
 
-def test_sp_eval_two_precision_agreement():
-    p = alpha_mu(4, 3)
-    lo = sp_eval(p, gamma_const(10), [zeta_const(2, 10), zeta_const(3, 10)])
-    hi = sp_eval(p, gamma_const(25), [zeta_const(2, 25), zeta_const(3, 25)])
+def test_alpha_two_precision_agreement():
+    lo = _alpha(4, 3, 10)
+    hi = _alpha(4, 3, 25)
     assert abs(lo.to_fraction() - hi.to_fraction()) <= Fraction(1, 10 ** 8)
 
 
-def test_sp_eval_homomorphism():
-    rng = random.Random(23)
+def test_alpha_matches_symbolic_evaluation():
+    # The ladder over the values equals the symbolic alpha_mu evaluated
+    # at them, for every a and mu the CLI accepts.  The bound is the
+    # oracle's: its rounded monomials times coefficients up to about 10^5
+    # reach 6.4 10^5 units at a = 8, mu = 7, the ladder 6 10^3.
     digits = 40
     g = gamma_const(digits)
-    zs = [zeta_const(2, digits), zeta_const(3, digits)]
-    for _ in range(8):
-        p = rand_poly(rng)
-        q = rand_poly(rng)
-        lhs = sp_eval(p * q, g, zs)
-        rhs = sp_eval(p, g, zs) * sp_eval(q, g, zs)
-        assert abs(lhs.to_fraction() - rhs.to_fraction()) <= \
-            Fraction(10 ** 4, 10 ** digits)
+    zs = [zeta_const(m, digits) for m in range(2, 8)]
+    for a in range(2, 9):
+        for mu in range(1, a):
+            want = sp_eval(alpha_poly(a, mu, mu), g, zs[:mu - 1])
+            assert abs(_alpha(a, mu, digits).to_fraction()
+                       - want.to_fraction()) <= Fraction(10 ** 6, 10 ** digits)
 
 
-def test_sp_eval_validation():
-    p = alpha_mu(3, 2)
-    g = gamma_const(20)
+def test_alpha_rejects_mixed_scales_and_bad_mu():
     with pytest.raises(ValueError):
-        sp_eval(p, g, [zeta_const(2, 20), zeta_const(3, 20)])
-    q = alpha_mu(4, 3)
-    with pytest.raises(ValueError):
-        sp_eval(q, gamma_const(25), [zeta_const(2, 25), zeta_const(3, 20)])
+        bell_ladder([gamma_const(25), zeta_const(2, 20)])
+    for a, mu in ((3, 0), (3, 3)):
+        with pytest.raises(ValueError):
+            convergence_row(a, mu, 10)
 
 
 def test_deterministic_ordering():
