@@ -51,10 +51,11 @@ _ROOTS_N_MAX = 10 ** 64
 # The values of asymptotics --kind, asymptotics.PROFILE_KINDS spelled out
 # so that building the parser does not import that module.
 _PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
-# The flags each verify suite reads; passing it any other is a usage error.
-_SUITE_FLAGS = {"lemma1": ("a", "nmax"), "recurrences": ("nmax",),
-                "integrality": ("a", "nmax"), "bernoulli": (), "bell": (),
-                "tail": ("digits",), "saddle": ()}
+# The flags each verify suite reads, with their defaults; passing it any
+# other is a usage error.
+_SUITE_FLAGS = {"lemma1": {"a": 3, "nmax": 10}, "recurrences": {"nmax": 60},
+                "integrality": {"a": 3, "nmax": 50}, "bernoulli": {},
+                "bell": {}, "tail": {"digits": 30}, "saddle": {}}
 
 
 class UsageError(ValueError):
@@ -144,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_args(args) -> None:
     """Range-check the parsed arguments; adds args.env_digits (from
-    BELLGAMMA_DIGITS) and, for table, args.n_range."""
+    BELLGAMMA_DIGITS), for table args.n_range, and for verify the
+    defaults of the flags its suite reads."""
     try:
         args.env_digits = int(os.environ.get("BELLGAMMA_DIGITS", "50"))
     except ValueError:
@@ -178,6 +180,9 @@ def _check_args(args) -> None:
         if args.suite == "recurrences" and args.nmax is not None:
             if args.nmax < 6:
                 raise UsageError("--nmax too small for the recurrence suite")
+        for flag, default in _SUITE_FLAGS[args.suite].items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     elif args.command == "constants":
         if not 2 <= args.zeta_max <= 20:
             raise UsageError("--zeta-max out of range 2..20")

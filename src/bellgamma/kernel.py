@@ -12,7 +12,10 @@ are tabulated once per call, and the Bell polynomial Y_mu is isobaric of
 weight mu, so feeding it r_m * D^m yields exactly D^mu * Y_mu(r_1..r_mu).
 A row is one Bell ladder over Columns, the arguments' values over k =
 0..n, whose results the weights sum.  This is also a constructive proof
-of the integrality statement D_n^mu p_{n,mu} in Z.
+of the integrality statement D_n^mu p_{n,mu} in Z.  `row` is the one
+place a row is built: seq_rows forms its Fractions, and lemma 1 takes
+its q_n and D^mu p_{n,mu} and runs its own ladder on its weights and
+Columns.
 """
 
 from __future__ import annotations
@@ -104,26 +107,36 @@ def r_columns(hi, lo, n: int) -> list:
     return [Column(map(add, h[n::-1], g[:n + 1])) for h, g in zip(hi, lo)]
 
 
+def row(a: int, n: int, halves):
+    """(ws, cols, q_n, [D^mu p_{n,mu}, mu = 1..mu_max]) for row n, with
+    halves = harmonic_halves(a, n_hi, mu_max) for some n_hi >= n: the
+    weights C(n,k)^a k! and the Columns of D^m r_m(k) over k = 0..n, and
+    the row's sums as ints, one Bell ladder over the Columns."""
+    _, hi, lo = halves
+    ws = [w for _, w in weights(a, n)]
+    cols = r_columns(hi, lo, n)
+    dp = [sum(map(mul, ws, y)) for y in bell_ladder(cols)[1:]] if cols else []
+    return ws, cols, sum(ws), dp
+
+
 def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
-    p[mu-1][i] = p_{n_lo+i,mu} (Fraction): one Bell ladder per row."""
+    p[mu-1][i] = p_{n_lo+i,mu} (Fraction): one kernel row each."""
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 <= n_lo <= n_hi:
         raise ValueError("require 0 <= n_lo <= n_hi")
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
-    d, hi, lo = harmonic_halves(a, n_hi, mu_max)
+    halves = harmonic_halves(a, n_hi, mu_max)
+    d = halves[0]
     q = []
     p = [[] for _ in range(mu_max)]
     for n in range(n_lo, n_hi + 1):
-        ws = [w for _, w in weights(a, n)]
-        q.append(sum(ws))
-        if mu_max:
-            ys = bell_ladder(r_columns(hi, lo, n))
-            for mu in range(mu_max):
-                p[mu].append(Fraction(sum(map(mul, ws, ys[mu + 1])),
-                                      d ** (mu + 1)))
+        _, _, qn, dp = row(a, n, halves)
+        q.append(qn)
+        for mu, (pm, v) in enumerate(zip(p, dp), 1):
+            pm.append(Fraction(v, d ** mu))
     return q, p
 
 

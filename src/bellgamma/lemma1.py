@@ -7,7 +7,9 @@ which has integer coefficients.  Y_nu is isobaric of weight nu, so one
 Bell ladder on these values, D^m r_m(k) a kernel Column over k, gives
 D^nu Y_nu(f'(k), ..., f^{(nu)}(k)) for every k and nu at once, and the
 alpha_mu, with integer coefficients, read the same in G, Z_m as in g,
-z_m up to the factor D^mu.  Only `verify --suite lemma1` and library
+z_m up to the factor D^mu.  Each row is built once, by kernel.row: its
+q_n and D^mu p_{n,mu} enter the residual as they are, and its weights
+and Columns feed that ladder.  Only `verify --suite lemma1` and library
 callers import this module; its Fraction oracle F_sym is in oracles.
 """
 
@@ -19,8 +21,8 @@ from operator import mul
 
 from . import kernel
 from .bell import bell_ladder
-from .numerics import binom, factorial
-from .symring import SymPoly, alpha_poly
+from .numerics import factorial
+from .symring import SymPoly, alpha_poly, lambda_coeff
 
 
 def _deriv_coeff(a: int, m: int) -> int:
@@ -32,21 +34,21 @@ def _deriv_coeff(a: int, m: int) -> int:
 @functools.lru_cache(maxsize=32)
 def scaled_row(a: int, n: int):
     """(D, q_n, [D^mu p_{n,mu}], [D^nu F_{n,nu}]) for mu, nu up to a-1,
-    with F over Z[G, Z_2..]: one kernel row serves every mu, and one
-    Bell ladder over c_m Z_m + (Column of D^m r_m(k)) every nu."""
+    all over Z, F in Z[G, Z_2..]: one kernel row gives q_n, every
+    D^mu p_{n,mu}, the weights and the Columns of D^m r_m(k), and one
+    Bell ladder over c_m Z_m + (those Columns) gives every F."""
     mu_max = a - 1
-    q, p = kernel.seq_rows(a, n, n, mu_max)
-    d, hi, lo = kernel.harmonic_halves(a, n, mu_max)
-    ws = [w for _, w in kernel.weights(a, n)]
+    halves = kernel.harmonic_halves(a, n, mu_max)
+    ws, cols, q, dp = kernel.row(a, n, halves)
     zero = (0,) * mu_max
     xs = [SymPoly(mu_max, {zero[:m] + (1,) + zero[m + 1:]:
                            _deriv_coeff(a, m + 1), zero: col}, coerce=False)
-          for m, col in enumerate(kernel.r_columns(hi, lo, n))]
+          for m, col in enumerate(cols)]
     f = [SymPoly(mu_max, {e: c * sum(ws) if type(c) is int
                           else sum(map(mul, ws, c))
                           for e, c in y.terms.items()})
          for y in bell_ladder(xs)]
-    return d, q[0], [d ** mu * pm[0] for mu, pm in enumerate(p, 1)], f
+    return halves[0], q, dp, f
 
 
 def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
@@ -63,7 +65,7 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     d, q, dp, f = scaled_row(a, n)
     res = -q * alpha_poly(a, mu) + dp[mu - 1]
     for nu in range(1, mu + 1):
-        res = res + -binom(mu, nu) * alpha_poly(a, mu - nu) * f[nu]
+        res = res - lambda_coeff(a, mu, nu) * f[nu]
     return SymPoly(a - 1, {
         e: Fraction(c, d ** (mu - sum(i * x for i, x in enumerate(e, 1))))
         for e, c in res.terms.items()})

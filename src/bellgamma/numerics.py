@@ -133,9 +133,11 @@ def _pi_fix(w: int) -> int:
 class BigFix:
     """Decimal fixed-point real: value = mantissa * 10**-scale.
 
-    All arithmetic rounds to nearest at the operand scale; mixed-scale
-    operands are rejected rather than silently rescaled.  Instances are
-    immutable by convention.
+    The operations are those the convergence measurement and the oracles
+    run (+, -, abs, products, int scaling, powers and ln) and the tests'
+    mul_rat and pi.  All arithmetic rounds to nearest at the operand
+    scale; mixed-scale operands are rejected rather than silently
+    rescaled.  Instances are immutable by convention.
     """
 
     __slots__ = ("mantissa", "scale")
@@ -170,14 +172,6 @@ class BigFix:
             raise ValueError("BigFix scale mismatch: %d vs %d"
                              % (self.scale, other.scale))
 
-    def rescale(self, scale: int) -> "BigFix":
-        if scale == self.scale:
-            return self
-        if scale > self.scale:
-            return BigFix(self.mantissa * 10 ** (scale - self.scale), scale)
-        return BigFix(_div_nearest(self.mantissa, 10 ** (self.scale - scale)),
-                      scale)
-
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other: "BigFix") -> "BigFix":
@@ -203,16 +197,6 @@ class BigFix:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: "BigFix") -> "BigFix":
-        self._same(other)
-        if other.mantissa == 0:
-            raise ZeroDivisionError("BigFix division by zero")
-        num = self.mantissa * 10 ** self.scale
-        den = other.mantissa
-        if den < 0:
-            num, den = -num, -den
-        return BigFix(_div_nearest(num, den), self.scale)
-
     def mul_rat(self, fr: Fraction) -> "BigFix":
         """Exact-rational scaling, rounded once."""
         fr = Fraction(fr)
@@ -233,14 +217,6 @@ class BigFix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, BigFix) and self.scale == other.scale
                 and self.mantissa == other.mantissa)
-
-    def __lt__(self, other: "BigFix") -> bool:
-        self._same(other)
-        return self.mantissa < other.mantissa
-
-    def __le__(self, other: "BigFix") -> bool:
-        self._same(other)
-        return self.mantissa <= other.mantissa
 
     def __hash__(self):
         return hash((self.mantissa, self.scale))
@@ -295,12 +271,6 @@ class BigFix:
         # ln(value) = ln y + b ln 2 - scale ln 10
         v = 2 * acc + b * _ln2_fix(w) - self.scale * _ln10_fix(w)
         return BigFix(_div_nearest(v, 10 ** (w - self.scale)), self.scale)
-
-    def log10_floor(self) -> int:
-        """floor(log10 |value|) for a nonzero value, exact."""
-        if self.mantissa == 0:
-            raise ValueError("log10_floor of zero")
-        return len(_decimal_str(abs(self.mantissa))) - 1 - self.scale
 
 
 # ---------------------------------------------------------------------------

@@ -113,11 +113,12 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
         digits = auto_digits(predicted)
     _check_mu(a, mu)
     q, p = _row(a, mu, n)
+    ratio = p / q
     errs = {}
     # guard 20 first, so that guard 10's constants round from its mantissas
     for guard in (20, 10):
         s = digits + guard
-        errs[guard] = abs(_alpha(a, mu, s) - BigFix.from_fraction(p / q, s))
+        errs[guard] = abs(_alpha(a, mu, s) - BigFix.from_fraction(ratio, s))
     logs = []
     for guard in (10, 20):
         if errs[guard].is_zero():

@@ -1,12 +1,13 @@
 """The exact identity suites behind `bellgamma verify`.
 
-Each suite takes the parsed command-line namespace (it reads a, nmax and
-digits, None when not given) and returns a list of (check name, passed)
-pairs; SUITES maps the names accepted by `verify --suite` to them.  Only
-the verify command imports this module, and each suite imports the
-modules it runs itself, so a request compiles only its suite's code:
-the bell suite never loads sequences or bernoulli, and the tail suite
-adds module tail alone, for instance.
+Each suite takes the parsed command-line namespace, in which the flags
+it reads (a, nmax, digits) hold the suite's defaults when not given,
+and returns a list of (check name, passed) pairs; SUITES maps the names
+accepted by `verify --suite` to them.  Only the verify command imports
+this module, and each suite imports the modules it runs itself, so a
+request compiles only its suite's code: the bell suite never loads
+sequences or bernoulli, and the tail suite adds module tail alone, for
+instance.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .numerics import binom, lcm_upto
 def _suite_lemma1(args):
     from . import lemma1
 
-    a = 3 if args.a is None else args.a
-    nmax = 10 if args.nmax is None else args.nmax
+    a, nmax = args.a, args.nmax
     # n outer, so each F_{n,.} is built once and serves every mu
     ok = dict.fromkeys(range(1, a), True)
     for n in range(nmax + 1):
@@ -34,7 +34,7 @@ def _suite_lemma1(args):
 def _suite_recurrences(args):
     from . import kernel, recurrences as rec
 
-    nmax = 60 if args.nmax is None else args.nmax
+    nmax = args.nmax
     tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
     apt = rec.aptekarev_seq(nmax)
     out = []
@@ -58,8 +58,7 @@ def _suite_recurrences(args):
 def _suite_integrality(args):
     from . import kernel
 
-    a = 3 if args.a is None else args.a
-    nmax = 50 if args.nmax is None else args.nmax
+    a, nmax = args.a, args.nmax
     q, p = kernel.seq_tables(a, nmax, a - 1)
     out = [("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
             all(isinstance(v, int) and v > 0 for v in q))]
@@ -166,13 +165,12 @@ def _suite_bell(args):
 def _suite_tail(args):
     from . import tail
 
-    digits = args.digits if args.digits is not None else 30
     out = []
     for a in (2, 3, 4):
         ok = True
         for u in range(-a, a + 1):
             for n in (5, 10, 20):
-                t = tail.tail_series(a, u, n, digits)
+                t = tail.tail_series(a, u, n, args.digits)
                 ok = ok and abs(float(t)) <= math.e / (n + 1) ** a
         out.append(("tail bound |sum| <= e/(n+1)^%d: all |u|<=%d, "
                     "n in {5,10,20}" % (a, a), ok))

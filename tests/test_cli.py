@@ -204,9 +204,9 @@ def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
     # serve every mu; the SymPoly oracle is never built, and the bounded
     # cache ends the run holding no more than its bound.
     calls = []
-    real = kernel.seq_rows
-    monkeypatch.setattr(kernel, "seq_rows",
-                        lambda *args: calls.append(args) or real(*args))
+    real = kernel.row
+    monkeypatch.setattr(kernel, "row", lambda a, n, halves: calls.append(
+        (a, n, len(halves[1]))) or real(a, n, halves))
     scaled, f_all = lemma1.scaled_row, oracles._f_sym_all
     scaled.cache_clear()
     f_all.cache_clear()
@@ -215,7 +215,7 @@ def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
     info = scaled.cache_info()
     scaled.cache_clear()
     assert code == 0 and out.splitlines()[-1] == "3/3 checks passed"
-    assert calls == [(4, n, n, 3) for n in range(41)]
+    assert calls == [(4, n, 3) for n in range(41)]
     assert f_all.cache_info().misses == 0
     assert info.misses == 41
     assert info.maxsize is not None and info.currsize <= info.maxsize < 41
@@ -556,8 +556,9 @@ def test_kind_choices_match_profile_kinds():
 # BELLGAMMA_DIGITS unset: the first 14 when every single value was read
 # from an O(n^2) table, the next 25 before `kernel` and `cli` lost their
 # pass-through layers, the next while lemma 1 was still checked over
-# Fraction, the last while the constants were Euler-Maclaurin sums.
-# Refactors must not change a byte.
+# Fraction, the next while the constants were Euler-Maclaurin sums, the
+# last two while lemma 1 built each row twice.  Refactors must not change a
+# byte.
 OUTPUT_DIGESTS = {
     "table --a 2 --mu 1 --n 0:200:25":
         "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
@@ -641,6 +642,10 @@ OUTPUT_DIGESTS = {
         "5d04bc56181c87963650e5963db39bc6fb6186c85e91bab79758f91e8d306661",
     "constants --digits 2000 --zeta-max 9 --format csv":
         "e6b5d829e401cde36e6b152c845502c832ae243582d7a1467dd9300aee6e586a",
+    "table --a 8 --mu 7 --n 0:40:5 --format json":
+        "32b305a99a68b79fe90c89682b59338ebee023a0944419915e58aa40a538b1b7",
+    "verify --suite lemma1 --a 8 --nmax 12":
+        "db22feb3c231b552fbfa788c1a6522e49949ba888ed1f2fe49b8b0f181748f0c",
 }
 
 

@@ -89,6 +89,30 @@ def test_one_bell_ladder_per_row(monkeypatch):
         assert calls == {"kernel": 1, "lemma1": 1}
 
 
+def test_lemma1_builds_its_row_once(monkeypatch):
+    # scaled_row takes q, D^mu p, the weights and the Columns from one
+    # kernel row: one set of halves, one weight pass, one Column build.
+    from bellgamma import lemma1
+
+    calls = {}
+
+    def counting(name):
+        real = getattr(kernel, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    for name in ("harmonic_halves", "weights", "r_columns", "seq_rows"):
+        monkeypatch.setattr(kernel, name, counting(name))
+    for a, n in ((2, 0), (3, 7), (8, 4)):
+        calls.update(harmonic_halves=0, weights=0, r_columns=0, seq_rows=0)
+        lemma1.scaled_row.__wrapped__(a, n)
+        assert calls == {"harmonic_halves": 1, "weights": 1, "r_columns": 1,
+                         "seq_rows": 0}
+
+
 def test_column_ring_operations():
     c = kernel.Column([3, -1, 4])
     d = kernel.Column([2, 5, 0])

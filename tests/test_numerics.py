@@ -125,9 +125,6 @@ def test_bigfix_roundtrip_and_arithmetic():
         assert abs((a + b).to_fraction() - (fa + fb)) <= eps
         assert abs((a - b).to_fraction() - (fa - fb)) <= eps
         assert abs((a * b).to_fraction() - fa * fb) <= abs(fa * fb) * eps + eps
-        if fb != 0:
-            assert abs((a / b).to_fraction() - fa / fb) <= (
-                abs(fa / fb) + 1) * eps
 
 
 def test_bigfix_from_int_and_compare():
@@ -164,15 +161,7 @@ def test_bigfix_to_decimal_10000_digits(default_int_str_limit):
     big = BigFix(10 ** 10000 + 7 * 10 ** 5000 + 9, 5000)
     text = big.to_decimal()
     assert text == "1" + "0" * 4999 + "7." + "0" * 4999 + "9"
-    assert big.log10_floor() == 5000
     assert BigFix.from_int(10 ** 6000, 0).to_decimal() == "1" + "0" * 6000
-
-
-def test_bigfix_rescale():
-    x = BigFix.from_fraction(Fraction(2, 3), 40)
-    y = x.rescale(10)
-    assert y.scale == 10
-    assert abs(y.to_fraction() - Fraction(2, 3)) <= Fraction(1, 10**10)
 
 
 def test_bigfix_pi():
@@ -193,14 +182,6 @@ def test_bigfix_ln():
         BigFix.from_int(0, 10).ln()
     with pytest.raises(ValueError):
         BigFix.from_int(-2, 10).ln()
-
-
-def test_bigfix_log10_floor():
-    assert BigFix.from_int(1000, 10).log10_floor() == 3
-    assert BigFix.from_fraction(Fraction(1, 1000), 10).log10_floor() == -3
-    assert BigFix.from_fraction(Fraction(35, 100), 10).log10_floor() == -1
-    with pytest.raises(ValueError):
-        BigFix.from_int(0, 10).log10_floor()
 
 
 def test_bigfix_mul_rat_pow_int():

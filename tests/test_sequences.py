@@ -236,19 +236,19 @@ def lemma1_oracle(a, mu, n):
     return res
 
 
-_SEQ_ROWS = kernel.seq_rows
+_ROW = kernel.row
 
 
 def perturbed_rows(dp, dq):
-    """kernel.seq_rows with p_{n,mu} moved by dp/lcm(1..n)^mu, q_n by dq."""
+    """kernel.row with D^mu p_{n,mu} moved by dp and q_n by dq: seq_rows
+    reads its rows there too, so on single rows, where D = lcm(1..n),
+    p_{n,mu} moves by dp/lcm(1..n)^mu for both the residual and its
+    oracle."""
 
-    def rows(a, n_lo, n_hi, mu_max):
-        q, p = _SEQ_ROWS(a, n_lo, n_hi, mu_max)
-        return ([v + dq for v in q],
-                [[v + Fraction(dp, lcm_upto(n) ** mu)
-                  for n, v in enumerate(row, n_lo)]
-                 for mu, row in enumerate(p, 1)])
-    return rows
+    def row(a, n, halves):
+        ws, cols, q, p = _ROW(a, n, halves)
+        return ws, cols, q + dq, [v + dp for v in p]
+    return row
 
 
 @pytest.fixture
@@ -268,7 +268,7 @@ def test_lemma1_residual_matches_oracle(monkeypatch, fresh_lemma1_caches):
     for a in range(2, 9):
         for n in range(0, 9):
             for dp, dq in ((0, 0), (1, 0), (0, 1)):
-                monkeypatch.setattr(kernel, "seq_rows", perturbed_rows(dp, dq))
+                monkeypatch.setattr(kernel, "row", perturbed_rows(dp, dq))
                 lemma1.scaled_row.cache_clear()
                 for mu in range(1, a):
                     got = lemma1_residual(a, mu, n)
