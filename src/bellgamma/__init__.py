@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 # defining module -> the public names it provides
 _MODULES = {
     "asymptotics": (
-        "CPoint", "ExponentProfile", "RootRefinementError", "bm_coeffs",
-        "corollary_exponent", "exponent_profile", "lagrange_coeff",
-        "linform_exponent", "qn_log_asymptotic", "root_report",
-        "saddle_roots", "saddle_seed"),
+        "ExponentProfile", "bm_coeffs", "corollary_exponent",
+        "exponent_profile", "lagrange_coeff", "linform_exponent",
+        "qn_log_asymptotic"),
     "bell": (
         "bell_eval", "bell_eval_partitions", "bell_ladder",
         "partition_multinomial", "partitions"),
@@ -34,6 +33,8 @@ _MODULES = {
     "recurrences": (
         "RecurrenceSpec", "aptekarev_seq", "make_paper_recurrences",
         "recurrence_check", "recurrence_generate"),
+    "saddle": ("CPoint", "RootRefinementError", "root_report",
+               "saddle_roots", "saddle_seed"),
     "sequences": (
         "ApproxRecord", "convergence_row", "integrality_check", "p_at",
         "p_seq", "q_at", "q_seq", "records_to_csv"),

@@ -17,11 +17,13 @@ Each command takes the parsed and range-checked argparse namespace and
 returns its output text with the exit code; main writes the text.  A
 command imports the modules it runs itself, so a process compiles only
 those: constants loads neither asymptotics nor sequences, asymptotics
-and roots never load sequences or powerseries, approx and table load
-sequences (the q/p rows and the convergence measurement) but none of
-the recurrence, lemma-1, tail or Bernoulli code, json is loaded only to
-print json, and only verify loads the suites (module verify), each of
-which imports its own modules.  No command loads module oracles.
+and roots never load sequences or powerseries, and only roots and the
+saddle suite load saddle (and cmath).  approx and table load sequences
+(the q/p rows and the convergence measurement) and asymptotics (the
+predicted exponent) but none of the saddle, recurrence, lemma-1, tail
+or Bernoulli code.  Only verify loads the suites (module verify), each
+of which imports its own modules.  No command loads module oracles, and
+none loads json: _json prints json.dumps's bytes itself.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import os
 import sys
 
 from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError,
-                       gamma_const, zeta_const)
+                       _decimal_str, gamma_const, zeta_const)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -218,10 +220,64 @@ def _open_out(path):
                          % (path, exc.strerror or exc))
 
 
-def _json(obj) -> str:
-    import json
+# json's escapes of the ASCII characters it does not print as they are;
+# every other character outside ' '..'~' is written \uXXXX.
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
+                 "\t": "\\t", "\b": "\\b", "\f": "\\f"}
 
-    return json.dumps(obj, separators=(", ", ": ")) + "\n"
+
+def _json_str(s: str) -> str:
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return '"' + s + '"'
+    parts = []
+    for ch in s:
+        if ch in _JSON_ESCAPES:
+            parts.append(_JSON_ESCAPES[ch])
+        elif " " <= ch <= "~":
+            parts.append(ch)
+        else:
+            c = ord(ch)
+            if c > 0xFFFF:  # a UTF-16 surrogate pair, as json writes it
+                c -= 0x10000
+                parts.append("\\u%04x" % (0xD800 | c >> 10))
+                c = 0xDC00 | c & 0x3FF
+            parts.append("\\u%04x" % c)
+    return '"' + "".join(parts) + '"'
+
+
+def _json_value(obj) -> str:
+    t = type(obj)
+    if t is str:
+        return _json_str(obj)
+    if t is int:
+        return _decimal_str(obj)
+    if t is float:
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return repr(obj)
+    if obj is None:
+        return "null"
+    if t is list:
+        return "[" + ", ".join(map(_json_value, obj)) + "]"
+    if t is dict:
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError("json keys must be str, not %s"
+                                % type(key).__name__)
+            items.append(_json_str(key) + ": " + _json_value(value))
+        return "{" + ", ".join(items) + "}"
+    raise TypeError("cannot render %s as json" % t.__name__)
+
+
+def _json(obj) -> str:
+    """json.dumps(obj, separators=(", ", ": ")) and a newline, byte for
+    byte, without importing json: for dicts with str keys, lists, str,
+    int (also past the int->str limit), float and None; any other type
+    raises TypeError."""
+    return _json_value(obj) + "\n"
 
 
 def _row_digits(args, n: int) -> int:
@@ -391,9 +447,9 @@ def cmd_asymptotics(args) -> tuple[str, int]:
 
 
 def cmd_roots(args) -> tuple[str, int]:
-    from . import asymptotics as asy
+    from .saddle import root_report
 
-    rows = asy.root_report(args.a, args.u, args.n)
+    rows = root_report(args.a, args.u, args.n)
     if args.fmt == "json":
         objs = [{"k": k, "re": re, "im": im, "residual_over_n": res,
                  "seed_distance": dist} for k, re, im, res, dist in rows]

@@ -106,8 +106,10 @@ def _fix_arctan_recip(q: int, w: int, hyperbolic: bool) -> int:
     return acc
 
 
-# Cached per scale w.  A table asks for new scales on every row, so the
-# caches keep only the recent ones.
+# Cached per scale w.  Full-scale ln and the oracles ask for a new scale
+# on every table row, so the caches keep only the recent ones; ln_float
+# always asks for scale _LN_FLOAT_DIGITS, which is computed once per
+# process.
 @functools.lru_cache(maxsize=32)
 def _ln2_fix(w: int) -> int:
     return 2 * _fix_arctan_recip(3, w, True)
@@ -134,9 +136,9 @@ class BigFix:
     """Decimal fixed-point real: value = mantissa * 10**-scale.
 
     The operations are those the convergence measurement and the oracles
-    run (+, -, abs, products, int scaling, powers and ln) and the tests'
-    mul_rat and pi.  All arithmetic rounds to nearest at the operand
-    scale; mixed-scale operands are rejected rather than silently
+    run (+, -, abs, products, int scaling, powers, ln and ln_float) and
+    the tests' mul_rat and pi.  All arithmetic rounds to nearest at the
+    operand scale; mixed-scale operands are rejected rather than silently
     rescaled.  Instances are immutable by convention.
     """
 
@@ -249,28 +251,89 @@ class BigFix:
     def ln(self) -> "BigFix":
         """Natural log of a positive value, at the same scale.
 
-        Argument is reduced by a power of 2 into [1, 2), then
-        ln y = 2 atanh((y-1)/(y+1)) with t = (y-1)/(y+1) <= 1/3.
+        _ln_fix at w = scale + 10 digits, rounded to scale.  The result is
+        within 10^-scale of ln(value) whenever
+        _ln_fix_error(b, scale, scale + 10) < 5 10^9, b the mantissa's
+        bit length less one: the guard digits absorb _ln_fix's error and
+        the rounding costs half a unit.  That holds for every scale up to
+        10^4 with a mantissa of up to 1.5 10^5 bits.
         """
         if self.mantissa <= 0:
             raise ValueError("ln requires a positive BigFix")
-        w = self.scale + 10
-        one = 10 ** w
-        b = self.mantissa.bit_length() - 1
-        # y = mantissa / 2^b in [1, 2), at scale w
-        y = _div_nearest(self.mantissa * one, 1 << b) if b >= 0 else 0
-        t = _div_nearest((y - one) * one, y + one)
-        t2 = t * t
-        term = t
-        acc = t
-        i = 1
-        while term:
-            term = _div_nearest(term * t2, one * one)
-            acc += term // (2 * i + 1)
-            i += 1
-        # ln(value) = ln y + b ln 2 - scale ln 10
-        v = 2 * acc + b * _ln2_fix(w) - self.scale * _ln10_fix(w)
-        return BigFix(_div_nearest(v, 10 ** (w - self.scale)), self.scale)
+        return BigFix(_div_nearest(_ln_fix(self.mantissa, self.scale,
+                                           self.scale + 10), 10 ** 10),
+                      self.scale)
+
+    def ln_float(self) -> float:
+        """float(self.ln()), evaluated at _LN_FLOAT_DIGITS working digits
+        whenever they settle it: A. Ziv's rounding test ("Fast evaluation
+        of elementary mathematical functions with correctly rounded last
+        bit", ACM TOMS 17, 1991).
+
+        v = _ln_fix(mantissa, scale, w) misses 10^w ln(value) by at most
+        e = _ln_fix_error units, and ln() misses ln(value) by less than
+        10^-scale (see ln), so ln() lies within e + 10^-scale of v 10^-w.
+        Both ends of that interval are rounded to double by int/int true
+        division, which is correctly rounded and so monotone, as is
+        float(ln()).  When the two ends round alike, float(ln()) is that
+        double; otherwise, or where ln's bound is not established,
+        float(self.ln()) is returned.
+        """
+        m, s = self.mantissa, self.scale
+        if m <= 0:
+            raise ValueError("ln requires a positive BigFix")
+        b = m.bit_length() - 1
+        if _ln_fix_error(b, s, s + 10) < 5 * 10 ** 9:
+            w = _LN_FLOAT_DIGITS
+            v = _ln_fix(m, s, w)
+            r = _ln_fix_error(b, s, w) + 10 ** max(0, w - s)
+            lo = (v - r) / 10 ** w
+            if lo == (v + r) / 10 ** w:
+                return lo
+        return float(self.ln())
+
+
+# Working digits of BigFix.ln_float: their bound (b + 4 scale + 1) 111
+# units of 10^-40 lies some 20 digits below a double's last bit for
+# every value the convergence measurement takes.
+_LN_FLOAT_DIGITS = 40
+
+
+def _ln_fix(m: int, s: int, w: int) -> int:
+    """ln(m 10^-s) for an integer m > 0, as a mantissa at scale w >= 10.
+
+    The argument is reduced by 2^b, b = m.bit_length() - 1, into
+    y in [1, 2), and ln y = 2 atanh(t) with t = (y-1)/(y+1) < 1/3; then
+    ln(m 10^-s) = ln y + b ln 2 - s ln 10.  The error is below
+    _ln_fix_error(b, s, w) units of 10^-w.
+    """
+    one = 10 ** w
+    b = m.bit_length() - 1
+    y = _div_nearest(m * one, 1 << b)  # y / 10^w in [1, 2)
+    t = _div_nearest((y - one) * one, y + one)
+    t2 = t * t
+    term = t
+    acc = t
+    i = 1
+    while term:
+        term = _div_nearest(term * t2, one * one)
+        acc += term // (2 * i + 1)
+        i += 1
+    return 2 * acc + b * _ln2_fix(w) - s * _ln10_fix(w)
+
+
+def _ln_fix_error(b: int, s: int, w: int) -> int:
+    """A bound, in units of 10^-w, on the error of _ln_fix(m, s, w), where
+    b = m.bit_length() - 1 and w >= 10: (b + 4 s + 1)(2.6 w + 7).
+
+    In units of 10^-w: the atanh series floors at most 1.05 w + 2 terms,
+    each by less than 1.2 with the rounding of its power of t, and
+    rounding y and t costs at most 1.7 more, so ln y errs by less than
+    2.6 w + 7.  _ln2_fix(w) errs by less than 2.1 w + 12 (its atanh(1/3)
+    series floors 1.05 w terms), within 2.6 w + 7 once w >= 10, and
+    _ln10_fix(w) by less than 7.4 w + 48, within 4 (2.6 w + 7).
+    """
+    return (b + 4 * s + 1) * (26 * w + 70) // 10 + 1
 
 
 # ---------------------------------------------------------------------------

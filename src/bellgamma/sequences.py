@@ -5,7 +5,10 @@ r_mu(k)) approximate the Bell-polynomial combinations alpha_mu of gamma
 and zeta values.  This module serves the `approx` and `table` commands:
 single values, prefix tables, the denominator bound lcm(1..n)^mu, and
 the measured error of p/q against alpha_mu, one Bell ladder over the
-BigFix constants.  Floating point enters only in those measurements.
+BigFix constants.  The log of that error is taken at 40 working digits
+(BigFix.ln_float), not at the row's full scale, whenever they settle
+the double it prints.  Floating point enters only in those
+measurements.
 The exactly checked identities live in their own modules, so that these
 commands never compile them: lemma 1 in lemma1 (with symring and the
 oracle F_sym of oracles), the classical recurrences in recurrences, and
@@ -103,8 +106,10 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
     digits defaults to auto_digits(predicted).  The error is evaluated at
-    two guard scales; disagreement or an unresolvable difference raises
-    PrecisionError.
+    two guard scales, and its log is BigFix.ln_float, the double that the
+    full-scale ln would round to; disagreement or an unresolvable
+    difference raises PrecisionError, whose message names a, mu, n and
+    the working digits.
     """
     from .asymptotics import corollary_exponent
 
@@ -123,13 +128,14 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     for guard in (10, 20):
         if errs[guard].is_zero():
             raise PrecisionError(
-                "difference vanishes at %d digits; raise digits"
-                % (digits + guard))
-        logs.append(float(errs[guard].ln()))
+                "a=%d mu=%d n=%d: difference vanishes at %d digits; "
+                "raise digits" % (a, mu, n, digits + guard))
+        logs.append(errs[guard].ln_float())
     if abs(logs[0] - logs[1]) > 1e-6 * max(1.0, abs(logs[0])):
         raise PrecisionError(
-            "guard evaluations disagree (%r vs %r); raise digits"
-            % (logs[0], logs[1]))
+            "a=%d mu=%d n=%d: guard evaluations at %d and %d digits "
+            "disagree (%r vs %r); raise digits"
+            % (a, mu, n, digits + 10, digits + 20, logs[0], logs[1]))
     return ApproxRecord(a, mu, n, p, q, logs[1], predicted)
 
 

@@ -178,7 +178,7 @@ def _suite_tail(args):
 
 
 def _suite_saddle(args):
-    from . import asymptotics as asy
+    from .saddle import root_report
 
     n = 10 ** 6
     out = []
@@ -186,7 +186,7 @@ def _suite_saddle(args):
         ok = True
         for u in range(-a, a + 1):
             try:
-                rows = asy.root_report(a, u, n)
+                rows = root_report(a, u, n)
             except ArithmeticError:
                 ok = False
                 continue

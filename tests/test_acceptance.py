@@ -14,8 +14,6 @@ from bellgamma.asymptotics import (
     bm_coeffs,
     corollary_exponent,
     qn_log_asymptotic,
-    saddle_roots,
-    saddle_seed,
 )
 from bellgamma.bell import bell_eval_partitions, bell_ladder
 from bellgamma.bernoulli import bernoulli_at, csc_power_coeffs, gen_bernoulli
@@ -28,6 +26,7 @@ from bellgamma.recurrences import (
     recurrence_check,
     recurrence_generate,
 )
+from bellgamma.saddle import saddle_roots, saddle_seed
 from bellgamma.sequences import convergence_row, p_seq, q_seq
 from bellgamma.tail import tail_series
 

@@ -8,20 +8,22 @@ import pytest
 
 from bellgamma.asymptotics import (
     PROFILE_KINDS,
-    CPoint,
     ExponentProfile,
-    RootRefinementError,
     bm_coeffs,
     corollary_exponent,
     exponent_profile,
     lagrange_coeff,
     linform_exponent,
     qn_log_asymptotic,
-    saddle_roots,
-    saddle_seed,
 )
 from bellgamma.numerics import poch
 from bellgamma.powerseries import SeriesQ, ps_exp, ps_log1p, ps_mul
+from bellgamma.saddle import (
+    CPoint,
+    RootRefinementError,
+    saddle_roots,
+    saddle_seed,
+)
 
 
 def bm_oracle(a):

@@ -348,6 +348,8 @@ def test_precision_exit_code(capsys):
                            "--n", "50", "--digits", "2")
     assert code == 3
     assert err.startswith("precision failure")
+    # the message names the row that failed and its working digits
+    assert "a=3 mu=1 n=50" in err and "12 digits" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -383,9 +385,31 @@ def test_asymptotics_large_n_in_range(capsys):
         assert code == 0 and math.isfinite(json.loads(out)[0]["value_at_n"])
 
 
+def test_sweep_rows_never_take_the_full_scale_ln(capsys, monkeypatch):
+    # err_log is printed as a double, so BigFix.ln_float settles every row
+    # of these benchmark requests at 40 working digits
+    import importlib.util
+    import itertools
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def full_ln(x):
+        raise AssertionError("BigFix.ln called at scale %d" % x.scale)
+
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    monkeypatch.setattr(numerics.BigFix, "ln", full_ln)
+    for argv in itertools.islice(workloads.requests("sweep", 1), 60):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+
+
 def test_roots_refine_up_to_n_max():
     # the bound roots accepts: every a and u still refine at it
-    from bellgamma.asymptotics import root_report
+    from bellgamma.saddle import root_report
     n = cli._ROOTS_N_MAX
     for a in range(2, 9):
         for u in range(-a, a + 1):
@@ -480,7 +504,8 @@ def test_approx_past_int_str_limit():
 
 
 # Each command loads only what it runs.  random and typing are left out:
-# `site` may load them before the package is imported.
+# `site` may load them before the package is imported.  No command loads
+# json (cli._json prints it).
 _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
 # The Fraction oracles are for the tests alone.
 _ORACLES = {"bellgamma.oracles"}
@@ -490,7 +515,8 @@ _ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.bell",
          "bellgamma.asymptotics"}
 _ROWS_NEVER = _NEVER | _ORACLES | {
     "bellgamma.recurrences", "bellgamma.lemma1", "bellgamma.tail",
-    "bellgamma.powerseries", "bellgamma.symring"}
+    "bellgamma.powerseries", "bellgamma.symring", "bellgamma.saddle",
+    "cmath"}
 
 
 @pytest.mark.parametrize("argv, absent, present", [
@@ -509,7 +535,7 @@ _ROWS_NEVER = _NEVER | _ORACLES | {
     ("verify --suite lemma1 --a 3 --nmax 2", {"dataclasses", "logging"},
      {"bellgamma.lemma1"}),
     ("verify --suite saddle", {"bellgamma.sequences", "bellgamma.bernoulli"},
-     {"bellgamma.asymptotics"}),
+     {"bellgamma.asymptotics", "bellgamma.saddle"}),
     ("verify --suite bernoulli", {"bellgamma.sequences", "bellgamma.kernel"},
      {"bellgamma.bernoulli"}),
     ("approx --a 4 --mu 3 --n 100", _ROWS_NEVER, _ROWS),
@@ -525,11 +551,19 @@ _ROWS_NEVER = _NEVER | _ORACLES | {
     ("asymptotics --a 5 --n 1000", _ORACLES | {"bellgamma.powerseries"},
      {"bellgamma.asymptotics"}),
     ("roots --a 3", _ORACLES | {"bellgamma.powerseries"},
-     {"bellgamma.asymptotics"}),
+     {"bellgamma.asymptotics", "bellgamma.saddle"}),
     ("verify --suite lemma1 --a 4 --nmax 3", _ORACLES, {"bellgamma.lemma1"}),
     ("verify --suite integrality --a 3 --nmax 5", _ORACLES,
      {"bellgamma.kernel"}),
     ("constants --digits 20 --zeta-max 3", _ORACLES, {"bellgamma.numerics"}),
+    ("approx --a 3 --mu 2 --n 40 --format csv", _ROWS_NEVER, _ROWS),
+    ("approx --a 3 --mu 2 --n 40 --format json", _ROWS_NEVER, _ROWS),
+    ("table --a 3 --mu 1 --n 0:40:20 --format text", _ROWS_NEVER, _ROWS),
+    ("table --a 4 --mu 2 --n 0:40:20 --qn-ratio --format json",
+     _ROWS_NEVER, _ROWS),
+    ("roots --a 5 --u 2 --format json", _ORACLES, {"bellgamma.saddle"}),
+    ("asymptotics --a 4 --format json", {"bellgamma.saddle", "cmath"},
+     {"bellgamma.asymptotics"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent, present):
     probe = ("import sys\n"
@@ -541,7 +575,7 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
                          env=CHILD_ENV, capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == ""
     loaded = set(out.stdout.splitlines()[-1].split())
-    assert not loaded & absent
+    assert not loaded & (absent | {"json"})
     assert present <= loaded
 
 
@@ -557,8 +591,9 @@ def test_kind_choices_match_profile_kinds():
 # from an O(n^2) table, the next 25 before `kernel` and `cli` lost their
 # pass-through layers, the next while lemma 1 was still checked over
 # Fraction, the next while the constants were Euler-Maclaurin sums, the
-# last two while lemma 1 built each row twice.  Refactors must not change a
-# byte.
+# next two while lemma 1 built each row twice, the last two while
+# err_log was taken at the full working scale and json printed by
+# json.dumps.  Refactors must not change a byte.
 OUTPUT_DIGESTS = {
     "table --a 2 --mu 1 --n 0:200:25":
         "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
@@ -646,6 +681,10 @@ OUTPUT_DIGESTS = {
         "32b305a99a68b79fe90c89682b59338ebee023a0944419915e58aa40a538b1b7",
     "verify --suite lemma1 --a 8 --nmax 12":
         "db22feb3c231b552fbfa788c1a6522e49949ba888ed1f2fe49b8b0f181748f0c",
+    "table --a 3 --mu 2 --n 0:60:20 --qn-ratio --format json":
+        "8b6806c51c3a16abb64347a3037d3a23a7c9b08c1063e938327310a0fb5ee839",
+    "approx --a 3 --mu 2 --n 300 --digits 3000 --format json":
+        "8b32e2f38965ca2080c9c5ed184c4cc5e83474d41e59cd4156e89ec44cce568c",
 }
 
 

@@ -184,6 +184,31 @@ def test_bigfix_ln():
         BigFix.from_int(-2, 10).ln()
 
 
+def test_bigfix_ln_float_settles_at_working_digits(monkeypatch):
+    calls = []
+    full_ln = BigFix.ln
+    monkeypatch.setattr(BigFix, "ln", lambda x: calls.append(x) or full_ln(x))
+    x = BigFix(123456789 ** 7, 60)
+    assert x.ln_float() == float(full_ln(x)) and not calls
+    with pytest.raises(ValueError):
+        BigFix.from_int(0, 60).ln_float()
+
+
+def test_bigfix_ln_float_falls_back_when_undecided(monkeypatch):
+    # at 3 working digits the interval never settles a double, so every
+    # value takes the full-scale ln
+    calls = []
+    full_ln = BigFix.ln
+    monkeypatch.setattr(BigFix, "ln", lambda x: calls.append(x) or full_ln(x))
+    monkeypatch.setattr(numerics, "_LN_FLOAT_DIGITS", 3)
+    rng = random.Random(15)
+    cases = [BigFix(rng.randint(1, 10 ** 90), rng.randint(20, 90))
+             for _ in range(40)]
+    for x in cases:
+        assert x.ln_float() == float(full_ln(x))
+    assert calls == cases
+
+
 def test_bigfix_mul_rat_pow_int():
     x = BigFix.from_fraction(Fraction(3, 7), 30)
     y = x.mul_rat(Fraction(7, 3))
@@ -323,16 +348,14 @@ def test_caches_hold_one_entry_per_constant(empty_caches, monkeypatch):
     assert all(v[0] == 90 for v in numerics._ZETA_CACHE.values())
 
 
-def test_constant_mantissa_caches_are_bounded(capsys):
-    # each row of a table takes ln at new scales, so it asks for ln 2
-    # and ln 10 at more scales than the caches keep; pi likewise
-    from bellgamma import cli
-
+def test_constant_mantissa_caches_are_bounded():
+    # full-scale ln asks for ln 2 and ln 10 at a new scale for every
+    # scale it is taken at, more scales than the caches keep; pi likewise
     caches = (numerics._ln2_fix, numerics._ln10_fix, numerics._pi_fix)
     for cache in caches:
         cache.cache_clear()
-    assert cli.main("table --a 2 --mu 1 --n 0:800:20".split()) == 0
     for scale in range(1, 41):
+        BigFix(7, scale).ln()
         BigFix.pi(scale)
     for cache in caches:
         info = cache.cache_info()

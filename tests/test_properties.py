@@ -1,12 +1,16 @@
 """Property tests: Bell identities in every ring the package feeds to the
-ladder, SymPoly over int against Fraction coefficients, and BigFix
-arithmetic against exact Fractions and mpmath.
+ladder, SymPoly over int against Fraction coefficients, BigFix
+arithmetic against exact Fractions and mpmath, and the CLI's json
+renderer against json.dumps.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
 """
 
+import json
+import math
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
@@ -14,12 +18,14 @@ from pathlib import Path
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
 from bellgamma.kernel import Column  # noqa: E402
-from bellgamma.numerics import (BigFix, binom, factorial,  # noqa: E402
+from bellgamma.cli import _json  # noqa: E402
+from bellgamma.numerics import (_LN_FLOAT_DIGITS, BigFix,  # noqa: E402
+                                _ln_fix, _ln_fix_error, binom, factorial,
                                 gamma_const, zeta_const)
 from bellgamma.sequences import _alpha  # noqa: E402
 from bellgamma.symring import SymPoly  # noqa: E402
@@ -212,6 +218,61 @@ def test_bigfix_ln_within_one_ulp(case):
         unit = mpmath.mpf(10) ** -scale
         err = abs(BigFix(m, scale).ln().mantissa * unit - mpmath.log(m * unit))
         assert err <= unit
+
+
+@settings(PROPERTY, max_examples=400)
+@given(st.integers(1, 2 ** 400 - 1), st.integers(1, 600))
+def test_bigfix_ln_float_is_float_of_ln(m, scale):
+    x = BigFix(m, scale)
+    assert x.ln_float() == float(x.ln())
+
+
+@PROPERTY
+@given(st.integers(0, 600).flatmap(
+    lambda scale: st.tuples(st.integers(1, 10 ** (scale + 40)),
+                            st.just(scale))))
+def test_ln_fix_within_stated_bound_at_ln_float_digits(case):
+    # the bound ln_float's certificate adds to ln's 10^-scale
+    mpmath = pytest.importorskip("mpmath")
+    m, scale = case
+    w = _LN_FLOAT_DIGITS
+    with mpmath.workdps(scale + w + 60):
+        exact = mpmath.log(m * mpmath.mpf(10) ** -scale) * mpmath.mpf(10) ** w
+        err = abs(_ln_fix(m, scale, w) - exact)
+    assert err <= _ln_fix_error(m.bit_length() - 1, scale, w)
+
+
+json_values = st.recursive(
+    st.none() | st.text()
+    | st.integers() | st.integers(-10 ** 4400, 10 ** 4400)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(json_values)
+@example(10 ** 4300 + 7)
+@example(-(10 ** 5000))
+@example([0.0, -0.0, 5e-324, -2.2250738585072e-308, math.inf, -math.inf,
+          math.nan, None])
+@example({"a": {"b": [[], {}, ""]}, "\u2028\x7f\U0001f600\"": "\t\b\x00"})
+def test_cli_json_matches_json_dumps(value):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as cli.main does
+    try:
+        want = json.dumps(value, separators=(", ", ": ")) + "\n"
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert _json(value) == want
+
+
+@pytest.mark.parametrize("value", [True, (1, 2), {1: 2}, {"k": {None: 0}},
+                                   Fraction(1, 2), b"x"])
+def test_cli_json_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value)
 
 
 def test_failing_property_is_reported_not_internal_error(pytester):
