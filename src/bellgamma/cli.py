@@ -42,8 +42,9 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-# convergence_row evaluates each row at digits + 20 (and + 10), so approx
-# and table accept --digits only up to the oracles' limit less 20.
+# convergence_row evaluates each row at digits + 20, so approx and table
+# accept --digits, and work out digits, only up to the oracles' limit
+# less 20.
 _ROW_GUARD = 20
 # Past 10^64 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
 # other, fall within double rounding of one another and refine to the
@@ -281,12 +282,28 @@ def _json(obj) -> str:
 
 
 def _row_digits(args, n: int) -> int:
+    """Row n's working digits: --digits, else the larger of
+    BELLGAMMA_DIGITS and the digits that resolve the predicted error.
+    Digits past the oracles' limit raise PrecisionError here, before
+    any row is built."""
     from . import asymptotics as asy
     from . import sequences as seq
 
     if args.digits is not None:
         return args.digits
-    auto = seq.auto_digits(asy.corollary_exponent(args.a, n))
+    top = _MAX_DIGITS - _ROW_GUARD
+    try:
+        auto = seq.auto_digits(asy.corollary_exponent(args.a, n))
+    except OverflowError:
+        # n or the predicted exponent overflows a double: n > 1.7e308,
+        # where a = 2 already needs 2 10^154 digits
+        auto = None
+    if auto is None or auto > top:
+        raise PrecisionError(
+            "a=%d mu=%d n=%d: the predicted error needs %s digits, more "
+            "than the %d that approx and table resolve"
+            % (args.a, args.mu, n, "over 10^154" if auto is None else auto,
+               top))
     return max(args.env_digits, auto)
 
 
@@ -301,16 +318,18 @@ def cmd_approx(args) -> tuple[str, int]:
     elif args.fmt == "json":
         text = _json({
             "a": row.a, "mu": row.mu, "n": row.n,
-            "p": "%d/%d" % (row.p.numerator, row.p.denominator),
-            "q": str(row.q), "p_over_q": dec,
+            "p": _decimal_str(row.p.numerator) + "/"
+                 + _decimal_str(row.p.denominator),
+            "q": _decimal_str(row.q), "p_over_q": dec,
             "err_log10": row.err_log / LN10,
             "predicted_log10": row.predicted_exponent / LN10,
         })
     else:
         text = "".join((
             "a=%d mu=%d n=%d\n" % (row.a, row.mu, row.n),
-            "p = %d/%d\n" % (row.p.numerator, row.p.denominator),
-            "q = %d\n" % row.q,
+            "p = %s/%s\n" % (_decimal_str(row.p.numerator),
+                             _decimal_str(row.p.denominator)),
+            "q = %s\n" % _decimal_str(row.q),
             "p/q = %s\n" % dec,
             "err_log10 = %.6g\n" % (row.err_log / LN10),
             "predicted_log10 = %.6g\n" % (row.predicted_exponent / LN10),
@@ -333,9 +352,8 @@ def cmd_table(args) -> tuple[str, int]:
     start, stop, step = args.n_range
     ns = range(start, stop + 1, step)
     digits = [_row_digits(args, n) for n in ns]
-    # The most precise constants first: every row rounds from them.  Past
-    # the oracles' limit the first row too deep fails as it would alone.
-    top = min(max(digits) + _ROW_GUARD, _MAX_DIGITS)
+    # The most precise constants first: every row rounds from them.
+    top = max(digits) + _ROW_GUARD
     gamma_const(top)
     for m in range(2, args.mu + 1):
         zeta_const(m, top)
@@ -476,13 +494,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    # q_n, p_{n,mu} and --digits up to 10000 print integers longer than
-    # Python's default 4300-digit int->str limit (3.10.7+ and 3.11+).
-    # The caller's limit is restored on the way out.
-    limited = hasattr(sys, "set_int_max_str_digits")
-    if limited:
-        old_limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         _check_args(args)
@@ -496,9 +507,6 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print("precision failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION
-    finally:
-        if limited:
-            sys.set_int_max_str_digits(old_limit)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ r_mu(k)) approximate the Bell-polynomial combinations alpha_mu of gamma
 and zeta values.  This module serves the `approx` and `table` commands:
 single values, prefix tables, the denominator bound lcm(1..n)^mu, and
 the measured error of p/q against alpha_mu, one Bell ladder over the
-BigFix constants.  The log of that error is taken at 40 working digits
+BigFix constants, certified by a stated radius (_alpha_radius, one per
+a and mu).  The log of that error is taken at 40 working digits
 (BigFix.ln_float), not at the row's full scale, whenever they settle
 the double it prints.  Floating point enters only in those
 measurements.
@@ -22,6 +23,7 @@ of rows 0..n_max, O(n_max^2), and q_seq builds q alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -92,24 +94,77 @@ def auto_digits(predicted: float) -> int:
     return 30 + max(0, math.ceil(-predicted / LN10))
 
 
+def _alpha_args(a: int, mu: int, scale: int) -> tuple:
+    """(xs, errs): xs = [gamma, c_2 zeta(2), ..., c_mu zeta(mu)] at
+    `scale` digits, c_m = (m-1)! (a + (-1)^m (a-1)), and
+    errs = [1, c_2, ..., c_mu], bounds on their errors in units of
+    10^-scale: each constant is within one unit of its true value (the
+    _gamma_mantissa and _zeta_mantissa docstrings, and
+    numerics._round_cached), and the int scalings are exact."""
+    errs = [1] + [factorial(m - 1) * (a + (-1) ** m * (a - 1))
+                  for m in range(2, mu + 1)]
+    xs = [gamma_const(scale)] + [
+        c * zeta_const(m, scale) for m, c in enumerate(errs[1:], start=2)]
+    return xs, errs
+
+
 def _alpha(a: int, mu: int, scale: int) -> BigFix:
     """alpha_mu = Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) at `scale`
-    digits, c_m = (m-1)! (a + (-1)^m (a-1)): one Bell ladder over BigFix,
-    each product rounded once (int scalings are exact)."""
-    xs = [gamma_const(scale)] + [
-        factorial(m - 1) * (a + (-1) ** m * (a - 1)) * zeta_const(m, scale)
-        for m in range(2, mu + 1)]
-    return bell_ladder(xs)[mu]
+    digits (_alpha_args): one Bell ladder over BigFix, each product
+    rounded once (int scalings are exact)."""
+    return bell_ladder(_alpha_args(a, mu, scale)[0])[mu]
+
+
+@functools.lru_cache(maxsize=None)
+def _alpha_radius(a: int, mu: int) -> int:
+    """A bound, in units of 10^-s, on |_alpha(a, mu, s) - alpha_mu| at
+    every scale s >= 21, the least that convergence_row works at:
+    _ladder_radius over _alpha_args at 21 digits."""
+    return _ladder_radius(*_alpha_args(a, mu, 21))
+
+
+def _ladder_radius(xs, errs) -> int:
+    """A bound, in units of 10^-s, on |bell_ladder(ys)[-1] - Y_n(x)| for
+    BigFix ys at the scale of xs or finer, each ys[i] within errs[i]
+    units of the real x_{i+1}, n = len(xs), where xs meet that bound at
+    their own scale.
+
+    X_i = |xs[i]| + 2 errs[i] units of xs bounds |x_i| and every |ys[i]|,
+    and B_j = Y_j(X) bounds |Y_j(x)|, since Y_j has nonnegative
+    coefficients.  The ladder forms each term C(j-1, i) ys[i] Y~_k,
+    k = j-1-i, as an exact int scaling and one product rounded to half a
+    unit, and so misses C(j-1, i) x_{i+1} Y_k by at most
+    C(j-1, i) (X_{i+1} E_k + errs[i] B_k) + 1/2, where E_k bounds
+    |Y~_k - Y_k|: E_0 = 0 and E_j is the sum of these over i < j.
+    """
+    one = 10 ** xs[0].scale
+    # X and B in units of 1/one, E in units of 10^-s/one, rounded up
+    big = [abs(x.mantissa) + 2 * e for x, e in zip(xs, errs)]
+    bs, es = [one], [0]
+    for j in range(1, len(xs) + 1):
+        cs = [math.comb(j - 1, i) for i in range(j)]
+        b = sum(cs[i] * big[i] * bs[j - 1 - i] for i in range(j))
+        e = sum(cs[i] * (big[i] * es[j - 1 - i]
+                         + errs[i] * bs[j - 1 - i] * one) for i in range(j))
+        bs.append(-(-b // one))
+        es.append(-(-(2 * e + j * one * one) // (2 * one)))
+    return -(-es[-1] // one)
 
 
 def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> ApproxRecord:
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
-    digits defaults to auto_digits(predicted).  The error is evaluated at
-    two guard scales, and its log is BigFix.ln_float, the double that the
-    full-scale ln would round to; disagreement or an unresolvable
-    difference raises PrecisionError, whose message names a, mu, n and
-    the working digits.
+    digits defaults to auto_digits(predicted).  The difference is
+    evaluated once, at s = digits + 20 digits.  Its mantissa M is within
+    R = _alpha_radius(a, mu) + 1 units of 10^-s of the true difference T
+    (the one unit covers from_fraction's half).  The row is accepted when
+    M > 2 10^6 R: then |ln M - ln T| < -ln(1 - 5 10^-7), so err_log,
+    BigFix.ln_float of the difference (the double its full-scale ln
+    rounds to), is within 1e-6 max(1, |err_log|) of the true log.
+    Otherwise PrecisionError names a, mu, n, s, M and R; when M > R, so
+    that T >= M - R, it also names the least digits + k at which
+    (M - R) 10^k - R > 2 10^6 R, where the row passes, since R holds at
+    every scale.
     """
     from .asymptotics import corollary_exponent
 
@@ -118,25 +173,20 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
         digits = auto_digits(predicted)
     _check_mu(a, mu)
     q, p = _row(a, mu, n)
-    ratio = p / q
-    errs = {}
-    # guard 20 first, so that guard 10's constants round from its mantissas
-    for guard in (20, 10):
-        s = digits + guard
-        errs[guard] = abs(_alpha(a, mu, s) - BigFix.from_fraction(ratio, s))
-    logs = []
-    for guard in (10, 20):
-        if errs[guard].is_zero():
-            raise PrecisionError(
-                "a=%d mu=%d n=%d: difference vanishes at %d digits; "
-                "raise digits" % (a, mu, n, digits + guard))
-        logs.append(errs[guard].ln_float())
-    if abs(logs[0] - logs[1]) > 1e-6 * max(1.0, abs(logs[0])):
+    s = digits + 20
+    err = abs(_alpha(a, mu, s) - BigFix.from_fraction(p / q, s))
+    m, r = err.mantissa, _alpha_radius(a, mu) + 1
+    if m <= 2 * 10 ** 6 * r:
+        hint = "raise digits"
+        if m > r:
+            k = 1
+            while (m - r) * 10 ** k - r <= 2 * 10 ** 6 * r:
+                k += 1
+            hint += " to %d" % (digits + k)
         raise PrecisionError(
-            "a=%d mu=%d n=%d: guard evaluations at %d and %d digits "
-            "disagree (%r vs %r); raise digits"
-            % (a, mu, n, digits + 10, digits + 20, logs[0], logs[1]))
-    return ApproxRecord(a, mu, n, p, q, logs[1], predicted)
+            "a=%d mu=%d n=%d: difference of %d units at %d digits, "
+            "radius %d; %s" % (a, mu, n, m, s, r, hint))
+    return ApproxRecord(a, mu, n, p, q, err.ln_float(), predicted)
 
 
 def records_to_csv(records) -> str:

@@ -11,6 +11,7 @@ import pytest
 
 import bellgamma
 from bellgamma import cli, kernel, lemma1, numerics, oracles, sequences, verify
+from bellgamma.bell import bell_ladder
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -348,8 +349,83 @@ def test_precision_exit_code(capsys):
                            "--n", "50", "--digits", "2")
     assert code == 3
     assert err.startswith("precision failure")
-    # the message names the row that failed and its working digits
-    assert "a=3 mu=1 n=50" in err and "12 digits" in err
+    # the message names the row that failed and its working digits; the
+    # difference lies within its radius, so no digits are suggested
+    assert "a=3 mu=1 n=50" in err and "22 digits" in err
+    assert err.rstrip().endswith("raise digits")
+
+
+@pytest.mark.parametrize("argv", [
+    "approx --a 3 --mu 1 --n 39 --digits 1",
+    "approx --a 3 --mu 2 --n 33 --digits 3",
+    "approx --a 2 --mu 1 --n 100 --digits 2",
+])
+def test_precision_failure_names_digits_that_pass(argv, capsys):
+    # The difference is resolved but its radius is too wide for err_log:
+    # the message names the least digits that pass, and they do.
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    head, _, digits = err.rstrip().rpartition(" raise digits to ")
+    assert head.startswith("precision failure: ")
+    args = argv.split()
+    args[args.index("--digits") + 1] = digits
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+
+
+def test_table_a8_at_two_digits_is_certified(capsys, monkeypatch):
+    # The widest radius, a = 8 and mu = 7, still certifies every row at
+    # two digits, and each err_log10 matches mpmath.
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    code, out, err = run_cli(capsys, "table", "--a", "8", "--mu", "7",
+                             "--n", "0:40:1", "--digits", "2",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    rows = json.loads(out)
+    assert [r["n"] for r in rows] == list(range(41))
+    with mpmath.workdps(80):
+        alpha = bell_ladder([mpmath.euler] + [
+            math.factorial(m - 1) * (8 + (-1) ** m * 7) * mpmath.zeta(m)
+            for m in range(2, 8)])[7]
+        for r in rows:
+            ratio = mpmath.mpf(r["p_num"]) / r["p_den"] / r["q"]
+            true = float(mpmath.log10(abs(alpha - ratio)))
+            assert abs(r["err_log10"] - true) <= 1e-6 * max(1, abs(true))
+
+
+@pytest.mark.parametrize("argv", [
+    "approx --a 8 --mu 1 --n 55083",
+    "table --a 8 --mu 1 --n 0:55083:55083",
+    "approx --a 3 --mu 1 --n " + str(10 ** 22),
+    "approx --a 3 --mu 1 --n " + str(10 ** 400),
+])
+def test_rows_past_the_digit_limit_fail_before_any_row(argv, capsys,
+                                                       monkeypatch):
+    # auto digits past 9980 (or a predicted exponent past a double) exit 3
+    # before the kernel builds a row that the oracles could not measure
+    def no_row(*args):
+        raise AssertionError("kernel row built: %r" % (args[:2],))
+
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    monkeypatch.setattr(kernel, "seq_rows", no_row)
+    code, out, err = run_cli(capsys, *argv.split())
+    n = argv.split()[-1].split(":")[-1]
+    assert code == 3 and out == ""
+    assert err.startswith("precision failure: a=%s mu=1 n=%s: "
+                          % (argv.split()[2], n))
+    assert "digits, more than the 9980" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int->str digit limit in this Python")
+def test_numbers_past_the_int_str_limit_are_usage_errors(capsys):
+    # argparse cannot read an int longer than the limit: exit 2, not a
+    # traceback
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["approx", "--a", "3", "--mu", "1", "--n", "9" * 5000])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -458,8 +534,8 @@ def test_main_restores_int_str_limit(capsys):
     ["table", "--a", "4", "--mu", "3", "--n", "0:200:40"],
 ])
 def test_rows_compute_each_constant_once(argv, capsys, monkeypatch):
-    # Every row and both guard evaluations round from one computation of
-    # each constant, made at the deepest precision needed.
+    # Every row's one evaluation rounds from one computation of each
+    # constant, made at the deepest precision needed.
     monkeypatch.setattr(numerics, "_GAMMA_CACHE", {})
     monkeypatch.setattr(numerics, "_ZETA_CACHE", {})
     computed = []  # (digits,) for gamma, (m, digits) for zeta(m)
@@ -473,6 +549,30 @@ def test_rows_compute_each_constant_once(argv, capsys, monkeypatch):
     assert code == 0
     assert [c[:-1] for c in computed] == [()] + [(m,) for m in range(2, mu + 1)]
     assert len({c[-1] for c in computed}) == 1
+
+
+def test_rows_evaluate_once(capsys, monkeypatch):
+    # one p/q rounding, one alpha ladder and one logarithm per row
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    from_fraction = numerics.BigFix.from_fraction
+    monkeypatch.setattr(numerics.BigFix, "from_fraction", staticmethod(
+        counted("from_fraction", from_fraction)))
+    monkeypatch.setattr(numerics.BigFix, "ln_float", counted(
+        "ln_float", numerics.BigFix.ln_float))
+    monkeypatch.setattr(sequences, "bell_ladder", counted(
+        "ladder", sequences.bell_ladder))
+    code, out, _ = run_cli(capsys, "table", "--a", "5", "--mu", "4",
+                           "--n", "0:100:20")
+    assert code == 0 and len(out.splitlines()) == 7
+    assert sorted(calls) == (["from_fraction"] * 6 + ["ladder"] * 6
+                             + ["ln_float"] * 6)
 
 
 def test_subprocess_determinism():
@@ -591,9 +691,11 @@ def test_kind_choices_match_profile_kinds():
 # from an O(n^2) table, the next 25 before `kernel` and `cli` lost their
 # pass-through layers, the next while lemma 1 was still checked over
 # Fraction, the next while the constants were Euler-Maclaurin sums, the
-# next two while lemma 1 built each row twice, the last two while
+# next two while lemma 1 built each row twice, the next two while
 # err_log was taken at the full working scale and json printed by
-# json.dumps.  Refactors must not change a byte.
+# json.dumps, the last three while each row was evaluated at two guard
+# scales and main lifted Python's int->str limit.  Refactors must not
+# change a byte.
 OUTPUT_DIGESTS = {
     "table --a 2 --mu 1 --n 0:200:25":
         "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
@@ -685,6 +787,12 @@ OUTPUT_DIGESTS = {
         "8b6806c51c3a16abb64347a3037d3a23a7c9b08c1063e938327310a0fb5ee839",
     "approx --a 3 --mu 2 --n 300 --digits 3000 --format json":
         "8b32e2f38965ca2080c9c5ed184c4cc5e83474d41e59cd4156e89ec44cce568c",
+    "table --a 8 --mu 7 --n 0:300:50 --format json":
+        "0a2fbabfe1cf7c48f1ba65c2c7401a11fcdc8b6ad6a692d074aa7741feec6fc5",
+    "table --a 5 --mu 4 --n 0:20:2 --digits 4":
+        "a2f11c6998a7a25ea2d3e08e9c7249f84666e962758568a708311cd6a5e98e97",
+    "approx --a 2 --mu 1 --n 1600":
+        "f90774f937e814360996fd1d119106cec141afb9095ed70c78d5639374f9844f",
 }
 
 

@@ -1,7 +1,8 @@
 """Property tests: Bell identities in every ring the package feeds to the
 ladder, SymPoly over int against Fraction coefficients, BigFix
-arithmetic against exact Fractions and mpmath, and the CLI's json
-renderer against json.dumps.
+arithmetic against exact Fractions and mpmath, the radius of alpha_mu
+and the certified err_log against mpmath, and the CLI's json renderer
+against json.dumps.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -25,9 +26,11 @@ from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
 from bellgamma.kernel import Column  # noqa: E402
 from bellgamma.cli import _json  # noqa: E402
 from bellgamma.numerics import (_LN_FLOAT_DIGITS, BigFix,  # noqa: E402
-                                _ln_fix, _ln_fix_error, binom, factorial,
-                                gamma_const, zeta_const)
-from bellgamma.sequences import _alpha  # noqa: E402
+                                PrecisionError, _ln_fix, _ln_fix_error,
+                                binom, factorial)
+from bellgamma.sequences import (_alpha, _alpha_args,  # noqa: E402
+                                 _alpha_radius, _ladder_radius,
+                                 convergence_row)
 from bellgamma.symring import SymPoly  # noqa: E402
 
 pytest_plugins = ["pytester"]
@@ -178,33 +181,63 @@ def test_bigfix_mul_rat_rounds_once(m, r, scale):
     assert abs(x.mul_rat(r).to_fraction() - exact) <= half_ulp(scale)
 
 
-def ladder_rounding_bound(xs, scale):
-    """Bound on |Y_n computed on BigFix - Y_n of the same values exact|.
+alphas = st.integers(2, 8).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, a - 1)))
 
-    The ladder forms Y_j as sum_i (C(j-1, i) x_{i+1}) Y_{j-1-i}, the
-    scaling by C exact, so each of the j rounded products adds at most
-    half a unit, and an error e in Y_{j-1-i} adds C(j-1, i) |x_{i+1}| e:
-    E_j <= sum_i (C(j-1, i) |x_{i+1}| E_{j-1-i} + u/2), E_0 = 0."""
-    es = [Fraction(0)]
-    for j in range(1, len(xs) + 1):
-        es.append(sum(binom(j - 1, i) * abs(xs[i]) * es[j - 1 - i]
-                      + half_ulp(scale) for i in range(j)))
-    return es[-1]
+
+def mp_alpha(a, mu):
+    """alpha_mu by mpmath at its working precision: the Bell ladder over
+    gamma and c_m zeta(m), in mpf."""
+    mpmath = pytest.importorskip("mpmath")
+    xs = [mpmath.euler] + [factorial(m - 1) * (a + (-1) ** m * (a - 1))
+                           * mpmath.zeta(m) for m in range(2, mu + 1)]
+    return bell_ladder(xs)[mu]
 
 
 @PROPERTY
-@given(st.integers(2, 8).flatmap(
-    lambda a: st.tuples(st.just(a), st.integers(1, a - 1))),
-    st.integers(1, 80))
+@given(alphas, st.integers(1, 80))
 def test_bigfix_ladder_alpha_within_rounding_bound(case, scale):
+    # The production radius with exact arguments bounds the ladder's own
+    # rounding; the reference is the same ladder over exact Fractions.
     a, mu = case
-    xs = [gamma_const(scale).to_fraction()] + [
-        factorial(m - 1) * (a + (-1) ** m * (a - 1))
-        * zeta_const(m, scale).to_fraction() for m in range(2, mu + 1)]
+    xs, _ = _alpha_args(a, mu, scale)
     got = _alpha(a, mu, scale)
     assert got.scale == scale
-    assert (abs(got.to_fraction() - bell_ladder(xs)[mu])
-            <= ladder_rounding_bound(xs, scale))
+    exact = bell_ladder([x.to_fraction() for x in xs])[mu]
+    assert (abs(got.to_fraction() - exact)
+            <= Fraction(_ladder_radius(xs, [0] * mu), 10 ** scale))
+
+
+@PROPERTY
+@given(alphas, st.integers(1, 80))
+def test_alpha_within_its_radius(case, scale):
+    # the radius convergence_row uses bounds the distance from the true
+    # alpha_mu, at every scale and, from 21 digits on, as one number
+    mpmath = pytest.importorskip("mpmath")
+    a, mu = case
+    with mpmath.workdps(scale + 40):
+        err = abs(mpmath.mpf(_alpha(a, mu, scale).mantissa)
+                  - mp_alpha(a, mu) * mpmath.mpf(10) ** scale)
+        assert err <= _ladder_radius(*_alpha_args(a, mu, scale))
+        if scale >= 21:
+            assert err <= _alpha_radius(a, mu)
+
+
+@PROPERTY
+@given(alphas, st.integers(0, 60), st.integers(1, 12))
+def test_convergence_row_err_log_is_certified(case, n, digits):
+    # either a PrecisionError or an err_log within the tolerance
+    # perfbench/check.py applies, against mpmath
+    mpmath = pytest.importorskip("mpmath")
+    a, mu = case
+    try:
+        row = convergence_row(a, mu, n, digits)
+    except PrecisionError:
+        return
+    with mpmath.workdps(digits + 80):
+        ratio = mpmath.mpf(row.p.numerator) / row.p.denominator / row.q
+        true = float(mpmath.log(abs(mp_alpha(a, mu) - ratio)))
+    assert abs(row.err_log - true) <= 1e-6 * max(1.0, abs(true))
 
 
 @PROPERTY
