@@ -27,18 +27,15 @@ _MODULES = {
     "numerics": (
         "BigFix", "PrecisionError", "Rat", "binom", "factorial",
         "gamma_const", "lcm_upto", "poch", "zeta_const"),
-    "oracles": ("F_sym", "HarmonicCache", "f_deriv_sym", "harmonic", "r_val"),
-    "powerseries": ("SeriesQ", "ps_exp", "ps_log1p", "ps_mul", "ps_pow",
-                    "ps_recip"),
     "recurrences": (
         "RecurrenceSpec", "aptekarev_seq", "make_paper_recurrences",
         "recurrence_check", "recurrence_generate"),
     "saddle": ("CPoint", "RootRefinementError", "root_report",
                "saddle_roots", "saddle_seed"),
     "sequences": (
-        "ApproxRecord", "convergence_row", "integrality_check", "p_at",
-        "p_seq", "q_at", "q_seq", "records_to_csv"),
-    "symring": ("SymPoly", "alpha_mu", "alpha_poly", "lambda_coeff"),
+        "ApproxRecord", "convergence_row", "p_at", "p_seq", "q_at", "q_seq",
+        "records_to_csv"),
+    "symring": ("SymPoly", "alpha_poly", "lambda_coeff"),
     "tail": ("tail_series",),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()

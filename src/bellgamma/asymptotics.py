@@ -1,13 +1,13 @@
 """Growth exponents and the q_n asymptotic formula.
 
 The coefficients b_m(a) come from an exact power-series log expansion,
-taken by its own short recurrence rather than through module
-powerseries; they feed three exponent evaluations: the linear-form
-decay rate, its corollary form with cos(2 pi m / a) - 1 factors, and
-the log-scale asymptotic main term of q_n.  All coefficients stay
-rational until the final float evaluation.  approx and table load this
-module for the predicted exponent, so the complex saddle-root refinement
-lives in module saddle, which only roots and the saddle suite load.
+taken by its own short recurrence; they feed three exponent
+evaluations: the linear-form decay rate, its corollary form with
+cos(2 pi m / a) - 1 factors, and the log-scale asymptotic main term of
+q_n.  All coefficients stay rational until the final float evaluation.
+approx and table load this module for the predicted exponent, so the
+complex saddle-root refinement lives in module saddle, which only roots
+and the saddle suite load.
 """
 
 from __future__ import annotations

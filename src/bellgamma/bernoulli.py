@@ -7,7 +7,9 @@ as test oracles rather than used for construction.  gen_bernoulli
 builds each B_n^{(m)} once per process (a bounded cache shared by every
 caller, so a PolyQ is never mutated); bernoulli_at evaluates it from
 the coefficients without building it.  PolyQ keeps integer coefficients
-as ints.  Only the second csc-power route loads module powerseries.
+as ints.  The second csc-power route is a few private functions over
+coefficient lists: a Fraction reciprocal and an integer-convolution
+truncated product with binary powering.
 """
 
 from __future__ import annotations
@@ -275,19 +277,59 @@ def csc_power_coeffs(m: int, nmax: int) -> list[Fraction]:
     bern = [Fraction((-1) ** n * 4 ** n)
             * bernoulli_at(2 * n, m, half_m) / factorial(2 * n)
             for n in range(nmax + 1)]
-    # imported here: make_paper_recurrences needs PolyQ alone
-    from .powerseries import ps_pow
-
-    if bern != list(ps_pow(_csc_series(nmax), m).coeffs):
+    if bern != _series_pow(_csc_series(nmax), m):
         raise ArithmeticError("csc power series routes disagree")
     return bern
 
 
+# The second csc-power route, over truncated power series held as
+# coefficient lists [c_0, ..., c_N] of ints and Fractions, all of one
+# length; it never looks past z^N.
+
 @functools.lru_cache(maxsize=4)
-def _csc_series(nmax: int):
+def _csc_series(nmax: int) -> tuple:
     """z/sin z by series inversion, to order nmax in w = z^2: the
     inverse of sin z / z = sum (-1)^j w^j / (2j+1)!, shared by every m."""
-    from .powerseries import SeriesQ, ps_recip
+    return tuple(_series_recip([Fraction((-1) ** j, factorial(2 * j + 1))
+                                for j in range(nmax + 1)]))
 
-    return ps_recip(SeriesQ([Fraction((-1) ** j, factorial(2 * j + 1))
-                             for j in range(nmax + 1)], nmax))
+
+def _series_mul(s, t) -> list:
+    """Truncated Cauchy product, summed in integers over the product of
+    the factors' common denominators; an integral coefficient is an int."""
+    ds = lcm(*(c.denominator for c in s))
+    dt = lcm(*(c.denominator for c in t))
+    a = [c.numerator * (ds // c.denominator) for c in s]
+    b = [c.numerator * (dt // c.denominator) for c in t]
+    d = ds * dt
+    out = []
+    for k in range(len(a)):
+        acc = sum(a[i] * b[k - i] for i in range(k + 1) if a[i] and b[k - i])
+        out.append(acc // d if acc % d == 0 else Fraction(acc, d))
+    return out
+
+
+def _series_pow(s, k: int) -> list:
+    """s^k for k >= 0, by binary powering."""
+    if k < 0:
+        raise ValueError("_series_pow requires k >= 0")
+    acc = [1] + [0] * (len(s) - 1)
+    while k:
+        if k & 1:
+            acc = _series_mul(acc, s)
+        k >>= 1
+        if k:
+            s = _series_mul(s, s)
+    return acc
+
+
+def _series_recip(s) -> list:
+    """The multiplicative inverse, as Fractions; requires s(0) != 0."""
+    if s[0] == 0:
+        raise ValueError("_series_recip requires s(0) != 0")
+    out = [1 / Fraction(s[0])]
+    for i in range(1, len(s)):
+        acc = sum((s[j] * out[i - j] for j in range(1, i + 1) if s[j]),
+                  Fraction(0))
+        out.append(-acc / s[0])
+    return out

@@ -17,13 +17,13 @@ Each command takes the parsed and range-checked argparse namespace and
 returns its output text with the exit code; main writes the text.  A
 command imports the modules it runs itself, so a process compiles only
 those: constants loads neither asymptotics nor sequences, asymptotics
-and roots never load sequences or powerseries, and only roots and the
-saddle suite load saddle (and cmath).  approx and table load sequences
-(the q/p rows and the convergence measurement) and asymptotics (the
-predicted exponent) but none of the saddle, recurrence, lemma-1, tail
-or Bernoulli code.  Only verify loads the suites (module verify), each
-of which imports its own modules.  No command loads module oracles, and
-none loads json: _json prints json.dumps's bytes itself.
+and roots never load sequences, and only roots and the saddle suite
+load saddle (and cmath).  approx and table load sequences (the q/p rows
+and the convergence measurement) and asymptotics (the predicted
+exponent) but none of the saddle, recurrence, lemma-1, tail or
+Bernoulli code.  Only verify loads the suites (module verify), each of
+which imports its own modules.  No command loads json: _json prints
+json.dumps's bytes itself.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-# convergence_row evaluates each row at digits + 20, so approx and table
-# accept --digits, and work out digits, only up to the oracles' limit
-# less 20.
-_ROW_GUARD = 20
 # Past 10^64 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
 # other, fall within double rounding of one another and refine to the
 # same point: a = 4, u = 1 collides at 10^65 and already at 6*10^64.  A
@@ -156,6 +152,8 @@ def _check_args(args) -> None:
         raise UsageError("BELLGAMMA_DIGITS must be an integer")
     top = _MAX_DIGITS
     if args.command in ("approx", "table"):
+        # convergence_row works at digits + _ROW_GUARD
+        from .sequences import _ROW_GUARD
         top -= _ROW_GUARD
     if not 1 <= args.env_digits <= top:
         raise UsageError("BELLGAMMA_DIGITS out of range 1..%d" % top)
@@ -284,26 +282,30 @@ def _json(obj) -> str:
 def _row_digits(args, n: int) -> int:
     """Row n's working digits: --digits, else the larger of
     BELLGAMMA_DIGITS and the digits that resolve the predicted error.
-    Digits past the oracles' limit raise PrecisionError here, before
-    any row is built."""
+    PrecisionError is raised here, before any row is built, when those
+    digits pass the oracles' limit, or, with --digits, twice that limit:
+    a row whose predicted error needs them cannot be certified at any
+    digits the parser accepts, whatever the few nats by which the
+    measured error misses the prediction."""
     from . import asymptotics as asy
     from . import sequences as seq
 
-    if args.digits is not None:
-        return args.digits
-    top = _MAX_DIGITS - _ROW_GUARD
+    top = _MAX_DIGITS - seq._ROW_GUARD
     try:
         auto = seq.auto_digits(asy.corollary_exponent(args.a, n))
     except OverflowError:
         # n or the predicted exponent overflows a double: n > 1.7e308,
         # where a = 2 already needs 2 10^154 digits
         auto = None
-    if auto is None or auto > top:
+    limit = top if args.digits is None else 2 * _MAX_DIGITS
+    if auto is None or auto > limit:
         raise PrecisionError(
             "a=%d mu=%d n=%d: the predicted error needs %s digits, more "
             "than the %d that approx and table resolve"
             % (args.a, args.mu, n, "over 10^154" if auto is None else auto,
                top))
+    if args.digits is not None:
+        return args.digits
     return max(args.env_digits, auto)
 
 
@@ -351,9 +353,12 @@ def cmd_table(args) -> tuple[str, int]:
 
     start, stop, step = args.n_range
     ns = range(start, stop + 1, step)
+    # The last row first: a range past the limit is refused before it is
+    # listed.
+    _row_digits(args, ns[-1])
     digits = [_row_digits(args, n) for n in ns]
     # The most precise constants first: every row rounds from them.
-    top = max(digits) + _ROW_GUARD
+    top = max(digits) + seq._ROW_GUARD
     gamma_const(top)
     for m in range(2, args.mu + 1):
         zeta_const(m, top)

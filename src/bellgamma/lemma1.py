@@ -10,7 +10,7 @@ alpha_mu, with integer coefficients, read the same in G, Z_m as in g,
 z_m up to the factor D^mu.  Each row is built once, by kernel.row: its
 q_n and D^mu p_{n,mu} enter the residual as they are, and its weights
 and Columns feed that ladder.  Only `verify --suite lemma1` and library
-callers import this module; its Fraction oracle F_sym is in oracles.
+callers import this module; its Fraction oracle F_sym is in the tests.
 """
 
 from __future__ import annotations

@@ -90,18 +90,16 @@ def _decimal_str(m: int) -> str:
     return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
 
 
-def _fix_arctan_recip(q: int, w: int, hyperbolic: bool) -> int:
-    """atanh(1/q) if hyperbolic, else atan(1/q), at scale w (integer
-    q >= 2), as a fixed-point mantissa: the sum over i of
-    (+-1)^i q^{-2i-1}/(2i+1), its signs alternating for atan."""
+def _fix_atanh_recip(q: int, w: int) -> int:
+    """atanh(1/q) at scale w (integer q >= 2), as a fixed-point
+    mantissa: the sum over i of q^{-2i-1}/(2i+1), each term floored."""
     p = 10 ** w // q
     acc = p
     q2 = q * q
     i = 1
     while p:
         p //= q2
-        term = p // (2 * i + 1)
-        acc += -term if i & 1 and not hyperbolic else term
+        acc += p // (2 * i + 1)
         i += 1
     return acc
 
@@ -112,20 +110,13 @@ def _fix_arctan_recip(q: int, w: int, hyperbolic: bool) -> int:
 # process.
 @functools.lru_cache(maxsize=32)
 def _ln2_fix(w: int) -> int:
-    return 2 * _fix_arctan_recip(3, w, True)
+    return 2 * _fix_atanh_recip(3, w)
 
 
 @functools.lru_cache(maxsize=32)
 def _ln10_fix(w: int) -> int:
     # ln 10 = ln(5/4) + 3 ln 2 and ln(5/4) = 2 atanh(1/9)
-    return 2 * _fix_arctan_recip(9, w, True) + 3 * _ln2_fix(w)
-
-
-@functools.lru_cache(maxsize=32)
-def _pi_fix(w: int) -> int:
-    """pi at scale w by Machin's formula."""
-    return (16 * _fix_arctan_recip(5, w, False)
-            - 4 * _fix_arctan_recip(239, w, False))
+    return 2 * _fix_atanh_recip(9, w) + 3 * _ln2_fix(w)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +127,10 @@ class BigFix:
     """Decimal fixed-point real: value = mantissa * 10**-scale.
 
     The operations are those the convergence measurement and the oracles
-    run (+, -, abs, products, int scaling, powers, ln and ln_float) and
-    the tests' mul_rat and pi.  All arithmetic rounds to nearest at the
-    operand scale; mixed-scale operands are rejected rather than silently
-    rescaled.  Instances are immutable by convention.
+    run: +, -, abs, products, int scaling, powers, ln and ln_float.  All
+    arithmetic rounds to nearest at the operand scale; mixed-scale
+    operands are rejected rather than silently rescaled.  Instances are
+    immutable by convention.
     """
 
     __slots__ = ("mantissa", "scale")
@@ -161,11 +152,6 @@ class BigFix:
         fr = Fraction(fr)
         return cls(_div_nearest(fr.numerator * 10 ** scale, fr.denominator),
                    scale)
-
-    @classmethod
-    def pi(cls, scale: int) -> "BigFix":
-        w = scale + 10
-        return cls(_div_nearest(_pi_fix(w), 10 ** 10), scale)
 
     # bookkeeping ----------------------------------------------------------
 
@@ -199,12 +185,6 @@ class BigFix:
 
     __rmul__ = __mul__
 
-    def mul_rat(self, fr: Fraction) -> "BigFix":
-        """Exact-rational scaling, rounded once."""
-        fr = Fraction(fr)
-        return BigFix(_div_nearest(self.mantissa * fr.numerator,
-                                   fr.denominator), self.scale)
-
     def __pow__(self, k: int) -> "BigFix":
         """Integer power k >= 0, computed exactly then rounded once."""
         if k < 0:
@@ -224,9 +204,6 @@ class BigFix:
         return hash((self.mantissa, self.scale))
 
     # conversion -----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return self.mantissa == 0
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 10 ** self.scale)
@@ -421,7 +398,7 @@ def _gamma_mantissa(digits: int) -> int:
     a = -j * _ln2_fix(w)
     if 3 * n >= w * LN10 + 2:  # N = 3 2^(j-2) is enough; w >= 16, j >= 4
         n, j = 3 * n // 4, j - 2
-        a = -(j + 1) * _ln2_fix(w) - 2 * _fix_arctan_recip(5, w, True)
+        a = -(j + 1) * _ln2_fix(w) - 2 * _fix_atanh_recip(5, w)
     b = 10 ** w
     u, v = a, b
     n2 = n * n

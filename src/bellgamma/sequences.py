@@ -3,17 +3,16 @@
 q_n = sum_k C(n,k)^a k! and p_{n,mu} = sum_k C(n,k)^a k! Y_mu(r_1(k),...,
 r_mu(k)) approximate the Bell-polynomial combinations alpha_mu of gamma
 and zeta values.  This module serves the `approx` and `table` commands:
-single values, prefix tables, the denominator bound lcm(1..n)^mu, and
-the measured error of p/q against alpha_mu, one Bell ladder over the
-BigFix constants, certified by a stated radius (_alpha_radius, one per
-a and mu).  The log of that error is taken at 40 working digits
-(BigFix.ln_float), not at the row's full scale, whenever they settle
-the double it prints.  Floating point enters only in those
-measurements.
+single values, prefix tables, and the measured error of p/q against
+alpha_mu, one Bell ladder over the BigFix constants, certified by a
+stated radius (_alpha_radius, one per a and mu).  The log of that error
+is taken at 40 working digits (BigFix.ln_float), not at the row's full
+scale, whenever they settle the double it prints.  Floating point
+enters only in those measurements.
 The exactly checked identities live in their own modules, so that these
-commands never compile them: lemma 1 in lemma1 (with symring and the
-oracle F_sym of oracles), the classical recurrences in recurrences, and
-the alternating tail of the integral remainder in tail.
+commands never compile them: lemma 1 in lemma1 (with symring), the
+classical recurrences in recurrences, and the alternating tail of the
+integral remainder in tail.
 
 Costs: every q/p value comes straight from the kernel, and nothing is
 cached between calls.  A single value (q_at, p_at, convergence_row) is
@@ -30,9 +29,12 @@ from collections import namedtuple
 from . import kernel
 from .bell import bell_ladder
 from .numerics import (LN10, BigFix, PrecisionError, Rat, _decimal_str,
-                       factorial, gamma_const, lcm_upto, zeta_const)
+                       factorial, gamma_const, zeta_const)
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
+# convergence_row evaluates each row at digits + _ROW_GUARD digits, so
+# approx and table work at most at the constants' limit less _ROW_GUARD.
+_ROW_GUARD = 20
 
 
 def _check_mu(a: int, mu: int) -> None:
@@ -69,15 +71,6 @@ def p_at(a: int, mu: int, n: int) -> Rat:
     """Single value p_{n,mu}: one O(n) kernel row."""
     _check_mu(a, mu)
     return _row(a, mu, n)[1]
-
-
-def integrality_check(a: int, mu: int, n: int) -> bool:
-    """True iff lcm(1..n)^mu * p_{n,mu} is an integer."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    p = p_at(a, mu, n)
-    d = lcm_upto(n)
-    return (d ** mu * p).denominator == 1
 
 
 class ApproxRecord(namedtuple(
@@ -118,9 +111,9 @@ def _alpha(a: int, mu: int, scale: int) -> BigFix:
 @functools.lru_cache(maxsize=None)
 def _alpha_radius(a: int, mu: int) -> int:
     """A bound, in units of 10^-s, on |_alpha(a, mu, s) - alpha_mu| at
-    every scale s >= 21, the least that convergence_row works at:
-    _ladder_radius over _alpha_args at 21 digits."""
-    return _ladder_radius(*_alpha_args(a, mu, 21))
+    every scale s > _ROW_GUARD, the least that convergence_row works at:
+    _ladder_radius over _alpha_args at that least scale."""
+    return _ladder_radius(*_alpha_args(a, mu, _ROW_GUARD + 1))
 
 
 def _ladder_radius(xs, errs) -> int:
@@ -155,16 +148,16 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
     digits defaults to auto_digits(predicted).  The difference is
-    evaluated once, at s = digits + 20 digits.  Its mantissa M is within
-    R = _alpha_radius(a, mu) + 1 units of 10^-s of the true difference T
-    (the one unit covers from_fraction's half).  The row is accepted when
-    M > 2 10^6 R: then |ln M - ln T| < -ln(1 - 5 10^-7), so err_log,
-    BigFix.ln_float of the difference (the double its full-scale ln
-    rounds to), is within 1e-6 max(1, |err_log|) of the true log.
-    Otherwise PrecisionError names a, mu, n, s, M and R; when M > R, so
-    that T >= M - R, it also names the least digits + k at which
-    (M - R) 10^k - R > 2 10^6 R, where the row passes, since R holds at
-    every scale.
+    evaluated once, at s = digits + _ROW_GUARD digits.  Its mantissa M
+    is within R = _alpha_radius(a, mu) + 1 units of 10^-s of the true
+    difference T (the one unit covers from_fraction's half).  The row is
+    accepted when M > 2 10^6 R: then |ln M - ln T| < -ln(1 - 5 10^-7),
+    so err_log, BigFix.ln_float of the difference (the double its
+    full-scale ln rounds to), is within 1e-6 max(1, |err_log|) of the
+    true log.  Otherwise PrecisionError names a, mu, n, s, M and R; when
+    M > R, so that T >= M - R, it also names the least digits + k at
+    which (M - R) 10^k - R > 2 10^6 R, where the row passes, since R
+    holds at every scale.
     """
     from .asymptotics import corollary_exponent
 
@@ -173,7 +166,7 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
         digits = auto_digits(predicted)
     _check_mu(a, mu)
     q, p = _row(a, mu, n)
-    s = digits + 20
+    s = digits + _ROW_GUARD
     err = abs(_alpha(a, mu, s) - BigFix.from_fraction(p / q, s))
     m, r = err.mantissa, _alpha_radius(a, mu) + 1
     if m <= 2 * 10 ** 6 * r:

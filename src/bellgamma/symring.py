@@ -1,7 +1,7 @@
 """Sparse polynomials over Q in the formal symbols g, z2, ..., zM.
 
 g stands for Euler's constant and z_m for zeta(m); lemma 1 alone (module
-lemma1 and its oracles) checks its identity exactly in this ring.
+lemma1 and the tests' oracles) checks its identity exactly in this ring.
 Exponent keys are tuples (e_g, e_z2, ..., e_zM) of length M; M is the
 largest zeta index in scope (M = 1 means g only).
 
@@ -234,13 +234,6 @@ def _alpha_poly(a: int, mu: int, m_index: int) -> SymPoly:
         scal = factorial(m - 1) * (a + (-1) ** m * (a - 1))
         xs.append(scal * SymPoly.zeta(m, m_index))
     return bell_ladder(xs)[mu]
-
-
-def alpha_mu(a: int, mu: int) -> SymPoly:
-    """The limit combination the approximations converge to, 1 <= mu <= a-1."""
-    if not 1 <= mu <= a - 1:
-        raise ValueError(f"alpha_mu requires 1 <= mu <= a-1, got mu={mu}")
-    return alpha_poly(a, mu)
 
 
 def lambda_coeff(a: int, mu: int, nu: int) -> SymPoly:

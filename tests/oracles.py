@@ -1,9 +1,11 @@
-"""Fraction-valued test oracles for the lemma-1 sums.
+"""Reference routes that the tests compare the package against.
 
-Harmonic numbers H_k^{(m)}, the harmonic parts r_m(k) of the summand
-exponent's derivatives, and F_{n,mu} built over Fraction in the g/z
-ring: an independent route to what module lemma1 computes in integers.
-No command imports this module; the tests and library callers do.
+Fraction-valued oracles for the lemma-1 sums: harmonic numbers
+H_k^{(m)}, the harmonic parts r_m(k) of the summand exponent's
+derivatives, and F_{n,mu} built over Fraction in the g/z ring, an
+independent route to what module lemma1 computes in integers.  And
+exp and log1p of truncated power series, coefficient lists
+[c_0, ..., c_N], the oracles of the log expansion in asymptotics.
 """
 
 from __future__ import annotations
@@ -11,10 +13,11 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from . import kernel, lemma1
-from .bell import bell_ladder
-from .numerics import Rat, factorial
-from .symring import SymPoly
+from bellgamma import kernel, lemma1
+from bellgamma.bell import bell_ladder
+from bellgamma.bernoulli import _series_recip
+from bellgamma.numerics import Rat, factorial
+from bellgamma.symring import SymPoly
 
 
 class HarmonicCache:
@@ -95,3 +98,30 @@ def F_sym(a: int, mu: int, n: int) -> SymPoly:
     if not 0 <= mu <= a - 1:
         raise ValueError("require 0 <= mu <= a-1")
     return _f_sym_all(a, n)[mu]
+
+
+def ps_exp(s: list) -> list:
+    """exp(s) for s(0) = 0, via (exp s)' = (exp s) * s'."""
+    if s[0] != 0:
+        raise ValueError("ps_exp requires s(0) = 0")
+    out = [Fraction(1)]
+    for i in range(1, len(s)):
+        # i * out[i] = sum_{j=1..i} j * s[j] * out[i-j]
+        acc = sum((j * s[j] * out[i - j] for j in range(1, i + 1) if s[j]),
+                  Fraction(0))
+        out.append(acc / i)
+    return out
+
+
+def ps_log1p(s: list) -> list:
+    """log(1 + s) for s(0) = 0, by integrating s'/(1+s)."""
+    if s[0] != 0:
+        raise ValueError("ps_log1p requires s(0) = 0")
+    inv = _series_recip([Fraction(1)] + list(s[1:]))
+    out = [Fraction(0)]
+    for i in range(1, len(s)):
+        # the coefficient of z^{i-1} in s' * inv, integrated
+        acc = sum((j * s[j] * inv[i - j] for j in range(1, i + 1) if s[j]),
+                  Fraction(0))
+        out.append(acc / i)
+    return out

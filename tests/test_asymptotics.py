@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import ps_exp, ps_log1p
 
 from bellgamma.asymptotics import (
     PROFILE_KINDS,
@@ -16,8 +17,8 @@ from bellgamma.asymptotics import (
     linform_exponent,
     qn_log_asymptotic,
 )
+from bellgamma.bernoulli import _series_mul
 from bellgamma.numerics import poch
-from bellgamma.powerseries import SeriesQ, ps_exp, ps_log1p, ps_mul
 from bellgamma.saddle import (
     CPoint,
     RootRefinementError,
@@ -31,16 +32,15 @@ def bm_oracle(a):
     order = a
     s = [Fraction(0)] + [poch(Fraction(2) - Fraction(m + 1, a), m)
                          / math.factorial(m + 1) for m in range(1, a + 1)]
-    S = SeriesQ(s, order)
-    log1p = SeriesQ([0], order)
-    power = SeriesQ([1], order)
+    log1p = [0] * (order + 1)
+    power = [1] + [0] * order
     for j in range(1, order + 1):
-        power = ps_mul(power, S)
-        log1p = SeriesQ([c + Fraction((-1) ** (j + 1), j) * d
-                         for c, d in zip(log1p.coeffs, power.coeffs)], order)
+        power = _series_mul(power, s)
+        log1p = [c + Fraction((-1) ** (j + 1), j) * d
+                 for c, d in zip(log1p, power)]
     t = [Fraction(0)] + [poch(Fraction(2) - Fraction(m, a), m - 1)
                          / math.factorial(m) for m in range(1, a + 1)]
-    return [-a * log1p.coeffs[m] - t[m] for m in range(1, a + 1)]
+    return [-a * log1p[m] - t[m] for m in range(1, a + 1)]
 
 
 def test_bm_coeffs_frozen_values():
@@ -62,7 +62,7 @@ def test_bm_coeffs_match_series_log():
     for a in range(2, 9):
         s = [0] + [poch(Fraction(2) - Fraction(m + 1, a), m)
                    / math.factorial(m + 1) for m in range(1, a + 1)]
-        log = ps_log1p(SeriesQ(s, a))
+        log = ps_log1p(s)
         b = bm_coeffs(a)
         assert b == [-a * log[m] - lagrange_coeff(a, m) for m in range(1, a + 1)]
         assert all(type(v) is Fraction for v in b)
@@ -95,12 +95,12 @@ def test_lagrange_coeff_is_series_reversion():
     order = 6
     for a in (2, 3, 4, 5):
         e = Fraction(a - 1, a)
-        z = SeriesQ([0], order)
+        z = [0] * (order + 1)
         for _ in range(order + 2):
-            mul = ps_exp(SeriesQ([e * c for c in ps_log1p(z).coeffs], order))
-            z = SeriesQ([0] + mul.coeffs[:-1], order)  # w * (1+z)^e
+            mul = ps_exp([e * c for c in ps_log1p(z)])
+            z = [0] + mul[:-1]  # w * (1+z)^e
         for m in range(1, order + 1):
-            assert z.coeffs[m] == lagrange_coeff(a, m)
+            assert z[m] == lagrange_coeff(a, m)
 
 
 def test_linform_exponent_values():

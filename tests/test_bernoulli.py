@@ -10,31 +10,31 @@ from bellgamma import bernoulli
 from bellgamma.bernoulli import (
     PolyQ,
     _core_power,
+    _series_mul,
+    _series_pow,
+    _series_recip,
     bernoulli_at,
     bernoulli_number,
     csc_power_coeffs,
     gen_bernoulli,
 )
 from bellgamma.numerics import binom
-from bellgamma.powerseries import SeriesQ, ps_mul, ps_pow, ps_recip
 
 
 def expm1_over_t(order):
     """(e^t - 1)/t truncated at t^order."""
-    return SeriesQ([Fraction(1, factorial(k + 1)) for k in range(order + 1)],
-                   order)
+    return [Fraction(1, factorial(k + 1)) for k in range(order + 1)]
 
 
 def bernoulli_gf_value(n, m, x):
     """Independent oracle: n! [t^n] (t/(e^t-1))^m e^{xt}, all exact."""
     order = n
-    base = ps_recip(expm1_over_t(order))
-    acc = SeriesQ([1], order)
+    base = _series_recip(expm1_over_t(order))
+    acc = [1] + [0] * order
     for _ in range(m):
-        acc = ps_mul(acc, base)
-    ext = SeriesQ([Fraction(x) ** k / factorial(k) for k in range(order + 1)],
-                  order)
-    return ps_mul(acc, ext).coeffs[n] * factorial(n)
+        acc = _series_mul(acc, base)
+    ext = [Fraction(x) ** k / factorial(k) for k in range(order + 1)]
+    return _series_mul(acc, ext)[n] * factorial(n)
 
 
 def test_polyq_basics():
@@ -86,11 +86,11 @@ def test_polyq_call_matches_fraction_horner():
                          ids=["descending", "ascending", "mixed"])
 def test_core_power_matches_series_powering(orders, monkeypatch):
     # Reference: the binary powering of the reciprocal series.
-    ref = {n: ps_recip(expm1_over_t(n)) for n in orders}
+    ref = {n: _series_recip(expm1_over_t(n)) for n in orders}
     monkeypatch.setattr(bernoulli, "_CORE_CACHE", {})
     for m in range(1, 13):
         for n in orders:
-            assert _core_power(m, n) == ps_pow(ref[n], m).coeffs
+            assert _core_power(m, n) == _series_pow(ref[n], m)
         # one list per m, as long as the deepest order asked
         assert len(bernoulli._CORE_CACHE[m]) == max(orders) + 1
     assert sorted(bernoulli._CORE_CACHE) == list(range(1, 13))
@@ -219,13 +219,12 @@ def test_csc_power_elementary_oracle():
     # Third route: invert the sin-series product directly.
     for m in range(1, 5):
         order = 10
-        sin_over_z = SeriesQ(
-            [Fraction((-1) ** j, factorial(2 * j + 1))
-             for j in range(order + 1)], order)
-        acc = SeriesQ([1], order)
+        sin_over_z = [Fraction((-1) ** j, factorial(2 * j + 1))
+                      for j in range(order + 1)]
+        acc = [1] + [0] * order
         for _ in range(m):
-            acc = ps_mul(acc, ps_recip(sin_over_z))
-        assert csc_power_coeffs(m, order) == acc.coeffs
+            acc = _series_mul(acc, _series_recip(sin_over_z))
+        assert csc_power_coeffs(m, order) == acc
 
 
 def test_csc_power_guards():

@@ -7,10 +7,11 @@ import os
 import subprocess
 import sys
 
+import oracles
 import pytest
 
 import bellgamma
-from bellgamma import cli, kernel, lemma1, numerics, oracles, sequences, verify
+from bellgamma import cli, kernel, lemma1, numerics, sequences, verify
 from bellgamma.bell import bell_ladder
 
 # The environment of a `python -m bellgamma.cli` child: the package is
@@ -399,21 +400,30 @@ def test_table_a8_at_two_digits_is_certified(capsys, monkeypatch):
     "table --a 8 --mu 1 --n 0:55083:55083",
     "approx --a 3 --mu 1 --n " + str(10 ** 22),
     "approx --a 3 --mu 1 --n " + str(10 ** 400),
+    # with --digits, past 2 * 10000 digits: these ended in lcm_upto's
+    # OverflowError (exit 1) once n reached 2^63
+    "approx --a 3 --mu 1 --n 9223372036854775808 --digits 50",
+    "table --a 3 --mu 1 --n 0:9223372036854775808 --digits 50",
+    "approx --a 8 --mu 7 --n " + str(10 ** 400) + " --digits 9980",
+    # the last row is checked first, so a huge range is never listed
+    "table --a 3 --mu 1 --n 0:" + str(10 ** 22),
 ])
 def test_rows_past_the_digit_limit_fail_before_any_row(argv, capsys,
                                                        monkeypatch):
-    # auto digits past 9980 (or a predicted exponent past a double) exit 3
-    # before the kernel builds a row that the oracles could not measure
+    # auto digits past 9980, explicit digits whose row needs more than
+    # twice the oracles' limit, or a predicted exponent past a double,
+    # exit 3 before the kernel builds a row that could not be measured
     def no_row(*args):
         raise AssertionError("kernel row built: %r" % (args[:2],))
 
     monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
     monkeypatch.setattr(kernel, "seq_rows", no_row)
-    code, out, err = run_cli(capsys, *argv.split())
-    n = argv.split()[-1].split(":")[-1]
+    words = argv.split()
+    code, out, err = run_cli(capsys, *words)
+    n = words[words.index("--n") + 1].split(":")[-1]
     assert code == 3 and out == ""
-    assert err.startswith("precision failure: a=%s mu=1 n=%s: "
-                          % (argv.split()[2], n))
+    assert err.startswith("precision failure: a=%s mu=%s n=%s: "
+                          % (words[2], words[4], n))
     assert "digits, more than the 9980" in err
 
 
@@ -607,16 +617,15 @@ def test_approx_past_int_str_limit():
 # `site` may load them before the package is imported.  No command loads
 # json (cli._json prints it).
 _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
-# The Fraction oracles are for the tests alone.
-_ORACLES = {"bellgamma.oracles"}
 # approx and table run the q/p rows and the convergence measurement only;
 # alpha_mu is a Bell ladder over the BigFix constants, not a SymPoly.
 _ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.bell",
          "bellgamma.asymptotics"}
-_ROWS_NEVER = _NEVER | _ORACLES | {
+_ROWS_NEVER = _NEVER | {
     "bellgamma.recurrences", "bellgamma.lemma1", "bellgamma.tail",
-    "bellgamma.powerseries", "bellgamma.symring", "bellgamma.saddle",
-    "cmath"}
+    "bellgamma.symring", "bellgamma.saddle", "cmath"}
+# asymptotics and roots work in double precision from their own series
+_FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"}
 
 
 @pytest.mark.parametrize("argv, absent, present", [
@@ -641,27 +650,28 @@ _ROWS_NEVER = _NEVER | _ORACLES | {
     ("approx --a 4 --mu 3 --n 100", _ROWS_NEVER, _ROWS),
     ("table --a 2 --mu 1 --n 0:40:20 --qn-ratio", _ROWS_NEVER, _ROWS),
     ("verify --suite tail --digits 30",
-     _ORACLES | {"bellgamma.symring", "bellgamma.kernel", "bellgamma.bell",
-                 "bellgamma.sequences"},
+     {"bellgamma.symring", "bellgamma.kernel", "bellgamma.bell",
+      "bellgamma.sequences"},
      {"bellgamma.tail"}),
     ("verify --suite recurrences --nmax 8",
-     _ORACLES | {"bellgamma.symring", "bellgamma.sequences",
-                 "bellgamma.powerseries"},
+     {"bellgamma.symring", "bellgamma.sequences"},
      {"bellgamma.recurrences", "bellgamma.bernoulli"}),
-    ("asymptotics --a 5 --n 1000", _ORACLES | {"bellgamma.powerseries"},
+    ("asymptotics --a 5 --n 1000", _FLOAT_NEVER,
      {"bellgamma.asymptotics"}),
-    ("roots --a 3", _ORACLES | {"bellgamma.powerseries"},
+    ("roots --a 3", _FLOAT_NEVER,
      {"bellgamma.asymptotics", "bellgamma.saddle"}),
-    ("verify --suite lemma1 --a 4 --nmax 3", _ORACLES, {"bellgamma.lemma1"}),
-    ("verify --suite integrality --a 3 --nmax 5", _ORACLES,
-     {"bellgamma.kernel"}),
-    ("constants --digits 20 --zeta-max 3", _ORACLES, {"bellgamma.numerics"}),
+    ("verify --suite lemma1 --a 4 --nmax 3", {"bellgamma.sequences"},
+     {"bellgamma.lemma1"}),
+    ("verify --suite integrality --a 3 --nmax 5",
+     {"bellgamma.sequences", "bellgamma.symring"}, {"bellgamma.kernel"}),
+    ("constants --digits 20 --zeta-max 3",
+     {"bellgamma.sequences", "bellgamma.bell"}, {"bellgamma.numerics"}),
     ("approx --a 3 --mu 2 --n 40 --format csv", _ROWS_NEVER, _ROWS),
     ("approx --a 3 --mu 2 --n 40 --format json", _ROWS_NEVER, _ROWS),
     ("table --a 3 --mu 1 --n 0:40:20 --format text", _ROWS_NEVER, _ROWS),
     ("table --a 4 --mu 2 --n 0:40:20 --qn-ratio --format json",
      _ROWS_NEVER, _ROWS),
-    ("roots --a 5 --u 2 --format json", _ORACLES, {"bellgamma.saddle"}),
+    ("roots --a 5 --u 2 --format json", _FLOAT_NEVER, {"bellgamma.saddle"}),
     ("asymptotics --a 4 --format json", {"bellgamma.saddle", "cmath"},
      {"bellgamma.asymptotics"}),
 ])

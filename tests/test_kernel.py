@@ -152,7 +152,7 @@ def test_scaled_harmonics():
 
 
 def test_harmonic_halves_give_scaled_r():
-    from bellgamma.oracles import r_val
+    from oracles import r_val
 
     for a, n_hi, mu_max in ((2, 0, 1), (3, 9, 2), (8, 7, 7)):
         d, hi, lo = kernel.harmonic_halves(a, n_hi, mu_max)

@@ -1,6 +1,7 @@
 """The package's lazily loaded public names."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +21,11 @@ def test_unknown_name_raises_attribute_error():
         bellgamma.no_such_name
     with pytest.raises(AttributeError):
         bellgamma.profile_to_json  # removed: no caller outside its test
+
+
+def test_every_library_module_has_an_entry():
+    # cli and verify are command code, not library modules
+    src = Path(bellgamma.__file__).parent
+    modules = {p.stem for p in src.glob("*.py")} - {"__init__", "cli",
+                                                    "verify"}
+    assert set(bellgamma._MODULES) == modules

@@ -5,16 +5,17 @@ import random
 import sys
 from fractions import Fraction
 
+import oracles
 import pytest
+from oracles import F_sym, HarmonicCache, f_deriv_sym, harmonic, r_val
 from test_kernel import oracle_tables
 
-from bellgamma import kernel, lemma1, oracles
+from bellgamma import kernel, lemma1
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
 from bellgamma.lemma1 import lemma1_residual
 from bellgamma.numerics import (BigFix, PrecisionError, binom, factorial,
                                 lcm_upto)
-from bellgamma.oracles import F_sym, HarmonicCache, f_deriv_sym, harmonic, r_val
 from bellgamma.recurrences import (
     RecurrenceSpec,
     aptekarev_seq,
@@ -25,7 +26,6 @@ from bellgamma.recurrences import (
 from bellgamma.sequences import (
     ApproxRecord,
     convergence_row,
-    integrality_check,
     p_at,
     p_seq,
     q_at,
@@ -161,7 +161,8 @@ def test_integrality():
     for a in (2, 3, 4):
         for mu in range(1, a):
             for n in range(0, 40):
-                assert integrality_check(a, mu, n)
+                # lcm(1..n)^mu p_{n,mu} is an integer
+                assert (lcm_upto(n) ** mu * p_at(a, mu, n)).denominator == 1
     # q_n are positive integers as built
     assert all(isinstance(v, int) and v > 0 for v in q_seq(4, 30))
 
