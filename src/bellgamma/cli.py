@@ -10,29 +10,34 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 --out file that cannot be opened), 3 precision failure.  BELLGAMMA_DIGITS
-sets the default precision (50 when unset); identical invocations produce
-byte-identical output.
+sets the default precision of approx, table and constants (50 when
+unset), and is read only when --digits is not given; identical
+invocations produce byte-identical output.
 
-Each command takes the parsed and range-checked argparse namespace and
-returns its output text with the exit code; main writes the text.  A
-command imports the modules it runs itself, so a process compiles only
-those: constants loads neither asymptotics nor sequences, asymptotics
-and roots never load sequences, and only roots and the saddle suite
-load saddle (and cmath).  approx and table load sequences (the q/p rows
-and the convergence measurement) and asymptotics (the predicted
-exponent) but none of the saddle, recurrence, lemma-1, tail or
-Bernoulli code.  Only verify loads the suites (module verify), each of
-which imports its own modules.  No command loads json: _json prints
-json.dumps's bytes itself.
+Every flag is declared once, in _FLAGS.  main reads a well-formed
+command line (the command, then each of its flags at most once, spelled
+out and with its value) directly from that table; it imports argparse
+only to read any other spelling, print --help or report a usage error,
+and both readers give the same namespace.  Each command takes that
+namespace, range-checked, and returns its output text with the exit
+code; main writes the text.  A command imports the modules it runs
+itself, so a process compiles only those: constants loads neither
+asymptotics nor sequences, asymptotics and roots never load sequences,
+and only roots and the saddle suite load saddle (and cmath).  approx
+and table load sequences (the q/p rows and the convergence measurement)
+and asymptotics (the predicted exponent) but none of the saddle,
+recurrence, lemma-1, tail or Bernoulli code.  Only verify loads the
+suites (module verify), each of which imports its own modules.  No
+command loads json: _json prints json.dumps's bytes itself.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError,
                        _decimal_str, gamma_const, zeta_const)
@@ -81,83 +86,150 @@ def _parse_range(text: str) -> tuple:
     return start, stop, step
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's flags, in the order --help lists them, as (option,
+# dest, kind, default, required, help, metavar).  kind is int, str (the
+# value as given), a tuple of choices, or None for a store_true flag.
+# Each command gets only the flags it reads: verify prints text lines
+# alone, asymptotics and roots work in double precision.
+_A = ("--a", "a", int, None, True, None, None)
+_MU = ("--mu", "mu", int, None, True, None, None)
+_DIGITS = ("--digits", "digits", int, None, False,
+           "working precision in decimal digits", None)
+_OUT = ("--out", "out", str, None, False, "write output to a file", None)
+
+
+def _format(default):
+    return ("--format", "fmt", ("csv", "json", "text"), default, False, None,
+            None)
+
+
+_FLAGS = {
+    "approx": (_A, _MU, ("--n", "n", int, None, True, None, None), _DIGITS,
+               _format("text"), _OUT),
+    "table": (_A, _MU, ("--n", "n", str, None, True, "inclusive n range",
+                        "START:STOP[:STEP]"),
+              ("--qn-ratio", "qn_ratio", None, False, False,
+               "append a q_n / asymptotic-main-term column", None),
+              _DIGITS, _format("csv"), _OUT),
+    "verify": (("--suite", "suite", tuple(_SUITE_FLAGS), None, True, None,
+                None),
+               ("--a", "a", int, None, False,
+                "lemma1 and integrality suites (default 3)", None),
+               ("--nmax", "nmax", int, None, False, None, None),
+               _DIGITS, _OUT),
+    "constants": (("--zeta-max", "zeta_max", int, 5, False,
+                   "print zeta(2)..zeta(M)", None),
+                  _DIGITS, _format("text"), _OUT),
+    "asymptotics": (_A, ("--kind", "kind", _PROFILE_KINDS, None, False,
+                         "one profile kind (default: all three)", None),
+                    ("--n", "n", int, None, False,
+                     "also evaluate the exponent at this n", None),
+                    _format("json"), _OUT),
+    "roots": (_A, ("--u", "u", int, 0, False, None, None),
+              ("--n", "n", int, 10 ** 6, False, None, None),
+              _format("text"), _OUT),
+}
+_COMMAND_HELP = {
+    "approx": "one approximation row",
+    "table": "convergence table over an n range",
+    "verify": "exact identity suites",
+    "constants": "gamma and zeta reference values",
+    "asymptotics": "exponent coefficient profiles",
+    "roots": "saddle-root refinement report",
+}
+
+
+def build_parser():
+    """The argparse parser of _FLAGS.  main runs it only on a command
+    line _read_argv leaves to it: it prints --help and usage errors, and
+    reads the spellings argparse accepts beyond the direct reader's."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="bellgamma",
         description="Exact rational approximations to Bell-polynomial "
                     "combinations of gamma and zeta values.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    # Each command gets only the flags it reads: verify prints text
-    # lines alone, asymptotics and roots work in double precision.
-    def common(p, digits=True, fmt_default="text"):
-        if digits:
-            p.add_argument("--digits", type=int, default=None,
-                           help="working precision in decimal digits")
-        if fmt_default:
-            p.add_argument("--format", dest="fmt", default=fmt_default,
-                           choices=("csv", "json", "text"))
-        p.add_argument("--out", default=None, help="write output to a file")
-
-    p = sub.add_parser("approx", help="one approximation row")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("table", help="convergence table over an n range")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--n", required=True, metavar="START:STOP[:STEP]",
-                   help="inclusive n range")
-    p.add_argument("--qn-ratio", action="store_true",
-                   help="append a q_n / asymptotic-main-term column")
-    common(p, fmt_default="csv")
-
-    p = sub.add_parser("verify", help="exact identity suites")
-    p.add_argument("--suite", required=True, choices=tuple(_SUITE_FLAGS))
-    p.add_argument("--a", type=int, default=None,
-                   help="lemma1 and integrality suites (default 3)")
-    p.add_argument("--nmax", type=int, default=None)
-    common(p, fmt_default=None)
-
-    p = sub.add_parser("constants", help="gamma and zeta reference values")
-    p.add_argument("--zeta-max", type=int, default=5,
-                   help="print zeta(2)..zeta(M)")
-    common(p)
-
-    p = sub.add_parser("asymptotics", help="exponent coefficient profiles")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--kind", default=None, choices=_PROFILE_KINDS,
-                   help="one profile kind (default: all three)")
-    p.add_argument("--n", type=int, default=None,
-                   help="also evaluate the exponent at this n")
-    common(p, digits=False, fmt_default="json")
-
-    p = sub.add_parser("roots", help="saddle-root refinement report")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--u", type=int, default=0)
-    p.add_argument("--n", type=int, default=10 ** 6)
-    common(p, digits=False)
+    for command, flags in _FLAGS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for option, dest, kind, default, required, text, metavar in flags:
+            kwargs = {"dest": dest, "default": default, "help": text}
+            if kind is None:
+                kwargs["action"] = "store_true"
+            elif kind is int:
+                kwargs["type"] = int
+            elif kind is not str:
+                kwargs["choices"] = kind
+            if required:
+                kwargs["required"] = True
+            if metavar:
+                kwargs["metavar"] = metavar
+            p.add_argument(option, **kwargs)
     return ap
+
+
+def _read_argv(argv):
+    """The namespace build_parser().parse_args(argv) returns, read
+    without argparse when argv is a command followed by its exact long
+    flags, each at most once, each but a store_true one followed by its
+    value, and every required flag present.  An int value must convert
+    by int() and a choice be one of its choices; a value may start with
+    '-' only as an int flag's '-' and decimal digits, which argparse too
+    reads as a negative number.  Otherwise None: argparse then reads
+    argv, with its abbreviations, --flag=value, repeats, -h and --, or
+    prints the usage error."""
+    if not argv or argv[0] not in _FLAGS:
+        return None
+    flags = {flag[0]: flag for flag in _FLAGS[argv[0]]}
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag = flags.get(token)
+        if flag is None or flag[1] in values:
+            return None
+        _, dest, kind = flag[:3]
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value[:1] == "-" and not (
+                kind is int and value[1:].isdecimal()):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:  # not an int, or past the int->str limit
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    args = SimpleNamespace(command=argv[0])
+    for _, dest, _, default, required, _, _ in flags.values():
+        if dest not in values and required:
+            return None
+        setattr(args, dest, values.get(dest, default))
+    return args
 
 
 def _check_args(args) -> None:
     """Range-check the parsed arguments; adds args.env_digits (from
-    BELLGAMMA_DIGITS), for table args.n_range, and for verify the
-    defaults of the flags its suite reads."""
-    try:
-        args.env_digits = int(os.environ.get("BELLGAMMA_DIGITS", "50"))
-    except ValueError:
-        raise UsageError("BELLGAMMA_DIGITS must be an integer")
+    BELLGAMMA_DIGITS) where it is the default precision, that is for
+    approx, table and constants without --digits, for table
+    args.n_range, and for verify the defaults of the flags its suite
+    reads."""
     top = _MAX_DIGITS
     if args.command in ("approx", "table"):
         # convergence_row works at digits + _ROW_GUARD
         from .sequences import _ROW_GUARD
         top -= _ROW_GUARD
-    if not 1 <= args.env_digits <= top:
-        raise UsageError("BELLGAMMA_DIGITS out of range 1..%d" % top)
     digits = getattr(args, "digits", None)
+    if digits is None and args.command in ("approx", "table", "constants"):
+        try:
+            args.env_digits = int(os.environ.get("BELLGAMMA_DIGITS", "50"))
+        except ValueError:
+            raise UsageError("BELLGAMMA_DIGITS must be an integer")
+        if not 1 <= args.env_digits <= top:
+            raise UsageError("BELLGAMMA_DIGITS out of range 1..%d" % top)
     if digits is not None and not 1 <= digits <= top:
         raise UsageError("--digits out of range 1..%d" % top)
     if getattr(args, "a", None) is not None and not 2 <= args.a <= 8:
@@ -499,8 +571,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_argv(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         _check_args(args)
         with _open_out(args.out) as fh:
             text, code = _COMMANDS[args.command](args)

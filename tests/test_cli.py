@@ -179,6 +179,24 @@ def test_constants_bad_env(capsys, monkeypatch):
     assert "BELLGAMMA_DIGITS" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "roots --a 3",
+    "asymptotics --a 3",
+    "verify --suite bell",
+    "constants --digits 30",
+    "approx --a 3 --mu 1 --n 5 --digits 30",
+])
+def test_commands_that_do_not_read_env_digits_ignore_it(argv, capsys,
+                                                        monkeypatch):
+    # BELLGAMMA_DIGITS is only the default of approx, table and constants:
+    # an explicit --digits wins, and the other commands never read it
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    code, want, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    monkeypatch.setenv("BELLGAMMA_DIGITS", "zero")
+    assert run_cli(capsys, *argv.split()) == (0, want, "")
+
+
 def test_verify_bell_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "bell")
     assert code == 0
@@ -343,6 +361,72 @@ def test_argparse_rejects_unknown(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         cli.main(["nothere"])
+
+
+# sha256 of "code\0stdout\0stderr" with COLUMNS=80, as argparse printed
+# them when it parsed every command line: help, usage and the exit code
+# must not change by a byte.
+PARSER_DIGESTS = {
+    "--help":
+        "ab516fda7dd7fcc5880976cbe0dd9db6e3018fc82b14a0ad394ecadcf7f16744",
+    "approx --help":
+        "24fcad4c65c643eeb6ce94ed2e53fc11d632565aeab5bc68ad77d7b6af878ab0",
+    "table --help":
+        "7653f7d176c6f51dd2ded36372687ee37e97c95ff4cc281490e4229504c99324",
+    "verify --help":
+        "176da61840d6af911bf3a6996008884dd6966ebb227096d67a7c32d1c83a28b0",
+    "constants --help":
+        "8130f8f2a03bcc1356ad0e8a58440c2cfad073a902c576b028400e1a1df0fe1b",
+    "asymptotics --help":
+        "296a3bad781146037be9d1da24f81f356c6d668cab431e65d67cf7818f1f8c2c",
+    "roots --help":
+        "0698bbd46ecbc37cc6ced5fe628a0a037d78543b6458d57dbd64d39d29fe9657",
+    "": "699dc3a51c2773f7611388fe3bef3fb004e5721b1f58b92dbc1a667a1ce0fd04",
+    "nothere":
+        "994d93b696db45fd9417e36287d7e5f9c30fd37d899fe8301d0d827dcd015866",
+    "approx --a 3 --mu 1":
+        "35ebd50f4b9a0c054f029b35a220c165d91c4d9a81f7fa189ffa48a0b821be87",
+    "approx --a x --mu 1 --n 5":
+        "c09efa630acac99af4ccdb3ecbe65b1036951cbdb34ebbefcd64f53d4689c83b",
+    "verify --suite nonsense":
+        "70856cdf29abbcbb4f1c066c2da4b0b8d161e1979a6ec798e5900621e8399133",
+    "roots --a 3 --digits 30":
+        "6379909e4ab1287e81e18ec364c2492e54c05d882a74f63d46d964b0a379a73b",
+    "approx --a 3 --mu 1 --n 5 --bogus":
+        "467a1eea2e4453245733e37cf87939cc8e6d87c2c75f73a5a08e85d857fe3123",
+    "table --a 2 --mu 1 --n 0:5 --format xml":
+        "3b6aef0009e9e58bef9b6d0c69f95a8516e0483b276983686b47d243ea739dad",
+    "approx --a 3 --mu 1 --n " + "9" * 5000:
+        "d6fd5ab5df51f6b830568369ffefda92d7915b9f2957413050374e9a7ba4fbf1",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PARSER_DIGESTS),
+                         ids=lambda argv: argv[:40] or "(none)")
+def test_parser_digests_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    try:
+        code = cli.main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(("%s\0%s\0%s" % (code, out, err)).encode())
+    assert digest.hexdigest() == PARSER_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("argv, canonical", [
+    ("approx --a=3 --mu 1 --n 5", "approx --a 3 --mu 1 --n 5"),
+    ("approx --a 3 --mu 1 --n 5 --dig 30",
+     "approx --a 3 --mu 1 --n 5 --digits 30"),
+    ("constants --dig 30", "constants --digits 30"),
+    ("approx --a 3 --mu 1 --n 4 --n 5", "approx --a 3 --mu 1 --n 5"),
+])
+def test_argparse_spellings_print_the_canonical_output(argv, canonical,
+                                                       capsys):
+    # spellings argparse accepts beyond one exact flag and one value each
+    assert run_cli(capsys, *argv.split()) == run_cli(capsys,
+                                                     *canonical.split())
 
 
 def test_precision_exit_code(capsys):
@@ -615,8 +699,11 @@ def test_approx_past_int_str_limit():
 
 # Each command loads only what it runs.  random and typing are left out:
 # `site` may load them before the package is imported.  No command loads
-# json (cli._json prints it).
-_NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses", "logging"}
+# json (cli._json prints it), and no well-formed command line loads
+# argparse or what it loads to print messages (cli._read_argv reads it).
+_PARSER = {"argparse", "gettext", "locale"}
+_NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses",
+          "logging"} | _PARSER
 # approx and table run the q/p rows and the convergence measurement only;
 # alpha_mu is a Bell ladder over the BigFix constants, not a SymPoly.
 _ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.bell",
@@ -685,8 +772,17 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
                          env=CHILD_ENV, capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == ""
     loaded = set(out.stdout.splitlines()[-1].split())
-    assert not loaded & (absent | {"json"})
+    assert not loaded & (absent | {"json"} | _PARSER)
     assert present <= loaded
+
+
+def test_importing_cli_loads_no_parser():
+    probe = "import sys, bellgamma.cli; print(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=CHILD_ENV,
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    loaded = set(out.stdout.split())
+    assert "bellgamma.cli" in loaded and not loaded & (_PARSER | {"json"})
 
 
 def test_kind_choices_match_profile_kinds():
@@ -804,6 +900,15 @@ OUTPUT_DIGESTS = {
     "approx --a 2 --mu 1 --n 1600":
         "f90774f937e814360996fd1d119106cec141afb9095ed70c78d5639374f9844f",
 }
+
+
+def test_read_argv_reads_every_digest_line():
+    # each line above is well formed: read without argparse, to the
+    # namespace argparse gives
+    for argv in map(str.split, OUTPUT_DIGESTS):
+        args = cli._read_argv(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))

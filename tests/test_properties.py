@@ -1,8 +1,9 @@
 """Property tests: Bell identities in every ring the package feeds to the
 ladder, SymPoly over int against Fraction coefficients, BigFix
 arithmetic against exact Fractions and mpmath, the radius of alpha_mu
-and the certified err_log against mpmath, and the CLI's json renderer
-against json.dumps.
+and the certified err_log against mpmath, the CLI's json renderer
+against json.dumps, and its direct command-line reader against
+argparse.
 
 Examples are derandomized and no example database is kept, so every run
 draws the same cases.
@@ -24,7 +25,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
 from bellgamma.kernel import Column  # noqa: E402
-from bellgamma.cli import _json  # noqa: E402
+from bellgamma.cli import (_FLAGS, _json, _read_argv,  # noqa: E402
+                           build_parser)
 from bellgamma.numerics import (_LN_FLOAT_DIGITS, BigFix,  # noqa: E402
                                 PrecisionError, _ln_fix, _ln_fix_error,
                                 binom, factorial)
@@ -306,6 +308,83 @@ def test_cli_json_matches_json_dumps(value):
 def test_cli_json_rejects_other_types(value):
     with pytest.raises(TypeError):
         _json(value)
+
+
+# Command lines from a token grammar: each command's flags spelled out
+# with values of every kind, and the spellings only argparse reads
+# (--flag=value, abbreviations, repeats, -h, --), other commands' flags
+# and values argparse refuses.
+_OPTIONS = sorted({flag[0] for flags in _FLAGS.values() for flag in flags})
+_INT_TEXT = st.one_of(st.integers(0, 10 ** 6).map(str), st.integers().map(str),
+                     st.sampled_from([
+                         "-0", "-3", "\u0663", "-\u0663", "\uff17\uff10",
+                         "1_000", "-1_000", " -3", "+4", "\u00b2", "3.0",
+                         "-.5", "x", "", "-", "-3\n", "9" * 5000,
+                         "-" + "9" * 5000]))
+_STR_TEXT = st.text(max_size=4) | st.sampled_from([
+    "0:5", "2:40:10", "", "-1:4", "-", "--", "-h", "--a", "-3", "out.csv"])
+_OTHER = st.sampled_from(_OPTIONS + [
+    "", "-", "-h", "--help", "--", "--dig", "--for", "--qn", "--ze", "--nm",
+    "--su", "--ki", "--m", "--a=3", "--n=5", "--u=-2", "--format=json",
+    "--digits=30", "--qn-ratio=1", "approx", "json", "-3", "5"])
+
+
+def _flag_tokens(flag):
+    option, kind = flag[0], flag[2]
+    if kind is None:
+        return st.just([option])
+    if kind is int:
+        values = _INT_TEXT
+    elif kind is str:
+        values = _STR_TEXT
+    else:
+        values = st.sampled_from(kind) | st.sampled_from(["xml", "", "-h"])
+    return values.map(lambda value: [option, value])
+
+
+def _command_line(command):
+    flags = _FLAGS[command]
+
+    def flag_groups(order):
+        # each required flag kept but one time in eight, each other one
+        # every other time
+        return st.tuples(*(st.tuples(_flag_tokens(f), st.integers(0, 7))
+                           for f in order)).map(lambda drawn: [
+            tokens for (tokens, keep), f in zip(drawn, order)
+            if keep >= (1 if f[4] else 4)])
+
+    def insert(groups, noise):
+        for at, tokens in noise:
+            groups.insert(at % (len(groups) + 1), tokens)
+        return [command] + [t for group in groups for t in group]
+
+    # half the lines also hold a repeat of one of this command's flags
+    # or a token only argparse reads or refuses
+    extra = st.sampled_from(flags).flatmap(_flag_tokens) | _OTHER.map(
+        lambda token: [token])
+    noise = st.just([]) | st.lists(st.tuples(st.integers(0, 9), extra),
+                                   min_size=1, max_size=2)
+    return st.builds(insert, st.permutations(flags).flatmap(flag_groups),
+                     noise)
+
+
+command_lines = (st.sampled_from(sorted(_FLAGS)).flatmap(_command_line)
+                 | st.lists(_OTHER, max_size=3))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(command_lines)
+@example(["roots", "--a", "3", "--u", "-3"])
+@example(["roots", "--a", "3", "--u", "-1_000"])
+@example(["constants", "--out", "-h"])
+@example(["constants", "--zeta-max", "3", "--digits"])
+@example(["approx", "--n", "-\u0663", "--mu", "\uff11", "--a", "3"])
+@example(["table", "--qn-ratio", "--a", "2", "--n", "", "--mu", "1"])
+def test_direct_argv_reader_agrees_with_argparse(argv):
+    # whatever _read_argv reads, argparse reads to the same namespace
+    args = _read_argv(argv)
+    if args is not None:
+        assert vars(args) == vars(build_parser().parse_args(argv))
 
 
 def test_failing_property_is_reported_not_internal_error(pytester):
