@@ -22,11 +22,10 @@ _MODULES = {
         "partition_multinomial", "partitions"),
     "bernoulli": ("PolyQ", "bernoulli_at", "bernoulli_number",
                   "csc_power_coeffs", "gen_bernoulli"),
+    "common": ("PrecisionError", "binom", "factorial", "lcm_upto", "poch"),
     "kernel": ("backend_name", "seq_tables"),
     "lemma1": ("lemma1_residual",),
-    "numerics": (
-        "BigFix", "PrecisionError", "Rat", "binom", "factorial",
-        "gamma_const", "lcm_upto", "poch", "zeta_const"),
+    "numerics": ("BigFix", "Rat", "gamma_const", "zeta_const"),
     "recurrences": (
         "RecurrenceSpec", "aptekarev_seq", "make_paper_recurrences",
         "recurrence_check", "recurrence_generate"),

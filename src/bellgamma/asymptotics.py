@@ -5,24 +5,24 @@ taken by its own short recurrence; they feed three exponent
 evaluations: the linear-form decay rate, its corollary form with
 cos(2 pi m / a) - 1 factors, and the log-scale asymptotic main term of
 q_n.  All coefficients stay rational until the final float evaluation.
+cmd_asymptotics, the `asymptotics` command, prints the profiles.
 approx and table load this module for the predicted exponent, so the
 complex saddle-root refinement lives in module saddle, which only roots
-and the saddle suite load.
+and the saddle suite load.  Neither this module nor saddle loads
+numerics: the exponents are doubles.
 """
-
-from __future__ import annotations
 
 import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .numerics import Rat, factorial, poch
+from .common import EXIT_OK, _json, factorial, poch
 
 PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
 
 
-def lagrange_coeff(a: int, m: int) -> Rat:
+def lagrange_coeff(a: int, m: int) -> Fraction:
     """c_m = (2 - m/a)_{m-1} / m!, the series-reversion coefficient."""
     if a < 2 or m < 1:
         raise ValueError("require a >= 2 and m >= 1")
@@ -106,3 +106,42 @@ class ExponentProfile(namedtuple("ExponentProfile", "a b kind")):
 
 def exponent_profile(a: int, kind: str) -> ExponentProfile:
     return ExponentProfile(a, tuple(bm_coeffs(a)), kind)
+
+
+def _exponent_value(kind: str, a: int, n: int) -> float:
+    if kind == "theorem-linear-form":
+        return linform_exponent(a, n)
+    if kind == "theorem-qn":
+        return qn_log_asymptotic(a, n)
+    return corollary_exponent(a, n)
+
+
+def cmd_asymptotics(args) -> tuple[str, int]:
+    """The `asymptotics` command: the b_m(a) of one or every profile
+    kind, with the exponent at --n when it is given."""
+    kinds = (args.kind,) if args.kind else PROFILE_KINDS
+    profiles = [exponent_profile(args.a, k) for k in kinds]
+    if args.fmt == "json":
+        objs = []
+        for pr in profiles:
+            obj = {"a": pr.a, "kind": pr.kind, "b": [str(v) for v in pr.b]}
+            if args.n is not None:
+                obj["value_at_n"] = _exponent_value(pr.kind, args.a, args.n)
+            objs.append(obj)
+        text = _json(objs)
+    elif args.fmt == "csv":
+        lines = ["a,kind,m,b_m"]
+        for pr in profiles:
+            for m, v in enumerate(pr.b, start=1):
+                lines.append("%d,%s,%d,%s" % (pr.a, pr.kind, m, v))
+        text = "\n".join(lines) + "\n"
+    else:
+        parts = []
+        for pr in profiles:
+            parts.append("a=%d kind=%s\n" % (pr.a, pr.kind))
+            parts.append("b = %s\n" % ", ".join(str(v) for v in pr.b))
+            if args.n is not None:
+                value = _exponent_value(pr.kind, args.a, args.n)
+                parts.append("value(n=%d) = %.6g\n" % (args.n, value))
+        text = "".join(parts)
+    return text, EXIT_OK

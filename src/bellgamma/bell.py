@@ -17,8 +17,6 @@ per alpha_mu (on BigFix); it reads each binomial row C(j-1, .) from a
 small cache and skips the factor C(j-1, 0) = 1.
 """
 
-from __future__ import annotations
-
 import functools
 from math import comb, factorial
 

@@ -12,8 +12,6 @@ coefficient lists: a Fraction reciprocal and an integer-convolution
 truncated product with binary powering.
 """
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 from math import factorial, lcm

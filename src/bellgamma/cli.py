@@ -1,51 +1,52 @@
 """Command-line front end.
 
-Subcommands:
-  approx       one approximation row: exact p, q and measured error
-  table        convergence table over an inclusive n range
-  verify       exact identity suites with per-check pass/fail lines
-  constants    gamma and zeta reference values
-  asymptotics  exponent coefficient profiles
-  roots        saddle-root refinement report
+Subcommands, each run by the function cmd_<command> of the module that
+computes what it prints (_RUNNERS):
+  approx       one approximation row (sequences)
+  table        convergence table over an inclusive n range (sequences)
+  verify       exact identity suites with per-check pass/fail lines (verify)
+  constants    gamma and zeta reference values (numerics)
+  asymptotics  exponent coefficient profiles (asymptotics)
+  roots        saddle-root refinement report (saddle)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
---out file that cannot be opened), 3 precision failure.  BELLGAMMA_DIGITS
-sets the default precision of approx, table and constants (50 when
-unset), and is read only when --digits is not given; identical
-invocations produce byte-identical output.
+--out file that cannot be opened, or output that cannot be written), 3
+precision failure.  BELLGAMMA_DIGITS sets the default precision of
+approx, table and constants (50 when unset), and is read only when
+--digits is not given; identical invocations produce byte-identical
+output.
 
 Every flag is declared once, in _FLAGS.  main reads a well-formed
 command line (the command, then each of its flags at most once, spelled
 out and with its value) directly from that table; it imports argparse
 only to read any other spelling, print --help or report a usage error,
-and both readers give the same namespace.  Each command takes that
-namespace, range-checked, and returns its output text with the exit
-code; main writes the text.  A command imports the modules it runs
-itself, so a process compiles only those: constants loads neither
-asymptotics nor sequences, asymptotics and roots never load sequences,
-and only roots and the saddle suite load saddle (and cmath).  approx
-and table load sequences (the q/p rows and the convergence measurement)
+and both readers give the same namespace.  main range-checks it, opens
+the output, imports the one module that runs the command, and writes
+the text that module's cmd_<command> returns with its exit code.
+
+This module is the front end only: importing it loads the package and
+module common, nothing else, so a request compiles only the modules its
+command runs.  constants loads numerics alone; asymptotics and roots
+never load sequences or numerics, and only roots and the saddle suite
+load saddle (and cmath).  approx and table load sequences (the q/p rows
+and the convergence measurement), numerics (BigFix and the constants)
 and asymptotics (the predicted exponent) but none of the saddle,
 recurrence, lemma-1, tail or Bernoulli code.  Only verify loads the
-suites (module verify), each of which imports its own modules.  No
-command loads json: _json prints json.dumps's bytes itself.
+suites (module verify), each of which imports its own modules; of them
+only the tail suite loads numerics.  No command loads json:
+common._json prints json.dumps's bytes itself.  No module of the
+package imports this one: under `python -m bellgamma.cli` that would
+compile it a second time.
 """
 
-from __future__ import annotations
-
 import contextlib
+import importlib
 import math
 import os
 import sys
 from types import SimpleNamespace
 
-from .numerics import (_MAX_DIGITS, LN10, BigFix, PrecisionError,
-                       _decimal_str, gamma_const, zeta_const)
-
-EXIT_OK = 0
-EXIT_VERIFY = 1
-EXIT_USAGE = 2
-EXIT_PRECISION = 3
+from .common import _MAX_DIGITS, EXIT_PRECISION, EXIT_USAGE, PrecisionError
 
 # Past 10^64 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
 # other, fall within double rounding of one another and refine to the
@@ -291,283 +292,23 @@ def _open_out(path):
                          % (path, exc.strerror or exc))
 
 
-# json's escapes of the ASCII characters it does not print as they are;
-# every other character outside ' '..'~' is written \uXXXX.
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r",
-                 "\t": "\\t", "\b": "\\b", "\f": "\\f"}
-
-
-def _json_str(s: str) -> str:
-    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
-        return '"' + s + '"'
-    parts = []
-    for ch in s:
-        if ch in _JSON_ESCAPES:
-            parts.append(_JSON_ESCAPES[ch])
-        elif " " <= ch <= "~":
-            parts.append(ch)
-        else:
-            c = ord(ch)
-            if c > 0xFFFF:  # a UTF-16 surrogate pair, as json writes it
-                c -= 0x10000
-                parts.append("\\u%04x" % (0xD800 | c >> 10))
-                c = 0xDC00 | c & 0x3FF
-            parts.append("\\u%04x" % c)
-    return '"' + "".join(parts) + '"'
-
-
-def _json_value(obj) -> str:
-    t = type(obj)
-    if t is str:
-        return _json_str(obj)
-    if t is int:
-        return _decimal_str(obj)
-    if t is float:
-        if obj != obj:
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return repr(obj)
-    if obj is None:
-        return "null"
-    if t is list:
-        return "[" + ", ".join(map(_json_value, obj)) + "]"
-    if t is dict:
-        items = []
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError("json keys must be str, not %s"
-                                % type(key).__name__)
-            items.append(_json_str(key) + ": " + _json_value(value))
-        return "{" + ", ".join(items) + "}"
-    raise TypeError("cannot render %s as json" % t.__name__)
-
-
-def _json(obj) -> str:
-    """json.dumps(obj, separators=(", ", ": ")) and a newline, byte for
-    byte, without importing json: for dicts with str keys, lists, str,
-    int (also past the int->str limit), float and None; any other type
-    raises TypeError."""
-    return _json_value(obj) + "\n"
-
-
-def _row_digits(args, n: int) -> int:
-    """Row n's working digits: --digits, else the larger of
-    BELLGAMMA_DIGITS and the digits that resolve the predicted error.
-    PrecisionError is raised here, before any row is built, when those
-    digits pass the oracles' limit, or, with --digits, twice that limit:
-    a row whose predicted error needs them cannot be certified at any
-    digits the parser accepts, whatever the few nats by which the
-    measured error misses the prediction."""
-    from . import asymptotics as asy
-    from . import sequences as seq
-
-    top = _MAX_DIGITS - seq._ROW_GUARD
+def _write(fh, text: str) -> None:
+    """Write the output, flush it and close it unless it is stdout, so
+    that a full disk or a closed pipe raises OSError here, not at exit."""
     try:
-        auto = seq.auto_digits(asy.corollary_exponent(args.a, n))
-    except OverflowError:
-        # n or the predicted exponent overflows a double: n > 1.7e308,
-        # where a = 2 already needs 2 10^154 digits
-        auto = None
-    limit = top if args.digits is None else 2 * _MAX_DIGITS
-    if auto is None or auto > limit:
-        raise PrecisionError(
-            "a=%d mu=%d n=%d: the predicted error needs %s digits, more "
-            "than the %d that approx and table resolve"
-            % (args.a, args.mu, n, "over 10^154" if auto is None else auto,
-               top))
-    if args.digits is not None:
-        return args.digits
-    return max(args.env_digits, auto)
+        fh.write(text)
+        fh.flush()
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
-def cmd_approx(args) -> tuple[str, int]:
-    from . import sequences as seq
-
-    digits = _row_digits(args, args.n)
-    row = seq.convergence_row(args.a, args.mu, args.n, digits)
-    dec = BigFix.from_fraction(row.p / row.q, min(digits, 40)).to_decimal()
-    if args.fmt == "csv":
-        text = seq.records_to_csv([row])
-    elif args.fmt == "json":
-        text = _json({
-            "a": row.a, "mu": row.mu, "n": row.n,
-            "p": _decimal_str(row.p.numerator) + "/"
-                 + _decimal_str(row.p.denominator),
-            "q": _decimal_str(row.q), "p_over_q": dec,
-            "err_log10": row.err_log / LN10,
-            "predicted_log10": row.predicted_exponent / LN10,
-        })
-    else:
-        text = "".join((
-            "a=%d mu=%d n=%d\n" % (row.a, row.mu, row.n),
-            "p = %s/%s\n" % (_decimal_str(row.p.numerator),
-                             _decimal_str(row.p.denominator)),
-            "q = %s\n" % _decimal_str(row.q),
-            "p/q = %s\n" % dec,
-            "err_log10 = %.6g\n" % (row.err_log / LN10),
-            "predicted_log10 = %.6g\n" % (row.predicted_exponent / LN10),
-        ))
-    return text, EXIT_OK
-
-
-def _qn_ratio(a: int, n: int, q: int) -> float | None:
-    """q = q_n over the asymptotic main term of q_n; None for n = 0."""
-    from . import asymptotics as asy
-
-    if n < 1:
-        return None
-    return math.exp(math.log(q) - asy.qn_log_asymptotic(a, n))
-
-
-def cmd_table(args) -> tuple[str, int]:
-    from . import sequences as seq
-
-    start, stop, step = args.n_range
-    ns = range(start, stop + 1, step)
-    # The last row first: a range past the limit is refused before it is
-    # listed.
-    _row_digits(args, ns[-1])
-    digits = [_row_digits(args, n) for n in ns]
-    # The most precise constants first: every row rounds from them.
-    top = max(digits) + seq._ROW_GUARD
-    gamma_const(top)
-    for m in range(2, args.mu + 1):
-        zeta_const(m, top)
-    rows = [seq.convergence_row(args.a, args.mu, n, d)
-            for n, d in zip(ns, digits)]
-    ratios = ([_qn_ratio(args.a, r.n, r.q) for r in rows]
-              if args.qn_ratio else None)
-    if args.fmt == "json":
-        objs = []
-        for i, r in enumerate(rows):
-            obj = {"a": r.a, "mu": r.mu, "n": r.n,
-                   "p_num": r.p.numerator, "p_den": r.p.denominator,
-                   "q": r.q, "err_log10": r.err_log / LN10,
-                   "predicted_log10": r.predicted_exponent / LN10}
-            if ratios is not None:
-                obj["qn_ratio"] = ratios[i]
-            objs.append(obj)
-        text = _json(objs)
-    else:
-        text = seq.records_to_csv(rows)
-        if ratios is not None:
-            lines = text.splitlines()
-            lines[0] += ",qn_ratio"
-            for i, v in enumerate(ratios):
-                lines[i + 1] += "," + ("" if v is None else "%.6g" % v)
-            text = "\n".join(lines) + "\n"
-        if args.fmt == "text":
-            grid = [line.split(",") for line in text.splitlines()]
-            widths = [max(len(row[i]) for row in grid)
-                      for i in range(len(grid[0]))]
-            text = "\n".join("  ".join(cell.rjust(w)
-                                       for cell, w in zip(row, widths))
-                             for row in grid) + "\n"
-    return text, EXIT_OK
-
-
-def cmd_verify(args) -> tuple[str, int]:
-    from .verify import SUITES
-
-    checks = SUITES[args.suite](args)
-    lines = []
-    passed = 0
-    for name, ok in checks:
-        lines.append(("PASS " if ok else "FAIL ") + name)
-        passed += ok
-    lines.append("%d/%d checks passed" % (passed, len(checks)))
-    return ("\n".join(lines) + "\n",
-            EXIT_OK if passed == len(checks) else EXIT_VERIFY)
-
-
-def cmd_constants(args) -> tuple[str, int]:
-    digits = args.digits if args.digits is not None else args.env_digits
-    ms = range(2, args.zeta_max + 1)
-    names = ["gamma"] + ["zeta(%d)" % m for m in ms]
-    vals = [gamma_const(digits)] + [zeta_const(m, digits) for m in ms]
-    if args.fmt == "json":
-        obj = {"digits": digits,
-               "gamma": vals[0].to_decimal(),
-               "zeta": {str(m): v.to_decimal() for m, v in zip(ms, vals[1:])}}
-        text = _json(obj)
-    elif args.fmt == "csv":
-        text = "name,value\n" + "".join(
-            "%s,%s\n" % (n, v.to_decimal()) for n, v in zip(names, vals))
-    else:
-        text = "".join("%s = %s\n" % (n, v.to_decimal())
-                       for n, v in zip(names, vals))
-    return text, EXIT_OK
-
-
-def _exponent_value(kind: str, a: int, n: int) -> float:
-    from . import asymptotics as asy
-
-    if kind == "theorem-linear-form":
-        return asy.linform_exponent(a, n)
-    if kind == "theorem-qn":
-        return asy.qn_log_asymptotic(a, n)
-    return asy.corollary_exponent(a, n)
-
-
-def cmd_asymptotics(args) -> tuple[str, int]:
-    from . import asymptotics as asy
-
-    kinds = (args.kind,) if args.kind else _PROFILE_KINDS
-    profiles = [asy.exponent_profile(args.a, k) for k in kinds]
-    if args.fmt == "json":
-        objs = []
-        for pr in profiles:
-            obj = {"a": pr.a, "kind": pr.kind, "b": [str(v) for v in pr.b]}
-            if args.n is not None:
-                obj["value_at_n"] = _exponent_value(pr.kind, args.a, args.n)
-            objs.append(obj)
-        text = _json(objs)
-    elif args.fmt == "csv":
-        lines = ["a,kind,m,b_m"]
-        for pr in profiles:
-            for m, v in enumerate(pr.b, start=1):
-                lines.append("%d,%s,%d,%s" % (pr.a, pr.kind, m, v))
-        text = "\n".join(lines) + "\n"
-    else:
-        parts = []
-        for pr in profiles:
-            parts.append("a=%d kind=%s\n" % (pr.a, pr.kind))
-            parts.append("b = %s\n" % ", ".join(str(v) for v in pr.b))
-            if args.n is not None:
-                value = _exponent_value(pr.kind, args.a, args.n)
-                parts.append("value(n=%d) = %.6g\n" % (args.n, value))
-        text = "".join(parts)
-    return text, EXIT_OK
-
-
-def cmd_roots(args) -> tuple[str, int]:
-    from .saddle import root_report
-
-    rows = root_report(args.a, args.u, args.n)
-    if args.fmt == "json":
-        objs = [{"k": k, "re": re, "im": im, "residual_over_n": res,
-                 "seed_distance": dist} for k, re, im, res, dist in rows]
-        text = _json(objs)
-    elif args.fmt == "csv":
-        lines = ["k,re,im,residual_over_n,seed_distance"]
-        lines += ["%d,%.12g,%.12g,%.6g,%.6g" % row for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = "".join(
-            "root %d: re=%.12g im=%.12g |p|/n=%.6g seed_distance=%.6g\n" % row
-            for row in rows)
-    return text, EXIT_OK
-
-
-_COMMANDS = {
-    "approx": cmd_approx,
-    "table": cmd_table,
-    "verify": cmd_verify,
-    "constants": cmd_constants,
-    "asymptotics": cmd_asymptotics,
-    "roots": cmd_roots,
-}
+# The module that runs each command, as its function cmd_<command>.
+# main imports only the one a request names, so a process compiles only
+# that command's code.
+_RUNNERS = {"approx": "sequences", "table": "sequences", "verify": "verify",
+            "constants": "numerics", "asymptotics": "asymptotics",
+            "roots": "saddle"}
 
 
 def main(argv=None) -> int:
@@ -579,8 +320,15 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         _check_args(args)
         with _open_out(args.out) as fh:
-            text, code = _COMMANDS[args.command](args)
-            fh.write(text)
+            runner = importlib.import_module("." + _RUNNERS[args.command],
+                                             __package__)
+            text, code = getattr(runner, "cmd_" + args.command)(args)
+            try:
+                _write(fh, text)
+            except OSError as exc:
+                print("error: cannot write output: %s"
+                      % (exc.strerror or exc), file=sys.stderr)
+                return EXIT_USAGE
         return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

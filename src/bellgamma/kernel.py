@@ -18,15 +18,13 @@ its q_n and D^mu p_{n,mu} and runs its own ladder on its weights and
 Columns.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import repeat
 from math import factorial
 from operator import add, mul
 
 from .bell import bell_ladder
-from .numerics import lcm_upto
+from .common import lcm_upto
 
 
 def backend_name() -> str:

@@ -13,15 +13,13 @@ and Columns feed that ladder.  Only `verify --suite lemma1` and library
 callers import this module; its Fraction oracle F_sym is in the tests.
 """
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 from operator import mul
 
 from . import kernel
 from .bell import bell_ladder
-from .numerics import factorial
+from .common import factorial
 from .symring import SymPoly, alpha_poly, lambda_coeff
 
 

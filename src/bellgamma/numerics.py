@@ -1,8 +1,8 @@
-"""Exact arithmetic primitives and high-precision constants.
+"""BigFix, its logarithms, and the gamma and zeta oracles.
 
-Rational arithmetic is carried by fractions.Fraction (aliased Rat).
 High-precision reals use BigFix, a decimal fixed-point value stored as
-an arbitrary-precision integer mantissa with value mantissa * 10**-scale.
+an arbitrary-precision integer mantissa with value mantissa * 10**-scale;
+rational inputs are fractions.Fraction (aliased Rat).
 
 gamma_const and zeta_const are independent oracles, each one integer
 loop at digits + _GUARD working digits: Brent and McMillan's series for
@@ -10,60 +10,23 @@ gamma and P. Borwein's alternating sum for zeta(m).  Their truncation
 and rounding bounds (in the docstrings of _gamma_mantissa and
 _zeta_mantissa) lie far below the guard digits, so each value is
 correctly rounded unless it lies within about 10^-9 of its last unit
-from a rounding tie.
-"""
+from a rounding tie.  cmd_constants, the `constants` command, prints
+them.
 
-from __future__ import annotations
+Only approx, table, constants and `verify --suite tail` load this
+module; the integer helpers and the precision limit every command
+shares are in module common.
+"""
 
 import functools
 import math
 from fractions import Fraction
 
+from .common import _MAX_DIGITS, EXIT_OK, PrecisionError, _decimal_str, _json
+
 Rat = Fraction
 
 LN10 = math.log(10.0)
-
-
-class PrecisionError(ArithmeticError):
-    """Requested precision cannot be met or certified."""
-
-
-# ---------------------------------------------------------------------------
-# combinatorial helpers
-# ---------------------------------------------------------------------------
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    return math.factorial(n)
-
-
-def binom(n: int, k: int) -> int:
-    """Binomial coefficient, requiring 0 <= k <= n."""
-    if k < 0 or k > n:
-        raise ValueError(f"binom requires 0 <= k <= n, got n={n} k={k}")
-    return math.comb(n, k)
-
-
-def lcm_upto(n: int) -> int:
-    """D_n = lcm(1, 2, ..., n); the empty case n = 0 gives 1."""
-    if n < 0:
-        raise ValueError("lcm_upto requires n >= 0")
-    return math.lcm(*range(1, n + 1))
-
-
-def poch(x, m: int):
-    """Rising factorial x(x+1)...(x+m-1), with poch(x, 0) = 1.
-
-    Works for Rat, int, or float x; the result type follows x.
-    """
-    if m < 0:
-        raise ValueError("poch requires m >= 0")
-    r = x ** 0
-    for i in range(m):
-        r *= x + i
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +40,6 @@ def _div_nearest(a: int, b: int) -> int:
     if r2 > b or (r2 == b and q & 1):
         q += 1
     return q
-
-
-def _decimal_str(m: int) -> str:
-    """str(m) for an integer m, also past Python's int->str limit."""
-    if m.bit_length() < 14000:  # at most 4215 digits: inside the default limit
-        return str(m)
-    if m < 0:
-        return "-" + _decimal_str(-m)
-    k = m.bit_length() * 3 // 20  # about half the digits
-    hi, lo = divmod(m, 10 ** k)
-    return _decimal_str(hi) + _decimal_str(lo).rjust(k, "0")
 
 
 def _fix_atanh_recip(q: int, w: int) -> int:
@@ -317,7 +269,6 @@ def _ln_fix_error(b: int, s: int, w: int) -> int:
 # gamma and zeta(m) oracles
 # ---------------------------------------------------------------------------
 
-_MAX_DIGITS = 10000
 _GUARD = 15
 # alpha with alpha (ln alpha - 1) = 1, rounded up: past k = alpha N the
 # Brent-McMillan terms (N^k/k!)^2 fall below e^{-2N}.
@@ -470,3 +421,23 @@ def zeta_const(m: int, digits: int) -> BigFix:
     _check_digits("zeta_const", digits)
     return _oracle(_ZETA_CACHE, m, digits,
                    lambda d: _zeta_mantissa(m, d))
+
+
+def cmd_constants(args) -> tuple[str, int]:
+    """The `constants` command: gamma and zeta(2)..zeta(--zeta-max)."""
+    digits = args.digits if args.digits is not None else args.env_digits
+    ms = range(2, args.zeta_max + 1)
+    names = ["gamma"] + ["zeta(%d)" % m for m in ms]
+    vals = [gamma_const(digits)] + [zeta_const(m, digits) for m in ms]
+    if args.fmt == "json":
+        obj = {"digits": digits,
+               "gamma": vals[0].to_decimal(),
+               "zeta": {str(m): v.to_decimal() for m, v in zip(ms, vals[1:])}}
+        text = _json(obj)
+    elif args.fmt == "csv":
+        text = "name,value\n" + "".join(
+            "%s,%s\n" % (n, v.to_decimal()) for n, v in zip(names, vals))
+    else:
+        text = "".join("%s = %s\n" % (n, v.to_decimal())
+                       for n, v in zip(names, vals))
+    return text, EXIT_OK

@@ -8,14 +8,12 @@ library callers import this module.  It imports neither symring nor
 sequences; make_paper_recurrences loads bernoulli for PolyQ alone.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction
 
 from . import kernel
-from .numerics import factorial, lcm_upto
+from .common import factorial, lcm_upto
 
 
 class RecurrenceSpec(namedtuple(

@@ -1,18 +1,17 @@
 """Saddle roots of e^{i pi u} n (t-1)^a - t^{a-1}, refined by complex
 Newton iteration from the order-3 expansion seed.
 
-Only the `roots` command and `verify --suite saddle` load this module;
-it is kept apart from asymptotics so that approx and table, which need
-the exponents alone, never compile it or load cmath.
+Only the `roots` command, cmd_roots, and `verify --suite saddle` load
+this module; it is kept apart from asymptotics so that approx and
+table, which need the exponents alone, never compile it or load cmath.
 """
-
-from __future__ import annotations
 
 import cmath
 import math
 from collections import namedtuple
 
 from .asymptotics import lagrange_coeff
+from .common import EXIT_OK, _json
 
 
 class CPoint(namedtuple("CPoint", "re im")):
@@ -100,3 +99,21 @@ def root_report(a: int, u: int, n: int) -> list:
         res = abs(e_u * n * (t - 1) ** a - t ** (a - 1)) / n
         rows.append((k, r.re, r.im, res, abs(t - saddle_seed(a, u, n, k))))
     return rows
+
+
+def cmd_roots(args) -> tuple[str, int]:
+    """The `roots` command: root_report as csv, json or text."""
+    rows = root_report(args.a, args.u, args.n)
+    if args.fmt == "json":
+        objs = [{"k": k, "re": re, "im": im, "residual_over_n": res,
+                 "seed_distance": dist} for k, re, im, res, dist in rows]
+        text = _json(objs)
+    elif args.fmt == "csv":
+        lines = ["k,re,im,residual_over_n,seed_distance"]
+        lines += ["%d,%.12g,%.12g,%.6g,%.6g" % row for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = "".join(
+            "root %d: re=%.12g im=%.12g |p|/n=%.6g seed_distance=%.6g\n" % row
+            for row in rows)
+    return text, EXIT_OK

@@ -8,7 +8,9 @@ alpha_mu, one Bell ladder over the BigFix constants, certified by a
 stated radius (_alpha_radius, one per a and mu).  The log of that error
 is taken at 40 working digits (BigFix.ln_float), not at the row's full
 scale, whenever they settle the double it prints.  Floating point
-enters only in those measurements.
+enters only in those measurements.  The two commands themselves,
+cmd_approx and cmd_table, are at the end: each row's working digits
+(_row_digits) and its rendering as csv, json or text.
 The exactly checked identities live in their own modules, so that these
 commands never compile them: lemma 1 in lemma1 (with symring), the
 classical recurrences in recurrences, and the alternating tail of the
@@ -20,16 +22,15 @@ one kernel row, an O(n) sum over k; q_seq and p_seq are one kernel table
 of rows 0..n_max, O(n_max^2), and q_seq builds q alone.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 from collections import namedtuple
 
 from . import kernel
 from .bell import bell_ladder
-from .numerics import (LN10, BigFix, PrecisionError, Rat, _decimal_str,
-                       factorial, gamma_const, zeta_const)
+from .common import (_MAX_DIGITS, EXIT_OK, PrecisionError, _decimal_str,
+                     _json, factorial)
+from .numerics import LN10, BigFix, Rat, gamma_const, zeta_const
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
 # convergence_row evaluates each row at digits + _ROW_GUARD digits, so
@@ -195,3 +196,116 @@ def records_to_csv(records) -> str:
             "%.6g" % (r.err_log / LN10),
             "%.6g" % (r.predicted_exponent / LN10)))
     return "\n".join(lines) + "\n"
+
+
+def _row_digits(args, n: int) -> int:
+    """Row n's working digits: --digits, else the larger of
+    BELLGAMMA_DIGITS and the digits that resolve the predicted error.
+    PrecisionError is raised here, before any row is built, when those
+    digits pass the oracles' limit, or, with --digits, twice that limit:
+    a row whose predicted error needs them cannot be certified at any
+    digits the parser accepts, whatever the few nats by which the
+    measured error misses the prediction."""
+    from .asymptotics import corollary_exponent
+
+    top = _MAX_DIGITS - _ROW_GUARD
+    try:
+        auto = auto_digits(corollary_exponent(args.a, n))
+    except OverflowError:
+        # n or the predicted exponent overflows a double: n > 1.7e308,
+        # where a = 2 already needs 2 10^154 digits
+        auto = None
+    limit = top if args.digits is None else 2 * _MAX_DIGITS
+    if auto is None or auto > limit:
+        raise PrecisionError(
+            "a=%d mu=%d n=%d: the predicted error needs %s digits, more "
+            "than the %d that approx and table resolve"
+            % (args.a, args.mu, n, "over 10^154" if auto is None else auto,
+               top))
+    if args.digits is not None:
+        return args.digits
+    return max(args.env_digits, auto)
+
+
+def cmd_approx(args) -> tuple[str, int]:
+    """The `approx` command: one convergence row."""
+    digits = _row_digits(args, args.n)
+    row = convergence_row(args.a, args.mu, args.n, digits)
+    dec = BigFix.from_fraction(row.p / row.q, min(digits, 40)).to_decimal()
+    if args.fmt == "csv":
+        text = records_to_csv([row])
+    elif args.fmt == "json":
+        text = _json({
+            "a": row.a, "mu": row.mu, "n": row.n,
+            "p": _decimal_str(row.p.numerator) + "/"
+                 + _decimal_str(row.p.denominator),
+            "q": _decimal_str(row.q), "p_over_q": dec,
+            "err_log10": row.err_log / LN10,
+            "predicted_log10": row.predicted_exponent / LN10,
+        })
+    else:
+        text = "".join((
+            "a=%d mu=%d n=%d\n" % (row.a, row.mu, row.n),
+            "p = %s/%s\n" % (_decimal_str(row.p.numerator),
+                             _decimal_str(row.p.denominator)),
+            "q = %s\n" % _decimal_str(row.q),
+            "p/q = %s\n" % dec,
+            "err_log10 = %.6g\n" % (row.err_log / LN10),
+            "predicted_log10 = %.6g\n" % (row.predicted_exponent / LN10),
+        ))
+    return text, EXIT_OK
+
+
+def _qn_ratio(a: int, n: int, q: int) -> float | None:
+    """q = q_n over the asymptotic main term of q_n; None for n = 0."""
+    from .asymptotics import qn_log_asymptotic
+
+    if n < 1:
+        return None
+    return math.exp(math.log(q) - qn_log_asymptotic(a, n))
+
+
+def cmd_table(args) -> tuple[str, int]:
+    """The `table` command: convergence rows over args.n_range."""
+    start, stop, step = args.n_range
+    ns = range(start, stop + 1, step)
+    # The last row first: a range past the limit is refused before it is
+    # listed.
+    _row_digits(args, ns[-1])
+    digits = [_row_digits(args, n) for n in ns]
+    # The most precise constants first: every row rounds from them.
+    top = max(digits) + _ROW_GUARD
+    gamma_const(top)
+    for m in range(2, args.mu + 1):
+        zeta_const(m, top)
+    rows = [convergence_row(args.a, args.mu, n, d)
+            for n, d in zip(ns, digits)]
+    ratios = ([_qn_ratio(args.a, r.n, r.q) for r in rows]
+              if args.qn_ratio else None)
+    if args.fmt == "json":
+        objs = []
+        for i, r in enumerate(rows):
+            obj = {"a": r.a, "mu": r.mu, "n": r.n,
+                   "p_num": r.p.numerator, "p_den": r.p.denominator,
+                   "q": r.q, "err_log10": r.err_log / LN10,
+                   "predicted_log10": r.predicted_exponent / LN10}
+            if ratios is not None:
+                obj["qn_ratio"] = ratios[i]
+            objs.append(obj)
+        text = _json(objs)
+    else:
+        text = records_to_csv(rows)
+        if ratios is not None:
+            lines = text.splitlines()
+            lines[0] += ",qn_ratio"
+            for i, v in enumerate(ratios):
+                lines[i + 1] += "," + ("" if v is None else "%.6g" % v)
+            text = "\n".join(lines) + "\n"
+        if args.fmt == "text":
+            grid = [line.split(",") for line in text.splitlines()]
+            widths = [max(len(row[i]) for row in grid)
+                      for i in range(len(grid[0]))]
+            text = "\n".join("  ".join(cell.rjust(w)
+                                       for cell, w in zip(row, widths))
+                             for row in grid) + "\n"
+    return text, EXIT_OK

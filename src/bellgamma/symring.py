@@ -13,15 +13,13 @@ stored.  The constructor validates its exponent keys; the ring
 operations build their results directly from valid keys.
 """
 
-from __future__ import annotations
-
 import functools
 from fractions import Fraction
 from math import factorial
 from operator import add
 
 from .bell import bell_ladder
-from .numerics import binom
+from .common import binom
 
 _new = object.__new__
 

@@ -5,8 +5,6 @@ it imports numerics alone, so that suite compiles none of the ring or
 kernel code.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .numerics import BigFix

@@ -3,19 +3,18 @@
 Each suite takes the parsed command-line namespace, in which the flags
 it reads (a, nmax, digits) hold the suite's defaults when not given,
 and returns a list of (check name, passed) pairs; SUITES maps the names
-accepted by `verify --suite` to them.  Only the verify command imports
-this module, and each suite imports the modules it runs itself, so a
-request compiles only its suite's code: the bell suite never loads
-sequences or bernoulli, and the tail suite adds module tail alone, for
-instance.
+accepted by `verify --suite` to them, and cmd_verify, the `verify`
+command, prints their results.  Only that command imports this module,
+and each suite imports the modules it runs itself, so a request
+compiles only its suite's code: the bell suite never loads sequences or
+bernoulli, for instance, and only the tail suite loads numerics (with
+module tail).
 """
-
-from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .numerics import binom, lcm_upto
+from .common import EXIT_OK, EXIT_VERIFY, binom, lcm_upto
 
 
 def _suite_lemma1(args):
@@ -207,3 +206,17 @@ SUITES = {
     "tail": _suite_tail,
     "saddle": _suite_saddle,
 }
+
+
+def cmd_verify(args) -> tuple[str, int]:
+    """The `verify` command: one PASS or FAIL line per check of the
+    suite, then the count; exit 1 when any check failed."""
+    checks = SUITES[args.suite](args)
+    lines = []
+    passed = 0
+    for name, ok in checks:
+        lines.append(("PASS " if ok else "FAIL ") + name)
+        passed += ok
+    lines.append("%d/%d checks passed" % (passed, len(checks)))
+    return ("\n".join(lines) + "\n",
+            EXIT_OK if passed == len(checks) else EXIT_VERIFY)

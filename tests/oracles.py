@@ -16,7 +16,8 @@ from fractions import Fraction
 from bellgamma import kernel, lemma1
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import _series_recip
-from bellgamma.numerics import Rat, factorial
+from bellgamma.common import factorial
+from bellgamma.numerics import Rat
 from bellgamma.symring import SymPoly
 
 

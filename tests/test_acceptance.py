@@ -18,7 +18,8 @@ from bellgamma.asymptotics import (
 from bellgamma.bell import bell_eval_partitions, bell_ladder
 from bellgamma.bernoulli import bernoulli_at, csc_power_coeffs, gen_bernoulli
 from bellgamma.bernoulli import PolyQ
-from bellgamma.numerics import binom, factorial, gamma_const, lcm_upto
+from bellgamma.common import binom, factorial, lcm_upto
+from bellgamma.numerics import gamma_const
 from bellgamma.lemma1 import lemma1_residual
 from bellgamma.recurrences import (
     aptekarev_seq,

@@ -18,7 +18,7 @@ from bellgamma.asymptotics import (
     qn_log_asymptotic,
 )
 from bellgamma.bernoulli import _series_mul
-from bellgamma.numerics import poch
+from bellgamma.common import poch
 from bellgamma.saddle import (
     CPoint,
     RootRefinementError,

@@ -12,7 +12,7 @@ from bellgamma.bell import (
     partition_multinomial,
     partitions,
 )
-from bellgamma.numerics import binom
+from bellgamma.common import binom
 
 
 def rand_args(rng, n):

@@ -18,7 +18,7 @@ from bellgamma.bernoulli import (
     csc_power_coeffs,
     gen_bernoulli,
 )
-from bellgamma.numerics import binom
+from bellgamma.common import binom
 
 
 def expm1_over_t(order):

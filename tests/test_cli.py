@@ -699,7 +699,7 @@ def test_approx_past_int_str_limit():
 
 # Each command loads only what it runs.  random and typing are left out:
 # `site` may load them before the package is imported.  No command loads
-# json (cli._json prints it), and no well-formed command line loads
+# json (common._json prints it), and no well-formed command line loads
 # argparse or what it loads to print messages (cli._read_argv reads it).
 _PARSER = {"argparse", "gettext", "locale"}
 _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses",
@@ -774,15 +774,66 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
     loaded = set(out.stdout.splitlines()[-1].split())
     assert not loaded & (absent | {"json"} | _PARSER)
     assert present <= loaded
+    # BigFix and the constants (numerics) only where they run, and no
+    # row command loads the suites or the saddle code
+    if argv.startswith(("approx", "table")):
+        assert not loaded & {"bellgamma.verify", "bellgamma.saddle"}
+    elif not argv.startswith(("constants", "verify --suite tail")):
+        assert "bellgamma.numerics" not in loaded
 
 
 def test_importing_cli_loads_no_parser():
+    # the front end loads module common alone: no command code, no
+    # BigFix, and neither fractions nor what it loads
     probe = "import sys, bellgamma.cli; print(' '.join(sys.modules))"
     out = subprocess.run([sys.executable, "-c", probe], env=CHILD_ENV,
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == ""
     loaded = set(out.stdout.split())
     assert "bellgamma.cli" in loaded and not loaded & (_PARSER | {"json"})
+    assert {m for m in loaded if m.startswith("bellgamma")} == {
+        "bellgamma", "bellgamma.cli", "bellgamma.common"}
+    assert not loaded & {"fractions", "decimal", "__future__"}
+
+
+@pytest.mark.parametrize("argv", [
+    "approx --a 3 --mu 1 --n 5", "table --a 2 --mu 1 --n 0:4",
+    "verify --suite bell", "constants --digits 20", "asymptotics --a 3",
+    "roots --a 2"])
+def test_no_module_imports_the_front_end(argv):
+    # run as `python -m bellgamma.cli`: the front end is __main__, so a
+    # module importing bellgamma.cli would compile it a second time
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('bellgamma.cli', run_name='__main__',\n"
+             "                     alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "print('bellgamma.cli' in sys.modules)\n"
+             "sys.exit(code)\n")
+    out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
+                         env=CHILD_ENV, capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == ""
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv, to_stdout", [
+    ("approx --a 3 --mu 2 --n 10", True),
+    ("constants --digits 20 --out /dev/full", False),
+    ("constants --digits 3000 --zeta-max 4", True),  # past the buffer
+])
+def test_write_failure_is_usage_error(argv, to_stdout):
+    # a full disk or a closed pipe is exit 2 with one line, no traceback:
+    # exit 1 means a failed verification
+    with open("/dev/full" if to_stdout else os.devnull, "w") as sink:
+        out = subprocess.run(
+            [sys.executable, "-m", "bellgamma.cli"] + argv.split(),
+            env=CHILD_ENV, stdout=sink, stderr=subprocess.PIPE, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: cannot write output: ")
+    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
 
 
 def test_kind_choices_match_profile_kinds():

@@ -6,7 +6,7 @@ import pytest
 
 from bellgamma import kernel
 from bellgamma.bell import bell_ladder
-from bellgamma.numerics import binom, factorial, lcm_upto
+from bellgamma.common import binom, factorial, lcm_upto
 
 
 def oracle_tables(a, n_max, mu_max):

@@ -9,14 +9,10 @@ import pytest
 
 from bellgamma import numerics
 from bellgamma.bernoulli import bernoulli_number
+from bellgamma.common import PrecisionError, binom, factorial, lcm_upto, poch
 from bellgamma.numerics import (
     BigFix,
-    PrecisionError,
-    binom,
-    factorial,
     gamma_const,
-    lcm_upto,
-    poch,
     zeta_const,
 )
 

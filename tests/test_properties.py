@@ -25,11 +25,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
 from bellgamma.kernel import Column  # noqa: E402
-from bellgamma.cli import (_FLAGS, _json, _read_argv,  # noqa: E402
-                           build_parser)
+from bellgamma.cli import _FLAGS, _read_argv, build_parser  # noqa: E402
+from bellgamma.common import (PrecisionError, _json, binom,  # noqa: E402
+                              factorial)
 from bellgamma.numerics import (_LN_FLOAT_DIGITS, BigFix,  # noqa: E402
-                                PrecisionError, _ln_fix, _ln_fix_error,
-                                binom, factorial)
+                                _ln_fix, _ln_fix_error)
 from bellgamma.sequences import (_ROW_GUARD, _alpha,  # noqa: E402
                                  _alpha_args, _alpha_radius,
                                  _ladder_radius, convergence_row)

@@ -14,8 +14,8 @@ from bellgamma import kernel, lemma1
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
 from bellgamma.lemma1 import lemma1_residual
-from bellgamma.numerics import (BigFix, PrecisionError, binom, factorial,
-                                lcm_upto)
+from bellgamma.common import PrecisionError, binom, factorial, lcm_upto
+from bellgamma.numerics import BigFix
 from bellgamma.recurrences import (
     RecurrenceSpec,
     aptekarev_seq,

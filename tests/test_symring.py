@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from bellgamma.bell import bell_ladder
-from bellgamma.numerics import BigFix, binom, gamma_const, zeta_const
+from bellgamma.common import binom
+from bellgamma.numerics import BigFix, gamma_const, zeta_const
 from bellgamma.sequences import _alpha, convergence_row
 from bellgamma.symring import SymPoly, alpha_poly, lambda_coeff
 
