@@ -292,17 +292,6 @@ def _open_out(path):
                          % (path, exc.strerror or exc))
 
 
-def _write(fh, text: str) -> None:
-    """Write the output, flush it and close it unless it is stdout, so
-    that a full disk or a closed pipe raises OSError here, not at exit."""
-    try:
-        fh.write(text)
-        fh.flush()
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
 # The module that runs each command, as its function cmd_<command>.
 # main imports only the one a request names, so a process compiles only
 # that command's code.
@@ -323,12 +312,10 @@ def main(argv=None) -> int:
             runner = importlib.import_module("." + _RUNNERS[args.command],
                                              __package__)
             text, code = getattr(runner, "cmd_" + args.command)(args)
-            try:
-                _write(fh, text)
-            except OSError as exc:
-                print("error: cannot write output: %s"
-                      % (exc.strerror or exc), file=sys.stderr)
-                return EXIT_USAGE
+            # flushed here, so that a full disk or a closed pipe raises
+            # below rather than at exit
+            fh.write(text)
+            fh.flush()
         return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -336,6 +323,15 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print("precision failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION
+    except OSError as exc:
+        if not args.out:
+            # stdout keeps the text it could not write and would fail
+            # again at exit: send it to the null device instead
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+        print("error: cannot write output: %s" % (exc.strerror or exc),
+              file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -704,6 +704,9 @@ def test_approx_past_int_str_limit():
 _PARSER = {"argparse", "gettext", "locale"}
 _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses",
           "logging"} | _PARSER
+# BigFix and the constants load only for approx, table, constants and
+# the tail suite
+_NO_BIGFIX = {"bellgamma.numerics"}
 # approx and table run the q/p rows and the convergence measurement only;
 # alpha_mu is a Bell ladder over the BigFix constants, not a SymPoly.
 _ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.bell",
@@ -712,11 +715,12 @@ _ROWS_NEVER = _NEVER | {
     "bellgamma.recurrences", "bellgamma.lemma1", "bellgamma.tail",
     "bellgamma.symring", "bellgamma.saddle", "cmath"}
 # asymptotics and roots work in double precision from their own series
-_FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"}
+_FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
 
 
 @pytest.mark.parametrize("argv, absent, present", [
-    ("approx --a 3 --mu 1 --n 5", _NEVER, {"bellgamma.sequences"}),
+    ("approx --a 3 --mu 1 --n 5", _NEVER | {"bellgamma.saddle"},
+     {"bellgamma.sequences"}),
     ("constants --digits 30",
      _NEVER | {"bellgamma.sequences", "bellgamma.symring", "bellgamma.kernel",
                "bellgamma.bell", "bellgamma.asymptotics", "json"},
@@ -724,15 +728,18 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"}
     ("verify --suite bell",
      {"dataclasses", "logging", "json", "bellgamma.bernoulli",
       "bellgamma.sequences", "bellgamma.kernel", "bellgamma.symring",
-      "bellgamma.asymptotics"},
+      "bellgamma.asymptotics"} | _NO_BIGFIX,
      {"bellgamma.verify", "bellgamma.bell"}),
-    ("table --a 3 --mu 2 --n 0:20:10", {"bellgamma.lemma1"},
+    ("table --a 3 --mu 2 --n 0:20:10",
+     {"bellgamma.lemma1", "bellgamma.verify", "bellgamma.saddle"},
      {"bellgamma.sequences"}),
-    ("verify --suite lemma1 --a 3 --nmax 2", {"dataclasses", "logging"},
-     {"bellgamma.lemma1"}),
-    ("verify --suite saddle", {"bellgamma.sequences", "bellgamma.bernoulli"},
+    ("verify --suite lemma1 --a 3 --nmax 2",
+     {"dataclasses", "logging"} | _NO_BIGFIX, {"bellgamma.lemma1"}),
+    ("verify --suite saddle",
+     {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX,
      {"bellgamma.asymptotics", "bellgamma.saddle"}),
-    ("verify --suite bernoulli", {"bellgamma.sequences", "bellgamma.kernel"},
+    ("verify --suite bernoulli",
+     {"bellgamma.sequences", "bellgamma.kernel"} | _NO_BIGFIX,
      {"bellgamma.bernoulli"}),
     ("approx --a 4 --mu 3 --n 100", _ROWS_NEVER, _ROWS),
     ("table --a 2 --mu 1 --n 0:40:20 --qn-ratio", _ROWS_NEVER, _ROWS),
@@ -741,16 +748,17 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"}
       "bellgamma.sequences"},
      {"bellgamma.tail"}),
     ("verify --suite recurrences --nmax 8",
-     {"bellgamma.symring", "bellgamma.sequences"},
+     {"bellgamma.symring", "bellgamma.sequences"} | _NO_BIGFIX,
      {"bellgamma.recurrences", "bellgamma.bernoulli"}),
     ("asymptotics --a 5 --n 1000", _FLOAT_NEVER,
      {"bellgamma.asymptotics"}),
     ("roots --a 3", _FLOAT_NEVER,
      {"bellgamma.asymptotics", "bellgamma.saddle"}),
-    ("verify --suite lemma1 --a 4 --nmax 3", {"bellgamma.sequences"},
-     {"bellgamma.lemma1"}),
+    ("verify --suite lemma1 --a 4 --nmax 3",
+     {"bellgamma.sequences"} | _NO_BIGFIX, {"bellgamma.lemma1"}),
     ("verify --suite integrality --a 3 --nmax 5",
-     {"bellgamma.sequences", "bellgamma.symring"}, {"bellgamma.kernel"}),
+     {"bellgamma.sequences", "bellgamma.symring"} | _NO_BIGFIX,
+     {"bellgamma.kernel"}),
     ("constants --digits 20 --zeta-max 3",
      {"bellgamma.sequences", "bellgamma.bell"}, {"bellgamma.numerics"}),
     ("approx --a 3 --mu 2 --n 40 --format csv", _ROWS_NEVER, _ROWS),
@@ -759,27 +767,27 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"}
     ("table --a 4 --mu 2 --n 0:40:20 --qn-ratio --format json",
      _ROWS_NEVER, _ROWS),
     ("roots --a 5 --u 2 --format json", _FLOAT_NEVER, {"bellgamma.saddle"}),
-    ("asymptotics --a 4 --format json", {"bellgamma.saddle", "cmath"},
+    ("asymptotics --a 4 --format json",
+     {"bellgamma.saddle", "cmath"} | _NO_BIGFIX,
      {"bellgamma.asymptotics"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent, present):
-    probe = ("import sys\n"
-             "from bellgamma import cli\n"
-             "code = cli.main(sys.argv[1:])\n"
+    # run as `python -m bellgamma.cli` runs it, the front end as __main__:
+    # a module importing bellgamma.cli would compile it a second time
+    probe = ("import runpy, sys\n"
+             "try:\n"
+             "    runpy.run_module('bellgamma.cli', run_name='__main__',\n"
+             "                     alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
              "print(' '.join(sys.modules))\n"
              "sys.exit(code)\n")
     out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
                          env=CHILD_ENV, capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == ""
     loaded = set(out.stdout.splitlines()[-1].split())
-    assert not loaded & (absent | {"json"} | _PARSER)
+    assert not loaded & (absent | {"json", "bellgamma.cli"} | _PARSER)
     assert present <= loaded
-    # BigFix and the constants (numerics) only where they run, and no
-    # row command loads the suites or the saddle code
-    if argv.startswith(("approx", "table")):
-        assert not loaded & {"bellgamma.verify", "bellgamma.saddle"}
-    elif not argv.startswith(("constants", "verify --suite tail")):
-        assert "bellgamma.numerics" not in loaded
 
 
 def test_importing_cli_loads_no_parser():
@@ -796,27 +804,6 @@ def test_importing_cli_loads_no_parser():
     assert not loaded & {"fractions", "decimal", "__future__"}
 
 
-@pytest.mark.parametrize("argv", [
-    "approx --a 3 --mu 1 --n 5", "table --a 2 --mu 1 --n 0:4",
-    "verify --suite bell", "constants --digits 20", "asymptotics --a 3",
-    "roots --a 2"])
-def test_no_module_imports_the_front_end(argv):
-    # run as `python -m bellgamma.cli`: the front end is __main__, so a
-    # module importing bellgamma.cli would compile it a second time
-    probe = ("import runpy, sys\n"
-             "try:\n"
-             "    runpy.run_module('bellgamma.cli', run_name='__main__',\n"
-             "                     alter_sys=True)\n"
-             "except SystemExit as exc:\n"
-             "    code = exc.code\n"
-             "print('bellgamma.cli' in sys.modules)\n"
-             "sys.exit(code)\n")
-    out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
-                         env=CHILD_ENV, capture_output=True, text=True)
-    assert out.returncode == 0 and out.stderr == ""
-    assert out.stdout.splitlines()[-1] == "False"
-
-
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
                     reason="no /dev/full on this system")
 @pytest.mark.parametrize("argv, to_stdout", [
@@ -826,14 +813,27 @@ def test_no_module_imports_the_front_end(argv):
 ])
 def test_write_failure_is_usage_error(argv, to_stdout):
     # a full disk or a closed pipe is exit 2 with one line, no traceback:
-    # exit 1 means a failed verification
-    with open("/dev/full" if to_stdout else os.devnull, "w") as sink:
-        out = subprocess.run(
-            [sys.executable, "-m", "bellgamma.cli"] + argv.split(),
-            env=CHILD_ENV, stdout=sink, stderr=subprocess.PIPE, text=True)
-    assert out.returncode == 2
-    assert out.stderr.startswith("error: cannot write output: ")
-    assert out.stderr.count("\n") == 1 and "Traceback" not in out.stderr
+    # exit 1 means a failed verification.  Buffered stdout keeps the text
+    # it could not write, so is tried buffered and unbuffered.
+    for unbuffered in ("", "1"):
+        for sink in ("full", "pipe") if to_stdout else ("null",):
+            if sink == "pipe":  # the reader has gone before the write
+                read_end, fd = os.pipe()
+                os.close(read_end)
+            else:
+                fd = os.open("/dev/full" if sink == "full" else os.devnull,
+                             os.O_WRONLY)
+            try:
+                out = subprocess.run(
+                    [sys.executable, "-m", "bellgamma.cli"] + argv.split(),
+                    env=dict(CHILD_ENV, PYTHONUNBUFFERED=unbuffered),
+                    stdout=fd, stderr=subprocess.PIPE, text=True)
+            finally:
+                os.close(fd)
+            case = (sink, unbuffered, out.stderr)
+            assert out.returncode == 2, case
+            assert out.stderr.startswith("error: cannot write output: "), case
+            assert out.stderr.count("\n") == 1, case
 
 
 def test_kind_choices_match_profile_kinds():
