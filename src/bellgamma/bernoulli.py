@@ -6,10 +6,12 @@ cached per m, and the classical recursion and addition formulas are kept
 as test oracles rather than used for construction.  gen_bernoulli
 builds each B_n^{(m)} once per process (a bounded cache shared by every
 caller, so a PolyQ is never mutated); bernoulli_at evaluates it from
-the coefficients without building it.  PolyQ keeps integer coefficients
-as ints.  The second csc-power route is a few private functions over
-coefficient lists: a Fraction reciprocal and an integer-convolution
-truncated product with binary powering.
+the coefficients without building it.  PolyQ, the polynomial type of
+gen_bernoulli and the bernoulli suite, keeps integer coefficients as
+ints and evaluates by one exact Horner loop.  The second csc-power
+route is a few private functions over coefficient lists: a Fraction
+reciprocal and an integer-convolution truncated product with binary
+powering.
 """
 
 import functools
@@ -26,19 +28,19 @@ class PolyQ:
     """Dense univariate polynomial over Q, ascending coefficients.
 
     Int coefficients stay ints (any other input is coerced to Fraction),
-    so polynomials over Z, such as the recurrence coefficients, never pay
-    for Fraction arithmetic.  A PolyQ is never mutated once built:
-    gen_bernoulli hands out cached instances.
+    so polynomials over Z, such as the falling factorials the bernoulli
+    suite compares with B_m^{(m+1)}, never pay for Fraction arithmetic.
+    A PolyQ is never mutated once built: gen_bernoulli hands out cached
+    instances.
     """
 
-    __slots__ = ("coeffs", "_scaled")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
         cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = cs
-        self._scaled = None
 
     @classmethod
     def const(cls, c) -> "PolyQ":
@@ -115,41 +117,14 @@ class PolyQ:
             result = result * self
         return result
 
-    def scaled(self) -> tuple:
-        """(D, (D c_deg, ..., D c_0)): the least common denominator D of
-        the coefficients and the coefficients times D as ints, highest
-        degree first; computed once per polynomial.  The polynomial's
-        value at an integer n is the integer Horner value of that tuple
-        at n, over D."""
-        if self._scaled is None:
-            d = lcm(*(c.denominator for c in self.coeffs))
-            self._scaled = (d, tuple(c.numerator * (d // c.denominator)
-                                     for c in reversed(self.coeffs)))
-        return self._scaled
-
     def __call__(self, x):
-        """Horner evaluation; exact for Rat input.
-
-        At a rational x = u/v this is one integer Horner pass,
-        sum_i (D c_i) u^i v^{deg-i}, over D v^deg, with D the common
-        denominator of the coefficients (scaled); other arguments (a
-        PolyQ, a float) go through Horner in their own arithmetic.
-        """
-        if not isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
-        if not self.coeffs:
-            return Fraction(0)
-        d, scaled = self.scaled()
-        u, v = x.numerator, x.denominator
-        acc = 0
-        vk = 1
-        for c in scaled:
-            acc = acc * u + c * vk
-            vk *= v
-        return Fraction(acc, d * v ** (len(scaled) - 1))
+        """Horner evaluation: exact for int and Fraction x, with a
+        Fraction result; a PolyQ argument composes, and a float gives a
+        float."""
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -177,7 +152,6 @@ def _poly(cs: list) -> PolyQ:
         cs.pop()
     p = _new(PolyQ)
     p.coeffs = cs
-    p._scaled = None
     return p
 
 

@@ -46,7 +46,8 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .common import _MAX_DIGITS, EXIT_PRECISION, EXIT_USAGE, PrecisionError
+from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_PRECISION, EXIT_USAGE,
+                     PrecisionError)
 
 # Past 10^64 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
 # other, fall within double rounding of one another and refine to the
@@ -220,9 +221,7 @@ def _check_args(args) -> None:
     reads."""
     top = _MAX_DIGITS
     if args.command in ("approx", "table"):
-        # convergence_row works at digits + _ROW_GUARD
-        from .sequences import _ROW_GUARD
-        top -= _ROW_GUARD
+        top -= _ROW_GUARD  # convergence_row works at digits + _ROW_GUARD
     digits = getattr(args, "digits", None)
     if digits is None and args.command in ("approx", "table", "constants"):
         try:

@@ -1,11 +1,12 @@
-"""What every command shares: exit codes, the precision limit and its
-error, exact integer helpers, and the decimal and json writers.
+"""What every command shares: exit codes, the precision limits and
+their error, exact integer helpers, and the decimal and json writers.
 
 The command-line front end loads this module and nothing else of the
-package, so it imports math alone: no fractions (nor the decimal and
-numbers modules fractions loads), no BigFix.  Each command's body lives
-next to the code whose results it prints and imports this module for
-its exit code and its json.
+package, also for the --digits limits of its range checks, so it
+imports math alone: no fractions (nor the decimal and numbers modules
+fractions loads), no BigFix.  Each command's body lives next to the
+code whose results it prints and imports this module for its exit code
+and its json.
 """
 
 import math
@@ -17,6 +18,9 @@ EXIT_PRECISION = 3
 
 # The most digits the gamma and zeta oracles give.
 _MAX_DIGITS = 10000
+# convergence_row evaluates each row at digits + _ROW_GUARD digits, so
+# approx and table work at most at the constants' limit less _ROW_GUARD.
+_ROW_GUARD = 20
 
 
 class PrecisionError(ArithmeticError):

@@ -40,7 +40,7 @@ def scaled_row(a: int, n: int):
     ws, cols, q, dp = kernel.row(a, n, halves)
     zero = (0,) * mu_max
     xs = [SymPoly(mu_max, {zero[:m] + (1,) + zero[m + 1:]:
-                           _deriv_coeff(a, m + 1), zero: col}, coerce=False)
+                           _deriv_coeff(a, m + 1), zero: col})
           for m, col in enumerate(cols)]
     f = [SymPoly(mu_max, {e: c * sum(ws) if type(c) is int
                           else sum(map(mul, ws, c))

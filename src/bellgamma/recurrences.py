@@ -3,9 +3,10 @@
 Five families (Aptekarev's, Rivoal's, and the q/p families of a = 2, 3,
 4) as RecurrenceSpec values, an exact integer check of a spec against a
 sequence, forward generation from the initial values, and the explicit
-sums of Aptekarev's sequences.  Only `verify --suite recurrences` and
-library callers import this module.  It imports neither symring nor
-sequences; make_paper_recurrences loads bernoulli for PolyQ alone.
+sums of Aptekarev's sequences.  Every coefficient of the five families
+is an integer polynomial in n, stored as a function of n that returns
+an int.  Only `verify --suite recurrences` and library callers import
+this module; it imports neither symring nor sequences nor bernoulli.
 """
 
 import math
@@ -21,10 +22,12 @@ class RecurrenceSpec(namedtuple(
     """Linear recurrence sum_i coeffs[i](n) y_{n+offsets[i]} = inhom(n).
 
     offsets are ascending taps relative to the running index n; the
-    relation is asserted for n >= n_min.  inhom is a (num, den) pair of
-    polynomials or None for the homogeneous case.  initial lists
-    y_0..y_{n_min + offsets[-1] - 1}, exactly the values a forward
-    generation needs.
+    relation is asserted for n >= n_min.  Each coefficient is a callable
+    of n that returns an exact value: an int for the paper's families,
+    whose coefficients are integer polynomials in n (a PolyQ also
+    qualifies).  inhom is a (num, den) pair of such callables or None
+    for the homogeneous case.  initial lists y_0..y_{n_min +
+    offsets[-1] - 1}, exactly the values a forward generation needs.
     """
 
     __slots__ = ()
@@ -48,45 +51,37 @@ class RecurrenceSpec(namedtuple(
 
 
 def recurrence_check(spec: RecurrenceSpec, seq, n_range) -> bool:
-    """Exact check of spec against seq at every n in n_range, in integers:
-    with L the lcm of seq's denominators, c(n) = h_c(n)/D_c (PolyQ.scaled)
-    and D the lcm of the taps' D_c, sum_i h_i(n) (D/D_i) L y_{n+off_i}
-    is compared with D L num(n)/den(n).  A vanishing leading coefficient
-    is reported and the point skipped."""
+    """Exact check of spec against seq at every n in n_range: with L the
+    lcm of seq's denominators, sum_i c_i(n) L y_{n+off_i} den(n) is
+    compared with num(n) L (with 0 for a homogeneous relation), in
+    integers when the coefficients are ints.  A vanishing leading
+    coefficient is reported and the point skipped."""
     big = math.lcm(*(v.denominator for v in seq))
     ys = [v.numerator * (big // v.denominator) for v in seq]
-    # a homogeneous relation as num/den = 0/1
-    polys = [c.scaled() for c in spec.coeffs] + (
-        [c.scaled() for c in spec.inhom] if spec.inhom
-        else [(1, (0,)), (1, (1,))])
-    d = math.lcm(*(dc for dc, _ in polys[:-2]))
-    (dn, _), (dd, _) = polys[-2:]
-    scale = dd * big * d
     for n in n_range:
         if n < spec.n_min:
             raise ValueError("relation not asserted below n_min=%d" % spec.n_min)
         if n + spec.offsets[-1] >= len(seq):
             raise ValueError("sequence too short for n=%d" % n)
-        hs = []
-        for _, cs in polys:
-            h = 0
-            for c in cs:
-                h = h * n + c
-            hs.append(h)
-        *hs, hn, hd = hs
-        if hs[-1] == 0:
+        cs = [c(n) for c in spec.coeffs]
+        if cs[-1] == 0:
             import logging  # here alone: it adds ~3 ms to every start-up
 
             logging.getLogger(__name__).warning(
                 "%s: leading coefficient vanishes at n=%d, point skipped",
                 spec.name, n)
             continue
-        if hd == 0:
-            raise ArithmeticError(
-                "inhomogeneous denominator vanishes at n=%d" % n)
-        lhs = sum(h * (d // dc) * ys[n + off]
-                  for h, (dc, _), off in zip(hs, polys, spec.offsets))
-        if lhs * dn * hd != hn * scale:
+        lhs = sum(c * ys[n + off] for c, off in zip(cs, spec.offsets))
+        rhs = 0
+        if spec.inhom is not None:
+            num, den = spec.inhom
+            dv = den(n)
+            if dv == 0:
+                raise ArithmeticError(
+                    "inhomogeneous denominator vanishes at n=%d" % n)
+            lhs *= dv
+            rhs = num(n) * big
+        if lhs != rhs:
             return False
     return True
 
@@ -106,7 +101,7 @@ def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
             if dv == 0:
                 raise ArithmeticError(
                     "inhomogeneous denominator vanishes at n=%d" % n)
-            acc = num(n) / dv
+            acc = Fraction(num(n), dv)
         for off, c in zip(spec.offsets[:-1], spec.coeffs[:-1]):
             acc -= c(n) * ys[n + off]
         ys.append(acc / lead)
@@ -114,19 +109,27 @@ def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
     return ys[:n_max + 1]
 
 
-def make_paper_recurrences() -> dict:
-    """The five classical recurrence families with their initial values."""
-    from .bernoulli import PolyQ
+def _horner(cs: tuple, n):
+    """sum_i cs[i] n^i for the ascending integer coefficients cs: an
+    int at an int n."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * n + c
+    return acc
 
-    n = PolyQ.x()
+
+def make_paper_recurrences() -> dict:
+    """The five classical recurrence families with their initial values;
+    every coefficient is an integer polynomial in n, written as a
+    function of n."""
     recs = {}
 
     apt_offsets = (-2, -1, 0, 1)
     apt_coeffs = (
-        -(n ** 2) * (n - 1) ** 2 * (16 * n + 1),
-        n ** 2 * (256 * n ** 3 - 240 * n ** 2 + 64 * n - 7),
-        -(128 * n ** 3 + 40 * n ** 2 - 82 * n - 45),
-        16 * n - 15,
+        lambda n: -(n ** 2) * (n - 1) ** 2 * (16 * n + 1),
+        lambda n: n ** 2 * (256 * n ** 3 - 240 * n ** 2 + 64 * n - 7),
+        lambda n: -(128 * n ** 3 + 40 * n ** 2 - 82 * n - 45),
+        lambda n: 16 * n - 15,
     )
     for name, init in (("aptekarev_q", (1, 3, 50)),
                        ("aptekarev_p", (0, 2, 31))):
@@ -135,10 +138,10 @@ def make_paper_recurrences() -> dict:
 
     riv_offsets = (0, 1, 2, 3)
     riv_coeffs = (
-        -((n + 2) ** 2) * (8 * n + 19) * (8 * n + 27),
-        (8 * n + 27) * (24 * n ** 3 + 105 * n ** 2 + 124 * n + 25),
-        -(n + 3) * (8 * n + 11) * (24 * n ** 2 + 145 * n + 215),
-        (n + 3) ** 2 * (8 * n + 11) * (8 * n + 19),
+        lambda n: -((n + 2) ** 2) * (8 * n + 19) * (8 * n + 27),
+        lambda n: (8 * n + 27) * (24 * n ** 3 + 105 * n ** 2 + 124 * n + 25),
+        lambda n: -(n + 3) * (8 * n + 11) * (24 * n ** 2 + 145 * n + 215),
+        lambda n: (n + 3) ** 2 * (8 * n + 11) * (8 * n + 19),
     )
     for name, init in (("rivoal_q", (1, 7, Fraction(65, 2))),
                        ("rivoal_p", (-1, 4, Fraction(77, 4)))):
@@ -146,21 +149,23 @@ def make_paper_recurrences() -> dict:
                                     tuple(Fraction(v) for v in init), 0)
 
     a2_offsets = (0, 1, 2)
-    a2_coeffs = ((n + 1) ** 2, -2 * (n + 2), PolyQ.const(1))
+    a2_coeffs = (lambda n: (n + 1) ** 2, lambda n: -2 * (n + 2), lambda n: 1)
     recs["a2_q"] = RecurrenceSpec("a2_q", a2_offsets, a2_coeffs, None,
                                   (Fraction(1), Fraction(2)), 0)
     recs["a2_p1"] = RecurrenceSpec("a2_p1", a2_offsets, a2_coeffs,
-                                   (-n, n + 2), (Fraction(0), Fraction(1)), 0)
+                                   (lambda n: -n, lambda n: n + 2),
+                                   (Fraction(0), Fraction(1)), 0)
 
     a3_offsets = (-2, -1, 0, 1)
     a3_coeffs = (
-        -n * (n - 1) ** 3 * (8 * n - 1),
-        n * (24 * n ** 3 - 75 * n ** 2 + 52 * n - 5),
-        -(24 * n ** 3 + 13 * n ** 2 - 32 * n - 18),
-        (n + 1) * (8 * n - 9),
+        lambda n: -n * (n - 1) ** 3 * (8 * n - 1),
+        lambda n: n * (24 * n ** 3 - 75 * n ** 2 + 52 * n - 5),
+        lambda n: -(24 * n ** 3 + 13 * n ** 2 - 32 * n - 18),
+        lambda n: (n + 1) * (8 * n - 9),
     )
-    a3_inhom = (2 * (8 * n ** 4 - 17 * n ** 3 + 74 * n ** 2 - 12 * n - 9),
-                n * (n + 1))
+    a3_inhom = (lambda n: 2 * (8 * n ** 4 - 17 * n ** 3 + 74 * n ** 2
+                               - 12 * n - 9),
+                lambda n: n * (n + 1))
     for name, init, inhom in (
             ("a3_q", (1, 2, 11), None),
             ("a3_p1", (0, 1, Fraction(13, 2)), None),
@@ -170,19 +175,23 @@ def make_paper_recurrences() -> dict:
 
     a4_offsets = (-2, -1, 0, 1, 2)
     a4_coeffs = (
-        n ** 2 * (n - 1) ** 4 * (729 * n ** 4 + 2754 * n ** 3
-                                 + 3717 * n ** 2 + 2084 * n + 398),
-        -(n ** 2) * (2916 * n ** 7 + 28512 * n ** 6 + 61848 * n ** 5
-                     + 37667 * n ** 4 - 12898 * n ** 3 - 17463 * n ** 2
-                     - 2692 * n + 398),
-        PolyQ([168, 2680, 13528, 24204, -13062, -85776, -82674, -18468, 4374]),
-        -PolyQ([312, 1320, -2370, -13008, 947, 20862, 14661, 2916]),
-        (n + 2) ** 2 * (729 * n ** 4 - 162 * n ** 3 - 171 * n ** 2
-                        - 4 * n + 6),
+        lambda n: n ** 2 * (n - 1) ** 4 * (729 * n ** 4 + 2754 * n ** 3
+                                           + 3717 * n ** 2 + 2084 * n + 398),
+        lambda n: -(n ** 2) * (2916 * n ** 7 + 28512 * n ** 6
+                               + 61848 * n ** 5 + 37667 * n ** 4
+                               - 12898 * n ** 3 - 17463 * n ** 2
+                               - 2692 * n + 398),
+        lambda n: _horner((168, 2680, 13528, 24204, -13062, -85776, -82674,
+                           -18468, 4374), n),
+        lambda n: -_horner((312, 1320, -2370, -13008, 947, 20862, 14661,
+                            2916), n),
+        lambda n: (n + 2) ** 2 * (729 * n ** 4 - 162 * n ** 3 - 171 * n ** 2
+                                  - 4 * n + 6),
     )
-    a4_inhom = (-6 * PolyQ([3184, 30840, 105332, 100424, -194460, -549106,
-                            -490669, -179680, -17424, 2754, 729]),
-                n * (n + 1) ** 2 * (n + 2))
+    a4_inhom = (lambda n: -6 * _horner((3184, 30840, 105332, 100424, -194460,
+                                        -549106, -490669, -179680, -17424,
+                                        2754, 729), n),
+                lambda n: n * (n + 1) ** 2 * (n + 2))
     for name, init, inhom in (
             ("a4_q", (1, 2, 19, 250), None),
             ("a4_p1", (0, 1, 13, Fraction(409, 3)), None),

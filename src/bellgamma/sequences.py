@@ -28,14 +28,11 @@ from collections import namedtuple
 
 from . import kernel
 from .bell import bell_ladder
-from .common import (_MAX_DIGITS, EXIT_OK, PrecisionError, _decimal_str,
-                     _json, factorial)
+from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_OK, PrecisionError,
+                     _decimal_str, _json, factorial)
 from .numerics import LN10, BigFix, Rat, gamma_const, zeta_const
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
-# convergence_row evaluates each row at digits + _ROW_GUARD digits, so
-# approx and table work at most at the constants' limit less _ROW_GUARD.
-_ROW_GUARD = 20
 
 
 def _check_mu(a: int, mu: int) -> None:

@@ -5,12 +5,12 @@ lemma1 and the tests' oracles) checks its identity exactly in this ring.
 Exponent keys are tuples (e_g, e_z2, ..., e_zM) of length M; M is the
 largest zeta index in scope (M = 1 means g only).
 
-Coefficients are ints or Fractions: int inputs stay ints, so a
-polynomial over Z (the scaled lemma-1 sums, the alpha_mu) is computed in
-integer arithmetic, and any other input is coerced to Fraction unless
-the constructor is told not to (lemma 1's Columns).  Zeros are never
-stored.  The constructor validates its exponent keys; the ring
-operations build their results directly from valid keys.
+Coefficients are ints or Fractions, stored as given: a polynomial over
+Z (the scaled lemma-1 sums, the alpha_mu) is computed in integer
+arithmetic, and lemma 1 also builds polynomials over its kernel
+Columns.  Zeros are never stored.  The constructor validates its
+exponent keys; the ring operations build their results directly from
+valid keys.
 """
 
 import functools
@@ -29,8 +29,8 @@ class SymPoly:
 
     __slots__ = ("m_index", "terms")
 
-    def __init__(self, m_index: int, terms=None, *, coerce: bool = True):
-        """coerce=False keeps non-int coefficients as given, not Fractions:
+    def __init__(self, m_index: int, terms=None):
+        """Coefficients are stored as given: ints, Fractions, or other
         ring elements with +, * and int scalars, as the kernel's Columns
         over k on which lemma 1 runs one Bell ladder per row."""
         if m_index < 1:
@@ -38,8 +38,6 @@ class SymPoly:
         self.m_index = m_index
         clean = {}
         for expo, c in (terms or {}).items():
-            if coerce and type(c) is not int:
-                c = Fraction(c)
             if not c:
                 continue
             expo = tuple(expo)

@@ -71,7 +71,7 @@ def test_polyq_call_matches_fraction_horner():
     for p in polys:
         for x in points:
             want = horner_fraction(p, x)
-            for _ in range(2):  # the second call reuses the cached scaling
+            for _ in range(2):
                 got = p(x)
                 assert type(got) is Fraction and got == want
     # a PolyQ argument composes, through the generic Horner

@@ -748,8 +748,9 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
       "bellgamma.sequences"},
      {"bellgamma.tail"}),
     ("verify --suite recurrences --nmax 8",
-     {"bellgamma.symring", "bellgamma.sequences"} | _NO_BIGFIX,
-     {"bellgamma.recurrences", "bellgamma.bernoulli"}),
+     {"bellgamma.symring", "bellgamma.sequences", "bellgamma.bernoulli"}
+     | _NO_BIGFIX,
+     {"bellgamma.recurrences"}),
     ("asymptotics --a 5 --n 1000", _FLOAT_NEVER,
      {"bellgamma.asymptotics"}),
     ("roots --a 3", _FLOAT_NEVER,
@@ -772,8 +773,16 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
      {"bellgamma.asymptotics"}),
 ])
 def test_command_loads_only_what_it_runs(argv, absent, present):
-    # run as `python -m bellgamma.cli` runs it, the front end as __main__:
-    # a module importing bellgamma.cli would compile it a second time
+    code, err, loaded = _modules_after(argv)
+    assert code == 0 and err == ""
+    assert not loaded & (absent | {"json", "bellgamma.cli"} | _PARSER)
+    assert present <= loaded
+
+
+def _modules_after(argv: str):
+    """(exit code, stderr, the modules loaded) of one run of the front
+    end as `python -m bellgamma.cli` runs it, as __main__: a module
+    importing bellgamma.cli would compile it a second time."""
     probe = ("import runpy, sys\n"
              "try:\n"
              "    runpy.run_module('bellgamma.cli', run_name='__main__',\n"
@@ -784,10 +793,23 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
              "sys.exit(code)\n")
     out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
                          env=CHILD_ENV, capture_output=True, text=True)
-    assert out.returncode == 0 and out.stderr == ""
-    loaded = set(out.stdout.splitlines()[-1].split())
-    assert not loaded & (absent | {"json", "bellgamma.cli"} | _PARSER)
-    assert present <= loaded
+    return out.returncode, out.stderr, set(out.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [
+    "approx --a 9 --mu 1 --n 5", "approx --a 3 --mu 3 --n 5",
+    "approx --a 3 --mu 1 --n -1", "approx --a 3 --mu 1 --n 5 --digits 9990",
+    "table --a 9 --mu 1 --n 0:5", "table --a 3 --mu 1 --n 5:2",
+    "table --a 3 --mu 1 --n 0:5 --digits 0",
+])
+def test_usage_errors_load_only_the_front_end(argv):
+    # the range checks, --digits against the row guard too, need common
+    # alone; the front end itself runs as __main__, not as bellgamma.cli
+    code, err, loaded = _modules_after(argv)
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert {m for m in loaded if m.startswith("bellgamma")} == {
+        "bellgamma", "bellgamma.common"}
+    assert not loaded & (_PARSER | {"fractions"})
 
 
 def test_importing_cli_loads_no_parser():

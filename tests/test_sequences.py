@@ -1,5 +1,6 @@
 """Approximation sequences, exact identities, recurrences, and tails."""
 
+import hashlib
 import math
 import random
 import sys
@@ -392,6 +393,36 @@ def test_rivoal_sequences_approach_gamma():
             for p, q in zip(ps[2:], qs[2:])]
     assert errs[-1] < 1e-10
     assert errs[-1] < errs[0]
+
+
+# sha256 of y_0..y_30, joined by spaces as str prints them, and y_30: the
+# suite checks Rivoal's recurrences against values they generate, so only
+# these pins would see a mistyped Rivoal coefficient.
+RIVOAL_30 = {
+    "rivoal_q": ("0e9da5800f1c299c85e408bbfc9e5c623dc899cbeff286a1676c11077d6b24e4",
+                 Fraction(5415883599112832899640532863311265135095451,
+                          24113896346562823512391680000000)),
+    "rivoal_p": ("d40c1d34d3f7ea577df35c662e3ce0e28404c98b19da6e9472498fd0983273a1",
+                 Fraction(2427014466376437013210661949510823564822376790014551697,
+                          18721141433073507965736632784519168000000000)),
+}
+
+
+def test_rivoal_generation_pinned():
+    specs = make_paper_recurrences()
+    for name, (digest, y30) in RIVOAL_30.items():
+        ys = recurrence_generate(specs[name], 30)
+        assert ys[30] == y30, name
+        text = " ".join(map(str, ys)).encode()
+        assert hashlib.sha256(text).hexdigest() == digest, name
+
+
+def test_paper_coefficients_are_ints():
+    # a / in a coefficient would turn the exact check into float arithmetic
+    for name, spec in make_paper_recurrences().items():
+        parts = spec.coeffs + (spec.inhom or ())
+        for n in range(61):
+            assert all(type(c(n)) is int for c in parts), (name, n)
 
 
 def test_recurrence_check_validation():
