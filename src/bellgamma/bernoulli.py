@@ -6,12 +6,12 @@ cached per m, and the classical recursion and addition formulas are kept
 as test oracles rather than used for construction.  gen_bernoulli
 builds each B_n^{(m)} once per process (a bounded cache shared by every
 caller, so a PolyQ is never mutated); bernoulli_at evaluates it from
-the coefficients without building it.  PolyQ, the polynomial type of
+the coefficients without building it, and csc_power_coeffs takes the
+csc-power series from it alone.  PolyQ, the polynomial type of
 gen_bernoulli and the bernoulli suite, keeps integer coefficients as
-ints and evaluates by one exact Horner loop.  The second csc-power
-route is a few private functions over coefficient lists: a Fraction
-reciprocal and an integer-convolution truncated product with binary
-powering.
+ints and evaluates by one exact Horner loop.  The truncated product and
+power of coefficient lists at the end serve the bernoulli suite, which
+multiplies the csc-power series by a power of the sine series.
 """
 
 import functools
@@ -235,36 +235,20 @@ def bernoulli_at(n: int, m: int, x) -> Fraction:
 
 
 def csc_power_coeffs(m: int, nmax: int) -> list[Fraction]:
-    """Coefficients of z^{2n}, n = 0..nmax, in (z/sin z)^m.
-
-    Computed two ways: (-1)^n 4^n B_{2n}^{(m)}(m/2)/(2n)! and direct
-    inversion of the (sin z/z)^m series in the variable w = z^2; the two
-    must agree, and the Bernoulli-formula values are returned.
-    """
+    """Coefficients of z^{2n}, n = 0..nmax, in (z/sin z)^m:
+    (-1)^n 4^n B_{2n}^{(m)}(m/2)/(2n)!."""
     if m < 1:
         raise ValueError("csc_power_coeffs requires m >= 1")
     if nmax < 0 or nmax > 50:
         raise ValueError("csc_power_coeffs limited to 0 <= N <= 50")
     half_m = Fraction(m, 2)
-    bern = [Fraction((-1) ** n * 4 ** n)
+    return [Fraction((-1) ** n * 4 ** n)
             * bernoulli_at(2 * n, m, half_m) / factorial(2 * n)
             for n in range(nmax + 1)]
-    if bern != _series_pow(_csc_series(nmax), m):
-        raise ArithmeticError("csc power series routes disagree")
-    return bern
 
 
-# The second csc-power route, over truncated power series held as
-# coefficient lists [c_0, ..., c_N] of ints and Fractions, all of one
-# length; it never looks past z^N.
-
-@functools.lru_cache(maxsize=4)
-def _csc_series(nmax: int) -> tuple:
-    """z/sin z by series inversion, to order nmax in w = z^2: the
-    inverse of sin z / z = sum (-1)^j w^j / (2j+1)!, shared by every m."""
-    return tuple(_series_recip([Fraction((-1) ** j, factorial(2 * j + 1))
-                                for j in range(nmax + 1)]))
-
+# Truncated power series held as coefficient lists [c_0, ..., c_N] of
+# ints and Fractions, all of one length; nothing looks past z^N.
 
 def _series_mul(s, t) -> list:
     """Truncated Cauchy product, summed in integers over the product of
@@ -293,15 +277,3 @@ def _series_pow(s, k: int) -> list:
         if k:
             s = _series_mul(s, s)
     return acc
-
-
-def _series_recip(s) -> list:
-    """The multiplicative inverse, as Fractions; requires s(0) != 0."""
-    if s[0] == 0:
-        raise ValueError("_series_recip requires s(0) != 0")
-    out = [1 / Fraction(s[0])]
-    for i in range(1, len(s)):
-        acc = sum((s[j] * out[i - j] for j in range(1, i + 1) if s[j]),
-                  Fraction(0))
-        out.append(-acc / s[0])
-    return out

@@ -30,26 +30,54 @@ def _suite_lemma1(args):
             for mu, good in ok.items()]
 
 
+# Euler's constant truncated to 100 decimals, the source of the Rivoal
+# check (the recurrences suite does not load numerics)
+_GAMMA_100 = int("5772156649015328606065120900824024310421593359399235988057"
+                 "672348848677267776646709369470632917467495")
+
+
+def _rivoal_vs_gamma(rec, specs, nmax):
+    """Rivoal's q_n, p_n from their recurrences, n = 1..min(nmax, 868):
+    |p_n/q_n - gamma| < 10^-floor(n^(2/3)) for every gamma in
+    [_GAMMA_100, _GAMMA_100 + 1] / 10^100, a width 10^-10 of the bound
+    at n = 868.  For n <= 600 the errors lie between 10^-1.1 n^(2/3) and
+    10^-2.3 n^(2/3); a mistyped coefficient leaves them near 10^-5."""
+    hi = min(nmax, 868)
+    qs, ps = (rec.recurrence_generate(specs[name], hi)
+              for name in ("rivoal_q", "rivoal_p"))
+    lo_g = Fraction(_GAMMA_100, 10 ** 100)
+    hi_g = lo_g + Fraction(1, 10 ** 100)
+    ok, k = True, 0
+    for n in range(1, hi + 1):
+        k += (k + 1) ** 3 <= n * n  # floor(n^(2/3)) grows by 1 at most
+        eps = Fraction(1, 10 ** k)
+        ok = ok and hi_g - eps < ps[n] / qs[n] < lo_g + eps
+    return ("recurrence rivoal_q, rivoal_p vs gamma to 100 digits: "
+            "|p_n/q_n - gamma| < 10^-floor(n^(2/3)), n=1..%d" % hi, ok)
+
+
 def _suite_recurrences(args):
     from . import kernel, recurrences as rec
 
     nmax = args.nmax
     tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
     apt = rec.aptekarev_seq(nmax)
+    specs = rec.make_paper_recurrences()
     out = []
-    for name, spec in rec.make_paper_recurrences().items():
+    for name, spec in specs.items():
         family, _, which = name.partition("_")
-        source = "explicit sum"
+        if family == "rivoal":  # one check of the pair, in rivoal_q's place
+            if which == "q":
+                out.append(_rivoal_vs_gamma(rec, specs, nmax))
+            continue
         if family == "aptekarev":
             ys = apt[which == "p"]
-        elif family == "rivoal":
-            ys, source = rec.recurrence_generate(spec, nmax), "generated values"
         else:  # "a3_q", "a3_p2": q or p_mu of a = 3 from its table
             q, p = tables[int(family[1:])]
             ys = q if which == "q" else p[int(which[1:]) - 1]
         hi = nmax - spec.offsets[-1]
-        out.append(("recurrence %s vs %s, n=%d..%d" % (name, source,
-                                                       spec.n_min, hi),
+        out.append(("recurrence %s vs explicit sum, n=%d..%d"
+                    % (name, spec.n_min, hi),
                     rec.recurrence_check(spec, ys, range(spec.n_min, hi + 1))))
     return out
 
@@ -99,28 +127,24 @@ def _suite_bernoulli(args):
                       * x ** (n - k) for k in range(n + 1))
             ok = ok and lhs == rhs
     out.append(("bernoulli addition formula at y=1/3, n<=8 m<=5", ok))
-    ok = True
-    for m in range(2, 13, 2):
-        s = sum(binom(m, k) * bernoulli.bernoulli_at(k, m + 1,
-                                                     Fraction(m + 1, 2)) * 2 ** k
-                for k in range(m + 1))
-        ok = ok and s == 0
-    out.append(("bernoulli even-order alternating sum m=2,4,..,12", ok))
-    ok = True
-    for m in range(1, 7):
-        for n in range(0, 7):
-            ok = ok and bernoulli.bernoulli_at(2 * n + 1, m,
-                                               Fraction(m, 2)) == 0
-    out.append(("bernoulli odd values vanish at midpoint m<=6 n<=6", ok))
-    ok = True
-    try:
-        for m in range(1, 6):
-            cs = bernoulli.csc_power_coeffs(m, 15)
-            ok = ok and len(cs) == 16 and cs[0] == 1
-        ok = ok and bernoulli.csc_power_coeffs(1, 2) == [1, Fraction(1, 6),
-                                                         Fraction(7, 360)]
-    except ArithmeticError:
-        ok = False
+    out.append(("bernoulli even-order alternating sum m=2,4,..,12",
+                all(sum(binom(m, k) * 2 ** k
+                        * bernoulli.bernoulli_at(k, m + 1, Fraction(m + 1, 2))
+                        for k in range(m + 1)) == 0
+                    for m in range(2, 13, 2))))
+    out.append(("bernoulli odd values vanish at midpoint m<=6 n<=6",
+                all(bernoulli.bernoulli_at(2 * n + 1, m, Fraction(m, 2)) == 0
+                    for m in range(1, 7) for n in range(7))))
+    # the inverse of (sin z/z)^m is unique: the product is 1 exactly when
+    # every coefficient of (z/sin z)^m is right
+    sin_over_z = [Fraction((-1) ** j, math.factorial(2 * j + 1))
+                  for j in range(16)]
+    ok = bernoulli.csc_power_coeffs(1, 2) == [1, Fraction(1, 6),
+                                              Fraction(7, 360)]
+    for m in range(1, 6):
+        cs = bernoulli.csc_power_coeffs(m, 15)
+        ok = ok and (bernoulli._series_mul(
+            cs, bernoulli._series_pow(sin_over_z, m)) == [1] + [0] * 15)
     out.append(("bernoulli csc-power dual-route coefficients m<=5 N<=15", ok))
     return out
 

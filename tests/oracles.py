@@ -4,8 +4,10 @@ Fraction-valued oracles for the lemma-1 sums: harmonic numbers
 H_k^{(m)}, the harmonic parts r_m(k) of the summand exponent's
 derivatives, and F_{n,mu} built over Fraction in the g/z ring, an
 independent route to what module lemma1 computes in integers.  And
-exp and log1p of truncated power series, coefficient lists
-[c_0, ..., c_N], the oracles of the log expansion in asymptotics.
+the reciprocal, exp and log1p of truncated power series, coefficient
+lists [c_0, ..., c_N]: the reciprocal is the second route to the
+generalized Bernoulli and csc-power coefficients, and exp and log1p
+are the oracles of the log expansion in asymptotics.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from fractions import Fraction
 
 from bellgamma import kernel, lemma1
 from bellgamma.bell import bell_ladder
-from bellgamma.bernoulli import _series_recip
 from bellgamma.common import factorial
 from bellgamma.numerics import Rat
 from bellgamma.symring import SymPoly
@@ -99,6 +100,18 @@ def F_sym(a: int, mu: int, n: int) -> SymPoly:
     if not 0 <= mu <= a - 1:
         raise ValueError("require 0 <= mu <= a-1")
     return _f_sym_all(a, n)[mu]
+
+
+def _series_recip(s) -> list:
+    """The multiplicative inverse, as Fractions; requires s(0) != 0."""
+    if s[0] == 0:
+        raise ValueError("_series_recip requires s(0) != 0")
+    out = [1 / Fraction(s[0])]
+    for i in range(1, len(s)):
+        acc = sum((s[j] * out[i - j] for j in range(1, i + 1) if s[j]),
+                  Fraction(0))
+        out.append(-acc / s[0])
+    return out
 
 
 def ps_exp(s: list) -> list:

@@ -17,7 +17,7 @@ from bellgamma.asymptotics import (
 )
 from bellgamma.bell import bell_eval_partitions, bell_ladder
 from bellgamma.bernoulli import bernoulli_at, csc_power_coeffs, gen_bernoulli
-from bellgamma.bernoulli import PolyQ
+from bellgamma.bernoulli import PolyQ, _series_mul, _series_pow
 from bellgamma.common import binom, factorial, lcm_upto
 from bellgamma.numerics import gamma_const
 from bellgamma.lemma1 import lemma1_residual
@@ -250,10 +250,12 @@ def test_criterion_10_bell_bernoulli_suites():
     for m in range(1, 7):
         for n in range(0, 6):
             ok &= bernoulli_at(2 * n + 1, m, Fraction(m, 2)) == 0
-    # cosecant-power coefficients, dual-route checked inside, N <= 15
+    # cosecant-power coefficients, N <= 15: (z/sin z)^m (sin z/z)^m = 1
+    sin_over_z = [Fraction((-1) ** j, factorial(2 * j + 1))
+                  for j in range(16)]
     for m in range(1, 6):
-        cs = csc_power_coeffs(m, 15)
-        ok &= len(cs) == 16 and cs[0] == 1
+        ok &= _series_mul(csc_power_coeffs(m, 15),
+                          _series_pow(sin_over_z, m)) == [1] + [0] * 15
     ok &= csc_power_coeffs(1, 2) == [1, Fraction(1, 6), Fraction(7, 360)]
     _report(10, ok, "Bell and Bernoulli identity suites exact", t0, 60)
 

@@ -1,10 +1,12 @@
 """Generalized Bernoulli polynomials and cosecant-power coefficients."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from oracles import _series_recip
 
 from bellgamma import bernoulli
 from bellgamma.bernoulli import (
@@ -12,7 +14,6 @@ from bellgamma.bernoulli import (
     _core_power,
     _series_mul,
     _series_pow,
-    _series_recip,
     bernoulli_at,
     bernoulli_number,
     csc_power_coeffs,
@@ -70,10 +71,8 @@ def test_polyq_call_matches_fraction_horner():
               Fraction(22, 7), Fraction(-7, 10 ** 12)]
     for p in polys:
         for x in points:
-            want = horner_fraction(p, x)
-            for _ in range(2):
-                got = p(x)
-                assert type(got) is Fraction and got == want
+            got = p(x)
+            assert type(got) is Fraction and got == horner_fraction(p, x)
     # a PolyQ argument composes, through the generic Horner
     y = PolyQ.x() + Fraction(1, 3)
     for p in polys[:12]:
@@ -205,7 +204,7 @@ def test_odd_vanishing_at_half_order():
 
 
 def test_csc_power_coefficients():
-    # (z/sin z)^m expanded in z^2; dual-route checked inside the call.
+    # (z/sin z)^m expanded in z^2
     assert csc_power_coeffs(1, 3) == [1, Fraction(1, 6), Fraction(7, 360),
                                       Fraction(31, 15120)]
     assert csc_power_coeffs(2, 2) == [1, Fraction(1, 3), Fraction(1, 15)]
@@ -215,8 +214,28 @@ def test_csc_power_coefficients():
         assert all(c > 0 for c in cs)
 
 
+# sha256 of the coefficients of m = 1..5, N = 15, joined by spaces as
+# str prints them: the values that the bernoulli suite checks.
+CSC_POWERS_15 = (
+    "3bd7a9eafaad212512ba6d0b0a07dfcb7de5f2900de3f4118bb187ee686dffe9")
+
+
+def test_csc_power_coeffs_runs_one_route(monkeypatch):
+    # the series product and power are the suite's check, not a second
+    # route that every call runs
+    def refuse(*args):
+        raise AssertionError("csc_power_coeffs ran a series route")
+
+    monkeypatch.setattr(bernoulli, "_series_mul", refuse)
+    monkeypatch.setattr(bernoulli, "_series_pow", refuse)
+    text = " ".join(str(c) for m in range(1, 6)
+                    for c in csc_power_coeffs(m, 15))
+    assert hashlib.sha256(text.encode()).hexdigest() == CSC_POWERS_15
+    assert csc_power_coeffs(1, 2) == [1, Fraction(1, 6), Fraction(7, 360)]
+
+
 def test_csc_power_elementary_oracle():
-    # Third route: invert the sin-series product directly.
+    # The inverse route: powers of the reciprocal of the sine series.
     for m in range(1, 5):
         order = 10
         sin_over_z = [Fraction((-1) ** j, factorial(2 * j + 1))

@@ -1,5 +1,6 @@
-"""The package's lazily loaded public names."""
+"""The package's lazily loaded public names, and no dead private helper."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -31,3 +32,38 @@ def test_every_library_module_has_an_entry():
     modules = {p.stem for p in src.glob("*.py")} - {"__init__", "cli",
                                                     "verify"}
     assert set(bellgamma._MODULES) == modules
+
+
+def _bound_names(stmt):
+    """The names a module-level statement defines or assigns."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            stmt.target]
+        return {node.id for t in targets for node in ast.walk(t)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+def _read_names(stmt):
+    """The names a statement reads, as a name or as an attribute."""
+    return ({node.id for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(stmt)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_no_dead_private_helpers():
+    # Every private module-level name is read by package code outside
+    # its own definition: a helper that only the tests call is a second
+    # route, and belongs in tests/oracles.py.
+    src = Path(bellgamma.__file__).parent
+    stmts = [stmt for p in sorted(src.glob("*.py"))
+             for stmt in ast.parse(p.read_text()).body]
+    reads = [_read_names(stmt) for stmt in stmts]
+    dead = sorted(
+        name for i, stmt in enumerate(stmts) for name in _bound_names(stmt)
+        if name.startswith("_") and not name.endswith("__")
+        and not any(name in r for j, r in enumerate(reads) if j != i))
+    assert dead == []

@@ -1,15 +1,15 @@
-"""Truncated rational power series as coefficient lists: the product,
-power and reciprocal of bernoulli's second csc-power route, and the
-exp/log1p test oracles."""
+"""Truncated rational power series as coefficient lists: the product
+and power that the bernoulli suite checks the csc-power series with,
+and the reciprocal, exp and log1p test oracles."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from oracles import ps_exp, ps_log1p
+from oracles import _series_recip, ps_exp, ps_log1p
 
-from bellgamma.bernoulli import _series_mul, _series_pow, _series_recip
+from bellgamma.bernoulli import _series_mul, _series_pow
 
 
 def rand_series(rng, order, zero_const=False):

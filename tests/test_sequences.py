@@ -11,12 +11,12 @@ import pytest
 from oracles import F_sym, HarmonicCache, f_deriv_sym, harmonic, r_val
 from test_kernel import oracle_tables
 
-from bellgamma import kernel, lemma1
+from bellgamma import kernel, lemma1, verify
 from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import PolyQ
 from bellgamma.lemma1 import lemma1_residual
 from bellgamma.common import PrecisionError, binom, factorial, lcm_upto
-from bellgamma.numerics import BigFix
+from bellgamma.numerics import BigFix, gamma_const
 from bellgamma.recurrences import (
     RecurrenceSpec,
     aptekarev_seq,
@@ -396,8 +396,8 @@ def test_rivoal_sequences_approach_gamma():
 
 
 # sha256 of y_0..y_30, joined by spaces as str prints them, and y_30: the
-# suite checks Rivoal's recurrences against values they generate, so only
-# these pins would see a mistyped Rivoal coefficient.
+# suite checks Rivoal's recurrences only through how fast p_n/q_n
+# approaches gamma, and these pins fix the values themselves.
 RIVOAL_30 = {
     "rivoal_q": ("0e9da5800f1c299c85e408bbfc9e5c623dc899cbeff286a1676c11077d6b24e4",
                  Fraction(5415883599112832899640532863311265135095451,
@@ -406,6 +406,13 @@ RIVOAL_30 = {
                  Fraction(2427014466376437013210661949510823564822376790014551697,
                           18721141433073507965736632784519168000000000)),
 }
+
+
+def test_rivoal_gamma_enclosure_matches_gamma_const():
+    # the recurrences suite does not load numerics, so it carries gamma
+    # to 100 decimals; digits 101..110 of gamma are 1463144724
+    g = gamma_const(110)
+    assert g.scale == 110 and g.mantissa // 10 ** 10 == verify._GAMMA_100
 
 
 def test_rivoal_generation_pinned():
