@@ -20,8 +20,8 @@ _MODULES = {
     "bell": (
         "bell_eval", "bell_eval_partitions", "bell_ladder",
         "partition_multinomial", "partitions"),
-    "bernoulli": ("PolyQ", "bernoulli_at", "bernoulli_number",
-                  "csc_power_coeffs", "gen_bernoulli"),
+    "bernoulli": ("bernoulli_at", "bernoulli_number", "csc_power_coeffs",
+                  "gen_bernoulli"),
     "common": ("PrecisionError", "binom", "factorial", "lcm_upto", "poch"),
     "kernel": ("backend_name", "seq_tables"),
     "lemma1": ("lemma1_residual",),

@@ -17,9 +17,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .common import EXIT_OK, _json, factorial, poch
-
-PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
+from .common import EXIT_OK, PROFILE_KINDS, _json, factorial, poch
 
 
 def lagrange_coeff(a: int, m: int) -> Fraction:

@@ -2,183 +2,40 @@
 
 B_n^{(m)}(x) is n! times the z^n coefficient of (z/(e^z - 1))^m e^{xz};
 the coefficients of (z/(e^z - 1))^m come from Miller's power recurrence,
-cached per m, and the classical recursion and addition formulas are kept
-as test oracles rather than used for construction.  gen_bernoulli
-builds each B_n^{(m)} once per process (a bounded cache shared by every
-caller, so a PolyQ is never mutated); bernoulli_at evaluates it from
-the coefficients without building it, and csc_power_coeffs takes the
-csc-power series from it alone.  PolyQ, the polynomial type of
-gen_bernoulli and the bernoulli suite, keeps integer coefficients as
-ints and evaluates by one exact Horner loop.  The truncated product and
-power of coefficient lists at the end serve the bernoulli suite, which
-multiplies the csc-power series by a power of the sine series.
+cached per m, and the classical recursion and addition formulas are
+checks of the bernoulli suite rather than used for construction.
+bernoulli_at, the one route to a value B_n^{(m)}(x), evaluates it from
+those coefficients, and csc_power_coeffs takes the csc-power series
+from it alone; gen_bernoulli lists the polynomial's coefficients.  The
+truncated product and power of coefficient lists at the end serve the
+bernoulli suite, which multiplies the csc-power series by a power of
+the sine series.
 """
 
-import functools
 from fractions import Fraction
 from math import factorial, lcm
 
 _N_LIMIT = 200
 _M_LIMIT = 50
 
-_new = object.__new__
 
-
-class PolyQ:
-    """Dense univariate polynomial over Q, ascending coefficients.
-
-    Int coefficients stay ints (any other input is coerced to Fraction),
-    so polynomials over Z, such as the falling factorials the bernoulli
-    suite compares with B_m^{(m+1)}, never pay for Fraction arithmetic.
-    A PolyQ is never mutated once built: gen_bernoulli hands out cached
-    instances.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs
-
-    @classmethod
-    def const(cls, c) -> "PolyQ":
-        return cls([c])
-
-    @classmethod
-    def x(cls) -> "PolyQ":
-        return cls([0, 1])
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = PolyQ([other])
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(tuple(self.coeffs))
-
-    # Ring results are built by _poly from coefficients that are already
-    # ints or Fractions, so no operation coerces them again.
-
-    def __add__(self, other):
-        if not isinstance(other, PolyQ):
-            other = PolyQ([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = a.copy()
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if not isinstance(other, PolyQ):
-            other = PolyQ([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, PolyQ):
-            c = (other if type(other) is int or type(other) is Fraction
-                 else Fraction(other))
-            return _poly([c * v for v in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return _poly([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return _poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = PolyQ([1])
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __call__(self, x):
-        """Horner evaluation: exact for int and Fraction x, with a
-        Fraction result; a PolyQ argument composes, and a float gives a
-        float."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*x" if c != 1 else "x")
-            else:
-                parts.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return " + ".join(reversed(parts))
-
-    def __repr__(self) -> str:
-        return f"PolyQ({self.coeffs!r})"
-
-
-def _poly(cs: list) -> PolyQ:
-    """PolyQ over the fresh list cs of ints and Fractions, taken as is
-    after its trailing zeros are dropped."""
-    while cs and not cs[-1]:
-        cs.pop()
-    p = _new(PolyQ)
-    p.coeffs = cs
-    return p
-
-
-def gen_bernoulli(n: int, m: int) -> PolyQ:
-    """B_n^{(m)}(x) as an exact polynomial in x.
+def gen_bernoulli(n: int, m: int) -> list:
+    """The ascending coefficients of B_n^{(m)}(x): an int where the
+    coefficient is integral, a Fraction otherwise.
 
     (z/(e^z-1))^m = (sum z^j/(j+1)!)^{-m}; with its coefficients c_k,
-    B_n^{(m)}(x) = n! sum_k c_k x^{n-k}/(n-k)!.  The polynomial is
-    cached and shared between callers (see _gen_bernoulli).
+    B_n^{(m)}(x) = n! sum_k c_k x^{n-k}/(n-k)!.  Each call builds a
+    fresh list; bernoulli_at evaluates B_n^{(m)} without it.
     """
     if n < 0 or m < 1:
         raise ValueError("gen_bernoulli requires n >= 0, m >= 1")
     if n > _N_LIMIT or m > _M_LIMIT:
         raise ValueError("gen_bernoulli limited to n <= %d, m <= %d"
                          % (_N_LIMIT, _M_LIMIT))
-    return _gen_bernoulli(n, m)
-
-
-@functools.lru_cache(maxsize=256)
-def _gen_bernoulli(n: int, m: int) -> PolyQ:
-    """gen_bernoulli without its checks: the verify suite asks for 81
-    distinct (n, m) 262 times.  Coefficients that are integers are
-    stored as ints."""
     core = _core_power(m, n)
     nfac = factorial(n)
     coeffs = [core[n - i] * (nfac // factorial(i)) for i in range(n + 1)]
-    return _poly([c.numerator if c.denominator == 1 else c for c in coeffs])
+    return [c.numerator if c.denominator == 1 else c for c in coeffs]
 
 
 # m -> coefficients c_0..c_K of (z/(e^z - 1))^m, extended in place; a

@@ -47,16 +47,15 @@ import sys
 from types import SimpleNamespace
 
 from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_PRECISION, EXIT_USAGE,
-                     PrecisionError)
+                     PROFILE_KINDS, PrecisionError)
 
-# Past 10^64 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
-# other, fall within double rounding of one another and refine to the
-# same point: a = 4, u = 1 collides at 10^65 and already at 6*10^64.  A
-# scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8, |u| <= a.
-_ROOTS_N_MAX = 10 ** 64
-# The values of asymptotics --kind, asymptotics.PROFILE_KINDS spelled out
-# so that building the parser does not import that module.
-_PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
+# Past 10^63 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
+# other, come within a few units of double rounding of one another, and
+# Newton's iteration no longer brings the residual to the rounding level
+# of its evaluation: for u = -4, -2, 0, 2, 4 it fails from 7*10^63 on.
+# A scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8,
+# |u| <= a, to distinct roots up to 6*10^63.
+_ROOTS_N_MAX = 10 ** 63
 # The flags each verify suite reads, with their defaults; passing it any
 # other is a usage error.
 _SUITE_FLAGS = {"lemma1": {"a": 3, "nmax": 10}, "recurrences": {"nmax": 60},
@@ -122,7 +121,7 @@ _FLAGS = {
     "constants": (("--zeta-max", "zeta_max", int, 5, False,
                    "print zeta(2)..zeta(M)", None),
                   _DIGITS, _format("text"), _OUT),
-    "asymptotics": (_A, ("--kind", "kind", _PROFILE_KINDS, None, False,
+    "asymptotics": (_A, ("--kind", "kind", PROFILE_KINDS, None, False,
                          "one profile kind (default: all three)", None),
                     ("--n", "n", int, None, False,
                      "also evaluate the exponent at this n", None),
@@ -277,7 +276,7 @@ def _check_args(args) -> None:
         if args.n < 1000:
             raise UsageError("--n must be at least 1000")
         if args.n > _ROOTS_N_MAX:
-            raise UsageError("--n must be at most 10^64")
+            raise UsageError("--n must be at most 10^63")
 
 
 def _open_out(path):

@@ -1,5 +1,6 @@
 """What every command shares: exit codes, the precision limits and
-their error, exact integer helpers, and the decimal and json writers.
+their error, the profile kinds of asymptotics (the values of its
+--kind), exact integer helpers, and the decimal and json writers.
 
 The command-line front end loads this module and nothing else of the
 package, also for the --digits limits of its range checks, so it
@@ -21,6 +22,10 @@ _MAX_DIGITS = 10000
 # convergence_row evaluates each row at digits + _ROW_GUARD digits, so
 # approx and table work at most at the constants' limit less _ROW_GUARD.
 _ROW_GUARD = 20
+
+
+# The exponent profiles of asymptotics, also the values of its --kind.
+PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
 
 
 class PrecisionError(ArithmeticError):

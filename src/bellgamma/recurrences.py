@@ -24,10 +24,10 @@ class RecurrenceSpec(namedtuple(
     offsets are ascending taps relative to the running index n; the
     relation is asserted for n >= n_min.  Each coefficient is a callable
     of n that returns an exact value: an int for the paper's families,
-    whose coefficients are integer polynomials in n (a PolyQ also
-    qualifies).  inhom is a (num, den) pair of such callables or None
-    for the homogeneous case.  initial lists y_0..y_{n_min +
-    offsets[-1] - 1}, exactly the values a forward generation needs.
+    whose coefficients are integer polynomials in n.  inhom is a (num,
+    den) pair of such callables or None for the homogeneous case.
+    initial lists y_0..y_{n_min + offsets[-1] - 1}, exactly the values a
+    forward generation needs.
     """
 
     __slots__ = ()

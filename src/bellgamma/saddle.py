@@ -8,6 +8,7 @@ table, which need the exponents alone, never compile it or load cmath.
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 from .asymptotics import lagrange_coeff
@@ -47,12 +48,21 @@ def saddle_seed(a: int, u: int, n: int, k: int) -> complex:
     return t
 
 
+def _p_dp(a: int, u: int, n: int, t: complex) -> tuple:
+    """p(t) = e^{i pi u} n (t-1)^a - t^{a-1} and its derivative p'(t)."""
+    e_n = cmath.exp(1j * math.pi * u) * n
+    return (e_n * (t - 1) ** a - t ** (a - 1),
+            e_n * a * (t - 1) ** (a - 1) - (a - 1) * t ** (a - 2))
+
+
 def saddle_roots(a: int, u: int, n: int) -> list:
     """All a roots of e^{i pi u} n (t-1)^a - t^{a-1}, Newton-refined.
 
-    Each root starts from saddle_seed and must reach |p(t)| < 1e-10 n
-    within 100 iterations; failure raises RootRefinementError with the
-    seed and final residual.
+    Each root starts from saddle_seed and is refined until |p(t)| is at
+    the rounding level of its own evaluation, 8 eps (n |t-1|^a +
+    |t|^{a-1} + |t| |p'(t)|), the last term for the rounding of t
+    itself; it must get there within 100 iterations, or
+    RootRefinementError carries the seed and final residual.
     """
     if a < 2:
         raise ValueError("a must be at least 2")
@@ -60,26 +70,19 @@ def saddle_roots(a: int, u: int, n: int) -> list:
         raise ValueError("require |u| <= a")
     if n < 1000:
         raise ValueError("n must be at least 10^3")
-    e_u = cmath.exp(1j * math.pi * u)
-
-    def p(t):
-        return e_u * n * (t - 1) ** a - t ** (a - 1)
-
-    def dp(t):
-        return e_u * n * a * (t - 1) ** (a - 1) - (a - 1) * t ** (a - 2)
-
-    tol = 1e-10 * n
+    eps8 = 8 * sys.float_info.epsilon
     roots = []
     for k in range(a):
         seed = saddle_seed(a, u, n, k)
         t = seed
         for _ in range(100):
-            val = p(t)
-            if abs(val) < tol:
+            val, slope = _p_dp(a, u, n, t)
+            if abs(val) <= eps8 * (n * abs(t - 1) ** a + abs(t) ** (a - 1)
+                                   + abs(t) * abs(slope)):
                 break
-            t = t - val / dp(t)
+            t = t - val / slope
         else:
-            raise RootRefinementError(seed, abs(p(t)))
+            raise RootRefinementError(seed, abs(_p_dp(a, u, n, t)[0]))
         roots.append(CPoint(t.real, t.imag))
     if len({(r.re, r.im) for r in roots}) != a:
         raise ArithmeticError("refined roots collide; expected %d distinct" % a)
@@ -92,11 +95,10 @@ def root_report(a: int, u: int, n: int) -> list:
     residual_over_n is |e^{i pi u} n (t-1)^a - t^{a-1}| / n at the refined
     root t, and seed_distance is |t - saddle_seed(a, u, n, k)|.
     """
-    e_u = complex(math.cos(math.pi * u), math.sin(math.pi * u))
     rows = []
     for k, r in enumerate(saddle_roots(a, u, n)):
         t = r.as_complex()
-        res = abs(e_u * n * (t - 1) ** a - t ** (a - 1)) / n
+        res = abs(_p_dp(a, u, n, t)[0]) / n
         rows.append((k, r.re, r.im, res, abs(t - saddle_seed(a, u, n, k))))
     return rows
 

@@ -100,40 +100,34 @@ def _suite_integrality(args):
 def _suite_bernoulli(args):
     from . import bernoulli
 
-    x = bernoulli.PolyQ.x()
-    out = []
-    ok = True
-    for m in range(0, 9):
-        want = bernoulli.PolyQ.const(1)
-        for j in range(1, m + 1):
-            want = want * (x - j)
-        ok = ok and bernoulli.gen_bernoulli(m, m + 1) == want
-    out.append(("bernoulli falling-factorial identity m=0..8", ok))
-    ok = True
-    for m in range(1, 9):
-        for n in range(0, 9):
-            lhs = m * bernoulli.gen_bernoulli(n, m + 1)
-            rhs = (m - n) * bernoulli.gen_bernoulli(n, m)
-            if n:
-                rhs = rhs + n * (x - m) * bernoulli.gen_bernoulli(n - 1, m)
-            ok = ok and lhs == rhs
-    out.append(("bernoulli order-raising recursion n,m<=8", ok))
-    ok = True
+    b_at = bernoulli.bernoulli_at
+    # Each identity equates polynomials in x of degree <= n, so it holds
+    # exactly when it holds at the n + 1 points x = 0..n.
+    out = [("bernoulli falling-factorial identity m=0..8",
+            all(b_at(m, m + 1, x) == math.prod(x - j for j in range(1, m + 1))
+                for m in range(0, 9) for x in range(m + 1)))]
+    out.append(("bernoulli order-raising recursion n,m<=8",
+                all(m * b_at(n, m + 1, x)
+                    == (m - n) * b_at(n, m, x)
+                    + (n * (x - m) * b_at(n - 1, m, x) if n else 0)
+                    for m in range(1, 9) for n in range(0, 9)
+                    for x in range(n + 1))))
     y = Fraction(1, 3)
+    ok = True
     for m in range(1, 6):
-        for n in range(0, 9):
-            lhs = bernoulli.gen_bernoulli(n, m)(x + y)
-            rhs = sum((binom(n, k) * bernoulli.bernoulli_at(k, m, y))
-                      * x ** (n - k) for k in range(n + 1))
-            ok = ok and lhs == rhs
+        at_y = [b_at(k, m, y) for k in range(9)]
+        ok = ok and all(b_at(n, m, x + y)
+                        == sum(binom(n, k) * at_y[k] * x ** (n - k)
+                               for k in range(n + 1))
+                        for n in range(0, 9) for x in range(n + 1))
     out.append(("bernoulli addition formula at y=1/3, n<=8 m<=5", ok))
     out.append(("bernoulli even-order alternating sum m=2,4,..,12",
                 all(sum(binom(m, k) * 2 ** k
-                        * bernoulli.bernoulli_at(k, m + 1, Fraction(m + 1, 2))
+                        * b_at(k, m + 1, Fraction(m + 1, 2))
                         for k in range(m + 1)) == 0
                     for m in range(2, 13, 2))))
     out.append(("bernoulli odd values vanish at midpoint m<=6 n<=6",
-                all(bernoulli.bernoulli_at(2 * n + 1, m, Fraction(m, 2)) == 0
+                all(b_at(2 * n + 1, m, Fraction(m, 2)) == 0
                     for m in range(1, 7) for n in range(7))))
     # the inverse of (sin z/z)^m is unique: the product is 1 exactly when
     # every coefficient of (z/sin z)^m is right
@@ -188,20 +182,26 @@ def _suite_bell(args):
 def _suite_tail(args):
     from . import tail
 
+    # (n+1)^a |sum| = 1 + r, with |r| <= 2/(n+2)^a for the later terms
+    # (each at most half the one before) and (n+1)^a 10^-digits for the
+    # truncation and rounding
     out = []
     for a in (2, 3, 4):
         ok = True
         for u in range(-a, a + 1):
             for n in (5, 10, 20):
-                t = tail.tail_series(a, u, n, args.digits)
-                ok = ok and abs(float(t)) <= math.e / (n + 1) ** a
-        out.append(("tail bound |sum| <= e/(n+1)^%d: all |u|<=%d, "
-                    "n in {5,10,20}" % (a, a), ok))
+                t = tail.tail_series(a, u, n, args.digits).to_fraction()
+                ok = ok and (abs((n + 1) ** a * abs(t) - 1)
+                             <= Fraction(2, (n + 2) ** a)
+                             + Fraction((n + 1) ** a, 10 ** args.digits))
+        out.append(("tail first term |(n+1)^%d |sum| - 1| <= 2/(n+2)^%d + "
+                    "(n+1)^%d 10^-digits: all |u|<=%d, n in {5,10,20}"
+                    % (a, a, a, a), ok))
     return out
 
 
 def _suite_saddle(args):
-    from .saddle import root_report
+    from .saddle import _p_dp, root_report
 
     n = 10 ** 6
     out = []
@@ -214,8 +214,12 @@ def _suite_saddle(args):
                 ok = False
                 continue
             ok = ok and len(rows) == a
-            for _, _, _, res, dist in rows:
-                ok = ok and res < 1e-8 and dist < 1e-3
+            for _, re, im, res, dist in rows:
+                # the Newton correction bounds the root's error
+                t = complex(re, im)
+                val, slope = _p_dp(a, u, n, t)
+                ok = (ok and res < 1e-8 and dist < 1e-3
+                      and abs(val / slope) <= 1e-12 * abs(t))
         out.append(("saddle roots refined: a=%d, all |u|<=%d, n=10^6" % (a, a),
                     ok))
     return out

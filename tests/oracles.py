@@ -3,11 +3,12 @@
 Fraction-valued oracles for the lemma-1 sums: harmonic numbers
 H_k^{(m)}, the harmonic parts r_m(k) of the summand exponent's
 derivatives, and F_{n,mu} built over Fraction in the g/z ring, an
-independent route to what module lemma1 computes in integers.  And
-the reciprocal, exp and log1p of truncated power series, coefficient
-lists [c_0, ..., c_N]: the reciprocal is the second route to the
-generalized Bernoulli and csc-power coefficients, and exp and log1p
-are the oracles of the log expansion in asymptotics.
+independent route to what module lemma1 computes in integers.  A
+Horner evaluation of ascending coefficient lists, such as those of
+gen_bernoulli.  And the reciprocal, exp and log1p of truncated power
+series, coefficient lists [c_0, ..., c_N]: the reciprocal is the
+second route to the generalized Bernoulli and csc-power coefficients,
+and exp and log1p are the oracles of the log expansion in asymptotics.
 """
 
 from __future__ import annotations
@@ -100,6 +101,15 @@ def F_sym(a: int, mu: int, n: int) -> SymPoly:
     if not 0 <= mu <= a - 1:
         raise ValueError("require 0 <= mu <= a-1")
     return _f_sym_all(a, n)[mu]
+
+
+def horner(cs, x):
+    """sum_i cs[i] x^i for the ascending coefficients cs: exact for int
+    and Fraction x."""
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 def _series_recip(s) -> list:

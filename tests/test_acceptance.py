@@ -17,7 +17,7 @@ from bellgamma.asymptotics import (
 )
 from bellgamma.bell import bell_eval_partitions, bell_ladder
 from bellgamma.bernoulli import bernoulli_at, csc_power_coeffs, gen_bernoulli
-from bellgamma.bernoulli import PolyQ, _series_mul, _series_pow
+from bellgamma.bernoulli import _series_mul, _series_pow
 from bellgamma.common import binom, factorial, lcm_upto
 from bellgamma.numerics import gamma_const
 from bellgamma.lemma1 import lemma1_residual
@@ -30,8 +30,6 @@ from bellgamma.recurrences import (
 from bellgamma.saddle import saddle_roots, saddle_seed
 from bellgamma.sequences import convergence_row, p_seq, q_seq
 from bellgamma.tail import tail_series
-
-E_UPPER = Fraction(271828182845905, 10 ** 14)  # rational upper bound for e
 
 
 def _report(num, ok, detail, t0, budget):
@@ -201,10 +199,16 @@ def test_criterion_9_tail_bound():
     for a in (2, 3, 4):
         for u in range(-a, a + 1):
             for n in (5, 10, 20):
+                # (n+1)^-a is the first term; the later ones and the
+                # 30-digit truncation and rounding move it by at most
+                # 2/(n+2)^a + (n+1)^a 10^-30 of itself
                 tail = tail_series(a, u, n, 30).to_fraction()
-                if abs(tail) > E_UPPER / (n + 1) ** a:
+                if (abs((n + 1) ** a * abs(tail) - 1)
+                        > Fraction(2, (n + 2) ** a)
+                        + Fraction((n + 1) ** a, 10 ** 30)):
                     ok = False
-    _report(9, ok, "|tail| <= e/(n+1)^a on all 63 cases", t0, 10)
+    _report(9, ok, "|(n+1)^a |tail| - 1| <= 2/(n+2)^a + (n+1)^a 10^-30 "
+            "on all 63 cases", t0, 10)
 
 
 def test_criterion_10_bell_bernoulli_suites():
@@ -239,10 +243,10 @@ def test_criterion_10_bell_bernoulli_suites():
                 (m - n) * bernoulli_at(n, m, x)
                 + (n * (x - m) * bernoulli_at(n - 1, m, x) if n else 0))
     for m in range(0, 7):
-        want = PolyQ([1])
-        for j in range(1, m + 1):
-            want = want * PolyQ([-j, 1])
-        ok &= (gen_bernoulli(m, m + 1) - want).is_zero()
+        want = [1]
+        for j in range(1, m + 1):  # times x - j
+            want = [lo - j * hi for lo, hi in zip([0] + want, want + [0])]
+        ok &= gen_bernoulli(m, m + 1) == want
     for m in range(2, 13, 2):
         ok &= sum(binom(m, k) * 2 ** k
                   * bernoulli_at(k, m + 1, Fraction(m + 1, 2))

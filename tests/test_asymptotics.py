@@ -8,7 +8,6 @@ import pytest
 from oracles import ps_exp, ps_log1p
 
 from bellgamma.asymptotics import (
-    PROFILE_KINDS,
     ExponentProfile,
     bm_coeffs,
     corollary_exponent,
@@ -18,7 +17,7 @@ from bellgamma.asymptotics import (
     qn_log_asymptotic,
 )
 from bellgamma.bernoulli import _series_mul
-from bellgamma.common import poch
+from bellgamma.common import PROFILE_KINDS, poch
 from bellgamma.saddle import (
     CPoint,
     RootRefinementError,
@@ -225,6 +224,34 @@ def test_saddle_roots_properties():
                         d = abs(roots[i].as_complex()
                                 - roots[j].as_complex())
                         assert d > n ** (-2 / a)
+
+
+def test_saddle_roots_match_mpmath():
+    # each root, Newton-refined at 30 digits by mpmath, moves by less
+    # than 10^-14 of its size, and the a refined roots are distinct, so
+    # they are all the roots; the old stop rule |p| < 1e-10 n left
+    # 0.9080390625 for 0.90808999699742878... at a = 8, u = -8, n = 10^8
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for n in (10 ** 3, 10 ** 6, 10 ** 8, 10 ** 20):
+            for a in range(2, 9):
+                for u in range(-a, a + 1):
+                    e_n = mpmath.expjpi(u) * n
+                    refs = []
+                    for r in saddle_roots(a, u, n):
+                        t = got = mpmath.mpc(r.re, r.im)
+                        for _ in range(6):
+                            step = ((e_n * (t - 1) ** a - t ** (a - 1))
+                                    / (e_n * a * (t - 1) ** (a - 1)
+                                       - (a - 1) * t ** (a - 2)))
+                            t -= step
+                        assert abs(step) < 1e-25
+                        assert abs(got - t) < 1e-14 * abs(t), (a, u, n)
+                        refs.append(t)
+                    assert all(abs(s - t) > 1e-20 for i, s in enumerate(refs)
+                               for t in refs[:i])
+    root = saddle_roots(8, -8, 10 ** 8)[0]
+    assert abs(root.re - 0.90808999699742878) < 1e-15
 
 
 def test_saddle_roots_validation():

@@ -299,6 +299,16 @@ def _tail_first_term_off(real):
     return tail_series
 
 
+def _tail_first_term_n(real):
+    # the k = 0 term taken as n^-a, not (n+1)^-a
+    def tail_series(a, u, n, digits):
+        extra = (-1) ** (a - 1) * (Fraction(1, n ** a)
+                                   - Fraction(1, (n + 1) ** a))
+        return real(a, u, n, digits) + numerics.BigFix.from_fraction(
+            extra, digits)
+    return tail_series
+
+
 def _harmonic_scale_doubled(real):
     # D returned as 2D, so that p_{n,mu} = D^mu p_{n,mu} / (2D)^mu
     def harmonic_halves(a, n_hi, mu_max):
@@ -308,26 +318,45 @@ def _harmonic_scale_doubled(real):
 
 
 # Every suite can fail: one small error in one production function, and
-# `verify --suite <suite>` prints FAIL and exits 1.
-@pytest.mark.parametrize("suite, module, name, mutant", [
-    ("bernoulli", "bernoulli", "csc_power_coeffs", _csc_coefficient_off),
-    ("recurrences", "recurrences", "make_paper_recurrences", _rivoal_tap_typo),
+# `verify --suite <suite>` prints FAIL on the lines listed (counted from
+# 0) and PASS on the others, and exits 1.  Each line of the bernoulli,
+# tail and saddle suites fails under one mutant at least.
+@pytest.mark.parametrize("suite, module, name, mutant, failing", [
+    ("bernoulli", "bernoulli", "csc_power_coeffs", _csc_coefficient_off,
+     {5}),
+    # c_2 of (z/(e^z - 1))^3 off by one
+    ("bernoulli", "bernoulli", "_core_power",
+     lambda real: lambda m, order: [c + (m == 3 and k == 2)
+                                    for k, c in enumerate(real(m, order))],
+     {0, 1, 3, 4, 5}),
+    # B_n^{(m)}(x) taken at x (1 + 10^-12): no longer an Appell sequence
+    ("bernoulli", "bernoulli", "bernoulli_at",
+     lambda real: lambda n, m, x: real(n, m, x * Fraction(10 ** 12 + 1,
+                                                          10 ** 12)),
+     {0, 1, 2, 3, 4, 5}),
+    ("recurrences", "recurrences", "make_paper_recurrences", _rivoal_tap_typo,
+     None),
     ("recurrences", "kernel", "weights",
-     lambda real: lambda a, n: ((k, w + (k == 1)) for k, w in real(a, n))),
-    ("integrality", "kernel", "harmonic_halves", _harmonic_scale_doubled),
+     lambda real: lambda a, n: ((k, w + (k == 1)) for k, w in real(a, n)),
+     None),
+    ("integrality", "kernel", "harmonic_halves", _harmonic_scale_doubled,
+     None),
     ("lemma1", "lemma1", "_deriv_coeff",
-     lambda real: lambda a, m: real(a, m) + (m == 2)),
+     lambda real: lambda a, m: real(a, m) + (m == 2), None),
     ("bell", "bell", "_binomials",
-     lambda real: lambda j: (1, 4, 7, 4, 1) if j == 4 else real(j)),
-    ("tail", "tail", "tail_series", _tail_first_term_off),
+     lambda real: lambda j: (1, 4, 7, 4, 1) if j == 4 else real(j), None),
+    ("tail", "tail", "tail_series", _tail_first_term_off, {0, 1, 2}),
+    ("tail", "tail", "tail_series", _tail_first_term_n, {0, 1, 2}),
     ("saddle", "saddle", "saddle_roots",
      lambda real: lambda a, u, n: [
-         r._replace(re=r.re + 1e-5 * (k == 0))
-         for k, r in enumerate(real(a, u, n))]),
-], ids=["csc-coefficient", "rivoal-tap", "kernel-weight",
-        "harmonic-scale", "lemma1-coefficient", "bell-binomial",
-        "tail-first-term", "saddle-root"])
-def test_every_suite_can_fail(suite, module, name, mutant, capsys,
+         r._replace(re=r.re + 1e-7 * (k == 0))
+         for k, r in enumerate(real(a, u, n))],
+     {0, 1, 2}),
+], ids=["csc-coefficient", "core-power", "bernoulli-argument", "rivoal-tap",
+        "kernel-weight", "harmonic-scale", "lemma1-coefficient",
+        "bell-binomial", "tail-first-term", "tail-first-term-n-power",
+        "saddle-root"])
+def test_every_suite_can_fail(suite, module, name, mutant, failing, capsys,
                               monkeypatch):
     target = importlib.import_module("bellgamma." + module)
     monkeypatch.setattr(target, name, mutant(getattr(target, name)))
@@ -337,6 +366,10 @@ def test_every_suite_can_fail(suite, module, name, mutant, capsys,
     finally:
         lemma1.scaled_row.cache_clear()
     assert code == 1 and "\nFAIL " in "\n" + out
+    if failing is not None:
+        lines = out.splitlines()[:-1]
+        assert {i for i, line in enumerate(lines)
+                if line.startswith("FAIL ")} == failing, out
 
 
 def test_asymptotics_json(capsys):
@@ -930,13 +963,6 @@ def test_write_failure_is_usage_error(argv, to_stdout):
             assert out.stderr.count("\n") == 1, case
 
 
-def test_kind_choices_match_profile_kinds():
-    # cli spells the kinds out so that its parser never imports asymptotics
-    from bellgamma import asymptotics
-
-    assert cli._PROFILE_KINDS == asymptotics.PROFILE_KINDS
-
-
 # sha256 of stdout as printed by earlier versions of the package, with
 # BELLGAMMA_DIGITS unset: the first 14 when every single value was read
 # from an O(n^2) table, the next 25 before `kernel` and `cli` lost their
@@ -946,9 +972,15 @@ def test_kind_choices_match_profile_kinds():
 # err_log was taken at the full working scale and json printed by
 # json.dumps, the last three while each row was evaluated at two guard
 # scales and main lifted Python's int->str limit.  Refactors must not
-# change a byte.  The one exception, `verify --suite recurrences --nmax
-# 120`, is pinned since its one Rivoal line compares p_n/q_n with gamma,
-# where two lines had compared the recurrence with its own values.
+# change a byte.  The exceptions: `verify --suite recurrences --nmax
+# 120`, pinned since its one Rivoal line compares p_n/q_n with gamma,
+# where two lines had compared the recurrence with its own values;
+# `verify --suite tail`, pinned since its lines bound the first term
+# two-sided, where they had bounded |sum| by e/(n+1)^a; and the roots
+# lines but `roots --a 2 --u 2 --format json`, pinned since Newton's
+# iteration stops at the rounding level of p(t), where it had stopped at
+# |p(t)| < 1e-10 n, often at the seed (every printed digit now agrees
+# with mpmath).
 OUTPUT_DIGESTS = {
     "table --a 2 --mu 1 --n 0:200:25":
         "ab6f72a1adbccc505348b1153c139e151f48901f1332dda05378272096dc0cc7",
@@ -1005,23 +1037,23 @@ OUTPUT_DIGESTS = {
     "asymptotics --a 2 --n 40 --format text":
         "59920b605f6fda842ca27535de1314a235ee5bc49fd7fd4b70456ba5894eee54",
     "roots --a 3 --u 1 --format csv":
-        "545976eb812bf84094d5844e555dc3305c7812aee60ce2685f6dc52f46f8697c",
+        "8c36896a8cad03ff65fcdf5802bb5ba5f53d3f30a5d050ed64ef3c02cfc02d5b",
     "roots --a 6 --u 0 --n 1000 --format csv":
-        "0661de45dab0c949ab920353d37b9ec1cf98d6041c21c07aea352d80a6e2c486",
+        "bcc98f9c4ed3d9adc46fd745a5c12d86d199997729a9f3dc065bb74ef7c80922",
     "roots --a 5 --u -3 --n 1000 --format json":
-        "0f40a1b791236089033a37dfa2540d225d1a7676c5c7b327ee995fa751b7a639",
+        "5eaeddf0165e99ad53784d6fe2f40a845991743dfb24841b9cafddc0ae5e7c89",
     "roots --a 2 --u 2 --format json":
         "6627f98367283b36f93082fb07b73c4d87fe142b6f78fff1f4c385132fa5f800",
     "roots --a 4 --u 2 --n 100000000":
-        "b89929709d1137e4daaa45343de1af6d083dab85a4db528aa7ee262fa7159025",
+        "c5347b9a6ea41b52a50b5c190258b6f26c4c51a6895a059c090bee79d2f4ef32",
     "roots --a 7 --u 7":
-        "d054b15844ab91260c7e52f611fcce80fcb6106d7640fb6d7f06cf6913e7146c",
+        "93b1742460850d112574690a3091ea83d7bb21be2bd4d866f78db724f4073bdc",
     "verify --suite bernoulli":
         "55f7ac7ae27fc7aa0eab44489d8549738c077c604f4e731698d2fbae5a4ee0d0",
     "verify --suite bell":
         "b7d2db39dbb91be171bdd0e640f94a68629e18f6d6c936d2551f476b52981bb6",
     "verify --suite tail":
-        "1235da922c5c1748c544afcde0596767a3d4bfbc4460c1d1d709fdaa073ac371",
+        "05af1d218411e7b6b9af6de0a1ba2ce38bc081d7c062e4483230c75d030e5557",
     "verify --suite saddle":
         "efc8f87946a8a697f227cd19a5e77fa2125dd605876bff933b83f0e34b51b858",
     "constants --digits 1000 --zeta-max 4 --format json":

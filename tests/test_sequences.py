@@ -8,12 +8,12 @@ from fractions import Fraction
 
 import oracles
 import pytest
-from oracles import F_sym, HarmonicCache, f_deriv_sym, harmonic, r_val
+from oracles import (F_sym, HarmonicCache, f_deriv_sym, harmonic, horner,
+                     r_val)
 from test_kernel import oracle_tables
 
 from bellgamma import kernel, lemma1, verify
 from bellgamma.bell import bell_ladder
-from bellgamma.bernoulli import PolyQ
 from bellgamma.lemma1 import lemma1_residual
 from bellgamma.common import PrecisionError, binom, factorial, lcm_upto
 from bellgamma.numerics import BigFix, gamma_const
@@ -366,8 +366,10 @@ def test_recurrence_check_fraction_coefficients():
     ys = [Fraction(3, 7)]
     for n in range(20):
         ys.append((at(num, n) / at(den, n) - at(c0, n) * ys[n]) / at(c1, n))
-    spec = RecurrenceSpec("fractional", (0, 1), (PolyQ(c0), PolyQ(c1)),
-                          (PolyQ(num), PolyQ(den)), (ys[0],), 0)
+    spec = RecurrenceSpec(
+        "fractional", (0, 1),
+        (lambda n: horner(c0, n), lambda n: horner(c1, n)),
+        (lambda n: horner(num, n), lambda n: horner(den, n)), (ys[0],), 0)
     assert recurrence_check(spec, ys, range(20)) is True
     assert recurrence_generate(spec, 20) == ys
     ys[9] += Fraction(1, 10 ** 9)
@@ -441,23 +443,23 @@ def test_recurrence_check_validation():
 
 
 def test_recurrence_spec_validation():
+    def one(n):
+        return 1
+
     with pytest.raises(ValueError):
-        RecurrenceSpec("bad", (1, 0), (PolyQ([1]), PolyQ([1])), None,
-                       (1, 2), 0)
+        RecurrenceSpec("bad", (1, 0), (one, one), None, (1, 2), 0)
     with pytest.raises(ValueError):
-        RecurrenceSpec("bad", (0, 1), (PolyQ([1]),), None, (1, 2), 0)
+        RecurrenceSpec("bad", (0, 1), (one,), None, (1, 2), 0)
     with pytest.raises(ValueError):
-        RecurrenceSpec("bad", (-1, 0), (PolyQ([1]), PolyQ([1])), None,
-                       (1,), 0)
+        RecurrenceSpec("bad", (-1, 0), (one, one), None, (1,), 0)
     with pytest.raises(ValueError):
-        RecurrenceSpec("bad", (0, 1), (PolyQ([1]), PolyQ([1])), None,
-                       (1, 2, 3), 0)
+        RecurrenceSpec("bad", (0, 1), (one, one), None, (1, 2, 3), 0)
 
 
 def test_recurrence_leading_zero_skip(caplog):
     # (n-5) y_{n+1} = (n-5) y_n holds for a constant sequence; n = 5 is
     # skipped because the leading coefficient vanishes there.
-    spec = RecurrenceSpec("toy", (0, 1), (PolyQ([5, -1]), PolyQ([-5, 1])),
+    spec = RecurrenceSpec("toy", (0, 1), (lambda n: 5 - n, lambda n: n - 5),
                           None, (1,), 0)
     with caplog.at_level("WARNING"):
         assert recurrence_check(spec, [1] * 12, range(0, 10)) is True
@@ -465,10 +467,9 @@ def test_recurrence_leading_zero_skip(caplog):
 
 
 def test_recurrence_inhom_pole():
-    num = PolyQ([1])
-    den = PolyQ([0, 1])  # vanishes at n = 0
-    spec = RecurrenceSpec("pole", (0, 1), (PolyQ([1]), PolyQ([1])),
-                          (num, den), (1,), 0)
+    spec = RecurrenceSpec("pole", (0, 1), (lambda n: 1, lambda n: 1),
+                          (lambda n: 1, lambda n: n),  # den vanishes at 0
+                          (1,), 0)
     with pytest.raises(ArithmeticError):
         recurrence_check(spec, [1] * 5, range(0, 2))
 
