@@ -30,15 +30,23 @@ def _binomials(j: int) -> tuple:
 
 
 def bell_ladder(xs) -> list:
-    """[Y_0, Y_1, ..., Y_n] for n = len(xs), by the recurrence."""
+    """[Y_0, Y_1, ..., Y_n] for n = len(xs), by the recurrence.
+
+    The terms i = 0 and i = j-1 of Y_j have binomial 1, and the last,
+    x_j Y_0, is x_j itself: Y_0 is the ring one, so it is added as it
+    is, with no scaling and no product (exact in every ring here, BigFix
+    included, whose one is 10^scale).
+    """
     xs = list(xs)
     one = xs[0] ** 0 if xs else 1
     ys = [one]
     for j in range(1, len(xs) + 1):
         row = _binomials(j - 1)
-        acc = xs[0] * ys[j - 1]  # C(j-1, 0) = 1
-        for i in range(1, j):
+        acc = xs[0] if j == 1 else xs[0] * ys[j - 1]  # C(j-1, 0) = 1
+        for i in range(1, j - 1):
             acc = acc + row[i] * xs[i] * ys[j - 1 - i]
+        if j > 1:  # C(j-1, j-1) x_j Y_0 is x_j: Y_0 is the ring one
+            acc = acc + xs[j - 1]
         ys.append(acc)
     return ys
 

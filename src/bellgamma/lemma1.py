@@ -9,8 +9,9 @@ D^nu Y_nu(f'(k), ..., f^{(nu)}(k)) for every k and nu at once, and the
 alpha_mu, with integer coefficients, read the same in G, Z_m as in g,
 z_m up to the factor D^mu.  Each row is built once, by kernel.row: its
 q_n and D^mu p_{n,mu} enter the residual as they are, and its weights
-and Columns feed that ladder.  Only `verify --suite lemma1` and library
-callers import this module; its Fraction oracle F_sym is in the tests.
+and Columns feed that ladder.  suite_lemma1 is `verify --suite lemma1`.
+Only that suite and library callers import this module; its Fraction
+oracle F_sym is in the tests.
 """
 
 import functools
@@ -67,3 +68,16 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     return SymPoly(a - 1, {
         e: Fraction(c, d ** (mu - sum(i * x for i, x in enumerate(e, 1))))
         for e, c in res.terms.items()})
+
+
+def suite_lemma1(args) -> list:
+    """The checks of `verify --suite lemma1`: lemma1_residual is zero for
+    every mu < a and n <= nmax."""
+    a, nmax = args.a, args.nmax
+    # n outer, so each F_{n,.} is built once and serves every mu
+    ok = dict.fromkeys(range(1, a), True)
+    for n in range(nmax + 1):
+        for mu in ok:
+            ok[mu] = ok[mu] and lemma1_residual(a, mu, n).is_zero()
+    return [("lemma1 residual zero: a=%d mu=%d n=0..%d" % (a, mu, nmax), good)
+            for mu, good in ok.items()]

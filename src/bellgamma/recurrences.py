@@ -5,8 +5,9 @@ Five families (Aptekarev's, Rivoal's, and the q/p families of a = 2, 3,
 sequence, forward generation from the initial values, and the explicit
 sums of Aptekarev's sequences.  Every coefficient of the five families
 is an integer polynomial in n, stored as a function of n that returns
-an int.  Only `verify --suite recurrences` and library callers import
-this module; it imports neither symring nor sequences nor bernoulli.
+an int.  suite_recurrences is `verify --suite recurrences`.  Only that
+suite and library callers import this module; it imports neither
+symring nor sequences nor bernoulli.
 """
 
 import math
@@ -226,3 +227,56 @@ def aptekarev_seq(n_max: int):
         q.append(qn)
         p.append(Fraction(pnum, d))
     return q, p
+
+
+# Euler's constant truncated to 100 decimals, the source of the Rivoal
+# check (the recurrences suite does not load numerics)
+_GAMMA_100 = int("5772156649015328606065120900824024310421593359399235988057"
+                 "672348848677267776646709369470632917467495")
+
+
+def _rivoal_vs_gamma(specs, nmax):
+    """Rivoal's q_n, p_n from their recurrences, n = 1..min(nmax, 868):
+    |p_n/q_n - gamma| < 10^-floor(n^(2/3)) for every gamma in
+    [_GAMMA_100, _GAMMA_100 + 1] / 10^100, a width 10^-10 of the bound
+    at n = 868.  For n <= 600 the errors lie between 10^-1.1 n^(2/3) and
+    10^-2.3 n^(2/3); a mistyped coefficient leaves them near 10^-5."""
+    hi = min(nmax, 868)
+    qs, ps = (recurrence_generate(specs[name], hi)
+              for name in ("rivoal_q", "rivoal_p"))
+    lo_g = Fraction(_GAMMA_100, 10 ** 100)
+    hi_g = lo_g + Fraction(1, 10 ** 100)
+    ok, k = True, 0
+    for n in range(1, hi + 1):
+        k += (k + 1) ** 3 <= n * n  # floor(n^(2/3)) grows by 1 at most
+        eps = Fraction(1, 10 ** k)
+        ok = ok and hi_g - eps < ps[n] / qs[n] < lo_g + eps
+    return ("recurrence rivoal_q, rivoal_p vs gamma to 100 digits: "
+            "|p_n/q_n - gamma| < 10^-floor(n^(2/3)), n=1..%d" % hi, ok)
+
+
+def suite_recurrences(args) -> list:
+    """The checks of `verify --suite recurrences`: each family's
+    recurrence against its explicit sums or kernel table, and Rivoal's
+    pair against gamma."""
+    nmax = args.nmax
+    tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
+    apt = aptekarev_seq(nmax)
+    specs = make_paper_recurrences()
+    out = []
+    for name, spec in specs.items():
+        family, _, which = name.partition("_")
+        if family == "rivoal":  # one check of the pair, in rivoal_q's place
+            if which == "q":
+                out.append(_rivoal_vs_gamma(specs, nmax))
+            continue
+        if family == "aptekarev":
+            ys = apt[which == "p"]
+        else:  # "a3_q", "a3_p2": q or p_mu of a = 3 from its table
+            q, p = tables[int(family[1:])]
+            ys = q if which == "q" else p[int(which[1:]) - 1]
+        hi = nmax - spec.offsets[-1]
+        out.append(("recurrence %s vs explicit sum, n=%d..%d"
+                    % (name, spec.n_min, hi),
+                    recurrence_check(spec, ys, range(spec.n_min, hi + 1))))
+    return out

@@ -1,9 +1,10 @@
 """Saddle roots of e^{i pi u} n (t-1)^a - t^{a-1}, refined by complex
 Newton iteration from the order-3 expansion seed.
 
-Only the `roots` command, cmd_roots, and `verify --suite saddle` load
-this module; it is kept apart from asymptotics so that approx and
-table, which need the exponents alone, never compile it or load cmath.
+Only the `roots` command, cmd_roots, and `verify --suite saddle`,
+suite_saddle, load this module; it is kept apart from asymptotics so
+that approx and table, which need the exponents alone, never compile it
+or load cmath.
 """
 
 import cmath
@@ -101,6 +102,32 @@ def root_report(a: int, u: int, n: int) -> list:
         res = abs(_p_dp(a, u, n, t)[0]) / n
         rows.append((k, r.re, r.im, res, abs(t - saddle_seed(a, u, n, k))))
     return rows
+
+
+def suite_saddle(args) -> list:
+    """The checks of `verify --suite saddle`: root_report refines every
+    root for a = 2, 3, 4 and |u| <= a at n = 10^6, to the seed's
+    neighbourhood and a Newton correction at the rounding level."""
+    n = 10 ** 6
+    out = []
+    for a in (2, 3, 4):
+        ok = True
+        for u in range(-a, a + 1):
+            try:
+                rows = root_report(a, u, n)
+            except ArithmeticError:
+                ok = False
+                continue
+            ok = ok and len(rows) == a
+            for _, re, im, res, dist in rows:
+                # the Newton correction bounds the root's error
+                t = complex(re, im)
+                val, slope = _p_dp(a, u, n, t)
+                ok = (ok and res < 1e-8 and dist < 1e-3
+                      and abs(val / slope) <= 1e-12 * abs(t))
+        out.append(("saddle roots refined: a=%d, all |u|<=%d, n=10^6" % (a, a),
+                    ok))
+    return out
 
 
 def cmd_roots(args) -> tuple[str, int]:

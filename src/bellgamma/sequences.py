@@ -126,7 +126,9 @@ def _ladder_radius(xs, errs) -> int:
     k = j-1-i, as an exact int scaling and one product rounded to half a
     unit, and so misses C(j-1, i) x_{i+1} Y_k by at most
     C(j-1, i) (X_{i+1} E_k + errs[i] B_k) + 1/2, where E_k bounds
-    |Y~_k - Y_k|: E_0 = 0 and E_j is the sum of these over i < j.
+    |Y~_k - Y_k|: E_0 = 0 and E_j is the sum of these over i < j.  The
+    term i = j-1, ys[j-1] Y~_0, is ys[j-1] itself, added with no product
+    and so exact: its half unit is not spent, and the bound still holds.
     """
     one = 10 ** xs[0].scale
     # X and B in units of 1/one, E in units of 10^-s/one, rounded up

@@ -1,8 +1,8 @@
 """The alternating tail of the integral remainder, in exact integers.
 
-Only `verify --suite tail` and library callers import this module, and
-it imports numerics alone, so that suite compiles none of the ring or
-kernel code.
+suite_tail is `verify --suite tail`.  Only that suite and library
+callers import this module, and it imports numerics alone, so that
+suite compiles none of the ring or kernel code.
 """
 
 from fractions import Fraction
@@ -41,3 +41,24 @@ def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
         den *= f
         acc *= f
     return BigFix.from_fraction(Fraction(acc, den * (n + 1) ** a), digits)
+
+
+def suite_tail(args) -> list:
+    """The checks of `verify --suite tail`: the first term sets the size
+    of tail_series, for a = 2, 3, 4, every |u| <= a and n in {5, 10, 20}."""
+    # (n+1)^a |sum| = 1 + r, with |r| <= 2/(n+2)^a for the later terms
+    # (each at most half the one before) and (n+1)^a 10^-digits for the
+    # truncation and rounding
+    out = []
+    for a in (2, 3, 4):
+        ok = True
+        for u in range(-a, a + 1):
+            for n in (5, 10, 20):
+                t = tail_series(a, u, n, args.digits).to_fraction()
+                ok = ok and (abs((n + 1) ** a * abs(t) - 1)
+                             <= Fraction(2, (n + 2) ** a)
+                             + Fraction((n + 1) ** a, 10 ** args.digits))
+        out.append(("tail first term |(n+1)^%d |sum| - 1| <= 2/(n+2)^%d + "
+                    "(n+1)^%d 10^-digits: all |u|<=%d, n in {5,10,20}"
+                    % (a, a, a, a), ok))
+    return out

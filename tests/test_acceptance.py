@@ -27,7 +27,7 @@ from bellgamma.recurrences import (
     recurrence_check,
     recurrence_generate,
 )
-from bellgamma.saddle import saddle_roots, saddle_seed
+from bellgamma.saddle import _p_dp, saddle_roots, saddle_seed
 from bellgamma.sequences import convergence_row, p_seq, q_seq
 from bellgamma.tail import tail_series
 
@@ -279,5 +279,9 @@ def test_criterion_11_saddle_roots():
                             - z ** (a - 1))
                 ok &= resid / n < 1e-8
                 ok &= abs(z - saddle_seed(a, u, n, k)) < 1e-3
-    _report(11, ok, "refined saddle roots distinct, residual < 1e-8 n",
-            t0, 10)
+                # the Newton correction bounds the root's error: the
+                # residual alone lets a root 1e-5 off pass at a = 3, 4
+                val, slope = _p_dp(a, u, n, z)
+                ok &= abs(val / slope) <= 1e-12 * abs(z)
+    _report(11, ok, "refined saddle roots distinct, residual < 1e-8 n, "
+            "Newton correction <= 1e-12 |t|", t0, 10)

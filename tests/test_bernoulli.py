@@ -3,14 +3,14 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 from oracles import _series_recip, horner
 
 from bellgamma import bernoulli
 from bellgamma.bernoulli import (
-    _core_power,
+    _core_row,
     _series_mul,
     _series_pow,
     bernoulli_at,
@@ -43,13 +43,33 @@ def bernoulli_gf_value(n, m, x):
 def test_core_power_matches_series_powering(orders, monkeypatch):
     # Reference: the binary powering of the reciprocal series.
     ref = {n: _series_recip(expm1_over_t(n)) for n in orders}
-    monkeypatch.setattr(bernoulli, "_CORE_CACHE", {})
+    monkeypatch.setattr(bernoulli, "_CORE_ROWS", {})
     for m in range(1, 13):
         for n in orders:
-            assert _core_power(m, n) == _series_pow(ref[n], m)
-        # one list per m, as long as the deepest order asked
-        assert len(bernoulli._CORE_CACHE[m]) == max(orders) + 1
-    assert sorted(bernoulli._CORE_CACHE) == list(range(1, 13))
+            d, row = _core_row(m, n)
+            assert [Fraction(c, d) for c in row[:n + 1]] == _series_pow(
+                ref[n], m)
+        # one row of ints per m, as long as the deepest order asked,
+        # over the least common denominator of its coefficients
+        d, row = bernoulli._CORE_ROWS[m]
+        assert len(row) == max(orders) + 1
+        assert all(type(c) is int for c in row)
+        assert d == lcm(*(Fraction(c, d).denominator for c in row))
+    assert sorted(bernoulli._CORE_ROWS) == list(range(1, 13))
+
+
+@pytest.mark.parametrize("ns", [range(31), range(30, -1, -1)],
+                         ids=["ascending", "descending"])
+def test_bernoulli_at_matches_coefficient_horner(ns, monkeypatch):
+    # from an empty row cache: ascending n extends each row in place one
+    # term at a time, descending n builds it at once and reads prefixes
+    monkeypatch.setattr(bernoulli, "_CORE_ROWS", {})
+    for n in ns:
+        for m in range(1, 14):
+            coeffs = gen_bernoulli(n, m)
+            for x in [*range(n + 1), Fraction(1, 3), Fraction(m, 2),
+                      Fraction(-7, 5)]:
+                assert bernoulli_at(n, m, x) == horner(coeffs, x), (n, m, x)
 
 
 def test_gen_bernoulli_classical_case():

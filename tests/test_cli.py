@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -261,7 +262,7 @@ def test_verify_integrality_builds_one_store(argv, passed, rows, capsys,
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setitem(verify.SUITES, "bell",
+    monkeypatch.setattr(verify, "suite_bell",
                         lambda cfg: [("forced failure", False)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "bell")
     assert code == 1
@@ -269,11 +270,39 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.splitlines()[-1] == "0/1 checks passed"
 
 
+def test_each_suite_lives_in_the_module_its_table_names():
+    # verify --suite accepts the suites of verify's table, and suite_<name>
+    # is defined there and in no other module of the package
+    assert list(verify.SUITES) == list(cli._SUITE_FLAGS)
+    src = os.path.dirname(bellgamma.__file__)
+    defined = set()
+    for fname in os.listdir(src):
+        if fname.endswith(".py"):
+            with open(os.path.join(src, fname)) as fh:
+                tree = ast.parse(fh.read())
+            defined |= {(fname[:-3], stmt.name) for stmt in tree.body
+                        if isinstance(stmt, ast.FunctionDef)
+                        and stmt.name.startswith("suite_")}
+    assert defined == {(module, "suite_" + name)
+                       for name, module in verify.SUITES.items()}
+    for name, module in verify.SUITES.items():
+        target = importlib.import_module("bellgamma." + module)
+        assert callable(getattr(target, "suite_" + name))
+
+
 def _csc_coefficient_off(real):
     def csc_power_coeffs(m, nmax):
         return [c + Fraction(1, 10 ** 12) * (i == 3)
                 for i, c in enumerate(real(m, nmax))]
     return csc_power_coeffs
+
+
+def _core_coefficient_off(real):
+    # c_2 of (z/(e^z - 1))^3 off by one: D more in the row over D
+    def _core_row(m, order):
+        d, row = real(m, order)
+        return d, [c + d * (m == 3 and k == 2) for k, c in enumerate(row)]
+    return _core_row
 
 
 def _rivoal_tap_typo(real):
@@ -324,10 +353,7 @@ def _harmonic_scale_doubled(real):
 @pytest.mark.parametrize("suite, module, name, mutant, failing", [
     ("bernoulli", "bernoulli", "csc_power_coeffs", _csc_coefficient_off,
      {5}),
-    # c_2 of (z/(e^z - 1))^3 off by one
-    ("bernoulli", "bernoulli", "_core_power",
-     lambda real: lambda m, order: [c + (m == 3 and k == 2)
-                                    for k, c in enumerate(real(m, order))],
+    ("bernoulli", "bernoulli", "_core_row", _core_coefficient_off,
      {0, 1, 3, 4, 5}),
     # B_n^{(m)}(x) taken at x (1 + 10^-12): no longer an Appell sequence
     ("bernoulli", "bernoulli", "bernoulli_at",

@@ -25,9 +25,9 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_every_library_module_has_an_entry():
-    # cli is the front end and verify holds the suites: neither is a
-    # library module.  The other commands run from the library modules
-    # whose results they print.
+    # cli is the front end and verify the `verify` command with the bell
+    # and integrality suites: neither is a library module.  The other
+    # commands run from the library modules whose results they print.
     src = Path(bellgamma.__file__).parent
     modules = {p.stem for p in src.glob("*.py")} - {"__init__", "cli",
                                                     "verify"}

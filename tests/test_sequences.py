@@ -12,7 +12,7 @@ from oracles import (F_sym, HarmonicCache, f_deriv_sym, harmonic, horner,
                      r_val)
 from test_kernel import oracle_tables
 
-from bellgamma import kernel, lemma1, verify
+from bellgamma import kernel, lemma1, recurrences
 from bellgamma.bell import bell_ladder
 from bellgamma.lemma1 import lemma1_residual
 from bellgamma.common import PrecisionError, binom, factorial, lcm_upto
@@ -414,7 +414,7 @@ def test_rivoal_gamma_enclosure_matches_gamma_const():
     # the recurrences suite does not load numerics, so it carries gamma
     # to 100 decimals; digits 101..110 of gamma are 1463144724
     g = gamma_const(110)
-    assert g.scale == 110 and g.mantissa // 10 ** 10 == verify._GAMMA_100
+    assert g.scale == 110 and g.mantissa // 10 ** 10 == recurrences._GAMMA_100
 
 
 def test_rivoal_generation_pinned():
