@@ -30,9 +30,9 @@ command runs.  constants loads numerics alone; asymptotics and roots
 never load sequences or numerics, and only roots and the saddle suite
 load saddle (and cmath).  approx and table load sequences (the q/p rows
 and the convergence measurement), numerics (BigFix and the constants)
-and asymptotics (the predicted exponent) but none of the saddle,
-recurrence, lemma-1, tail or Bernoulli code.  Only verify loads a
-suite, and only its own: module verify holds the command and the bell
+and exponents (the predicted exponent) but neither fractions nor the
+saddle, recurrence, lemma-1, tail or Bernoulli code.  Only verify loads
+a suite, and only its own: module verify holds the command and the bell
 and integrality suites, and each other suite lives in the module it
 checks (lemma1, recurrences, bernoulli, tail, saddle); of the suites
 only the tail suite loads numerics.  No command loads json:

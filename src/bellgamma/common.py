@@ -57,19 +57,6 @@ def lcm_upto(n: int) -> int:
     return math.lcm(*range(1, n + 1))
 
 
-def poch(x, m: int):
-    """Rising factorial x(x+1)...(x+m-1), with poch(x, 0) = 1.
-
-    Works for Fraction, int, or float x; the result type follows x.
-    """
-    if m < 0:
-        raise ValueError("poch requires m >= 0")
-    r = x ** 0
-    for i in range(m):
-        r *= x + i
-    return r
-
-
 # ---------------------------------------------------------------------------
 # writers
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ weight mu, so feeding it r_m * D^m yields exactly D^mu * Y_mu(r_1..r_mu).
 A row is one Bell ladder over Columns, the arguments' values over k =
 0..n, whose results the weights sum.  This is also a constructive proof
 of the integrality statement D_n^mu p_{n,mu} in Z.  `row` is the one
-place a row is built: seq_rows forms its Fractions, and lemma 1 takes
-its q_n and D^mu p_{n,mu} and runs its own ladder on its weights and
-Columns.
+place a row is built: approx and table read single rows from it (module
+sequences), seq_rows forms the Fractions of library tables and of the
+recurrences suite, and lemma 1 takes its q_n and D^mu p_{n,mu} and runs
+its own ladder on its weights and Columns.  Only seq_rows imports
+fractions.
 """
 
-from fractions import Fraction
 from itertools import repeat
 from math import factorial
 from operator import add, mul
@@ -120,6 +121,8 @@ def row(a: int, n: int, halves):
 def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
     p[mu-1][i] = p_{n_lo+i,mu} (Fraction): one kernel row each."""
+    from fractions import Fraction
+
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 <= n_lo <= n_hi:
@@ -142,6 +145,6 @@ def seq_tables(a: int, n_max: int, mu_max: int):
     """(q, p) with q[n] = q_n (int) and p[mu-1][n] = p_{n,mu} (Fraction)
     for every n in 0..n_max.
 
-    sequences.q_seq/p_seq and the recurrences and integrality suites of
-    `verify` build their tables here, one call per a."""
+    sequences.q_seq/p_seq and the recurrences suite build their tables
+    here, one call per a."""
     return seq_rows(a, 0, n_max, mu_max)

@@ -2,7 +2,9 @@
 
 High-precision reals use BigFix, a decimal fixed-point value stored as
 an arbitrary-precision integer mantissa with value mantissa * 10**-scale;
-rational inputs are fractions.Fraction (aliased Rat).
+a rational input is a pair of ints (from_ratio) or a Fraction
+(from_fraction).  Only to_fraction, which no command calls, imports
+fractions.
 
 gamma_const and zeta_const are independent oracles, each one integer
 loop at digits + _GUARD working digits: Brent and McMillan's series for
@@ -20,11 +22,8 @@ shares are in module common.
 
 import functools
 import math
-from fractions import Fraction
 
 from .common import _MAX_DIGITS, EXIT_OK, PrecisionError, _decimal_str, _json
-
-Rat = Fraction
 
 LN10 = math.log(10.0)
 
@@ -100,10 +99,14 @@ class BigFix:
         return cls(k * 10 ** scale, scale)
 
     @classmethod
-    def from_fraction(cls, fr: Fraction, scale: int) -> "BigFix":
-        fr = Fraction(fr)
-        return cls(_div_nearest(fr.numerator * 10 ** scale, fr.denominator),
-                   scale)
+    def from_ratio(cls, num: int, den: int, scale: int) -> "BigFix":
+        """num/den rounded to nearest, ties to even; requires den > 0."""
+        return cls(_div_nearest(num * 10 ** scale, den), scale)
+
+    @classmethod
+    def from_fraction(cls, fr, scale: int) -> "BigFix":
+        """An int or Fraction fr, rounded as from_ratio rounds it."""
+        return cls.from_ratio(fr.numerator, fr.denominator, scale)
 
     # bookkeeping ----------------------------------------------------------
 
@@ -157,7 +160,10 @@ class BigFix:
 
     # conversion -----------------------------------------------------------
 
-    def to_fraction(self) -> Fraction:
+    def to_fraction(self):
+        """The exact value as a Fraction."""
+        from fractions import Fraction
+
         return Fraction(self.mantissa, 10 ** self.scale)
 
     def __float__(self) -> float:

@@ -2,9 +2,10 @@
 Newton iteration from the order-3 expansion seed.
 
 Only the `roots` command, cmd_roots, and `verify --suite saddle`,
-suite_saddle, load this module; it is kept apart from asymptotics so
-that approx and table, which need the exponents alone, never compile it
-or load cmath.
+suite_saddle, load this module; it is kept apart from exponents so that
+approx and table, which need the exponents alone, never compile it or
+load cmath.  The seeds' c_m are exponents.lagrange_pair's integer
+pairs, so neither command loads asymptotics or fractions.
 """
 
 import cmath
@@ -12,8 +13,8 @@ import math
 import sys
 from collections import namedtuple
 
-from .asymptotics import lagrange_coeff
 from .common import EXIT_OK, _json
+from .exponents import lagrange_pair
 
 
 class CPoint(namedtuple("CPoint", "re im")):
@@ -45,7 +46,8 @@ def saddle_seed(a: int, u: int, n: int, k: int) -> complex:
     t = 1 + 0j
     for m in (1, 2, 3):
         phase = cmath.exp(1j * m * (2 * math.pi * k - math.pi * u) / a)
-        t += float(lagrange_coeff(a, m)) * phase / n ** (m / a)
+        num, den = lagrange_pair(a, m)
+        t += num / den * phase / n ** (m / a)
     return t
 
 

@@ -20,6 +20,11 @@ Costs: every q/p value comes straight from the kernel, and nothing is
 cached between calls.  A single value (q_at, p_at, convergence_row) is
 one kernel row, an O(n) sum over k; q_seq and p_seq are one kernel table
 of rows 0..n_max, O(n_max^2), and q_seq builds q alone.
+
+A single row keeps p_{n,mu} as its reduced integer pair (p_num, p_den),
+the pair a Fraction would hold: approx and table print those integers
+and round p/q into a BigFix from them, so neither loads fractions.
+p_at, p_seq and ApproxRecord.p return Fractions for library callers.
 """
 
 import functools
@@ -30,7 +35,8 @@ from . import kernel
 from .bell import bell_ladder
 from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_OK, PrecisionError,
                      _decimal_str, _json, factorial)
-from .numerics import LN10, BigFix, Rat, gamma_const, zeta_const
+from .exponents import corollary_exponent, qn_log_asymptotic
+from .numerics import LN10, BigFix, gamma_const, zeta_const
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
 
@@ -41,11 +47,19 @@ def _check_mu(a: int, mu: int) -> None:
 
 
 def _row(a: int, mu: int, n: int):
-    """(q_n, p_{n,mu}), with p None for mu = 0: one O(n) kernel row."""
+    """(q_n, (num, den)) with num/den = p_{n,mu} in lowest terms, den > 0,
+    and None for mu = 0: one O(n) kernel row."""
+    if a < 2:
+        raise ValueError("a must be at least 2")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    q, p = kernel.seq_rows(a, n, n, mu)
-    return q[0], p[mu - 1][0] if mu else None
+    halves = kernel.harmonic_halves(a, n, mu)
+    _, _, q, dp = kernel.row(a, n, halves)
+    if not mu:
+        return q, None
+    num, den = dp[mu - 1], halves[0] ** mu
+    g = math.gcd(num, den)
+    return q, (num // g, den // g)
 
 
 def q_seq(a: int, n_max: int) -> list:
@@ -65,18 +79,28 @@ def q_at(a: int, n: int):
     return _row(a, 0, n)[0]
 
 
-def p_at(a: int, mu: int, n: int) -> Rat:
-    """Single value p_{n,mu}: one O(n) kernel row."""
+def p_at(a: int, mu: int, n: int):
+    """Single value p_{n,mu} as a Fraction: one O(n) kernel row."""
+    from fractions import Fraction
+
     _check_mu(a, mu)
-    return _row(a, mu, n)[1]
+    return Fraction(*_row(a, mu, n)[1])
 
 
 class ApproxRecord(namedtuple(
-        "ApproxRecord", "a mu n p q err_log predicted_exponent")):
-    """One measured convergence row: exact p (Rat), q (int) plus the
-    log-scale error err_log and the predicted_exponent (floats)."""
+        "ApproxRecord", "a mu n p_num p_den q err_log predicted_exponent")):
+    """One measured convergence row: exact p = p_num/p_den in lowest
+    terms (p_den > 0) and q (ints), plus the log-scale error err_log and
+    the predicted_exponent (floats)."""
 
     __slots__ = ()
+
+    @property
+    def p(self):
+        """p_{n,mu} as a Fraction."""
+        from fractions import Fraction
+
+        return Fraction(self.p_num, self.p_den)
 
 
 def auto_digits(predicted: float) -> int:
@@ -150,24 +174,24 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     digits defaults to auto_digits(predicted).  The difference is
     evaluated once, at s = digits + _ROW_GUARD digits.  Its mantissa M
     is within R = _alpha_radius(a, mu) + 1 units of 10^-s of the true
-    difference T (the one unit covers from_fraction's half).  The row is
+    difference T (the one unit covers from_ratio's half).  The row is
     accepted when M > 2 10^6 R: then |ln M - ln T| < -ln(1 - 5 10^-7),
     so err_log, BigFix.ln_float of the difference (the double its
     full-scale ln rounds to), is within 1e-6 max(1, |err_log|) of the
     true log.  Otherwise PrecisionError names a, mu, n, s, M and R; when
     M > R, so that T >= M - R, it also names the least digits + k at
     which (M - R) 10^k - R > 2 10^6 R, where the row passes, since R
-    holds at every scale.
+    holds at every scale.  When M <= R it names auto_digits(predicted)
+    if that is above digits: the digits that resolve the predicted
+    error, with 30 to spare.
     """
-    from .asymptotics import corollary_exponent
-
     predicted = corollary_exponent(a, n)
     if digits is None:
         digits = auto_digits(predicted)
     _check_mu(a, mu)
-    q, p = _row(a, mu, n)
+    q, (num, den) = _row(a, mu, n)
     s = digits + _ROW_GUARD
-    err = abs(_alpha(a, mu, s) - BigFix.from_fraction(p / q, s))
+    err = abs(_alpha(a, mu, s) - BigFix.from_ratio(num, den * q, s))
     m, r = err.mantissa, _alpha_radius(a, mu) + 1
     if m <= 2 * 10 ** 6 * r:
         hint = "raise digits"
@@ -176,10 +200,12 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
             while (m - r) * 10 ** k - r <= 2 * 10 ** 6 * r:
                 k += 1
             hint += " to %d" % (digits + k)
+        elif auto_digits(predicted) > digits:
+            hint += " to %d" % auto_digits(predicted)
         raise PrecisionError(
             "a=%d mu=%d n=%d: difference of %d units at %d digits, "
             "radius %d; %s" % (a, mu, n, m, s, r, hint))
-    return ApproxRecord(a, mu, n, p, q, err.ln_float(), predicted)
+    return ApproxRecord(a, mu, n, num, den, q, err.ln_float(), predicted)
 
 
 def records_to_csv(records) -> str:
@@ -190,8 +216,8 @@ def records_to_csv(records) -> str:
     lines = [CSV_HEADER]
     for r in records:
         lines.append("%d,%d,%d,%s,%s,%s,%s,%s" % (
-            r.a, r.mu, r.n, _decimal_str(r.p.numerator),
-            _decimal_str(r.p.denominator), _decimal_str(r.q),
+            r.a, r.mu, r.n, _decimal_str(r.p_num), _decimal_str(r.p_den),
+            _decimal_str(r.q),
             "%.6g" % (r.err_log / LN10),
             "%.6g" % (r.predicted_exponent / LN10)))
     return "\n".join(lines) + "\n"
@@ -205,8 +231,6 @@ def _row_digits(args, n: int) -> int:
     a row whose predicted error needs them cannot be certified at any
     digits the parser accepts, whatever the few nats by which the
     measured error misses the prediction."""
-    from .asymptotics import corollary_exponent
-
     top = _MAX_DIGITS - _ROW_GUARD
     try:
         auto = auto_digits(corollary_exponent(args.a, n))
@@ -230,14 +254,14 @@ def cmd_approx(args) -> tuple[str, int]:
     """The `approx` command: one convergence row."""
     digits = _row_digits(args, args.n)
     row = convergence_row(args.a, args.mu, args.n, digits)
-    dec = BigFix.from_fraction(row.p / row.q, min(digits, 40)).to_decimal()
+    dec = BigFix.from_ratio(row.p_num, row.p_den * row.q,
+                            min(digits, 40)).to_decimal()
     if args.fmt == "csv":
         text = records_to_csv([row])
     elif args.fmt == "json":
         text = _json({
             "a": row.a, "mu": row.mu, "n": row.n,
-            "p": _decimal_str(row.p.numerator) + "/"
-                 + _decimal_str(row.p.denominator),
+            "p": _decimal_str(row.p_num) + "/" + _decimal_str(row.p_den),
             "q": _decimal_str(row.q), "p_over_q": dec,
             "err_log10": row.err_log / LN10,
             "predicted_log10": row.predicted_exponent / LN10,
@@ -245,8 +269,8 @@ def cmd_approx(args) -> tuple[str, int]:
     else:
         text = "".join((
             "a=%d mu=%d n=%d\n" % (row.a, row.mu, row.n),
-            "p = %s/%s\n" % (_decimal_str(row.p.numerator),
-                             _decimal_str(row.p.denominator)),
+            "p = %s/%s\n" % (_decimal_str(row.p_num),
+                             _decimal_str(row.p_den)),
             "q = %s\n" % _decimal_str(row.q),
             "p/q = %s\n" % dec,
             "err_log10 = %.6g\n" % (row.err_log / LN10),
@@ -257,8 +281,6 @@ def cmd_approx(args) -> tuple[str, int]:
 
 def _qn_ratio(a: int, n: int, q: int) -> float | None:
     """q = q_n over the asymptotic main term of q_n; None for n = 0."""
-    from .asymptotics import qn_log_asymptotic
-
     if n < 1:
         return None
     return math.exp(math.log(q) - qn_log_asymptotic(a, n))
@@ -285,7 +307,7 @@ def cmd_table(args) -> tuple[str, int]:
         objs = []
         for i, r in enumerate(rows):
             obj = {"a": r.a, "mu": r.mu, "n": r.n,
-                   "p_num": r.p.numerator, "p_den": r.p.denominator,
+                   "p_num": r.p_num, "p_den": r.p_den,
                    "q": r.q, "err_log10": r.err_log / LN10,
                    "predicted_log10": r.predicted_exponent / LN10}
             if ratios is not None:

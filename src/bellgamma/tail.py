@@ -2,10 +2,8 @@
 
 suite_tail is `verify --suite tail`.  Only that suite and library
 callers import this module, and it imports numerics alone, so that
-suite compiles none of the ring or kernel code.
+suite compiles none of the ring or kernel code and loads no fractions.
 """
-
-from fractions import Fraction
 
 from .numerics import BigFix
 
@@ -40,7 +38,7 @@ def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
         num_scaled *= g
         den *= f
         acc *= f
-    return BigFix.from_fraction(Fraction(acc, den * (n + 1) ** a), digits)
+    return BigFix.from_ratio(acc, den * (n + 1) ** a, digits)
 
 
 def suite_tail(args) -> list:
@@ -48,16 +46,19 @@ def suite_tail(args) -> list:
     of tail_series, for a = 2, 3, 4, every |u| <= a and n in {5, 10, 20}."""
     # (n+1)^a |sum| = 1 + r, with |r| <= 2/(n+2)^a for the later terms
     # (each at most half the one before) and (n+1)^a 10^-digits for the
-    # truncation and rounding
+    # truncation and rounding; with A = (n+1)^a, B = (n+2)^a and the
+    # sum's mantissa M at scale 10^-digits, that is, times 10^digits B,
+    # |A |M| - 10^digits| B <= 2 10^digits + A B
+    one = 10 ** args.digits
     out = []
     for a in (2, 3, 4):
         ok = True
         for u in range(-a, a + 1):
             for n in (5, 10, 20):
-                t = tail_series(a, u, n, args.digits).to_fraction()
-                ok = ok and (abs((n + 1) ** a * abs(t) - 1)
-                             <= Fraction(2, (n + 2) ** a)
-                             + Fraction((n + 1) ** a, 10 ** args.digits))
+                m = tail_series(a, u, n, args.digits).mantissa
+                big_a, big_b = (n + 1) ** a, (n + 2) ** a
+                ok = ok and (abs(big_a * abs(m) - one) * big_b
+                             <= 2 * one + big_a * big_b)
         out.append(("tail first term |(n+1)^%d |sum| - 1| <= 2/(n+2)^%d + "
                     "(n+1)^%d 10^-digits: all |u|<=%d, n in {5,10,20}"
                     % (a, a, a, a), ok))

@@ -11,11 +11,11 @@ no suite.  cmd_verify, the `verify` command, imports the suite's module
 and prints its results; only that command imports this module.  So a
 request compiles its own suite and no other: the bell suite never loads
 sequences or bernoulli, for instance, and only the tail suite loads
-numerics (with module tail).
+numerics (with module tail).  The integrality suite works in integers
+and only the bell suite imports fractions here.
 """
 
 import importlib
-from fractions import Fraction
 
 from .common import EXIT_OK, EXIT_VERIFY, binom, lcm_upto
 
@@ -42,16 +42,21 @@ def cmd_verify(args) -> tuple[str, int]:
 
 def suite_integrality(args) -> list:
     """The checks of `verify --suite integrality`: q_n and
-    lcm(1..n)^mu p_{n,mu} are integers, over one kernel table."""
+    lcm(1..n)^mu p_{n,mu} are integers, over the kernel rows n = 0..nmax
+    of one harmonic_halves table.  Each row gives D^mu p_{n,mu} = v, an
+    int, with D = lcm(1..nmax), so lcm(1..n)^mu p_{n,mu} is an integer
+    when D^mu divides lcm(1..n)^mu v."""
     from . import kernel
 
     a, nmax = args.a, args.nmax
-    q, p = kernel.seq_tables(a, nmax, a - 1)
+    halves = kernel.harmonic_halves(a, nmax, a - 1)
+    rows = [kernel.row(a, n, halves)[2:] for n in range(nmax + 1)]
     out = [("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
-            all(isinstance(v, int) and v > 0 for v in q))]
-    for mu, row in enumerate(p, 1):
-        ok = all((lcm_upto(n) ** mu * v).denominator == 1
-                 for n, v in enumerate(row))
+            all(isinstance(q, int) and q > 0 for q, _ in rows))]
+    for mu in range(1, a):
+        dmu = halves[0] ** mu
+        ok = all(lcm_upto(n) ** mu * dp[mu - 1] % dmu == 0
+                 for n, (_, dp) in enumerate(rows))
         out.append(("integrality lcm(1..n)^%d p_{n,%d} integral: a=%d n=0..%d"
                     % (mu, mu, a, nmax), ok))
     return out
@@ -61,6 +66,7 @@ def suite_bell(args) -> list:
     """The checks of `verify --suite bell`: the ladder against the
     partition sum, the addition theorem and isobaric scaling."""
     import random
+    from fractions import Fraction
 
     from . import bell
 

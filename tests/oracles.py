@@ -5,7 +5,10 @@ H_k^{(m)}, the harmonic parts r_m(k) of the summand exponent's
 derivatives, and F_{n,mu} built over Fraction in the g/z ring, an
 independent route to what module lemma1 computes in integers.  A
 Horner evaluation of ascending coefficient lists, such as those of
-gen_bernoulli.  And the reciprocal, exp and log1p of truncated power
+gen_bernoulli.  The rising factorial poch, and the saddle-point
+coefficients c_m and b_m(a) over Fraction with it, the oracle of the
+integer pairs of module exponents.  And the
+reciprocal, exp and log1p of truncated power
 series, coefficient lists [c_0, ..., c_N]: the reciprocal is the
 second route to the generalized Bernoulli and csc-power coefficients,
 and exp and log1p are the oracles of the log expansion in asymptotics.
@@ -19,7 +22,6 @@ from fractions import Fraction
 from bellgamma import kernel, lemma1
 from bellgamma.bell import bell_ladder
 from bellgamma.common import factorial
-from bellgamma.numerics import Rat
 from bellgamma.symring import SymPoly
 
 
@@ -29,7 +31,7 @@ class HarmonicCache:
     def __init__(self) -> None:
         self._rows: dict[int, list[Fraction]] = {}
 
-    def get(self, k: int, m: int) -> Rat:
+    def get(self, k: int, m: int) -> Fraction:
         if k < 0:
             raise ValueError("harmonic index must be nonnegative")
         if m < 1:
@@ -44,12 +46,12 @@ class HarmonicCache:
 _HARMONIC = HarmonicCache()
 
 
-def harmonic(k: int, m: int) -> Rat:
+def harmonic(k: int, m: int) -> Fraction:
     """H_k^{(m)} = sum_{i=1}^k 1/i^m, with H_0^{(m)} = 0."""
     return _HARMONIC.get(k, m)
 
 
-def r_val(a: int, n: int, k: int, m: int) -> Rat:
+def r_val(a: int, n: int, k: int, m: int) -> Fraction:
     """r_m(k) = (m-1)! (a H_{n-k}^{(m)} + (-1)^m (a-1) H_k^{(m)})."""
     if not 0 <= k <= n:
         raise ValueError("require 0 <= k <= n")
@@ -149,3 +151,36 @@ def ps_log1p(s: list) -> list:
                   Fraction(0))
         out.append(acc / i)
     return out
+
+
+def poch(x, m: int):
+    """Rising factorial x(x+1)...(x+m-1), with poch(x, 0) = 1.
+
+    Works for Fraction, int, or float x; the result type follows x.
+    """
+    if m < 0:
+        raise ValueError("poch requires m >= 0")
+    r = x ** 0
+    for i in range(m):
+        r *= x + i
+    return r
+
+
+def lagrange_fraction(a: int, m: int) -> Fraction:
+    """c_m = (2 - m/a)_{m-1} / m!, the series-reversion coefficient."""
+    return poch(Fraction(2) - Fraction(m, a), m - 1) / factorial(m)
+
+
+def bm_fraction(a: int) -> list:
+    """b_1(a)..b_a(a): coefficients of -a log(1 + sum_{m<=a} (2-(m+1)/a)_m
+    z^m/(m+1)!) minus sum_{m<=a} c_m z^m, over Fraction."""
+    s = [Fraction(0)] * (a + 1)
+    for m in range(1, a + 1):
+        s[m] = poch(Fraction(2) - Fraction(m + 1, a), m) / factorial(m + 1)
+    # L = log(1 + s) from L'(1 + s) = s':
+    # L_i = s_i - (1/i) sum_{j<i} j L_j s_{i-j}
+    log = [Fraction(0)] * (a + 1)
+    for i in range(1, a + 1):
+        acc = sum((j * log[j] * s[i - j] for j in range(1, i)), Fraction(0))
+        log[i] = s[i] - acc / i
+    return [-a * log[m] - lagrange_fraction(a, m) for m in range(1, a + 1)]

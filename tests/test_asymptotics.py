@@ -5,19 +5,23 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import ps_exp, ps_log1p
+from oracles import bm_fraction, lagrange_fraction, poch, ps_exp, ps_log1p
 
 from bellgamma.asymptotics import (
     ExponentProfile,
     bm_coeffs,
-    corollary_exponent,
     exponent_profile,
     lagrange_coeff,
+)
+from bellgamma.bernoulli import _series_mul
+from bellgamma.common import PROFILE_KINDS
+from bellgamma.exponents import (
+    bm_pairs,
+    corollary_exponent,
+    lagrange_pair,
     linform_exponent,
     qn_log_asymptotic,
 )
-from bellgamma.bernoulli import _series_mul
-from bellgamma.common import PROFILE_KINDS, poch
 from bellgamma.saddle import (
     CPoint,
     RootRefinementError,
@@ -54,6 +58,21 @@ def test_bm_coeffs_frozen_values():
 def test_bm_coeffs_against_oracle():
     for a in range(2, 7):
         assert bm_coeffs(a) == bm_oracle(a)
+
+
+def test_integer_pairs_match_fraction_oracle():
+    # c_m and b_m(a) in integers equal their Fraction derivation, and
+    # each double is the one the Fraction rounds to
+    for a in range(2, 21):
+        pairs = bm_pairs(a)
+        want = bm_fraction(a)
+        assert [Fraction(*p) for p in pairs] == want
+        assert [num / den for num, den in pairs] == [float(b) for b in want]
+        assert all(den > 0 for _, den in pairs)
+        for m in range(1, a + 4):
+            num, den = lagrange_pair(a, m)
+            assert den > 0 and Fraction(num, den) == lagrange_fraction(a, m)
+            assert num / den == float(lagrange_fraction(a, m))
 
 
 def test_bm_coeffs_match_series_log():

@@ -6,6 +6,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 import bellgamma
 from bellgamma import cli, kernel, lemma1, numerics, sequences, verify
 from bellgamma.bell import bell_ladder
+from bellgamma.exponents import corollary_exponent
 
 # The environment of a `python -m bellgamma.cli` child: the package is
 # found where this process found it, installed or not.
@@ -105,13 +107,13 @@ def test_table_qn_ratio_column(capsys):
 def test_table_qn_ratio_reads_each_row_once(capsys, monkeypatch):
     # the ratio column reuses q_n from the row, with no second kernel row
     calls = []
-    real = kernel.seq_rows
-    monkeypatch.setattr(kernel, "seq_rows",
-                        lambda *args: calls.append(args) or real(*args))
+    real = kernel.row
+    monkeypatch.setattr(kernel, "row",
+                        lambda *args: calls.append(args[:2]) or real(*args))
     code, _, _ = run_cli(capsys, "table", "--a", "3", "--mu", "2",
                          "--n", "10:40:10", "--qn-ratio")
     assert code == 0
-    assert calls == [(3, n, n, 2) for n in (10, 20, 30, 40)]
+    assert calls == [(3, n) for n in (10, 20, 30, 40)]
 
 
 def test_table_json(capsys):
@@ -245,16 +247,17 @@ def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, passed, rows", [
-    ("verify --suite integrality --a 5 --nmax 30", "5/5", [(5, 0, 30, 4)]),
+    ("verify --suite integrality --a 5 --nmax 30", "5/5", [(5, 30, 4)]),
     ("verify --suite recurrences --nmax 40", "12/12",
-     [(2, 0, 40, 1), (3, 0, 40, 2), (4, 0, 40, 3)]),
+     [(2, 40, 1), (3, 40, 2), (4, 40, 3)]),
 ], ids=["integrality", "recurrences"])
 def test_verify_integrality_builds_one_store(argv, passed, rows, capsys,
                                              monkeypatch):
-    # one kernel table per a serves q and every p of that a
+    # one table of scaled harmonic numbers per a serves the rows of q and
+    # of every p of that a
     calls = []
-    real = kernel.seq_rows
-    monkeypatch.setattr(kernel, "seq_rows",
+    real = kernel.harmonic_halves
+    monkeypatch.setattr(kernel, "harmonic_halves",
                         lambda *args: calls.append(args) or real(*args))
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0 and out.splitlines()[-1] == passed + " checks passed"
@@ -566,9 +569,12 @@ def test_precision_exit_code(capsys):
     assert code == 3
     assert err.startswith("precision failure")
     # the message names the row that failed and its working digits; the
-    # difference lies within its radius, so no digits are suggested
+    # difference lies within its radius, so the digits suggested are
+    # those that resolve the predicted error
     assert "a=3 mu=1 n=50" in err and "22 digits" in err
-    assert err.rstrip().endswith("raise digits")
+    assert err.rstrip().endswith(
+        "raise digits to %d" % sequences.auto_digits(
+            corollary_exponent(3, 50)))
 
 
 @pytest.mark.parametrize("argv", [
@@ -585,6 +591,30 @@ def test_precision_failure_names_digits_that_pass(argv, capsys):
     assert head.startswith("precision failure: ")
     args = argv.split()
     args[args.index("--digits") + 1] = digits
+    code, _, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    "approx --a 2 --mu 1 --n 400 --digits 5",
+    "table --a 4 --mu 2 --n 0:100:100 --digits 10",
+])
+def test_difference_within_radius_names_the_predicted_digits(argv, capsys,
+                                                             monkeypatch):
+    # The difference is at most its radius, so no k passes from it: the
+    # message names auto_digits of the failing row's prediction, and the
+    # request passes at those digits.
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 3 and out == ""
+    match = re.fullmatch(r"precision failure: a=(\d+) mu=\d+ n=(\d+): "
+                         r"difference of (\d+) units at \d+ digits, "
+                         r"radius (\d+); raise digits to (\d+)\n", err)
+    a, n, units, radius, digits = map(int, match.groups())
+    assert units <= radius
+    assert digits == sequences.auto_digits(corollary_exponent(a, n))
+    args = argv.split()
+    args[args.index("--digits") + 1] = str(digits)
     code, _, err = run_cli(capsys, *args)
     assert code == 0 and err == ""
 
@@ -632,7 +662,7 @@ def test_rows_past_the_digit_limit_fail_before_any_row(argv, capsys,
         raise AssertionError("kernel row built: %r" % (args[:2],))
 
     monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
-    monkeypatch.setattr(kernel, "seq_rows", no_row)
+    monkeypatch.setattr(kernel, "row", no_row)
     words = argv.split()
     code, out, err = run_cli(capsys, *words)
     n = words[words.index("--n") + 1].split(":")[-1]
@@ -786,9 +816,9 @@ def test_rows_evaluate_once(capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
-    from_fraction = numerics.BigFix.from_fraction
-    monkeypatch.setattr(numerics.BigFix, "from_fraction", staticmethod(
-        counted("from_fraction", from_fraction)))
+    from_ratio = numerics.BigFix.from_ratio
+    monkeypatch.setattr(numerics.BigFix, "from_ratio", staticmethod(
+        counted("from_ratio", from_ratio)))
     monkeypatch.setattr(numerics.BigFix, "ln_float", counted(
         "ln_float", numerics.BigFix.ln_float))
     monkeypatch.setattr(sequences, "bell_ladder", counted(
@@ -796,7 +826,7 @@ def test_rows_evaluate_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "table", "--a", "5", "--mu", "4",
                            "--n", "0:100:20")
     assert code == 0 and len(out.splitlines()) == 7
-    assert sorted(calls) == (["from_fraction"] * 6 + ["ladder"] * 6
+    assert sorted(calls) == (["from_ratio"] * 6 + ["ladder"] * 6
                              + ["ln_float"] * 6)
 
 
@@ -838,23 +868,34 @@ _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses",
 # BigFix and the constants load only for approx, table, constants and
 # the tail suite
 _NO_BIGFIX = {"bellgamma.numerics"}
+# fractions and the modules it loads: only the commands that print or
+# check a Fraction load them
+_NO_FRACTIONS = {"fractions", "decimal", "numbers"}
 # approx and table run the q/p rows and the convergence measurement only;
-# alpha_mu is a Bell ladder over the BigFix constants, not a SymPoly.
+# alpha_mu is a Bell ladder over the BigFix constants, not a SymPoly, and
+# p_{n,mu} an integer pair.
 _ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.bell",
-         "bellgamma.asymptotics"}
-_ROWS_NEVER = _NEVER | {
+         "bellgamma.exponents"}
+_ROWS_NEVER = _NEVER | _NO_FRACTIONS | {
     "bellgamma.recurrences", "bellgamma.lemma1", "bellgamma.tail",
-    "bellgamma.symring", "bellgamma.saddle", "cmath"}
+    "bellgamma.symring", "bellgamma.saddle", "bellgamma.asymptotics",
+    "cmath"}
 # asymptotics and roots work in double precision from their own series
 _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
+# roots and the saddle suite take c_m as integer pairs
+_ROOTS_NEVER = _FLOAT_NEVER | _NO_FRACTIONS | {"bellgamma.asymptotics"}
+_ROOTS = {"bellgamma.exponents", "bellgamma.saddle"}
 
 
 @pytest.mark.parametrize("argv, absent, present", [
-    ("approx --a 3 --mu 1 --n 5", _NEVER | {"bellgamma.saddle"},
+    ("approx --a 3 --mu 1 --n 5",
+     _NEVER | _NO_FRACTIONS | {"bellgamma.saddle", "bellgamma.asymptotics"},
      {"bellgamma.sequences"}),
     ("constants --digits 30",
-     _NEVER | {"bellgamma.sequences", "bellgamma.symring", "bellgamma.kernel",
-               "bellgamma.bell", "bellgamma.asymptotics", "json"},
+     _NEVER | _NO_FRACTIONS
+     | {"bellgamma.sequences", "bellgamma.symring", "bellgamma.kernel",
+        "bellgamma.bell", "bellgamma.asymptotics", "bellgamma.exponents",
+        "json"},
      {"bellgamma.numerics"}),
     ("verify --suite bell",
      {"dataclasses", "logging", "json", "bellgamma.bernoulli",
@@ -862,21 +903,21 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
       "bellgamma.asymptotics"} | _NO_BIGFIX,
      {"bellgamma.verify", "bellgamma.bell"}),
     ("table --a 3 --mu 2 --n 0:20:10",
-     {"bellgamma.lemma1", "bellgamma.verify", "bellgamma.saddle"},
+     _NO_FRACTIONS | {"bellgamma.lemma1", "bellgamma.verify",
+                      "bellgamma.saddle", "bellgamma.asymptotics"},
      {"bellgamma.sequences"}),
     ("verify --suite lemma1 --a 3 --nmax 2",
-     {"dataclasses", "logging"} | _NO_BIGFIX, {"bellgamma.lemma1"}),
-    ("verify --suite saddle",
-     {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX,
-     {"bellgamma.asymptotics", "bellgamma.saddle"}),
+     {"dataclasses", "logging"} | _NO_BIGFIX,
+     {"bellgamma.lemma1", "fractions"}),
+    ("verify --suite saddle", _ROOTS_NEVER, _ROOTS),
     ("verify --suite bernoulli",
      {"bellgamma.sequences", "bellgamma.kernel"} | _NO_BIGFIX,
      {"bellgamma.bernoulli"}),
     ("approx --a 4 --mu 3 --n 100", _ROWS_NEVER, _ROWS),
     ("table --a 2 --mu 1 --n 0:40:20 --qn-ratio", _ROWS_NEVER, _ROWS),
     ("verify --suite tail --digits 30",
-     {"bellgamma.symring", "bellgamma.kernel", "bellgamma.bell",
-      "bellgamma.sequences"},
+     _NO_FRACTIONS | {"bellgamma.symring", "bellgamma.kernel",
+                      "bellgamma.bell", "bellgamma.sequences"},
      {"bellgamma.tail"}),
     ("verify --suite recurrences --nmax 8",
      {"bellgamma.symring", "bellgamma.sequences", "bellgamma.bernoulli"}
@@ -884,21 +925,22 @@ _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
      {"bellgamma.recurrences"}),
     ("asymptotics --a 5 --n 1000", _FLOAT_NEVER,
      {"bellgamma.asymptotics"}),
-    ("roots --a 3", _FLOAT_NEVER,
-     {"bellgamma.asymptotics", "bellgamma.saddle"}),
+    ("roots --a 3", _ROOTS_NEVER, _ROOTS),
     ("verify --suite lemma1 --a 4 --nmax 3",
      {"bellgamma.sequences"} | _NO_BIGFIX, {"bellgamma.lemma1"}),
     ("verify --suite integrality --a 3 --nmax 5",
-     {"bellgamma.sequences", "bellgamma.symring"} | _NO_BIGFIX,
+     {"bellgamma.sequences", "bellgamma.symring"} | _NO_BIGFIX
+     | _NO_FRACTIONS,
      {"bellgamma.kernel"}),
     ("constants --digits 20 --zeta-max 3",
-     {"bellgamma.sequences", "bellgamma.bell"}, {"bellgamma.numerics"}),
+     {"bellgamma.sequences", "bellgamma.bell"} | _NO_FRACTIONS,
+     {"bellgamma.numerics"}),
     ("approx --a 3 --mu 2 --n 40 --format csv", _ROWS_NEVER, _ROWS),
     ("approx --a 3 --mu 2 --n 40 --format json", _ROWS_NEVER, _ROWS),
     ("table --a 3 --mu 1 --n 0:40:20 --format text", _ROWS_NEVER, _ROWS),
     ("table --a 4 --mu 2 --n 0:40:20 --qn-ratio --format json",
      _ROWS_NEVER, _ROWS),
-    ("roots --a 5 --u 2 --format json", _FLOAT_NEVER, {"bellgamma.saddle"}),
+    ("roots --a 5 --u 2 --format json", _ROOTS_NEVER, _ROOTS),
     ("asymptotics --a 4 --format json",
      {"bellgamma.saddle", "cmath"} | _NO_BIGFIX,
      {"bellgamma.asymptotics"}),
@@ -996,9 +1038,10 @@ def test_write_failure_is_usage_error(argv, to_stdout):
 # Fraction, the next while the constants were Euler-Maclaurin sums, the
 # next two while lemma 1 built each row twice, the next two while
 # err_log was taken at the full working scale and json printed by
-# json.dumps, the last three while each row was evaluated at two guard
-# scales and main lifted Python's int->str limit.  Refactors must not
-# change a byte.  The exceptions: `verify --suite recurrences --nmax
+# json.dumps, the next three while each row was evaluated at two guard
+# scales and main lifted Python's int->str limit, and the last four
+# while p_{n,mu}, c_m and b_m(a) were computed as Fractions.  Refactors
+# must not change a byte.  The exceptions: `verify --suite recurrences --nmax
 # 120`, pinned since its one Rivoal line compares p_n/q_n with gamma,
 # where two lines had compared the recurrence with its own values;
 # `verify --suite tail`, pinned since its lines bound the first term
@@ -1104,6 +1147,14 @@ OUTPUT_DIGESTS = {
         "a2f11c6998a7a25ea2d3e08e9c7249f84666e962758568a708311cd6a5e98e97",
     "approx --a 2 --mu 1 --n 1600":
         "f90774f937e814360996fd1d119106cec141afb9095ed70c78d5639374f9844f",
+    "roots --a 8 --u -3 --n 1000000000 --format json":
+        "d3f8b0bf1d0e862343c7134c50392f6fa745870db51ede908fdceed39db33ffd",
+    "verify --suite tail --digits 400":
+        "05af1d218411e7b6b9af6de0a1ba2ce38bc081d7c062e4483230c75d030e5557",
+    "verify --suite integrality --a 8 --nmax 40":
+        "3b1fe56c73280a4fd468a64d2c7a9daeb6820e01e0c07b4c784c471ea8183476",
+    "table --a 6 --mu 5 --n 10:60:10 --qn-ratio --format text":
+        "f0eab61e8678b14394b1af16e0a3aef37a0ff9943111cd5880ecf301709bb9bb",
 }
 
 

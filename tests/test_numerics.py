@@ -6,10 +6,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+from oracles import poch
 
 from bellgamma import numerics
 from bellgamma.bernoulli import bernoulli_number
-from bellgamma.common import PrecisionError, binom, factorial, lcm_upto, poch
+from bellgamma.common import PrecisionError, binom, factorial, lcm_upto
 from bellgamma.numerics import (
     BigFix,
     gamma_const,
