@@ -35,7 +35,9 @@ saddle, recurrence, lemma-1, tail or Bernoulli code.  Only verify loads
 a suite, and only its own: module verify holds the command and the bell
 and integrality suites, and each other suite lives in the module it
 checks (lemma1, recurrences, bernoulli, tail, saddle); of the suites
-only the tail suite loads numerics.  No command loads json:
+only the tail suite loads numerics.  fractions is loaded only by the
+asymptotics command and the bell, bernoulli and lemma1 suites, which
+print or check a Fraction.  No command loads json:
 common._json prints json.dumps's bytes itself.  No module of the
 package imports this one: under `python -m bellgamma.cli` that would
 compile it a second time.

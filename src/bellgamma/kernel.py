@@ -14,10 +14,11 @@ A row is one Bell ladder over Columns, the arguments' values over k =
 0..n, whose results the weights sum.  This is also a constructive proof
 of the integrality statement D_n^mu p_{n,mu} in Z.  `row` is the one
 place a row is built: approx and table read single rows from it (module
-sequences), seq_rows forms the Fractions of library tables and of the
-recurrences suite, and lemma 1 takes its q_n and D^mu p_{n,mu} and runs
-its own ladder on its weights and Columns.  Only seq_rows imports
-fractions.
+sequences), int_rows is the one loop over rows, whose ints the
+integrality and recurrences suites check, seq_rows forms the Fractions
+of library tables from it, and lemma 1 takes a row's q_n and
+D^mu p_{n,mu} and runs its own ladder on its weights and Columns.  Only
+seq_rows imports fractions.
 """
 
 from itertools import repeat
@@ -118,11 +119,11 @@ def row(a: int, n: int, halves):
     return ws, cols, sum(ws), dp
 
 
-def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
-    """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
-    p[mu-1][i] = p_{n_lo+i,mu} (Fraction): one kernel row each."""
-    from fractions import Fraction
-
+def int_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
+    """(D, q, dp) for rows n_lo..n_hi, all ints: D = lcm(1..n_hi) (1
+    when mu_max or n_hi is 0), q[i] = q_{n_lo+i} and
+    dp[mu-1][i] = D^mu p_{n_lo+i,mu}: one kernel row each, over one
+    harmonic_halves table."""
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 <= n_lo <= n_hi:
@@ -130,21 +131,31 @@ def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
     halves = harmonic_halves(a, n_hi, mu_max)
-    d = halves[0]
     q = []
-    p = [[] for _ in range(mu_max)]
+    dp = [[] for _ in range(mu_max)]
     for n in range(n_lo, n_hi + 1):
-        _, _, qn, dp = row(a, n, halves)
+        _, _, qn, vs = row(a, n, halves)
         q.append(qn)
-        for mu, (pm, v) in enumerate(zip(p, dp), 1):
-            pm.append(Fraction(v, d ** mu))
+        for col, v in zip(dp, vs):
+            col.append(v)
+    return halves[0], q, dp
+
+
+def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
+    """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
+    p[mu-1][i] = p_{n_lo+i,mu} (Fraction), from int_rows."""
+    from fractions import Fraction
+
+    d, q, dp = int_rows(a, n_lo, n_hi, mu_max)
+    p = []
+    for mu, col in enumerate(dp, 1):
+        dm = d ** mu
+        p.append([Fraction(v, dm) for v in col])
     return q, p
 
 
 def seq_tables(a: int, n_max: int, mu_max: int):
     """(q, p) with q[n] = q_n (int) and p[mu-1][n] = p_{n,mu} (Fraction)
-    for every n in 0..n_max.
-
-    sequences.q_seq/p_seq and the recurrences suite build their tables
-    here, one call per a."""
+    for every n in 0..n_max: the library tables that
+    sequences.q_seq/p_seq return, one call per a."""
     return seq_rows(a, 0, n_max, mu_max)

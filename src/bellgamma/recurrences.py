@@ -5,14 +5,20 @@ Five families (Aptekarev's, Rivoal's, and the q/p families of a = 2, 3,
 sequence, forward generation from the initial values, and the explicit
 sums of Aptekarev's sequences.  Every coefficient of the five families
 is an integer polynomial in n, stored as a function of n that returns
-an int.  suite_recurrences is `verify --suite recurrences`.  Only that
-suite and library callers import this module; it imports neither
-symring nor sequences nor bernoulli.
+an int, and every initial value an int or an integer pair (num, den).
+suite_recurrences is `verify --suite recurrences`, in integers from end
+to end: each sequence is read as ints over one common denominator (the
+kernel's integer table kernel.int_rows, Aptekarev's sums over
+lcm(1..2 nmax)), and Rivoal's pair is grown by a forward step that
+never divides.  So the suite loads no fractions; only the library edges
+recurrence_generate, aptekarev_seq and recurrence_check on Fraction
+input build or read Fractions.  Only that suite and library callers
+import this module; it imports neither symring nor sequences nor
+bernoulli.
 """
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from . import kernel
 from .common import factorial, lcm_upto
@@ -28,7 +34,8 @@ class RecurrenceSpec(namedtuple(
     whose coefficients are integer polynomials in n.  inhom is a (num,
     den) pair of such callables or None for the homogeneous case.
     initial lists y_0..y_{n_min + offsets[-1] - 1}, exactly the values a
-    forward generation needs.
+    forward generation needs, each an int, a Fraction or an integer pair
+    (num, den) with den > 0 that stands for num/den.
     """
 
     __slots__ = ()
@@ -51,14 +58,17 @@ class RecurrenceSpec(namedtuple(
         return self.offsets[-1] - self.offsets[0]
 
 
-def recurrence_check(spec: RecurrenceSpec, seq, n_range) -> bool:
-    """Exact check of spec against seq at every n in n_range: with L the
-    lcm of seq's denominators, sum_i c_i(n) L y_{n+off_i} den(n) is
-    compared with num(n) L (with 0 for a homogeneous relation), in
-    integers when the coefficients are ints.  A vanishing leading
-    coefficient is reported and the point skipped."""
-    big = math.lcm(*(v.denominator for v in seq))
-    ys = [v.numerator * (big // v.denominator) for v in seq]
+def recurrence_check(spec: RecurrenceSpec, seq, n_range, den=None) -> bool:
+    """Exact check of spec against seq at every n in n_range.  With den
+    given, seq holds ints over that common denominator L, y_n = seq[n]/L;
+    otherwise seq holds exact values (ints or Fractions), scaled first by
+    the lcm L of their denominators.  sum_i c_i(n) L y_{n+off_i} d(n) is
+    compared with u(n) L, where (u, d) = spec.inhom (with 0 for a
+    homogeneous relation), in integers when the coefficients are ints.
+    A vanishing leading coefficient is reported and the point skipped."""
+    if den is None:
+        den = math.lcm(*(v.denominator for v in seq))
+        seq = [v.numerator * (den // v.denominator) for v in seq]
     for n in n_range:
         if n < spec.n_min:
             raise ValueError("relation not asserted below n_min=%d" % spec.n_min)
@@ -72,42 +82,74 @@ def recurrence_check(spec: RecurrenceSpec, seq, n_range) -> bool:
                 "%s: leading coefficient vanishes at n=%d, point skipped",
                 spec.name, n)
             continue
-        lhs = sum(c * ys[n + off] for c, off in zip(cs, spec.offsets))
+        lhs = sum(c * seq[n + off] for c, off in zip(cs, spec.offsets))
         rhs = 0
         if spec.inhom is not None:
-            num, den = spec.inhom
-            dv = den(n)
+            u, d = spec.inhom
+            dv = d(n)
             if dv == 0:
                 raise ArithmeticError(
                     "inhomogeneous denominator vanishes at n=%d" % n)
             lhs *= dv
-            rhs = num(n) * big
+            rhs = u(n) * den
         if lhs != rhs:
             return False
     return True
 
 
-def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
-    """y_0..y_{n_max} grown forward from spec.initial."""
-    ys = [Fraction(v) for v in spec.initial]
+def _grow(spec: RecurrenceSpec, ys: list, e, n_max: int):
+    """(Y, E) with y_j = Y[j] / E[j] for j = 0..n_max, grown forward from
+    ys, the initial values as ints over the common denominator e.
+
+    The forward step never divides: it multiplies the running
+    denominator by the row's leading coefficient (and inhomogeneous
+    denominator) and scales the values still in the taps' reach by the
+    same factor.  Two specs with the same coefficients and inhom,
+    started over the same e, share every E[j]."""
+    lo = spec.offsets[0]
+    ys = ys[:n_max + 1]
+    es = [e] * len(ys)
     n = spec.n_min
+    window = ys[n + lo:]  # y_{n+lo} .. y_{n+offsets[-1]-1}, over e
     while len(ys) <= n_max:
-        lead = spec.coeffs[-1](n)
-        if lead == 0:
+        cs = [c(n) for c in spec.coeffs]
+        f = cs.pop()
+        if f == 0:
             raise ArithmeticError("leading coefficient vanishes at n=%d" % n)
-        acc = Fraction(0)
+        acc = -sum(c * window[off - lo] for c, off in zip(cs, spec.offsets))
         if spec.inhom is not None:
             num, den = spec.inhom
             dv = den(n)
             if dv == 0:
                 raise ArithmeticError(
                     "inhomogeneous denominator vanishes at n=%d" % n)
-            acc = Fraction(num(n), dv)
-        for off, c in zip(spec.offsets[:-1], spec.coeffs[:-1]):
-            acc -= c(n) * ys[n + off]
-        ys.append(acc / lead)
+            acc = num(n) * e + dv * acc
+            f *= dv
+        e *= f
+        window = [y * f for y in window[1:]]
+        window.append(acc)
+        ys.append(acc)
+        es.append(e)
         n += 1
-    return ys[:n_max + 1]
+    return ys, es
+
+
+def _initial_ints(specs) -> tuple:
+    """(yss, e): the initial values of each spec as ints over e, the lcm
+    of all their denominators."""
+    pairs = [[v if type(v) is tuple else (v.numerator, v.denominator)
+              for v in spec.initial] for spec in specs]
+    e = math.lcm(*(d for ps in pairs for _, d in ps))
+    return [[v * (e // d) for v, d in ps] for ps in pairs], e
+
+
+def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
+    """y_0..y_{n_max} as exact values (Fractions), grown forward from
+    spec.initial in integers (_grow)."""
+    from fractions import Fraction
+
+    (ys,), e = _initial_ints([spec])
+    return list(map(Fraction, *_grow(spec, ys, e, n_max)))
 
 
 def _horner(cs: tuple, n):
@@ -120,9 +162,9 @@ def _horner(cs: tuple, n):
 
 
 def make_paper_recurrences() -> dict:
-    """The five classical recurrence families with their initial values;
-    every coefficient is an integer polynomial in n, written as a
-    function of n."""
+    """The five classical recurrence families with their initial values
+    (ints, and (num, den) pairs for the others); every coefficient is an
+    integer polynomial in n, written as a function of n."""
     recs = {}
 
     apt_offsets = (-2, -1, 0, 1)
@@ -135,7 +177,7 @@ def make_paper_recurrences() -> dict:
     for name, init in (("aptekarev_q", (1, 3, 50)),
                        ("aptekarev_p", (0, 2, 31))):
         recs[name] = RecurrenceSpec(name, apt_offsets, apt_coeffs, None,
-                                    tuple(Fraction(v) for v in init), 2)
+                                    init, 2)
 
     riv_offsets = (0, 1, 2, 3)
     riv_coeffs = (
@@ -144,18 +186,17 @@ def make_paper_recurrences() -> dict:
         lambda n: -(n + 3) * (8 * n + 11) * (24 * n ** 2 + 145 * n + 215),
         lambda n: (n + 3) ** 2 * (8 * n + 11) * (8 * n + 19),
     )
-    for name, init in (("rivoal_q", (1, 7, Fraction(65, 2))),
-                       ("rivoal_p", (-1, 4, Fraction(77, 4)))):
+    for name, init in (("rivoal_q", (1, 7, (65, 2))),
+                       ("rivoal_p", (-1, 4, (77, 4)))):
         recs[name] = RecurrenceSpec(name, riv_offsets, riv_coeffs, None,
-                                    tuple(Fraction(v) for v in init), 0)
+                                    init, 0)
 
     a2_offsets = (0, 1, 2)
     a2_coeffs = (lambda n: (n + 1) ** 2, lambda n: -2 * (n + 2), lambda n: 1)
     recs["a2_q"] = RecurrenceSpec("a2_q", a2_offsets, a2_coeffs, None,
-                                  (Fraction(1), Fraction(2)), 0)
+                                  (1, 2), 0)
     recs["a2_p1"] = RecurrenceSpec("a2_p1", a2_offsets, a2_coeffs,
-                                   (lambda n: -n, lambda n: n + 2),
-                                   (Fraction(0), Fraction(1)), 0)
+                                   (lambda n: -n, lambda n: n + 2), (0, 1), 0)
 
     a3_offsets = (-2, -1, 0, 1)
     a3_coeffs = (
@@ -169,10 +210,10 @@ def make_paper_recurrences() -> dict:
                 lambda n: n * (n + 1))
     for name, init, inhom in (
             ("a3_q", (1, 2, 11), None),
-            ("a3_p1", (0, 1, Fraction(13, 2)), None),
+            ("a3_p1", (0, 1, (13, 2)), None),
             ("a3_p2", (0, 18, 95), a3_inhom)):
         recs[name] = RecurrenceSpec(name, a3_offsets, a3_coeffs, inhom,
-                                    tuple(Fraction(v) for v in init), 2)
+                                    init, 2)
 
     a4_offsets = (-2, -1, 0, 1, 2)
     a4_coeffs = (
@@ -195,17 +236,19 @@ def make_paper_recurrences() -> dict:
                 lambda n: n * (n + 1) ** 2 * (n + 2))
     for name, init, inhom in (
             ("a4_q", (1, 2, 19, 250), None),
-            ("a4_p1", (0, 1, 13, Fraction(409, 3)), None),
-            ("a4_p2", (0, 32, 217, Fraction(26444, 9)), None),
-            ("a4_p3", (0, 60, 402, Fraction(50761, 9)), a4_inhom)):
+            ("a4_p1", (0, 1, 13, (409, 3)), None),
+            ("a4_p2", (0, 32, 217, (26444, 9)), None),
+            ("a4_p3", (0, 60, 402, (50761, 9)), a4_inhom)):
         recs[name] = RecurrenceSpec(name, a4_offsets, a4_coeffs, inhom,
-                                    tuple(Fraction(v) for v in init), 2)
+                                    init, 2)
     return recs
 
 
-def aptekarev_seq(n_max: int):
-    """(q~, p~) explicit sums: q~_n = sum C(n,k)^2 (n+k)! and the
-    matching numerator with harmonic weight H_{n+k} + 2H_{n-k} - 2H_k."""
+def _aptekarev_ints(n_max: int):
+    """(d, q, p) with d = lcm(1..2 n_max) (1 for n_max = 0), q[n] = q~_n
+    and p[n] = d p~_n, all ints: the explicit sums of aptekarev_seq, each
+    weight C(n,k)^2 (n+k)! from the one before by the term ratio
+    (n-k+1)^2 (n+k) / k^2."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     d = lcm_upto(2 * n_max) if n_max >= 1 else 1
@@ -213,20 +256,26 @@ def aptekarev_seq(n_max: int):
     q = []
     p = []
     for n in range(n_max + 1):
-        qn = 0
-        pnum = 0
-        c = 1
-        f = factorial(n)
+        w = factorial(n)
+        qn = pn = 0
         for k in range(n + 1):
             if k:
-                c = c * (n - k + 1) // k
-                f *= n + k
-            w = c * c * f
+                w = w * (n - k + 1) ** 2 * (n + k) // (k * k)
             qn += w
-            pnum += w * (sh[n + k] + 2 * sh[n - k] - 2 * sh[k])
+            pn += w * (sh[n + k] + 2 * sh[n - k] - 2 * sh[k])
         q.append(qn)
-        p.append(Fraction(pnum, d))
-    return q, p
+        p.append(pn)
+    return d, q, p
+
+
+def aptekarev_seq(n_max: int):
+    """(q~, p~) explicit sums: q~_n = sum C(n,k)^2 (n+k)! (ints) and the
+    matching numerator with harmonic weight H_{n+k} + 2H_{n-k} - 2H_k
+    (Fractions), from _aptekarev_ints."""
+    from fractions import Fraction
+
+    d, q, p = _aptekarev_ints(n_max)
+    return q, [Fraction(v, d) for v in p]
 
 
 # Euler's constant truncated to 100 decimals, the source of the Rivoal
@@ -240,17 +289,22 @@ def _rivoal_vs_gamma(specs, nmax):
     |p_n/q_n - gamma| < 10^-floor(n^(2/3)) for every gamma in
     [_GAMMA_100, _GAMMA_100 + 1] / 10^100, a width 10^-10 of the bound
     at n = 868.  For n <= 600 the errors lie between 10^-1.1 n^(2/3) and
-    10^-2.3 n^(2/3); a mistyped coefficient leaves them near 10^-5."""
+    10^-2.3 n^(2/3); a mistyped coefficient leaves them near 10^-5.
+    Both are grown in integers over one running denominator, so
+    p_n/q_n = P_n/Q_n, compared with the bounds by cross-multiplication."""
     hi = min(nmax, 868)
-    qs, ps = (recurrence_generate(specs[name], hi)
-              for name in ("rivoal_q", "rivoal_p"))
-    lo_g = Fraction(_GAMMA_100, 10 ** 100)
-    hi_g = lo_g + Fraction(1, 10 ** 100)
+    pair = [specs["rivoal_q"], specs["rivoal_p"]]
+    inits, e = _initial_ints(pair)
+    qs, ps = (_grow(spec, ys, e, hi)[0] for spec, ys in zip(pair, inits))
+    s = 10 ** 100
     ok, k = True, 0
     for n in range(1, hi + 1):
         k += (k + 1) ** 3 <= n * n  # floor(n^(2/3)) grows by 1 at most
-        eps = Fraction(1, 10 ** k)
-        ok = ok and hi_g - eps < ps[n] / qs[n] < lo_g + eps
+        t = 10 ** k
+        p, q = (ps[n], qs[n]) if qs[n] > 0 else (-ps[n], -qs[n])
+        # (G+1)/s - 1/t < p/q < G/s + 1/t, times s t q > 0
+        ok = ok and (((_GAMMA_100 + 1) * t - s) * q < p * (s * t)
+                     < (_GAMMA_100 * t + s) * q)
     return ("recurrence rivoal_q, rivoal_p vs gamma to 100 digits: "
             "|p_n/q_n - gamma| < 10^-floor(n^(2/3)), n=1..%d" % hi, ok)
 
@@ -258,10 +312,12 @@ def _rivoal_vs_gamma(specs, nmax):
 def suite_recurrences(args) -> list:
     """The checks of `verify --suite recurrences`: each family's
     recurrence against its explicit sums or kernel table, and Rivoal's
-    pair against gamma."""
+    pair against gamma.  Every value is an int over a common
+    denominator: 1 for q, D^mu for D^mu p_{n,mu} (kernel.int_rows) and
+    lcm(1..2 nmax) for Aptekarev's p~."""
     nmax = args.nmax
-    tables = {a: kernel.seq_tables(a, nmax, a - 1) for a in (2, 3, 4)}
-    apt = aptekarev_seq(nmax)
+    tables = {a: kernel.int_rows(a, 0, nmax, a - 1) for a in (2, 3, 4)}
+    apt = _aptekarev_ints(nmax)
     specs = make_paper_recurrences()
     out = []
     for name, spec in specs.items():
@@ -271,12 +327,18 @@ def suite_recurrences(args) -> list:
                 out.append(_rivoal_vs_gamma(specs, nmax))
             continue
         if family == "aptekarev":
-            ys = apt[which == "p"]
-        else:  # "a3_q", "a3_p2": q or p_mu of a = 3 from its table
-            q, p = tables[int(family[1:])]
-            ys = q if which == "q" else p[int(which[1:]) - 1]
+            d, q, p = apt
+            ys, den = (p, d) if which == "p" else (q, 1)
+        else:  # "a3_q", "a3_p2": q or D^mu p_mu of a = 3 from its table
+            d, q, dp = tables[int(family[1:])]
+            if which == "q":
+                ys, den = q, 1
+            else:
+                mu = int(which[1:])
+                ys, den = dp[mu - 1], d ** mu
         hi = nmax - spec.offsets[-1]
         out.append(("recurrence %s vs explicit sum, n=%d..%d"
                     % (name, spec.n_min, hi),
-                    recurrence_check(spec, ys, range(spec.n_min, hi + 1))))
+                    recurrence_check(spec, ys, range(spec.n_min, hi + 1),
+                                     den)))
     return out

@@ -11,8 +11,9 @@ no suite.  cmd_verify, the `verify` command, imports the suite's module
 and prints its results; only that command imports this module.  So a
 request compiles its own suite and no other: the bell suite never loads
 sequences or bernoulli, for instance, and only the tail suite loads
-numerics (with module tail).  The integrality suite works in integers
-and only the bell suite imports fractions here.
+numerics (with module tail).  The integrality suite works in integers,
+on the kernel's integer table (kernel.int_rows), and only the bell
+suite imports fractions here.
 """
 
 import importlib
@@ -42,21 +43,19 @@ def cmd_verify(args) -> tuple[str, int]:
 
 def suite_integrality(args) -> list:
     """The checks of `verify --suite integrality`: q_n and
-    lcm(1..n)^mu p_{n,mu} are integers, over the kernel rows n = 0..nmax
-    of one harmonic_halves table.  Each row gives D^mu p_{n,mu} = v, an
+    lcm(1..n)^mu p_{n,mu} are integers, over the kernel table
+    kernel.int_rows of rows n = 0..nmax.  It gives D^mu p_{n,mu} = v, an
     int, with D = lcm(1..nmax), so lcm(1..n)^mu p_{n,mu} is an integer
     when D^mu divides lcm(1..n)^mu v."""
     from . import kernel
 
     a, nmax = args.a, args.nmax
-    halves = kernel.harmonic_halves(a, nmax, a - 1)
-    rows = [kernel.row(a, n, halves)[2:] for n in range(nmax + 1)]
+    d, q, dp = kernel.int_rows(a, 0, nmax, a - 1)
     out = [("integrality q_n positive integers: a=%d n=0..%d" % (a, nmax),
-            all(isinstance(q, int) and q > 0 for q, _ in rows))]
-    for mu in range(1, a):
-        dmu = halves[0] ** mu
-        ok = all(lcm_upto(n) ** mu * dp[mu - 1] % dmu == 0
-                 for n, (_, dp) in enumerate(rows))
+            all(isinstance(v, int) and v > 0 for v in q))]
+    for mu, col in enumerate(dp, 1):
+        dmu = d ** mu
+        ok = all(lcm_upto(n) ** mu * v % dmu == 0 for n, v in enumerate(col))
         out.append(("integrality lcm(1..n)^%d p_{n,%d} integral: a=%d n=0..%d"
                     % (mu, mu, a, nmax), ok))
     return out

@@ -12,6 +12,9 @@ reciprocal, exp and log1p of truncated power
 series, coefficient lists [c_0, ..., c_N]: the reciprocal is the
 second route to the generalized Bernoulli and csc-power coefficients,
 and exp and log1p are the oracles of the log expansion in asymptotics.
+The forward generation of a linear recurrence over Fraction, one
+division by the leading coefficient per step, is the oracle of the
+integer forward step of module recurrences.
 """
 
 from __future__ import annotations
@@ -184,3 +187,29 @@ def bm_fraction(a: int) -> list:
         acc = sum((j * log[j] * s[i - j] for j in range(1, i)), Fraction(0))
         log[i] = s[i] - acc / i
     return [-a * log[m] - lagrange_fraction(a, m) for m in range(1, a + 1)]
+
+
+def recurrence_generate_fraction(spec, n_max: int) -> list:
+    """y_0..y_{n_max} of a RecurrenceSpec grown forward over Fraction:
+    y_{n+offsets[-1]} = (inhom(n) - sum_i c_i(n) y_{n+offsets[i]}) / c_lead(n),
+    the route that recurrences.recurrence_generate replaced."""
+    ys = [Fraction(*v) if type(v) is tuple else Fraction(v)
+          for v in spec.initial]
+    n = spec.n_min
+    while len(ys) <= n_max:
+        lead = spec.coeffs[-1](n)
+        if lead == 0:
+            raise ArithmeticError("leading coefficient vanishes at n=%d" % n)
+        acc = Fraction(0)
+        if spec.inhom is not None:
+            num, den = spec.inhom
+            dv = den(n)
+            if dv == 0:
+                raise ArithmeticError(
+                    "inhomogeneous denominator vanishes at n=%d" % n)
+            acc = Fraction(num(n), dv)
+        for off, c in zip(spec.offsets[:-1], spec.coeffs[:-1]):
+            acc -= c(n) * ys[n + off]
+        ys.append(acc / lead)
+        n += 1
+    return ys[:n_max + 1]

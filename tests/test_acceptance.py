@@ -52,8 +52,8 @@ def test_criterion_1_sequence_value_regression():
     qt, pt = aptekarev_seq(2)
     ok &= qt == [1, 3, 50] and pt == [0, 2, 31]
     specs = make_paper_recurrences()
-    ok &= specs["rivoal_q"].initial == (1, 7, Fraction(65, 2))
-    ok &= specs["rivoal_p"].initial == (-1, 4, Fraction(77, 4))
+    ok &= recurrence_generate(specs["rivoal_q"], 2) == [1, 7, Fraction(65, 2)]
+    ok &= recurrence_generate(specs["rivoal_p"], 2) == [-1, 4, Fraction(77, 4)]
     _report(1, ok, "explicit sequence values exact", t0, 1)
 
 

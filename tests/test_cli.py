@@ -368,6 +368,10 @@ def _harmonic_scale_doubled(real):
     ("recurrences", "kernel", "weights",
      lambda real: lambda a, n: ((k, w + (k == 1)) for k, w in real(a, n)),
      None),
+    # the tables' common denominator wrong: only the inhomogeneous
+    # relations a2_p1, a3_p2 and a4_p3 see it
+    ("recurrences", "kernel", "harmonic_halves", _harmonic_scale_doubled,
+     {4, 7, 11}),
     ("integrality", "kernel", "harmonic_halves", _harmonic_scale_doubled,
      None),
     ("lemma1", "lemma1", "_deriv_coeff",
@@ -382,9 +386,9 @@ def _harmonic_scale_doubled(real):
          for k, r in enumerate(real(a, u, n))],
      {0, 1, 2}),
 ], ids=["csc-coefficient", "core-power", "bernoulli-argument", "rivoal-tap",
-        "kernel-weight", "harmonic-scale", "lemma1-coefficient",
-        "bell-binomial", "tail-first-term", "tail-first-term-n-power",
-        "saddle-root"])
+        "kernel-weight", "recurrence-scale", "harmonic-scale",
+        "lemma1-coefficient", "bell-binomial", "tail-first-term",
+        "tail-first-term-n-power", "saddle-root"])
 def test_every_suite_can_fail(suite, module, name, mutant, failing, capsys,
                               monkeypatch):
     target = importlib.import_module("bellgamma." + module)
@@ -921,7 +925,7 @@ _ROOTS = {"bellgamma.exponents", "bellgamma.saddle"}
      {"bellgamma.tail"}),
     ("verify --suite recurrences --nmax 8",
      {"bellgamma.symring", "bellgamma.sequences", "bellgamma.bernoulli"}
-     | _NO_BIGFIX,
+     | _NO_BIGFIX | _NO_FRACTIONS,
      {"bellgamma.recurrences"}),
     ("asymptotics --a 5 --n 1000", _FLOAT_NEVER,
      {"bellgamma.asymptotics"}),

@@ -53,6 +53,20 @@ def test_seq_tables_match_fraction_oracle():
             assert all((v * d ** mu).denominator == 1 for v in p[mu - 1])
 
 
+def test_int_rows_are_the_tables_over_their_denominator():
+    # the suites' integer table: D = lcm(1..n_hi), and D^mu p_{n,mu} ints
+    for a, n_lo, n_hi, mu_max in ((2, 0, 12, 1), (4, 3, 8, 3), (8, 0, 6, 7),
+                                  (3, 0, 5, 0), (5, 0, 0, 4)):
+        d, q, dp = kernel.int_rows(a, n_lo, n_hi, mu_max)
+        oq, op = oracle_tables(a, n_hi, mu_max)
+        assert d == (lcm_upto(n_hi) if mu_max else 1)
+        assert q == oq[n_lo:]
+        assert len(dp) == mu_max
+        for mu, col in enumerate(dp, 1):
+            assert all(type(v) is int for v in col)
+            assert col == [v * d ** mu for v in op[mu - 1][n_lo:]]
+
+
 def test_rows_match_fraction_oracle_for_every_mu():
     # every a the CLI accepts and every mu = 0..a-1, as single rows and
     # as a range that starts past 0

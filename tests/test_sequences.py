@@ -316,12 +316,13 @@ def test_make_paper_recurrences_shape():
     apt = specs["aptekarev_q"]
     assert apt.order == 3 and apt.n_min == 2
     assert apt.initial == (1, 3, 50)
+    # initial values: ints, and the others as (num, den) pairs
     riv = specs["rivoal_p"]
-    assert riv.initial == (-1, 4, Fraction(77, 4))
-    assert specs["rivoal_q"].initial == (1, 7, Fraction(65, 2))
+    assert riv.initial == (-1, 4, (77, 4))
+    assert specs["rivoal_q"].initial == (1, 7, (65, 2))
     assert specs["a3_p2"].inhom is not None
     assert specs["a3_q"].inhom is None
-    assert specs["a4_p3"].initial == (0, 60, 402, Fraction(50761, 9))
+    assert specs["a4_p3"].initial == (0, 60, 402, (50761, 9))
 
 
 def test_recurrences_hold_midrange():
@@ -356,11 +357,22 @@ def test_inhomogeneous_check_sees_one_unit_of_the_scale():
     ps[15] += Fraction(1, lcm_upto(30) ** 3)
     assert recurrence_check(spec, ps, range(2, 29)) is False
     assert recurrence_check(spec, ps, range(2, 13)) is True
+    # the same on the ints D^3 p_{n,3} over D^3, as the suite reads them,
+    # and a wrong common denominator fails the inhomogeneous check
+    d, _, dp = kernel.int_rows(4, 0, 30, 3)
+    ys = dp[2]
+    assert d == lcm_upto(30)
+    assert recurrence_check(spec, ys, range(2, 29), d ** 3) is True
+    assert recurrence_check(spec, ys, range(2, 29), 2 * d ** 3) is False
+    ys[15] += 1
+    assert recurrence_check(spec, ys, range(2, 29), d ** 3) is False
+    assert recurrence_check(spec, ys, range(2, 13), d ** 3) is True
 
 
-def test_recurrence_check_fraction_coefficients():
-    # c0(n) y_n + c1(n) y_{n+1} = num(n)/den(n), every polynomial with
-    # non-integer coefficients; y is grown by hand in Fraction arithmetic.
+def _fractional_spec():
+    """(spec, ys): c0(n) y_n + c1(n) y_{n+1} = num(n)/den(n), every
+    polynomial with non-integer coefficients, and y_0..y_20 grown by
+    hand in Fraction arithmetic."""
     c0 = (Fraction(1, 3), Fraction(2, 5))
     c1 = (Fraction(-7, 2), 0, Fraction(1, 4))
     num = (Fraction(5, 6), Fraction(-1, 9))
@@ -376,11 +388,42 @@ def test_recurrence_check_fraction_coefficients():
         "fractional", (0, 1),
         (lambda n: horner(c0, n), lambda n: horner(c1, n)),
         (lambda n: horner(num, n), lambda n: horner(den, n)), (ys[0],), 0)
+    return spec, ys
+
+
+def test_recurrence_check_fraction_coefficients():
+    spec, ys = _fractional_spec()
     assert recurrence_check(spec, ys, range(20)) is True
     assert recurrence_generate(spec, 20) == ys
     ys[9] += Fraction(1, 10 ** 9)
     assert recurrence_check(spec, ys, range(20)) is False
     assert recurrence_check(spec, ys, range(8)) is True
+
+
+def test_integer_generation_matches_fraction_oracle():
+    # every paper spec (the inhomogeneous a2_p1, a3_p2 and a4_p3 too)
+    # and a spec with Fraction coefficients, at every n_max <= 60
+    specs = list(make_paper_recurrences().values()) + [_fractional_spec()[0]]
+    for spec in specs:
+        want = oracles.recurrence_generate_fraction(spec, 60)
+        for n_max in range(61):
+            got = recurrence_generate(spec, n_max)
+            assert got == want[:n_max + 1], (spec.name, n_max)
+        assert all(type(v) is Fraction for v in got), spec.name
+
+
+def test_generation_stops_at_a_vanishing_coefficient():
+    # (n-5) y_{n+1} = (n-5) y_n: y_6 needs a division by 0 at n = 5
+    toy = RecurrenceSpec("toy", (0, 1), (lambda n: 5 - n, lambda n: n - 5),
+                         None, (1,), 0)
+    pole = RecurrenceSpec("pole", (0, 1), (lambda n: 1, lambda n: 1),
+                          (lambda n: 1, lambda n: n), (1,), 0)
+    for generate in (recurrence_generate, oracles.recurrence_generate_fraction):
+        assert generate(toy, 5) == [1] * 6
+        assert generate(pole, 0) == [1]
+        for spec, n_max in ((toy, 6), (pole, 1)):
+            with pytest.raises(ArithmeticError):
+                generate(spec, n_max)
 
 
 def test_recurrence_generate_matches_sums():
