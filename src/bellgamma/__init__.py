@@ -14,19 +14,19 @@ __version__ = "0.1.0"
 # defining module -> the public names it provides
 _MODULES = {
     "asymptotics": (
-        "ExponentProfile", "bm_coeffs", "exponent_profile", "lagrange_coeff"),
-    "bell": (
-        "bell_eval", "bell_eval_partitions", "bell_ladder",
-        "partition_multinomial", "partitions"),
+        "ExponentProfile", "bm_coeffs", "exponent_profile", "lagrange_coeff",
+        "linform_exponent"),
+    "bell": ("bell_eval", "bell_ladder"),
     "bernoulli": ("bernoulli_at", "bernoulli_number", "csc_power_coeffs",
                   "gen_bernoulli"),
     "common": ("PrecisionError", "binom", "factorial", "lcm_upto"),
     "exponents": (
-        "bm_pairs", "corollary_exponent", "lagrange_pair", "linform_exponent",
-        "qn_log_asymptotic"),
+        "bm_pairs", "corollary_exponent", "lagrange_pair", "qn_log_asymptotic"),
     "kernel": ("backend_name", "seq_tables"),
     "lemma1": ("lemma1_residual",),
     "numerics": ("BigFix", "gamma_const", "zeta_const"),
+    "partition_sum": (
+        "bell_eval_partitions", "partition_multinomial", "partitions"),
     "recurrences": (
         "RecurrenceSpec", "aptekarev_seq", "make_paper_recurrences",
         "recurrence_check", "recurrence_generate"),

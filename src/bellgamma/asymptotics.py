@@ -1,9 +1,10 @@
 """The `asymptotics` command: exact b_m(a) profiles.
 
 The coefficients b_m(a) and c_m are computed in integers in module
-exponents, with the three exponent evaluations: the linear-form decay
-rate, its corollary form with cos(2 pi m / a) - 1 factors, and the
-log-scale asymptotic main term of q_n.  This module wraps those
+exponents, with two of the three exponent evaluations: the corollary
+form with cos(2 pi m / a) - 1 factors, and the log-scale asymptotic main
+term of q_n.  The third, the linear-form decay rate (linform_exponent),
+is here, since only this command evaluates it.  This module wraps the
 integer pairs as Fractions (bm_coeffs, lagrange_coeff) and
 cmd_asymptotics prints the profiles.  Only the asymptotics command and
 library callers load it: approx and table read the exponents from
@@ -12,17 +13,25 @@ loads fractions.  Neither this module nor saddle loads numerics: the
 exponents are doubles.
 """
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .common import EXIT_OK, PROFILE_KINDS, _json
 from .exponents import (bm_pairs, corollary_exponent, lagrange_pair,
-                        linform_exponent, qn_log_asymptotic)
+                        qn_log_asymptotic)
 
 
 def lagrange_coeff(a: int, m: int) -> Fraction:
     """c_m = (2 - m/a)_{m-1} / m!, the series-reversion coefficient."""
     return Fraction(*lagrange_pair(a, m))
+
+
+def linform_exponent(a: int, n: int) -> float:
+    """sum_{m=1}^{a-1} (-1)^m b_m(a) cos(2 pi m / a) n^{1-m/a}."""
+    return sum((-1) ** m * (num / den) * math.cos(2 * math.pi * m / a)
+               * float(n) ** (1 - m / a)
+               for m, (num, den) in enumerate(bm_pairs(a)[:-1], 1))
 
 
 def bm_coeffs(a: int) -> list:

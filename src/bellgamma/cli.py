@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands, each run by the function cmd_<command> of the module that
-computes what it prints (_RUNNERS):
+computes what it prints, or of a module of its own (_RUNNERS):
   approx       one approximation row (sequences)
-  table        convergence table over an inclusive n range (sequences)
+  table        convergence table over an inclusive n range (table)
   verify       exact identity suites with per-check pass/fail lines (verify)
-  constants    gamma and zeta reference values (numerics)
+  constants    gamma and zeta reference values (constants)
   asymptotics  exponent coefficient profiles (asymptotics)
   roots        saddle-root refinement report (saddle)
 
@@ -18,29 +18,33 @@ output.
 
 Every flag is declared once, in _FLAGS.  main reads a well-formed
 command line (the command, then each of its flags at most once, spelled
-out and with its value) directly from that table; it imports argparse
-only to read any other spelling, print --help or report a usage error,
-and both readers give the same namespace.  main range-checks it, opens
-the output, imports the one module that runs the command, and writes
-the text that module's cmd_<command> returns with its exit code.
+out and with its value) directly from that table.  Only for any other
+spelling, --help or a usage error does it import module parser, whose
+build_parser turns the same table into an argparse parser, and both
+readers give the same namespace.  main range-checks it, opens the
+output, imports the one module that runs the command, and writes the
+text that module's cmd_<command> returns with its exit code.
 
 This module is the front end only: importing it loads the package and
 module common, nothing else, so a request compiles only the modules its
-command runs.  constants loads numerics alone; asymptotics and roots
+command runs, and of those only the functions it can call.  constants
+loads numerics and its own module constants; asymptotics and roots
 never load sequences or numerics, and only roots and the saddle suite
-load saddle (and cmath).  approx and table load sequences (the q/p rows
-and the convergence measurement), numerics (BigFix and the constants)
-and exponents (the predicted exponent) but neither fractions nor the
-saddle, recurrence, lemma-1, tail or Bernoulli code.  Only verify loads
-a suite, and only its own: module verify holds the command and the bell
-and integrality suites, and each other suite lives in the module it
-checks (lemma1, recurrences, bernoulli, tail, saddle); of the suites
-only the tail suite loads numerics.  fractions is loaded only by the
+load saddle (and cmath).  approx loads sequences (the q/p rows, the
+convergence measurement and the command), kernel and bell (the rows),
+numerics (BigFix and the oracles) and exponents (the predicted
+exponent); table loads the same and module table, its command.
+Neither loads fractions, argparse or the saddle, recurrence, lemma-1,
+tail, Bernoulli or partition-sum code, nor the linear-form exponent
+(in asymptotics) or the constants command.  Only verify loads a suite,
+and only its own: module verify holds the command and the integrality
+suite, and each other suite lives in the module it checks (lemma1,
+recurrences, bernoulli, tail, saddle, and partition_sum for the bell
+suite); no suite loads numerics.  fractions is loaded only by the
 asymptotics command and the bell, bernoulli and lemma1 suites, which
-print or check a Fraction.  No command loads json:
-common._json prints json.dumps's bytes itself.  No module of the
-package imports this one: under `python -m bellgamma.cli` that would
-compile it a second time.
+print or check a Fraction.  No command loads json: common._json prints
+json.dumps's bytes itself.  No module of the package imports this one:
+under `python -m bellgamma.cli` that would compile it a second time.
 """
 
 import contextlib
@@ -134,50 +138,13 @@ _FLAGS = {
               ("--n", "n", int, 10 ** 6, False, None, None),
               _format("text"), _OUT),
 }
-_COMMAND_HELP = {
-    "approx": "one approximation row",
-    "table": "convergence table over an n range",
-    "verify": "exact identity suites",
-    "constants": "gamma and zeta reference values",
-    "asymptotics": "exponent coefficient profiles",
-    "roots": "saddle-root refinement report",
-}
-
-
-def build_parser():
-    """The argparse parser of _FLAGS.  main runs it only on a command
-    line _read_argv leaves to it: it prints --help and usage errors, and
-    reads the spellings argparse accepts beyond the direct reader's."""
-    import argparse
-
-    ap = argparse.ArgumentParser(
-        prog="bellgamma",
-        description="Exact rational approximations to Bell-polynomial "
-                    "combinations of gamma and zeta values.")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for command, flags in _FLAGS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
-        for option, dest, kind, default, required, text, metavar in flags:
-            kwargs = {"dest": dest, "default": default, "help": text}
-            if kind is None:
-                kwargs["action"] = "store_true"
-            elif kind is int:
-                kwargs["type"] = int
-            elif kind is not str:
-                kwargs["choices"] = kind
-            if required:
-                kwargs["required"] = True
-            if metavar:
-                kwargs["metavar"] = metavar
-            p.add_argument(option, **kwargs)
-    return ap
 
 
 def _read_argv(argv):
-    """The namespace build_parser().parse_args(argv) returns, read
-    without argparse when argv is a command followed by its exact long
-    flags, each at most once, each but a store_true one followed by its
-    value, and every required flag present.  An int value must convert
+    """The namespace parser.build_parser(_FLAGS).parse_args(argv) gives,
+    read without argparse when argv is a command followed by its exact
+    long flags, each at most once, each but a store_true one followed by
+    its value, and every required flag present.  An int value must convert
     by int() and a choice be one of its choices; a value may start with
     '-' only as an int flag's '-' and decimal digits, which argparse too
     reads as a negative number.  Otherwise None: argparse then reads
@@ -297,8 +264,8 @@ def _open_out(path):
 # The module that runs each command, as its function cmd_<command>.
 # main imports only the one a request names, so a process compiles only
 # that command's code.
-_RUNNERS = {"approx": "sequences", "table": "sequences", "verify": "verify",
-            "constants": "numerics", "asymptotics": "asymptotics",
+_RUNNERS = {"approx": "sequences", "table": "table", "verify": "verify",
+            "constants": "constants", "asymptotics": "asymptotics",
             "roots": "saddle"}
 
 
@@ -308,7 +275,9 @@ def main(argv=None) -> int:
     try:
         args = _read_argv(argv)
         if args is None:
-            args = build_parser().parse_args(argv)
+            from .parser import build_parser
+
+            args = build_parser(_FLAGS).parse_args(argv)
         _check_args(args)
         with _open_out(args.out) as fh:
             runner = importlib.import_module("." + _RUNNERS[args.command],

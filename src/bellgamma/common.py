@@ -1,6 +1,8 @@
 """What every command shares: exit codes, the precision limits and
 their error, the profile kinds of asymptotics (the values of its
---kind), exact integer helpers, and the decimal and json writers.
+--kind), exact integer helpers (rounding a ratio of ints to nearest
+among them, for BigFix and the tail suite), and the decimal and json
+writers.
 
 The command-line front end loads this module and nothing else of the
 package, also for the --digits limits of its range checks, so it
@@ -55,6 +57,15 @@ def lcm_upto(n: int) -> int:
     if n < 0:
         raise ValueError("lcm_upto requires n >= 0")
     return math.lcm(*range(1, n + 1))
+
+
+def _div_nearest(a: int, b: int) -> int:
+    """Round a/b to the nearest integer, ties to even.  Requires b > 0."""
+    q, r = divmod(a, b)
+    r2 = 2 * r
+    if r2 > b or (r2 == b and q & 1):
+        q += 1
+    return q
 
 
 # ---------------------------------------------------------------------------

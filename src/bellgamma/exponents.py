@@ -6,10 +6,13 @@ series log expansion) are computed here as integer pairs (numerator,
 denominator), denominator positive, and each exponent is a double.  A
 pair's value is taken as num / den: int true division is correctly
 rounded, so it is the double of the exact rational.  approx and table
-read the predicted exponent and the q_n main term here, roots and the
-saddle suite the c_m of the root seeds, and asymptotics wraps the pairs
-as Fractions for its profiles.  So only the commands that print a
-coefficient load fractions.
+read the predicted exponent (corollary_exponent) here and table the q_n
+main term, roots and the saddle suite the c_m of the root seeds, and
+asymptotics wraps the pairs as Fractions for its profiles.  The
+linear-form exponent, which only the asymptotics command evaluates,
+lives in module asymptotics (linform_exponent), so approx and table do
+not compile it.  So only the commands that print a coefficient load
+fractions.
 """
 
 import functools
@@ -60,13 +63,6 @@ def bm_pairs(a: int) -> tuple:
         mu.append(acc)
     return tuple((-a * (mu[m] + lagrange_pair(a, m)[0] * k ** m),
                   factorial(m) * (a * k) ** m) for m in range(1, a + 1))
-
-
-def linform_exponent(a: int, n: int) -> float:
-    """sum_{m=1}^{a-1} (-1)^m b_m(a) cos(2 pi m / a) n^{1-m/a}."""
-    return sum((-1) ** m * (num / den) * math.cos(2 * math.pi * m / a)
-               * float(n) ** (1 - m / a)
-               for m, (num, den) in enumerate(bm_pairs(a)[:-1], 1))
 
 
 def corollary_exponent(a: int, n: int) -> float:

@@ -56,18 +56,19 @@ class Column(tuple):
     __rmul__ = __mul__
 
 
-def weights(a: int, n: int):
-    """Yield (k, C(n,k)^a k!) for k = 0..n.
+def weights(a: int, n: int) -> list:
+    """[C(n,k)^a k! for k = 0..n].
 
     Each weight follows from the one before by the exact ratio
     w_k = w_{k-1} (n-k+1)^a / k^{a-1}, one product and one division by
     small integers, never a power of the large C(n,k)."""
     w = 1
+    ws = [w]
     am1 = a - 1
-    yield 0, w
     for k in range(1, n + 1):
         w = w * (n - k + 1) ** a // k ** am1
-        yield k, w
+        ws.append(w)
+    return ws
 
 
 def scaled_harmonics(n_max: int, m_max: int, d: int) -> list[list[int]]:
@@ -113,7 +114,7 @@ def row(a: int, n: int, halves):
     weights C(n,k)^a k! and the Columns of D^m r_m(k) over k = 0..n, and
     the row's sums as ints, one Bell ladder over the Columns."""
     _, hi, lo = halves
-    ws = [w for _, w in weights(a, n)]
+    ws = weights(a, n)
     cols = r_columns(hi, lo, n)
     dp = [sum(map(mul, ws, y)) for y in bell_ladder(cols)[1:]] if cols else []
     return ws, cols, sum(ws), dp

@@ -12,18 +12,18 @@ gamma and P. Borwein's alternating sum for zeta(m).  Their truncation
 and rounding bounds (in the docstrings of _gamma_mantissa and
 _zeta_mantissa) lie far below the guard digits, so each value is
 correctly rounded unless it lies within about 10^-9 of its last unit
-from a rounding tie.  cmd_constants, the `constants` command, prints
-them.
+from a rounding tie.  The `constants` command prints them from its own
+module, constants, so that approx and table never compile it.
 
-Only approx, table, constants and `verify --suite tail` load this
-module; the integer helpers and the precision limit every command
-shares are in module common.
+Only approx, table and constants load this module, and library callers
+such as tail.tail_series; the integer helpers (_div_nearest among them)
+and the precision limit every command shares are in module common.
 """
 
 import functools
 import math
 
-from .common import _MAX_DIGITS, EXIT_OK, PrecisionError, _decimal_str, _json
+from .common import _MAX_DIGITS, PrecisionError, _decimal_str, _div_nearest
 
 LN10 = math.log(10.0)
 
@@ -31,15 +31,6 @@ LN10 = math.log(10.0)
 # ---------------------------------------------------------------------------
 # fixed-point kernel helpers (integer mantissas at a common scale)
 # ---------------------------------------------------------------------------
-
-def _div_nearest(a: int, b: int) -> int:
-    """Round a/b to the nearest integer, ties to even.  Requires b > 0."""
-    q, r = divmod(a, b)
-    r2 = 2 * r
-    if r2 > b or (r2 == b and q & 1):
-        q += 1
-    return q
-
 
 def _fix_atanh_recip(q: int, w: int) -> int:
     """atanh(1/q) at scale w (integer q >= 2), as a fixed-point
@@ -427,23 +418,3 @@ def zeta_const(m: int, digits: int) -> BigFix:
     _check_digits("zeta_const", digits)
     return _oracle(_ZETA_CACHE, m, digits,
                    lambda d: _zeta_mantissa(m, d))
-
-
-def cmd_constants(args) -> tuple[str, int]:
-    """The `constants` command: gamma and zeta(2)..zeta(--zeta-max)."""
-    digits = args.digits if args.digits is not None else args.env_digits
-    ms = range(2, args.zeta_max + 1)
-    names = ["gamma"] + ["zeta(%d)" % m for m in ms]
-    vals = [gamma_const(digits)] + [zeta_const(m, digits) for m in ms]
-    if args.fmt == "json":
-        obj = {"digits": digits,
-               "gamma": vals[0].to_decimal(),
-               "zeta": {str(m): v.to_decimal() for m, v in zip(ms, vals[1:])}}
-        text = _json(obj)
-    elif args.fmt == "csv":
-        text = "name,value\n" + "".join(
-            "%s,%s\n" % (n, v.to_decimal()) for n, v in zip(names, vals))
-    else:
-        text = "".join("%s = %s\n" % (n, v.to_decimal())
-                       for n, v in zip(names, vals))
-    return text, EXIT_OK

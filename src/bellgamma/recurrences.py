@@ -246,9 +246,11 @@ def make_paper_recurrences() -> dict:
 
 def _aptekarev_ints(n_max: int):
     """(d, q, p) with d = lcm(1..2 n_max) (1 for n_max = 0), q[n] = q~_n
-    and p[n] = d p~_n, all ints: the explicit sums of aptekarev_seq, each
-    weight C(n,k)^2 (n+k)! from the one before by the term ratio
-    (n-k+1)^2 (n+k) / k^2."""
+    and p[n] = d p~_n, all ints: the explicit sums of aptekarev_seq.
+    Their weights C(n,k)^2 (n+k)! are n! C(n,k)^2 (n+1)...(n+k), so each
+    row sums the smaller C(n,k)^2 (n+1)...(n+k), each from the one
+    before by the term ratio (n-k+1)^2 (n+k) / k^2, and multiplies its
+    two sums by n! once."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     d = lcm_upto(2 * n_max) if n_max >= 1 else 1
@@ -256,15 +258,16 @@ def _aptekarev_ints(n_max: int):
     q = []
     p = []
     for n in range(n_max + 1):
-        w = factorial(n)
+        w = 1
         qn = pn = 0
         for k in range(n + 1):
             if k:
                 w = w * (n - k + 1) ** 2 * (n + k) // (k * k)
             qn += w
             pn += w * (sh[n + k] + 2 * sh[n - k] - 2 * sh[k])
-        q.append(qn)
-        p.append(pn)
+        f = factorial(n)
+        q.append(f * qn)
+        p.append(f * pn)
     return d, q, p
 
 

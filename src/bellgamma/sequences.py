@@ -8,13 +8,14 @@ alpha_mu, one Bell ladder over the BigFix constants, certified by a
 stated radius (_alpha_radius, one per a and mu).  The log of that error
 is taken at 40 working digits (BigFix.ln_float), not at the row's full
 scale, whenever they settle the double it prints.  Floating point
-enters only in those measurements.  The two commands themselves,
-cmd_approx and cmd_table, are at the end: each row's working digits
-(_row_digits) and its rendering as csv, json or text.
-The exactly checked identities live in their own modules, so that these
-commands never compile them: lemma 1 in lemma1 (with symring), the
-classical recurrences in recurrences, and the alternating tail of the
-integral remainder in tail.
+enters only in those measurements.  Each row's working digits
+(_row_digits) and the `approx` command, cmd_approx, are at the end; the
+`table` command, cmd_table, which renders many rows (and the optional
+q_n / main-term column), is in module table, so that approx never
+compiles it.  The exactly checked identities live in their own modules,
+so that these commands never compile them: lemma 1 in lemma1 (with
+symring), the classical recurrences in recurrences, and the alternating
+tail of the integral remainder in tail.
 
 Costs: every q/p value comes straight from the kernel, and nothing is
 cached between calls.  A single value (q_at, p_at, convergence_row) is
@@ -35,7 +36,7 @@ from . import kernel
 from .bell import bell_ladder
 from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_OK, PrecisionError,
                      _decimal_str, _json, factorial)
-from .exponents import corollary_exponent, qn_log_asymptotic
+from .exponents import corollary_exponent
 from .numerics import LN10, BigFix, gamma_const, zeta_const
 
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
@@ -276,57 +277,4 @@ def cmd_approx(args) -> tuple[str, int]:
             "err_log10 = %.6g\n" % (row.err_log / LN10),
             "predicted_log10 = %.6g\n" % (row.predicted_exponent / LN10),
         ))
-    return text, EXIT_OK
-
-
-def _qn_ratio(a: int, n: int, q: int) -> float | None:
-    """q = q_n over the asymptotic main term of q_n; None for n = 0."""
-    if n < 1:
-        return None
-    return math.exp(math.log(q) - qn_log_asymptotic(a, n))
-
-
-def cmd_table(args) -> tuple[str, int]:
-    """The `table` command: convergence rows over args.n_range."""
-    start, stop, step = args.n_range
-    ns = range(start, stop + 1, step)
-    # The last row first: a range past the limit is refused before it is
-    # listed.
-    _row_digits(args, ns[-1])
-    digits = [_row_digits(args, n) for n in ns]
-    # The most precise constants first: every row rounds from them.
-    top = max(digits) + _ROW_GUARD
-    gamma_const(top)
-    for m in range(2, args.mu + 1):
-        zeta_const(m, top)
-    rows = [convergence_row(args.a, args.mu, n, d)
-            for n, d in zip(ns, digits)]
-    ratios = ([_qn_ratio(args.a, r.n, r.q) for r in rows]
-              if args.qn_ratio else None)
-    if args.fmt == "json":
-        objs = []
-        for i, r in enumerate(rows):
-            obj = {"a": r.a, "mu": r.mu, "n": r.n,
-                   "p_num": r.p_num, "p_den": r.p_den,
-                   "q": r.q, "err_log10": r.err_log / LN10,
-                   "predicted_log10": r.predicted_exponent / LN10}
-            if ratios is not None:
-                obj["qn_ratio"] = ratios[i]
-            objs.append(obj)
-        text = _json(objs)
-    else:
-        text = records_to_csv(rows)
-        if ratios is not None:
-            lines = text.splitlines()
-            lines[0] += ",qn_ratio"
-            for i, v in enumerate(ratios):
-                lines[i + 1] += "," + ("" if v is None else "%.6g" % v)
-            text = "\n".join(lines) + "\n"
-        if args.fmt == "text":
-            grid = [line.split(",") for line in text.splitlines()]
-            widths = [max(len(row[i]) for row in grid)
-                      for i in range(len(grid[0]))]
-            text = "\n".join("  ".join(cell.rjust(w)
-                                       for cell, w in zip(row, widths))
-                             for row in grid) + "\n"
     return text, EXIT_OK

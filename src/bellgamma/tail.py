@@ -1,17 +1,21 @@
 """The alternating tail of the integral remainder, in exact integers.
 
 suite_tail is `verify --suite tail`.  Only that suite and library
-callers import this module, and it imports numerics alone, so that
-suite compiles none of the ring or kernel code and loads no fractions.
+callers import this module, and it imports common alone: the suite
+rounds each truncated sum from its integer pair (_tail_ratio), and only
+tail_series, the library's BigFix value, imports numerics.  So that
+suite compiles none of the ring, kernel or BigFix code and loads no
+fractions.
 """
 
-from .numerics import BigFix
+from .common import _div_nearest
 
 
-def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
-    """Alternating remainder sum (n+1)^{-a} sum_k (-1)^{(u+1)k+a-1}
-    k!^{a-1} / ((n+2)_k)^a, truncated when terms drop below
-    10^{-digits-5}.  Terms decay at least like 1/k!."""
+def _tail_ratio(a: int, u: int, n: int, digits: int) -> tuple[int, int]:
+    """(num, den), den > 0, with num/den the alternating remainder sum
+    (n+1)^{-a} sum_k (-1)^{(u+1)k+a-1} k!^{a-1} / ((n+2)_k)^a,
+    truncated when terms drop below 10^{-digits-5}.  Terms decay at
+    least like 1/k!."""
     if abs(u) > a:
         raise ValueError("require |u| <= a")
     if n < 1:
@@ -38,7 +42,15 @@ def tail_series(a: int, u: int, n: int, digits: int) -> BigFix:
         num_scaled *= g
         den *= f
         acc *= f
-    return BigFix.from_ratio(acc, den * (n + 1) ** a, digits)
+    return acc, den * (n + 1) ** a
+
+
+def tail_series(a: int, u: int, n: int, digits: int):
+    """The sum of _tail_ratio(a, u, n, digits) as a BigFix at `digits`,
+    rounded to nearest."""
+    from .numerics import BigFix
+
+    return BigFix.from_ratio(*_tail_ratio(a, u, n, digits), digits)
 
 
 def suite_tail(args) -> list:
@@ -55,7 +67,8 @@ def suite_tail(args) -> list:
         ok = True
         for u in range(-a, a + 1):
             for n in (5, 10, 20):
-                m = tail_series(a, u, n, args.digits).mantissa
+                num, den = _tail_ratio(a, u, n, args.digits)
+                m = _div_nearest(num * one, den)  # tail_series's mantissa
                 big_a, big_b = (n + 1) ** a, (n + 2) ** a
                 ok = ok and (abs(big_a * abs(m) - one) * big_b
                              <= 2 * one + big_a * big_b)

@@ -1,28 +1,29 @@
-"""The `verify` command and the suites of the modules every request loads.
+"""The `verify` command and the integrality suite.
 
 A suite takes the parsed command-line namespace, in which the flags it
 reads (a, nmax, digits) hold the suite's defaults when not given, and
 returns a list of (check name, passed) pairs.  Each suite is the public
 function suite_<name> of the module that SUITES gives for its name, next
 to the code it checks: lemma1, recurrences, bernoulli, tail and saddle
-hold their own.  The bell and integrality suites stay here, because bell
-and kernel are compiled by every approx and table request, which runs
-no suite.  cmd_verify, the `verify` command, imports the suite's module
-and prints its results; only that command imports this module.  So a
-request compiles its own suite and no other: the bell suite never loads
-sequences or bernoulli, for instance, and only the tail suite loads
-numerics (with module tail).  The integrality suite works in integers,
-on the kernel's integer table (kernel.int_rows), and only the bell
-suite imports fractions here.
+hold their own, and the bell suite lives in partition_sum with the
+partition-sum oracle it compares the Bell ladder with.  The integrality
+suite stays here, because kernel is compiled by every approx and table
+request, which runs no suite.  cmd_verify, the `verify` command, imports
+the suite's module and prints its results; only that command imports
+this module.  So a request compiles its own suite and no other: the bell
+suite never loads sequences or bernoulli, for instance, and no suite
+loads numerics.  The integrality suite works in integers, on the
+kernel's integer table (kernel.int_rows).
 """
 
 import importlib
 
-from .common import EXIT_OK, EXIT_VERIFY, binom, lcm_upto
+from .common import EXIT_OK, EXIT_VERIFY, lcm_upto
 
 # suite name -> the module that defines suite_<name>
 SUITES = {"lemma1": "lemma1", "recurrences": "recurrences",
-          "integrality": "verify", "bernoulli": "bernoulli", "bell": "verify",
+          "integrality": "verify", "bernoulli": "bernoulli",
+          "bell": "partition_sum",
           "tail": "tail", "saddle": "saddle"}
 
 
@@ -58,43 +59,4 @@ def suite_integrality(args) -> list:
         ok = all(lcm_upto(n) ** mu * v % dmu == 0 for n, v in enumerate(col))
         out.append(("integrality lcm(1..n)^%d p_{n,%d} integral: a=%d n=0..%d"
                     % (mu, mu, a, nmax), ok))
-    return out
-
-
-def suite_bell(args) -> list:
-    """The checks of `verify --suite bell`: the ladder against the
-    partition sum, the addition theorem and isobaric scaling."""
-    import random
-    from fractions import Fraction
-
-    from . import bell
-
-    rng = random.Random(20250814)
-    out = []
-    ok = True
-    for n in range(0, 9):
-        for _ in range(4):
-            xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                  for _ in range(n)]
-            ok = ok and bell.bell_eval(xs) == bell.bell_eval_partitions(xs)
-    out.append(("bell ladder vs partition sum, n<=8 random rationals", ok))
-    ok = True
-    for n in range(0, 8):
-        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-              for _ in range(n)]
-        ys = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-              for _ in range(n)]
-        lhs = bell.bell_eval([a + b for a, b in zip(xs, ys)])
-        rhs = sum(binom(n, k) * bell.bell_eval(xs[:k])
-                  * bell.bell_eval(ys[:n - k]) for k in range(n + 1))
-        ok = ok and lhs == rhs
-    out.append(("bell addition theorem, n<=7", ok))
-    ok = True
-    c = Fraction(3, 7)
-    for n in range(0, 8):
-        xs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-              for _ in range(n)]
-        scaled = [c ** (j + 1) * v for j, v in enumerate(xs)]
-        ok = ok and bell.bell_eval(scaled) == c ** n * bell.bell_eval(xs)
-    out.append(("bell isobaric scaling, n<=7", ok))
     return out

@@ -90,7 +90,7 @@ def _f_sym_all(a: int, n: int):
     mu_max = a - 1
     mi = max(mu_max, 1)
     acc = [SymPoly.zero(mi) for _ in range(mu_max + 1)]
-    for k, w in kernel.weights(a, n):
+    for k, w in enumerate(kernel.weights(a, n)):
         if mu_max:
             xs = [f_deriv_sym(a, n, k, m) for m in range(1, mu_max + 1)]
             ys = bell_ladder(xs)

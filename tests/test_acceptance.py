@@ -11,12 +11,13 @@ import time
 from fractions import Fraction
 
 from bellgamma.asymptotics import bm_coeffs
-from bellgamma.bell import bell_eval_partitions, bell_ladder
+from bellgamma.bell import bell_ladder
 from bellgamma.bernoulli import bernoulli_at, csc_power_coeffs, gen_bernoulli
 from bellgamma.bernoulli import _series_mul, _series_pow
 from bellgamma.common import binom, factorial, lcm_upto
 from bellgamma.exponents import corollary_exponent, qn_log_asymptotic
 from bellgamma.numerics import gamma_const
+from bellgamma.partition_sum import bell_eval_partitions
 from bellgamma.lemma1 import lemma1_residual
 from bellgamma.recurrences import (
     aptekarev_seq,

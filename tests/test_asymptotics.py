@@ -12,6 +12,7 @@ from bellgamma.asymptotics import (
     bm_coeffs,
     exponent_profile,
     lagrange_coeff,
+    linform_exponent,
 )
 from bellgamma.bernoulli import _series_mul
 from bellgamma.common import PROFILE_KINDS
@@ -19,7 +20,6 @@ from bellgamma.exponents import (
     bm_pairs,
     corollary_exponent,
     lagrange_pair,
-    linform_exponent,
     qn_log_asymptotic,
 )
 from bellgamma.saddle import (

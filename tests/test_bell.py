@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from bellgamma.bell import (
-    bell_eval,
+from bellgamma.bell import bell_eval, bell_ladder
+from bellgamma.common import binom
+from bellgamma.partition_sum import (
     bell_eval_partitions,
-    bell_ladder,
     partition_multinomial,
     partitions,
 )
-from bellgamma.common import binom
 
 
 def rand_args(rng, n):

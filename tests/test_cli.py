@@ -2,7 +2,7 @@
 
 import ast
 import hashlib
-import importlib
+import importlib.util
 import json
 import math
 import os
@@ -15,7 +15,8 @@ import oracles
 import pytest
 
 import bellgamma
-from bellgamma import cli, kernel, lemma1, numerics, sequences, verify
+from bellgamma import (cli, kernel, lemma1, numerics, parser, partition_sum,
+                       sequences, verify)
 from bellgamma.bell import bell_ladder
 from bellgamma.exponents import corollary_exponent
 
@@ -265,7 +266,7 @@ def test_verify_integrality_builds_one_store(argv, passed, rows, capsys,
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "suite_bell",
+    monkeypatch.setattr(partition_sum, "suite_bell",
                         lambda cfg: [("forced failure", False)])
     code, out, _ = run_cli(capsys, "verify", "--suite", "bell")
     assert code == 1
@@ -324,21 +325,21 @@ def _rivoal_tap_typo(real):
 
 def _tail_first_term_off(real):
     # the k = 0 term taken as (n+1)^-(a-1), not (n+1)^-a
-    def tail_series(a, u, n, digits):
+    def _tail_ratio(a, u, n, digits):
         extra = Fraction((-1) ** (a - 1) * n, (n + 1) ** a)
-        return real(a, u, n, digits) + numerics.BigFix.from_fraction(
-            extra, digits)
-    return tail_series
+        total = Fraction(*real(a, u, n, digits)) + extra
+        return total.numerator, total.denominator
+    return _tail_ratio
 
 
 def _tail_first_term_n(real):
     # the k = 0 term taken as n^-a, not (n+1)^-a
-    def tail_series(a, u, n, digits):
+    def _tail_ratio(a, u, n, digits):
         extra = (-1) ** (a - 1) * (Fraction(1, n ** a)
                                    - Fraction(1, (n + 1) ** a))
-        return real(a, u, n, digits) + numerics.BigFix.from_fraction(
-            extra, digits)
-    return tail_series
+        total = Fraction(*real(a, u, n, digits)) + extra
+        return total.numerator, total.denominator
+    return _tail_ratio
 
 
 def _harmonic_scale_doubled(real):
@@ -366,7 +367,8 @@ def _harmonic_scale_doubled(real):
     ("recurrences", "recurrences", "make_paper_recurrences", _rivoal_tap_typo,
      None),
     ("recurrences", "kernel", "weights",
-     lambda real: lambda a, n: ((k, w + (k == 1)) for k, w in real(a, n)),
+     lambda real: lambda a, n: [w + (k == 1)
+                                for k, w in enumerate(real(a, n))],
      None),
     # the tables' common denominator wrong: only the inhomogeneous
     # relations a2_p1, a3_p2 and a4_p3 see it
@@ -378,8 +380,8 @@ def _harmonic_scale_doubled(real):
      lambda real: lambda a, m: real(a, m) + (m == 2), None),
     ("bell", "bell", "_binomials",
      lambda real: lambda j: (1, 4, 7, 4, 1) if j == 4 else real(j), None),
-    ("tail", "tail", "tail_series", _tail_first_term_off, {0, 1, 2}),
-    ("tail", "tail", "tail_series", _tail_first_term_n, {0, 1, 2}),
+    ("tail", "tail", "_tail_ratio", _tail_first_term_off, {0, 1, 2}),
+    ("tail", "tail", "_tail_ratio", _tail_first_term_n, {0, 1, 2}),
     ("saddle", "saddle", "saddle_roots",
      lambda real: lambda a, u, n: [
          r._replace(re=r.re + 1e-7 * (k == 0))
@@ -765,7 +767,8 @@ def test_row_digits_leave_room_for_guard(capsys, monkeypatch):
                            "--n", "3")
     assert code == 2 and "BELLGAMMA_DIGITS" in err
     monkeypatch.setenv("BELLGAMMA_DIGITS", "10000")
-    args = cli.build_parser().parse_args(["constants", "--digits", "10000"])
+    args = parser.build_parser(cli._FLAGS).parse_args(
+        ["constants", "--digits", "10000"])
     cli._check_args(args)  # constants keeps the oracles' full range
 
 
@@ -865,12 +868,13 @@ def test_approx_past_int_str_limit():
 # Each command loads only what it runs.  random and typing are left out:
 # `site` may load them before the package is imported.  No command loads
 # json (common._json prints it), and no well-formed command line loads
-# argparse or what it loads to print messages (cli._read_argv reads it).
-_PARSER = {"argparse", "gettext", "locale"}
+# argparse or what it loads to print messages, nor the fallback module
+# that builds the argparse parser (cli._read_argv reads it).
+_PARSER = {"bellgamma.parser", "argparse", "gettext", "locale"}
 _NEVER = {"bellgamma.verify", "bellgamma.bernoulli", "dataclasses",
           "logging"} | _PARSER
-# BigFix and the constants load only for approx, table, constants and
-# the tail suite
+# BigFix and the constants load only for approx, table and constants:
+# the tail suite rounds its sums from integer pairs
 _NO_BIGFIX = {"bellgamma.numerics"}
 # fractions and the modules it loads: only the commands that print or
 # check a Fraction load them
@@ -883,7 +887,10 @@ _ROWS = {"bellgamma.sequences", "bellgamma.kernel", "bellgamma.bell",
 _ROWS_NEVER = _NEVER | _NO_FRACTIONS | {
     "bellgamma.recurrences", "bellgamma.lemma1", "bellgamma.tail",
     "bellgamma.symring", "bellgamma.saddle", "bellgamma.asymptotics",
-    "cmath"}
+    "bellgamma.partition_sum", "bellgamma.constants", "cmath"}
+# approx runs one row; only table loads the table command
+_APPROX_NEVER = _ROWS_NEVER | {"bellgamma.table"}
+_TABLE = _ROWS | {"bellgamma.table"}
 # asymptotics and roots work in double precision from their own series
 _FLOAT_NEVER = {"bellgamma.sequences", "bellgamma.bernoulli"} | _NO_BIGFIX
 # roots and the saddle suite take c_m as integer pairs
@@ -893,23 +900,24 @@ _ROOTS = {"bellgamma.exponents", "bellgamma.saddle"}
 
 @pytest.mark.parametrize("argv, absent, present", [
     ("approx --a 3 --mu 1 --n 5",
-     _NEVER | _NO_FRACTIONS | {"bellgamma.saddle", "bellgamma.asymptotics"},
+     _NEVER | _NO_FRACTIONS | {"bellgamma.saddle", "bellgamma.asymptotics",
+                               "bellgamma.table"},
      {"bellgamma.sequences"}),
     ("constants --digits 30",
      _NEVER | _NO_FRACTIONS
      | {"bellgamma.sequences", "bellgamma.symring", "bellgamma.kernel",
         "bellgamma.bell", "bellgamma.asymptotics", "bellgamma.exponents",
-        "json"},
-     {"bellgamma.numerics"}),
+        "bellgamma.table", "json"},
+     {"bellgamma.numerics", "bellgamma.constants"}),
     ("verify --suite bell",
      {"dataclasses", "logging", "json", "bellgamma.bernoulli",
       "bellgamma.sequences", "bellgamma.kernel", "bellgamma.symring",
       "bellgamma.asymptotics"} | _NO_BIGFIX,
-     {"bellgamma.verify", "bellgamma.bell"}),
+     {"bellgamma.verify", "bellgamma.bell", "bellgamma.partition_sum"}),
     ("table --a 3 --mu 2 --n 0:20:10",
      _NO_FRACTIONS | {"bellgamma.lemma1", "bellgamma.verify",
                       "bellgamma.saddle", "bellgamma.asymptotics"},
-     {"bellgamma.sequences"}),
+     {"bellgamma.sequences", "bellgamma.table"}),
     ("verify --suite lemma1 --a 3 --nmax 2",
      {"dataclasses", "logging"} | _NO_BIGFIX,
      {"bellgamma.lemma1", "fractions"}),
@@ -917,11 +925,11 @@ _ROOTS = {"bellgamma.exponents", "bellgamma.saddle"}
     ("verify --suite bernoulli",
      {"bellgamma.sequences", "bellgamma.kernel"} | _NO_BIGFIX,
      {"bellgamma.bernoulli"}),
-    ("approx --a 4 --mu 3 --n 100", _ROWS_NEVER, _ROWS),
-    ("table --a 2 --mu 1 --n 0:40:20 --qn-ratio", _ROWS_NEVER, _ROWS),
+    ("approx --a 4 --mu 3 --n 100", _APPROX_NEVER, _ROWS),
+    ("table --a 2 --mu 1 --n 0:40:20 --qn-ratio", _ROWS_NEVER, _TABLE),
     ("verify --suite tail --digits 30",
-     _NO_FRACTIONS | {"bellgamma.symring", "bellgamma.kernel",
-                      "bellgamma.bell", "bellgamma.sequences"},
+     _NO_FRACTIONS | _NO_BIGFIX | {"bellgamma.symring", "bellgamma.kernel",
+                                   "bellgamma.bell", "bellgamma.sequences"},
      {"bellgamma.tail"}),
     ("verify --suite recurrences --nmax 8",
      {"bellgamma.symring", "bellgamma.sequences", "bellgamma.bernoulli"}
@@ -938,12 +946,12 @@ _ROOTS = {"bellgamma.exponents", "bellgamma.saddle"}
      {"bellgamma.kernel"}),
     ("constants --digits 20 --zeta-max 3",
      {"bellgamma.sequences", "bellgamma.bell"} | _NO_FRACTIONS,
-     {"bellgamma.numerics"}),
-    ("approx --a 3 --mu 2 --n 40 --format csv", _ROWS_NEVER, _ROWS),
-    ("approx --a 3 --mu 2 --n 40 --format json", _ROWS_NEVER, _ROWS),
-    ("table --a 3 --mu 1 --n 0:40:20 --format text", _ROWS_NEVER, _ROWS),
+     {"bellgamma.numerics", "bellgamma.constants"}),
+    ("approx --a 3 --mu 2 --n 40 --format csv", _APPROX_NEVER, _ROWS),
+    ("approx --a 3 --mu 2 --n 40 --format json", _APPROX_NEVER, _ROWS),
+    ("table --a 3 --mu 1 --n 0:40:20 --format text", _ROWS_NEVER, _TABLE),
     ("table --a 4 --mu 2 --n 0:40:20 --qn-ratio --format json",
-     _ROWS_NEVER, _ROWS),
+     _ROWS_NEVER, _TABLE),
     ("roots --a 5 --u 2 --format json", _ROOTS_NEVER, _ROOTS),
     ("asymptotics --a 4 --format json",
      {"bellgamma.saddle", "cmath"} | _NO_BIGFIX,
@@ -956,21 +964,72 @@ def test_command_loads_only_what_it_runs(argv, absent, present):
     assert present <= loaded
 
 
-def _modules_after(argv: str):
-    """(exit code, stderr, the modules loaded) of one run of the front
-    end as `python -m bellgamma.cli` runs it, as __main__: a module
-    importing bellgamma.cli would compile it a second time."""
+def _run_as_main(argv: str):
+    """(exit code, stdout, stderr, the modules loaded) of one run of the
+    front end as `python -m bellgamma.cli` runs it, as __main__: a
+    module importing bellgamma.cli would compile it a second time."""
     probe = ("import runpy, sys\n"
              "try:\n"
              "    runpy.run_module('bellgamma.cli', run_name='__main__',\n"
              "                     alter_sys=True)\n"
              "except SystemExit as exc:\n"
              "    code = exc.code\n"
-             "print(' '.join(sys.modules))\n"
+             "sys.stdout.write('\\n' + ' '.join(sys.modules) + '\\n')\n"
              "sys.exit(code)\n")
     out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
                          env=CHILD_ENV, capture_output=True, text=True)
-    return out.returncode, out.stderr, set(out.stdout.splitlines()[-1].split())
+    text, _, loaded = out.stdout[:-1].rpartition("\n")
+    return out.returncode, text, out.stderr, set(loaded.split())
+
+
+def _modules_after(argv: str):
+    """(exit code, stderr, the modules loaded) of _run_as_main(argv)."""
+    code, _, err, loaded = _run_as_main(argv)
+    return code, err, loaded
+
+
+# No approx or table request compiles a function it cannot call: the
+# partition-sum oracle, the argparse fallback, the constants command and
+# the linear-form exponent are defined in modules neither loads, and the
+# table command in one approx does not load.
+_ROWS_UNCALLED = {"bell_eval_partitions", "partitions",
+                  "partition_multinomial", "build_parser", "cmd_constants",
+                  "linform_exponent"}
+
+
+@pytest.mark.parametrize("argv, uncalled", [
+    ("approx --a 5 --mu 3 --n 60 --format json",
+     _ROWS_UNCALLED | {"cmd_table"}),
+    ("approx --a 2 --mu 1 --n 30 --format csv",
+     _ROWS_UNCALLED | {"cmd_table"}),
+    ("table --a 4 --mu 3 --n 0:240:30", _ROWS_UNCALLED),
+    ("table --a 3 --mu 2 --n 0:40:20 --qn-ratio --format text",
+     _ROWS_UNCALLED),
+])
+def test_rows_compile_no_function_they_cannot_call(argv, uncalled):
+    code, err, loaded = _modules_after(argv)
+    assert code == 0 and err == ""
+    # the front end runs as __main__, so its file is not under its name
+    paths = [cli.__file__] + [importlib.util.find_spec(name).origin
+                              for name in loaded
+                              if name.split(".")[0] == "bellgamma"]
+    defined = set()
+    for path in paths:
+        with open(path) as fh:
+            defined |= {stmt.name for stmt in ast.parse(fh.read()).body
+                        if isinstance(stmt, ast.FunctionDef)}
+    assert not defined & uncalled
+
+
+def test_abbreviated_flag_reads_through_the_fallback():
+    # --form is read by argparse, from the fallback module, to the
+    # namespace --format gives, so the output is byte for byte the same
+    code, out, err, loaded = _run_as_main(
+        "approx --a 3 --mu 2 --n 40 --form json")
+    assert code == 0 and err == ""
+    assert {"bellgamma.parser", "argparse"} <= loaded
+    direct = _run_as_main("approx --a 3 --mu 2 --n 40 --format json")
+    assert direct[:3] == (0, out, "") and not direct[3] & _PARSER
 
 
 @pytest.mark.parametrize("argv", [
@@ -1168,7 +1227,7 @@ def test_read_argv_reads_every_digest_line():
     for argv in map(str.split, OUTPUT_DIGESTS):
         args = cli._read_argv(argv)
         assert args is not None, argv
-        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+        assert vars(args) == vars(parser.build_parser(cli._FLAGS).parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", sorted(OUTPUT_DIGESTS))

@@ -25,11 +25,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from bellgamma.bell import bell_eval, bell_ladder  # noqa: E402
 from bellgamma.kernel import Column  # noqa: E402
-from bellgamma.cli import _FLAGS, _read_argv, build_parser  # noqa: E402
+from bellgamma.cli import _FLAGS, _read_argv  # noqa: E402
 from bellgamma.common import (PrecisionError, _json, binom,  # noqa: E402
                               factorial)
 from bellgamma.numerics import (_LN_FLOAT_DIGITS, BigFix,  # noqa: E402
                                 _ln_fix, _ln_fix_error)
+from bellgamma.parser import build_parser  # noqa: E402
 from bellgamma.sequences import (_ROW_GUARD, _alpha,  # noqa: E402
                                  _alpha_args, _alpha_radius,
                                  _ladder_radius, convergence_row)
@@ -384,7 +385,7 @@ def test_direct_argv_reader_agrees_with_argparse(argv):
     # whatever _read_argv reads, argparse reads to the same namespace
     args = _read_argv(argv)
     if args is not None:
-        assert vars(args) == vars(build_parser().parse_args(argv))
+        assert vars(args) == vars(build_parser(_FLAGS).parse_args(argv))
 
 
 def test_failing_property_is_reported_not_internal_error(pytester):
