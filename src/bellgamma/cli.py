@@ -11,7 +11,8 @@ computes what it prints, or of a module of its own (_RUNNERS):
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (also an
 --out file that cannot be opened, or output that cannot be written), 3
-precision failure.  BELLGAMMA_DIGITS sets the default precision of
+precision failure, 4 internal error (any other exception, its traceback
+on stderr).  BELLGAMMA_DIGITS sets the default precision of
 approx, table and constants (50 when unset), and is read only when
 --digits is not given; identical invocations produce byte-identical
 output.
@@ -24,6 +25,12 @@ build_parser turns the same table into an argparse parser, and both
 readers give the same namespace.  main range-checks it, opens the
 output, imports the one module that runs the command, and writes the
 text that module's cmd_<command> returns with its exit code.
+
+Both process entry points, `python -m bellgamma.cli` and the bellgamma
+console script, call run, not main: run exits with main's code after
+gc.freeze(), so the interpreter's collections at exit find nothing to
+traverse.  main itself never freezes, since tests and library callers
+call it in their own process.
 
 This module is the front end only: importing it loads the package and
 module common, nothing else, so a request compiles only the modules its
@@ -48,14 +55,15 @@ under `python -m bellgamma.cli` that would compile it a second time.
 """
 
 import contextlib
+import gc
 import importlib
 import math
 import os
 import sys
 from types import SimpleNamespace
 
-from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_PRECISION, EXIT_USAGE,
-                     PROFILE_KINDS, PrecisionError)
+from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_INTERNAL, EXIT_PRECISION,
+                     EXIT_USAGE, PROFILE_KINDS, PrecisionError)
 
 # Past 10^63 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
 # other, come within a few units of double rounding of one another, and
@@ -303,7 +311,26 @@ def main(argv=None) -> int:
         print("error: cannot write output: %s" % (exc.strerror or exc),
               file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        # a fault of the program, not of the request: exit 1 would read
+        # as a failed verification
+        import traceback
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
+def run():
+    """Run main on sys.argv and exit the process with its code.
+
+    main has written and flushed its output by then.  gc.freeze() moves
+    every live object to the permanent generation, which the full
+    collections of interpreter shutdown skip; atexit handlers, the flush
+    of stdio and SystemExit are as after sys.exit(main())."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

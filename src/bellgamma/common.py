@@ -18,6 +18,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
+EXIT_INTERNAL = 4
 
 # The most digits the gamma and zeta oracles give.
 _MAX_DIGITS = 10000

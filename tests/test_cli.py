@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import ast
+import gc
 import hashlib
 import importlib.util
 import json
@@ -272,6 +273,21 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1
     assert "FAIL forced failure" in out
     assert out.splitlines()[-1] == "0/1 checks passed"
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    # any other exception is a fault of the program: exit 4 with its
+    # traceback on stderr and nothing on stdout, since exit 1 means a
+    # failed verification
+    def fault(args):
+        raise ZeroDivisionError("forced fault")
+
+    monkeypatch.setattr(sequences, "cmd_approx", fault)
+    code, out, err = run_cli(capsys, "approx", "--a", "3", "--mu", "2",
+                             "--n", "5")
+    assert code == 4 and out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nZeroDivisionError: forced fault\n")
 
 
 def test_each_suite_lives_in_the_module_its_table_names():
@@ -1030,6 +1046,47 @@ def test_abbreviated_flag_reads_through_the_fallback():
     assert {"bellgamma.parser", "argparse"} <= loaded
     direct = _run_as_main("approx --a 3 --mu 2 --n 40 --format json")
     assert direct[:3] == (0, out, "") and not direct[3] & _PARSER
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    ("approx --a 3 --mu 2 --n 40", 0), ("approx --a 9 --mu 2 --n 40", 2)])
+def test_process_exit_freezes_the_collector(capsys, argv, exit_code):
+    # run as __main__, the front end exits by SystemExit with main's code
+    # after gc.freeze(), so the collections at interpreter exit have
+    # nothing to traverse; main called in process leaves the collector
+    # of its caller as it was
+    probe = ("import gc, runpy\n"
+             "try:\n"
+             "    runpy.run_module('bellgamma.cli', run_name='__main__',\n"
+             "                     alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, gc.get_freeze_count())\n")
+    out = subprocess.run([sys.executable, "-c", probe] + argv.split(),
+                         env=CHILD_ENV, capture_output=True, text=True)
+    assert out.returncode == 0
+    code, frozen = map(int, out.stdout.splitlines()[-1].split())
+    assert code == exit_code and frozen > 0
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, *argv.split())[0] == exit_code
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_runs_what_the_main_block_runs():
+    # the bellgamma script and `python -m bellgamma.cli` exit by the same
+    # function of the front end, called with no argument
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    block, = [stmt for stmt in tree.body if isinstance(stmt, ast.If)
+              and ast.unparse(stmt.test) == "__name__ == '__main__'"]
+    stmt, = block.body
+    call = stmt.value
+    assert isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+    assert not call.args and not call.keywords
+    assert scripts == {"bellgamma": "bellgamma.cli:" + call.func.id}
 
 
 @pytest.mark.parametrize("argv", [
