@@ -22,7 +22,7 @@ _MODULES = {
     "common": ("PrecisionError", "binom", "factorial", "lcm_upto"),
     "exponents": (
         "bm_pairs", "corollary_exponent", "lagrange_pair", "qn_log_asymptotic"),
-    "kernel": ("backend_name", "seq_tables"),
+    "kernel": ("backend_name",),
     "lemma1": ("lemma1_residual",),
     "numerics": ("BigFix", "gamma_const", "zeta_const"),
     "partition_sum": (

@@ -261,12 +261,34 @@ def _check_args(args) -> None:
 def _open_out(path):
     """The stream for the output, opened before any work is done."""
     if not path:
-        return contextlib.nullcontext(sys.stdout)
+        return sys.stdout
     try:
         return open(path, "w")
     except OSError as exc:
         raise UsageError("cannot open --out file %r: %s"
                          % (path, exc.strerror or exc))
+
+
+def _write(fh, text: str) -> None:
+    """Write text to fh, flush it and close it unless it is stdout, so
+    that a full disk or a closed pipe fails here rather than at exit, as
+    a UsageError.  Only these calls are taken for a failed write: an
+    OSError anywhere else is a fault of the program."""
+    try:
+        fh.write(text)
+        fh.flush()
+        if fh is not sys.stdout:
+            fh.close()
+    except OSError as exc:
+        if fh is sys.stdout:
+            # stdout keeps the text it could not write and would fail
+            # again at exit: send it to the null device instead
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            # closing drops the text it could not write
+            with contextlib.suppress(OSError):
+                fh.close()
+        raise UsageError("cannot write output: %s" % (exc.strerror or exc))
 
 
 # The module that runs each command, as its function cmd_<command>.
@@ -287,14 +309,16 @@ def main(argv=None) -> int:
 
             args = build_parser(_FLAGS).parse_args(argv)
         _check_args(args)
-        with _open_out(args.out) as fh:
+        fh = _open_out(args.out)
+        try:
             runner = importlib.import_module("." + _RUNNERS[args.command],
                                              __package__)
             text, code = getattr(runner, "cmd_" + args.command)(args)
-            # flushed here, so that a full disk or a closed pipe raises
-            # below rather than at exit
-            fh.write(text)
-            fh.flush()
+        except BaseException:
+            if fh is not sys.stdout:
+                fh.close()
+            raise
+        _write(fh, text)
         return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -302,15 +326,6 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print("precision failure: %s" % exc, file=sys.stderr)
         return EXIT_PRECISION
-    except OSError as exc:
-        if not args.out:
-            # stdout keeps the text it could not write and would fail
-            # again at exit: send it to the null device instead
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-        print("error: cannot write output: %s" % (exc.strerror or exc),
-              file=sys.stderr)
-        return EXIT_USAGE
     except Exception:
         # a fault of the program, not of the request: exit 1 would read
         # as a failed verification

@@ -13,12 +13,12 @@ weight mu, so feeding it r_m * D^m yields exactly D^mu * Y_mu(r_1..r_mu).
 A row is one Bell ladder over Columns, the arguments' values over k =
 0..n, whose results the weights sum.  This is also a constructive proof
 of the integrality statement D_n^mu p_{n,mu} in Z.  `row` is the one
-place a row is built: approx and table read single rows from it (module
-sequences), int_rows is the one loop over rows, whose ints the
-integrality and recurrences suites check, seq_rows forms the Fractions
-of library tables from it, and lemma 1 takes a row's q_n and
-D^mu p_{n,mu} and runs its own ladder on its weights and Columns.  Only
-seq_rows imports fractions.
+place a row is built, and int_rows, the one loop over rows, is the one
+way in to q_n and D^mu p_{n,mu}: approx and table read single rows from
+it and the library tables q_seq and p_seq ranges of rows (module
+sequences), and the integrality and recurrences suites check its ints.
+Only lemma 1 calls `row` itself, for the weights and Columns on which
+it runs its own ladder.  No part of the kernel forms a Fraction.
 """
 
 from itertools import repeat
@@ -103,11 +103,6 @@ def harmonic_halves(a: int, n_hi: int, mu_max: int):
     return d, hi, lo
 
 
-def r_columns(hi, lo, n: int) -> list:
-    """Row n's Columns [D^m r_m(k), k = 0..n], m = 1.., from the halves."""
-    return [Column(map(add, h[n::-1], g[:n + 1])) for h, g in zip(hi, lo)]
-
-
 def row(a: int, n: int, halves):
     """(ws, cols, q_n, [D^mu p_{n,mu}, mu = 1..mu_max]) for row n, with
     halves = harmonic_halves(a, n_hi, mu_max) for some n_hi >= n: the
@@ -115,7 +110,7 @@ def row(a: int, n: int, halves):
     the row's sums as ints, one Bell ladder over the Columns."""
     _, hi, lo = halves
     ws = weights(a, n)
-    cols = r_columns(hi, lo, n)
+    cols = [Column(map(add, h[n::-1], g[:n + 1])) for h, g in zip(hi, lo)]
     dp = [sum(map(mul, ws, y)) for y in bell_ladder(cols)[1:]] if cols else []
     return ws, cols, sum(ws), dp
 
@@ -141,22 +136,3 @@ def int_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
             col.append(v)
     return halves[0], q, dp
 
-
-def seq_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
-    """(q, p) for rows n_lo..n_hi: q[i] = q_{n_lo+i} (int) and
-    p[mu-1][i] = p_{n_lo+i,mu} (Fraction), from int_rows."""
-    from fractions import Fraction
-
-    d, q, dp = int_rows(a, n_lo, n_hi, mu_max)
-    p = []
-    for mu, col in enumerate(dp, 1):
-        dm = d ** mu
-        p.append([Fraction(v, dm) for v in col])
-    return q, p
-
-
-def seq_tables(a: int, n_max: int, mu_max: int):
-    """(q, p) with q[n] = q_n (int) and p[mu-1][n] = p_{n,mu} (Fraction)
-    for every n in 0..n_max: the library tables that
-    sequences.q_seq/p_seq return, one call per a."""
-    return seq_rows(a, 0, n_max, mu_max)

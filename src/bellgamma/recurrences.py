@@ -65,7 +65,8 @@ def recurrence_check(spec: RecurrenceSpec, seq, n_range, den=None) -> bool:
     the lcm L of their denominators.  sum_i c_i(n) L y_{n+off_i} d(n) is
     compared with u(n) L, where (u, d) = spec.inhom (with 0 for a
     homogeneous relation), in integers when the coefficients are ints.
-    A vanishing leading coefficient is reported and the point skipped."""
+    The check divides by no coefficient, so it holds also where the
+    leading one vanishes."""
     if den is None:
         den = math.lcm(*(v.denominator for v in seq))
         seq = [v.numerator * (den // v.denominator) for v in seq]
@@ -74,15 +75,8 @@ def recurrence_check(spec: RecurrenceSpec, seq, n_range, den=None) -> bool:
             raise ValueError("relation not asserted below n_min=%d" % spec.n_min)
         if n + spec.offsets[-1] >= len(seq):
             raise ValueError("sequence too short for n=%d" % n)
-        cs = [c(n) for c in spec.coeffs]
-        if cs[-1] == 0:
-            import logging  # here alone: it adds ~3 ms to every start-up
-
-            logging.getLogger(__name__).warning(
-                "%s: leading coefficient vanishes at n=%d, point skipped",
-                spec.name, n)
-            continue
-        lhs = sum(c * seq[n + off] for c, off in zip(cs, spec.offsets))
+        lhs = sum(c(n) * seq[n + off]
+                  for c, off in zip(spec.coeffs, spec.offsets))
         rhs = 0
         if spec.inhom is not None:
             u, d = spec.inhom

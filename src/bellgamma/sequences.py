@@ -5,10 +5,10 @@ r_mu(k)) approximate the Bell-polynomial combinations alpha_mu of gamma
 and zeta values.  This module serves the `approx` and `table` commands:
 single values, prefix tables, and the measured error of p/q against
 alpha_mu, one Bell ladder over the BigFix constants, certified by a
-stated radius (_alpha_radius, one per a and mu).  The log of that error
-is taken at 40 working digits (BigFix.ln_float), not at the row's full
-scale, whenever they settle the double it prints.  Floating point
-enters only in those measurements.  Each row's working digits
+stated radius (_ladder_radius, over the same constants).  The log of
+that error is taken at 40 working digits (BigFix.ln_float), not at the
+row's full scale, whenever they settle the double it prints.  Floating
+point enters only in those measurements.  Each row's working digits
 (_row_digits) and the `approx` command, cmd_approx, are at the end; the
 `table` command, cmd_table, which renders many rows (and the optional
 q_n / main-term column), is in module table, so that approx never
@@ -17,10 +17,10 @@ so that these commands never compile them: lemma 1 in lemma1 (with
 symring), the classical recurrences in recurrences, and the alternating
 tail of the integral remainder in tail.
 
-Costs: every q/p value comes straight from the kernel, and nothing is
-cached between calls.  A single value (q_at, p_at, convergence_row) is
-one kernel row, an O(n) sum over k; q_seq and p_seq are one kernel table
-of rows 0..n_max, O(n_max^2), and q_seq builds q alone.
+Costs: every q/p value comes straight from one kernel.int_rows call,
+and nothing is cached between calls.  A single value (q_at, p_at,
+convergence_row) is one kernel row, an O(n) sum over k; q_seq and p_seq
+are rows 0..n_max, O(n_max^2), and q_seq builds q alone.
 
 A single row keeps p_{n,mu} as its reduced integer pair (p_num, p_den),
 the pair a Fraction would hold: approx and table print those integers
@@ -28,7 +28,6 @@ and round p/q into a BigFix from them, so neither loads fractions.
 p_at, p_seq and ApproxRecord.p return Fractions for library callers.
 """
 
-import functools
 import math
 from collections import namedtuple
 
@@ -47,37 +46,26 @@ def _check_mu(a: int, mu: int) -> None:
         raise ValueError("require 1 <= mu <= a-1")
 
 
-def _row(a: int, mu: int, n: int):
-    """(q_n, (num, den)) with num/den = p_{n,mu} in lowest terms, den > 0,
-    and None for mu = 0: one O(n) kernel row."""
-    if a < 2:
-        raise ValueError("a must be at least 2")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    halves = kernel.harmonic_halves(a, n, mu)
-    _, _, q, dp = kernel.row(a, n, halves)
-    if not mu:
-        return q, None
-    num, den = dp[mu - 1], halves[0] ** mu
-    g = math.gcd(num, den)
-    return q, (num // g, den // g)
-
-
 def q_seq(a: int, n_max: int) -> list:
-    """q_0..q_{n_max} as exact integers: one kernel table of q alone."""
-    return kernel.seq_tables(a, n_max, 0)[0]
+    """q_0..q_{n_max} as exact integers: the kernel rows of q alone."""
+    return kernel.int_rows(a, 0, n_max, 0)[1]
 
 
 def p_seq(a: int, mu: int, n_max: int) -> list:
-    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1: one
-    kernel table of q and p_1..p_mu, of which p_mu is returned."""
+    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1: the
+    kernel rows of q and D^nu p_{n,nu}, nu = 1..mu, of which the last
+    is returned over D^mu."""
+    from fractions import Fraction
+
     _check_mu(a, mu)
-    return kernel.seq_tables(a, n_max, mu)[1][mu - 1]
+    d, _, dp = kernel.int_rows(a, 0, n_max, mu)
+    dm = d ** mu
+    return [Fraction(v, dm) for v in dp[mu - 1]]
 
 
 def q_at(a: int, n: int):
     """Single value q_n: one O(n) kernel row."""
-    return _row(a, 0, n)[0]
+    return kernel.int_rows(a, n, n, 0)[1][0]
 
 
 def p_at(a: int, mu: int, n: int):
@@ -85,7 +73,8 @@ def p_at(a: int, mu: int, n: int):
     from fractions import Fraction
 
     _check_mu(a, mu)
-    return Fraction(*_row(a, mu, n)[1])
+    d, _, dp = kernel.int_rows(a, n, n, mu)
+    return Fraction(dp[mu - 1][0], d ** mu)
 
 
 class ApproxRecord(namedtuple(
@@ -124,21 +113,6 @@ def _alpha_args(a: int, mu: int, scale: int) -> tuple:
     return xs, errs
 
 
-def _alpha(a: int, mu: int, scale: int) -> BigFix:
-    """alpha_mu = Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) at `scale`
-    digits (_alpha_args): one Bell ladder over BigFix, each product
-    rounded once (int scalings are exact)."""
-    return bell_ladder(_alpha_args(a, mu, scale)[0])[mu]
-
-
-@functools.lru_cache(maxsize=None)
-def _alpha_radius(a: int, mu: int) -> int:
-    """A bound, in units of 10^-s, on |_alpha(a, mu, s) - alpha_mu| at
-    every scale s > _ROW_GUARD, the least that convergence_row works at:
-    _ladder_radius over _alpha_args at that least scale."""
-    return _ladder_radius(*_alpha_args(a, mu, _ROW_GUARD + 1))
-
-
 def _ladder_radius(xs, errs) -> int:
     """A bound, in units of 10^-s, on |bell_ladder(ys)[-1] - Y_n(x)| for
     BigFix ys at the scale of xs or finer, each ys[i] within errs[i]
@@ -173,27 +147,35 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
     digits defaults to auto_digits(predicted).  The difference is
-    evaluated once, at s = digits + _ROW_GUARD digits.  Its mantissa M
-    is within R = _alpha_radius(a, mu) + 1 units of 10^-s of the true
-    difference T (the one unit covers from_ratio's half).  The row is
-    accepted when M > 2 10^6 R: then |ln M - ln T| < -ln(1 - 5 10^-7),
-    so err_log, BigFix.ln_float of the difference (the double its
-    full-scale ln rounds to), is within 1e-6 max(1, |err_log|) of the
-    true log.  Otherwise PrecisionError names a, mu, n, s, M and R; when
-    M > R, so that T >= M - R, it also names the least digits + k at
-    which (M - R) 10^k - R > 2 10^6 R, where the row passes, since R
-    holds at every scale.  When M <= R it names auto_digits(predicted)
-    if that is above digits: the digits that resolve the predicted
-    error, with 30 to spare.
+    evaluated once, at s = digits + _ROW_GUARD digits, with
+    alpha_mu = Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) one Bell
+    ladder over xs, where xs, errs = _alpha_args(a, mu, s).  Its
+    mantissa M is within R = _ladder_radius(xs, errs) + 1 units of 10^-s
+    of the true difference T (the one unit covers from_ratio's half).
+    That R bounds the error at s and at every finer scale, and is the
+    same integer at every s > _ROW_GUARD, since the real bound it rounds
+    up moves by about 10^-s.  The row is accepted when M > 2 10^6 R:
+    then |ln M - ln T| < -ln(1 - 5 10^-7), so err_log, BigFix.ln_float
+    of the difference (the double its full-scale ln rounds to), is
+    within 1e-6 max(1, |err_log|) of the true log.  Otherwise
+    PrecisionError names a, mu, n, s, M and R; when M > R, so that
+    T >= M - R, it also names the least digits + k at which
+    (M - R) 10^k - R > 2 10^6 R, where the row passes.  When M <= R it
+    names auto_digits(predicted) if that is above digits: the digits
+    that resolve the predicted error, with 30 to spare.
     """
     predicted = corollary_exponent(a, n)
     if digits is None:
         digits = auto_digits(predicted)
     _check_mu(a, mu)
-    q, (num, den) = _row(a, mu, n)
+    d, (q,), dp = kernel.int_rows(a, n, n, mu)
+    num, den = dp[mu - 1][0], d ** mu
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
     s = digits + _ROW_GUARD
-    err = abs(_alpha(a, mu, s) - BigFix.from_ratio(num, den * q, s))
-    m, r = err.mantissa, _alpha_radius(a, mu) + 1
+    xs, errs = _alpha_args(a, mu, s)
+    err = abs(bell_ladder(xs)[mu] - BigFix.from_ratio(num, den * q, s))
+    m, r = err.mantissa, _ladder_radius(xs, errs) + 1
     if m <= 2 * 10 ** 6 * r:
         hint = "raise digits"
         if m > r:

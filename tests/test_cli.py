@@ -16,7 +16,7 @@ import oracles
 import pytest
 
 import bellgamma
-from bellgamma import (cli, kernel, lemma1, numerics, parser, partition_sum,
+from bellgamma import (cli, kernel, numerics, parser, partition_sum,
                        sequences, verify)
 from bellgamma.bell import bell_ladder
 from bellgamma.exponents import corollary_exponent
@@ -228,24 +228,18 @@ def test_verify_lemma1_small(capsys):
 
 def test_verify_lemma1_builds_each_f_once(capsys, monkeypatch):
     # n runs outside mu, so one kernel row and one integer F_{n,.} per n
-    # serve every mu; the SymPoly oracle is never built, and the bounded
-    # cache ends the run holding no more than its bound.
+    # serve every mu, with no cache; the SymPoly oracle is never built.
     calls = []
     real = kernel.row
     monkeypatch.setattr(kernel, "row", lambda a, n, halves: calls.append(
         (a, n, len(halves[1]))) or real(a, n, halves))
-    scaled, f_all = lemma1.scaled_row, oracles._f_sym_all
-    scaled.cache_clear()
+    f_all = oracles._f_sym_all
     f_all.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--suite", "lemma1",
                            "--a", "4", "--nmax", "40")
-    info = scaled.cache_info()
-    scaled.cache_clear()
     assert code == 0 and out.splitlines()[-1] == "3/3 checks passed"
     assert calls == [(4, n, 3) for n in range(41)]
     assert f_all.cache_info().misses == 0
-    assert info.misses == 41
-    assert info.maxsize is not None and info.currsize <= info.maxsize < 41
 
 
 @pytest.mark.parametrize("argv, passed, rows", [
@@ -288,6 +282,24 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == 4 and out == ""
     assert err.startswith("Traceback (most recent call last):\n")
     assert err.endswith("\nZeroDivisionError: forced fault\n")
+
+
+def test_oserror_in_a_command_is_internal_error(capsys, monkeypatch):
+    # only a failed write of the output is "cannot write output" (exit
+    # 2): an OSError the command itself raises is a fault, exit 4 with
+    # its traceback, and stdout is left as it was
+    def fault(args):
+        raise FileNotFoundError(2, "forced fault", "missing.txt")
+
+    monkeypatch.setattr(sequences, "cmd_approx", fault)
+    code, out, err = run_cli(capsys, "approx", "--a", "3", "--mu", "2",
+                             "--n", "5")
+    assert code == 4 and out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nFileNotFoundError: [Errno 2] forced fault: "
+                        "'missing.txt'\n")
+    print("still written")
+    assert capsys.readouterr().out == "still written\n"
 
 
 def test_each_suite_lives_in_the_module_its_table_names():
@@ -411,11 +423,7 @@ def test_every_suite_can_fail(suite, module, name, mutant, failing, capsys,
                               monkeypatch):
     target = importlib.import_module("bellgamma." + module)
     monkeypatch.setattr(target, name, mutant(getattr(target, name)))
-    lemma1.scaled_row.cache_clear()  # rows cached before the mutation
-    try:
-        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
-    finally:
-        lemma1.scaled_row.cache_clear()
+    code, out, _ = run_cli(capsys, "verify", "--suite", suite)
     assert code == 1 and "\nFAIL " in "\n" + out
     if failing is not None:
         lines = out.splitlines()[:-1]

@@ -7,6 +7,7 @@ import pytest
 from bellgamma import kernel
 from bellgamma.bell import bell_ladder
 from bellgamma.common import binom, factorial, lcm_upto
+from bellgamma.sequences import p_seq, q_seq
 
 
 def oracle_tables(a, n_max, mu_max):
@@ -39,18 +40,25 @@ def test_backend_name():
     assert kernel.backend_name() == "pure"
 
 
-def test_seq_tables_match_fraction_oracle():
-    # every mu the CLI accepts, up to a - 1 = 7
+def over_denominator(d, dp):
+    """The Fractions p_{n,mu} = dp[mu-1][i] / d^mu of an int_rows table."""
+    return [[Fraction(v, d ** mu) for v in col]
+            for mu, col in enumerate(dp, 1)]
+
+
+def test_library_tables_match_fraction_oracle():
+    # q_seq and p_seq, for every mu the CLI accepts, up to a - 1 = 7
     for a, n_max, mu_max in ((2, 12, 1), (3, 10, 2), (4, 8, 3), (6, 7, 5),
                              (8, 6, 7)):
-        q, p = kernel.seq_tables(a, n_max, mu_max)
         oq, op = oracle_tables(a, n_max, mu_max)
+        q = q_seq(a, n_max)
         assert q == oq and all(isinstance(v, int) for v in q)
-        assert p == op
         # the scale D = lcm(1..n_max) clears every denominator
         d = lcm_upto(n_max)
         for mu in range(1, mu_max + 1):
-            assert all((v * d ** mu).denominator == 1 for v in p[mu - 1])
+            p = p_seq(a, mu, n_max)
+            assert p == op[mu - 1]
+            assert all((v * d ** mu).denominator == 1 for v in p)
 
 
 def test_int_rows_are_the_tables_over_their_denominator():
@@ -74,9 +82,10 @@ def test_rows_match_fraction_oracle_for_every_mu():
         oq, op = oracle_tables(a, 13, a - 1)
         for mu_max in range(a):
             for n_lo, n_hi in ((0, 0), (1, 1), (13, 13), (5, 13)):
-                q, p = kernel.seq_rows(a, n_lo, n_hi, mu_max)
+                d, q, dp = kernel.int_rows(a, n_lo, n_hi, mu_max)
                 assert q == oq[n_lo:n_hi + 1]
-                assert p == [row[n_lo:n_hi + 1] for row in op[:mu_max]]
+                assert over_denominator(d, dp) == [
+                    row[n_lo:n_hi + 1] for row in op[:mu_max]]
 
 
 def test_one_bell_ladder_per_row(monkeypatch):
@@ -95,17 +104,18 @@ def test_one_bell_ladder_per_row(monkeypatch):
                             counting(module.__name__.split(".")[-1]))
     for a, n_max, mu_max in ((2, 9, 1), (4, 6, 3), (8, 3, 7), (3, 5, 0)):
         calls.update(kernel=0, lemma1=0)
-        kernel.seq_tables(a, n_max, mu_max)
+        kernel.int_rows(a, 0, n_max, mu_max)
         assert calls == {"kernel": (n_max + 1) if mu_max else 0, "lemma1": 0}
     for a, n in ((2, 0), (3, 7), (8, 4)):
         calls.update(kernel=0, lemma1=0)
-        lemma1.scaled_row.__wrapped__(a, n)
+        lemma1.scaled_row(a, n)
         assert calls == {"kernel": 1, "lemma1": 1}
 
 
 def test_lemma1_builds_its_row_once(monkeypatch):
     # scaled_row takes q, D^mu p, the weights and the Columns from one
-    # kernel row: one set of halves, one weight pass, one Column build.
+    # kernel row: one set of halves, one weight pass, one Column build,
+    # and no range of rows.
     from bellgamma import lemma1
 
     calls = {}
@@ -118,13 +128,13 @@ def test_lemma1_builds_its_row_once(monkeypatch):
             return real(*args)
         return wrapped
 
-    for name in ("harmonic_halves", "weights", "r_columns", "seq_rows"):
+    for name in ("harmonic_halves", "weights", "row", "int_rows"):
         monkeypatch.setattr(kernel, name, counting(name))
     for a, n in ((2, 0), (3, 7), (8, 4)):
-        calls.update(harmonic_halves=0, weights=0, r_columns=0, seq_rows=0)
-        lemma1.scaled_row.__wrapped__(a, n)
-        assert calls == {"harmonic_halves": 1, "weights": 1, "r_columns": 1,
-                         "seq_rows": 0}
+        calls.update(harmonic_halves=0, weights=0, row=0, int_rows=0)
+        lemma1.scaled_row(a, n)
+        assert calls == {"harmonic_halves": 1, "weights": 1, "row": 1,
+                         "int_rows": 0}
 
 
 def test_column_ring_operations():
@@ -141,19 +151,21 @@ def test_column_ring_operations():
 
 def test_row_range_matches_full_table():
     for a, n_max, mu_max in ((2, 14, 1), (3, 12, 2), (5, 9, 4)):
-        q, p = kernel.seq_tables(a, n_max, mu_max)
+        d, q, dp = kernel.int_rows(a, 0, n_max, mu_max)
+        p = over_denominator(d, dp)
         for n_lo, n_hi in ((0, 0), (0, n_max), (3, 7), (n_max, n_max)):
-            rq, rp = kernel.seq_rows(a, n_lo, n_hi, mu_max)
+            rd, rq, rdp = kernel.int_rows(a, n_lo, n_hi, mu_max)
             assert rq == q[n_lo:n_hi + 1]
-            assert rp == [row[n_lo:n_hi + 1] for row in p]
+            assert over_denominator(rd, rdp) == [row[n_lo:n_hi + 1]
+                                                 for row in p]
     with pytest.raises(ValueError):
-        kernel.seq_rows(3, 5, 4, 1)
+        kernel.int_rows(3, 5, 4, 1)
     with pytest.raises(ValueError):
-        kernel.seq_rows(3, -1, 4, 1)
+        kernel.int_rows(3, -1, 4, 1)
     with pytest.raises(ValueError):
-        kernel.seq_rows(1, 0, 5, 1)
+        kernel.int_rows(1, 0, 5, 1)
     with pytest.raises(ValueError):
-        kernel.seq_rows(3, 0, 5, -1)
+        kernel.int_rows(3, 0, 5, -1)
 
 
 def test_scaled_harmonics():
@@ -189,7 +201,7 @@ def test_mu_zero_needs_no_scaling(monkeypatch):
         raise AssertionError("mu_max = 0 must not compute lcm(1..n)")
 
     monkeypatch.setattr(kernel, "lcm_upto", no_lcm)
-    q, p = kernel.seq_rows(2, 0, 6, 0)
-    assert p == []
+    d, q, dp = kernel.int_rows(2, 0, 6, 0)
+    assert d == 1 and dp == []
     assert q[2] == sum(binom(2, k) ** 2 * factorial(k) for k in range(3))
 

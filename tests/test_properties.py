@@ -31,8 +31,7 @@ from bellgamma.common import (PrecisionError, _json, binom,  # noqa: E402
 from bellgamma.numerics import (_LN_FLOAT_DIGITS, BigFix,  # noqa: E402
                                 _ln_fix, _ln_fix_error)
 from bellgamma.parser import build_parser  # noqa: E402
-from bellgamma.sequences import (_ROW_GUARD, _alpha,  # noqa: E402
-                                 _alpha_args, _alpha_radius,
+from bellgamma.sequences import (_alpha_args,  # noqa: E402
                                  _ladder_radius, convergence_row)
 from bellgamma.symring import SymPoly  # noqa: E402
 
@@ -204,7 +203,7 @@ def test_bigfix_ladder_alpha_within_rounding_bound(case, scale):
     # rounding; the reference is the same ladder over exact Fractions.
     a, mu = case
     xs, _ = _alpha_args(a, mu, scale)
-    got = _alpha(a, mu, scale)
+    got = bell_ladder(xs)[mu]
     assert got.scale == scale
     exact = bell_ladder([x.to_fraction() for x in xs])[mu]
     assert (abs(got.to_fraction() - exact)
@@ -214,16 +213,15 @@ def test_bigfix_ladder_alpha_within_rounding_bound(case, scale):
 @PROPERTY
 @given(alphas, st.integers(1, 80))
 def test_alpha_within_its_radius(case, scale):
-    # the radius convergence_row uses bounds the distance from the true
-    # alpha_mu, at every scale and, past the row guard, as one number
+    # the radius convergence_row uses, over the arguments of its alpha_mu
+    # ladder, bounds the distance from the true alpha_mu at every scale
     mpmath = pytest.importorskip("mpmath")
     a, mu = case
+    xs, errs = _alpha_args(a, mu, scale)
     with mpmath.workdps(scale + 40):
-        err = abs(mpmath.mpf(_alpha(a, mu, scale).mantissa)
+        err = abs(mpmath.mpf(bell_ladder(xs)[mu].mantissa)
                   - mp_alpha(a, mu) * mpmath.mpf(10) ** scale)
-        assert err <= _ladder_radius(*_alpha_args(a, mu, scale))
-        if scale > _ROW_GUARD:
-            assert err <= _alpha_radius(a, mu)
+        assert err <= _ladder_radius(xs, errs)
 
 
 @PROPERTY

@@ -25,7 +25,10 @@ from bellgamma.recurrences import (
     recurrence_generate,
 )
 from bellgamma.sequences import (
+    _ROW_GUARD,
     ApproxRecord,
+    _alpha_args,
+    _ladder_radius,
     convergence_row,
     p_at,
     p_seq,
@@ -95,10 +98,10 @@ def test_pq_validation():
 
 
 def _recorded_rows(monkeypatch):
-    """The argument tuples of every kernel.seq_rows call from now on."""
+    """The argument tuples of every kernel.int_rows call from now on."""
     calls = []
-    real = kernel.seq_rows
-    monkeypatch.setattr(kernel, "seq_rows",
+    real = kernel.int_rows
+    monkeypatch.setattr(kernel, "int_rows",
                         lambda *args: calls.append(args) or real(*args))
     return calls
 
@@ -237,8 +240,8 @@ def test_lemma1_residual_zero():
 def lemma1_oracle(a, mu, n):
     """The residual built over Fraction from the SymPoly F_{n,nu}."""
     mi = a - 1
-    q, p = kernel.seq_rows(a, n, n, mu)
-    res = SymPoly.const(p[mu - 1][0], mi) - q[0] * alpha_poly(a, mu, mi)
+    res = (SymPoly.const(p_at(a, mu, n), mi)
+           - q_at(a, n) * alpha_poly(a, mu, mi))
     for nu in range(1, mu + 1):
         res = res - lambda_coeff(a, mu, nu) * F_sym(a, nu, n)
     return res
@@ -248,10 +251,10 @@ _ROW = kernel.row
 
 
 def perturbed_rows(dp, dq):
-    """kernel.row with D^mu p_{n,mu} moved by dp and q_n by dq: seq_rows
-    reads its rows there too, so on single rows, where D = lcm(1..n),
-    p_{n,mu} moves by dp/lcm(1..n)^mu for both the residual and its
-    oracle."""
+    """kernel.row with D^mu p_{n,mu} moved by dp and q_n by dq: int_rows,
+    and so p_at and q_at, reads its rows there too, so on single rows,
+    where D = lcm(1..n), p_{n,mu} moves by dp/lcm(1..n)^mu for both the
+    residual and its oracle."""
 
     def row(a, n, halves):
         ws, cols, q, p = _ROW(a, n, halves)
@@ -261,12 +264,9 @@ def perturbed_rows(dp, dq):
 
 @pytest.fixture
 def fresh_lemma1_caches():
-    caches = (lemma1.scaled_row, oracles._f_sym_all)
-    for c in caches:
-        c.cache_clear()
+    oracles._f_sym_all.cache_clear()
     yield
-    for c in caches:
-        c.cache_clear()
+    oracles._f_sym_all.cache_clear()
 
 
 def test_lemma1_residual_matches_oracle(monkeypatch, fresh_lemma1_caches):
@@ -277,7 +277,6 @@ def test_lemma1_residual_matches_oracle(monkeypatch, fresh_lemma1_caches):
         for n in range(0, 9):
             for dp, dq in ((0, 0), (1, 0), (0, 1)):
                 monkeypatch.setattr(kernel, "row", perturbed_rows(dp, dq))
-                lemma1.scaled_row.cache_clear()
                 for mu in range(1, a):
                     got = lemma1_residual(a, mu, n)
                     assert got == lemma1_oracle(a, mu, n)
@@ -505,14 +504,17 @@ def test_recurrence_spec_validation():
         RecurrenceSpec("bad", (0, 1), (one, one), None, (1, 2, 3), 0)
 
 
-def test_recurrence_leading_zero_skip(caplog):
-    # (n-5) y_{n+1} = (n-5) y_n holds for a constant sequence; n = 5 is
-    # skipped because the leading coefficient vanishes there.
-    spec = RecurrenceSpec("toy", (0, 1), (lambda n: 5 - n, lambda n: n - 5),
-                          None, (1,), 0)
-    with caplog.at_level("WARNING"):
-        assert recurrence_check(spec, [1] * 12, range(0, 10)) is True
-    assert any("leading coefficient" in r.message for r in caplog.records)
+def test_recurrence_checks_where_leading_coefficient_vanishes():
+    # [n != 5] y_{n+1} = y_n holds for a constant sequence at every n but
+    # 5, where the leading coefficient vanishes and y_5 = 1 does not: the
+    # check divides by nothing, so it checks that point too.
+    spec = RecurrenceSpec("toy", (0, 1),
+                          (lambda n: -1, lambda n: int(n != 5)), None, (1,), 0)
+    seq = [1] * 12
+    assert recurrence_check(spec, seq, range(0, 5)) is True
+    assert recurrence_check(spec, seq, range(6, 10)) is True
+    assert recurrence_check(spec, seq, range(5, 6)) is False
+    assert recurrence_check(spec, seq, range(0, 10)) is False
 
 
 def test_recurrence_inhom_pole():
@@ -633,6 +635,17 @@ def test_convergence_row_tracks_prediction():
 def test_convergence_row_precision_failure():
     with pytest.raises(PrecisionError):
         convergence_row(3, 1, 50, digits=2)
+
+
+def test_alpha_radius_is_one_integer_at_every_scale():
+    # convergence_row takes the radius at its own scale s > _ROW_GUARD,
+    # and a failed row's hint, "raise digits to d + k", assumes the
+    # radius at s + k is the same
+    for a in range(2, 9):
+        for mu in range(1, a):
+            radii = {_ladder_radius(*_alpha_args(a, mu, s))
+                     for s in (1000, 400, 100, 50, 23, 22, _ROW_GUARD + 1)}
+            assert len(radii) == 1, (a, mu, radii)
 
 
 def test_records_to_csv():

@@ -8,8 +8,13 @@ import pytest
 from bellgamma.bell import bell_ladder
 from bellgamma.common import binom
 from bellgamma.numerics import BigFix, gamma_const, zeta_const
-from bellgamma.sequences import _alpha, convergence_row
+from bellgamma.sequences import _alpha_args, convergence_row
 from bellgamma.symring import SymPoly, alpha_poly, lambda_coeff
+
+
+def alpha(a, mu, scale):
+    """alpha_mu at `scale` digits as convergence_row evaluates it."""
+    return bell_ladder(_alpha_args(a, mu, scale)[0])[mu]
 
 
 def sp_eval(p, gamma_val, zeta_vals):
@@ -160,12 +165,12 @@ def test_alpha_known_value():
     g = gamma_const(digits)
     z2 = zeta_const(2, digits)
     assert str(alpha_poly(3, 2)) == "g^2 + 5*z2"
-    assert _alpha(3, 2, digits) == g * g + 5 * z2
+    assert alpha(3, 2, digits) == g * g + 5 * z2
 
 
 def test_alpha_two_precision_agreement():
-    lo = _alpha(4, 3, 10)
-    hi = _alpha(4, 3, 25)
+    lo = alpha(4, 3, 10)
+    hi = alpha(4, 3, 25)
     assert abs(lo.to_fraction() - hi.to_fraction()) <= Fraction(1, 10 ** 8)
 
 
@@ -180,7 +185,7 @@ def test_alpha_matches_symbolic_evaluation():
     for a in range(2, 9):
         for mu in range(1, a):
             want = sp_eval(alpha_poly(a, mu, mu), g, zs[:mu - 1])
-            assert abs(_alpha(a, mu, digits).to_fraction()
+            assert abs(alpha(a, mu, digits).to_fraction()
                        - want.to_fraction()) <= Fraction(10 ** 6, 10 ** digits)
 
 
