@@ -261,7 +261,7 @@ def _check_args(args) -> None:
 def _open_out(path):
     """The stream for the output, opened before any work is done."""
     if not path:
-        return sys.stdout
+        return contextlib.nullcontext(sys.stdout)
     try:
         return open(path, "w")
     except OSError as exc:
@@ -309,16 +309,11 @@ def main(argv=None) -> int:
 
             args = build_parser(_FLAGS).parse_args(argv)
         _check_args(args)
-        fh = _open_out(args.out)
-        try:
+        with _open_out(args.out) as fh:
             runner = importlib.import_module("." + _RUNNERS[args.command],
                                              __package__)
             text, code = getattr(runner, "cmd_" + args.command)(args)
-        except BaseException:
-            if fh is not sys.stdout:
-                fh.close()
-            raise
-        _write(fh, text)
+            _write(fh, text)
         return code
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

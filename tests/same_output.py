@@ -1,18 +1,16 @@
 """Whether the CLI of this checkout prints what another checkout's does.
 
     python3 tests/same_output.py OTHER_SRC [--count N] [--seeds S ...]
-                                 [--jobs J]
 
 OTHER_SRC is the src/ directory of the other checkout.  The command
 lines are the first N (default 200) requests of each of perfbench's
 sweep, points and exact workloads for each seed (default 1 2 3), read
 from perfbench/workloads.py, followed by EXTRA_ARGVS, which exit 2 or 3.
 Each runs as `python3 -m bellgamma.cli`, once with this checkout's src/
-first on PYTHONPATH and once with OTHER_SRC, BELLGAMMA_DIGITS unset, J
-(default 2) command lines at a time.  Every command line whose stdout,
-stderr or exit code differs is printed, and the script exits 1 if there
-is one, else 0.  Not collected by pytest: the name does not start with
-test_.
+first on PYTHONPATH and once with OTHER_SRC, BELLGAMMA_DIGITS unset, two
+command lines at a time.  Every command line whose stdout, stderr or
+exit code differs is printed, and the script exits 1 if there is one,
+else 0.  Not collected by pytest: the name does not start with test_.
 """
 
 import argparse
@@ -93,14 +91,11 @@ def main(argv=None) -> int:
     ap.add_argument("other_src")
     ap.add_argument("--count", type=int, default=200)
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    ap.add_argument("--jobs", type=int, default=2)
     args = ap.parse_args(argv)
     if not os.path.isdir(os.path.join(args.other_src, "bellgamma")):
         ap.error("no bellgamma package under %r" % args.other_src)
-    if not 1 <= args.jobs <= 16:
-        ap.error("--jobs must be in 1..16")
     lines = argvs(args.count, args.seeds)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+    with ThreadPoolExecutor(max_workers=2) as pool:
         diffs = [d for d in pool.map(
             lambda a: compare(args.other_src, a), lines) if d]
     for d in diffs:
