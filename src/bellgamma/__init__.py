@@ -32,11 +32,10 @@ _MODULES = {
         "recurrence_check", "recurrence_generate"),
     "saddle": ("CPoint", "RootRefinementError", "root_report",
                "saddle_roots", "saddle_seed"),
-    "sequences": (
-        "ApproxRecord", "convergence_row", "p_at", "p_seq", "q_at", "q_seq",
-        "records_to_csv"),
+    "sequences": ("ApproxRecord", "convergence_row", "records_to_csv"),
     "symring": ("SymPoly", "alpha_poly", "lambda_coeff"),
     "tail": ("tail_series",),
+    "values": ("p_at", "p_seq", "q_at", "q_seq"),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items()
             for name in names}

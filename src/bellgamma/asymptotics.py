@@ -14,10 +14,11 @@ exponents are doubles.
 """
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .common import EXIT_OK, PROFILE_KINDS, _json
+from .common import EXIT_OK, PROFILE_KINDS, UsageError, _json
 from .exponents import (bm_pairs, corollary_exponent, lagrange_pair,
                         qn_log_asymptotic)
 
@@ -67,6 +68,24 @@ def _exponent_value(kind: str, a: int, n: int) -> float:
     if kind == "theorem-qn":
         return qn_log_asymptotic(a, n)
     return corollary_exponent(a, n)
+
+
+def check_asymptotics(args) -> None:
+    """The `asymptotics` command's own checks: --n, when given, is a
+    positive double, and log n! a finite one for the theorem-qn kind."""
+    if args.n is None:
+        return
+    if args.n < 1:
+        raise UsageError("--n must be positive")
+    if args.n > sys.float_info.max:
+        # the exponents are evaluated in double precision
+        raise UsageError("--n out of range 1..%g" % sys.float_info.max)
+    if args.kind in (None, "theorem-qn"):
+        try:
+            math.lgamma(args.n + 1)
+        except OverflowError:
+            raise UsageError("--n too large for theorem-qn: log n! "
+                             "overflows a double")
 
 
 def cmd_asymptotics(args) -> tuple[str, int]:

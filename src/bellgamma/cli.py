@@ -22,9 +22,14 @@ command line (the command, then each of its flags at most once, spelled
 out and with its value) directly from that table.  Only for any other
 spelling, --help or a usage error does it import module parser, whose
 build_parser turns the same table into an argparse parser, and both
-readers give the same namespace.  main range-checks it, opens the
-output, imports the one module that runs the command, and writes the
-text that module's cmd_<command> returns with its exit code.
+readers give the same namespace.  main range-checks what the commands
+share (BELLGAMMA_DIGITS or --digits, --a, --mu), and approx's --n and
+table's n range, so that a usage error of approx or table loads no
+module beyond common.  It then imports the one module that runs the
+command, runs that module's own checks of the command, check_<command>
+(verify, constants, asymptotics and roots have them), opens the output,
+and writes the text that module's cmd_<command> returns with its exit
+code.  So a usage error writes no --out file.
 
 Both process entry points, `python -m bellgamma.cli` and the bellgamma
 console script, call run, not main: run exits with main's code after
@@ -34,70 +39,54 @@ call it in their own process.
 
 This module is the front end only: importing it loads the package and
 module common, nothing else, so a request compiles only the modules its
-command runs, and of those only the functions it can call.  constants
-loads numerics and its own module constants; asymptotics and roots
-never load sequences or numerics, and only roots and the saddle suite
-load saddle (and cmath).  approx loads sequences (the q/p rows, the
-convergence measurement and the command), kernel and bell (the rows),
-numerics (BigFix and the oracles) and exponents (the predicted
-exponent); table loads the same and module table, its command.
-Neither loads fractions, argparse or the saddle, recurrence, lemma-1,
-tail, Bernoulli or partition-sum code, nor the linear-form exponent
-(in asymptotics) or the constants command.  Only verify loads a suite,
-and only its own: module verify holds the command and the integrality
-suite, and each other suite lives in the module it checks (lemma1,
-recurrences, bernoulli, tail, saddle, and partition_sum for the bell
-suite); no suite loads numerics.  fractions is loaded only by the
-asymptotics command and the bell, bernoulli and lemma1 suites, which
-print or check a Fraction.  No command loads json: common._json prints
-json.dumps's bytes itself.  No module of the package imports this one:
-under `python -m bellgamma.cli` that would compile it a second time.
+command runs, and of those only the functions it can call, except for
+table's range check here, which approx compiles too.  constants loads
+numerics and its own module constants; asymptotics and roots never load
+sequences or numerics, and only roots and the saddle suite load saddle
+(and cmath).  approx loads sequences (the convergence measurement and
+the command), kernel and bell (the rows), numerics (BigFix and the
+oracles) and exponents (the predicted exponent); table loads the same
+and module table, its command.  Neither loads fractions, argparse or the
+saddle, recurrence, lemma-1, tail, Bernoulli or partition-sum code, nor
+the linear-form exponent (in asymptotics), the constants command, the
+other commands' checks or the library's q/p values (module values, which
+no command loads).  Only verify loads a suite, and only its own: module
+verify holds the command and the integrality suite, and each other suite
+lives in the module it checks (lemma1, recurrences, bernoulli, tail,
+saddle, and partition_sum for the bell suite); no suite loads numerics.
+fractions is loaded only by the asymptotics command and the bell,
+bernoulli and lemma1 suites, which print or check a Fraction.  No
+command loads json: common._json prints json.dumps's bytes itself.  No
+module of the package imports this one: under `python -m bellgamma.cli`
+that would compile it a second time.
 """
 
 import contextlib
 import gc
 import importlib
-import math
 import os
 import sys
 from types import SimpleNamespace
 
 from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_INTERNAL, EXIT_PRECISION,
-                     EXIT_USAGE, PROFILE_KINDS, PrecisionError)
+                     EXIT_USAGE, PROFILE_KINDS, PrecisionError, UsageError)
 
-# Past 10^63 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
-# other, come within a few units of double rounding of one another, and
-# Newton's iteration no longer brings the residual to the rounding level
-# of its evaluation: for u = -4, -2, 0, 2, 4 it fails from 7*10^63 on.
-# A scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8,
-# |u| <= a, to distinct roots up to 6*10^63.
-_ROOTS_N_MAX = 10 ** 63
-# The flags each verify suite reads, with their defaults; passing it any
-# other is a usage error.
-_SUITE_FLAGS = {"lemma1": {"a": 3, "nmax": 10}, "recurrences": {"nmax": 60},
-                "integrality": {"a": 3, "nmax": 50}, "bernoulli": {},
-                "bell": {}, "tail": {"digits": 30}, "saddle": {}}
-
-
-class UsageError(ValueError):
-    """Invalid flag combination or value; maps to exit code 2."""
+# The values of verify --suite; module verify holds what each suite reads.
+_SUITES = ("lemma1", "recurrences", "integrality", "bernoulli", "bell",
+           "tail", "saddle")
 
 
 def _parse_range(text: str) -> tuple:
-    parts = text.split(":")
+    """(start, stop, step) of table's --n START[:STOP[:STEP]]."""
     try:
-        nums = [int(p) for p in parts]
+        nums = [int(p) for p in text.split(":")]
     except ValueError:
+        nums = []
+    if not 1 <= len(nums) <= 3:
         raise UsageError("bad n range %r; expected start:stop[:step]" % text)
-    if len(nums) == 1:
-        start = stop = nums[0]
-        step = 1
-    elif len(nums) == 2:
-        (start, stop), step = nums, 1
-    elif len(nums) == 3:
-        start, stop, step = nums
-    else:
-        raise UsageError("bad n range %r; expected start:stop[:step]" % text)
+    if len(nums) < 3:
+        nums = [nums[0], nums[-1], 1]
+    start, stop, step = nums
     if start < 0 or stop < start or step < 1:
         raise UsageError("n range must be ascending and nonnegative")
     return start, stop, step
@@ -128,8 +117,7 @@ _FLAGS = {
               ("--qn-ratio", "qn_ratio", None, False, False,
                "append a q_n / asymptotic-main-term column", None),
               _DIGITS, _format("csv"), _OUT),
-    "verify": (("--suite", "suite", tuple(_SUITE_FLAGS), None, True, None,
-                None),
+    "verify": (("--suite", "suite", _SUITES, None, True, None, None),
                ("--a", "a", int, None, False,
                 "lemma1 and integrality suites (default 3)", None),
                ("--nmax", "nmax", int, None, False, None, None),
@@ -192,11 +180,12 @@ def _read_argv(argv):
 
 
 def _check_args(args) -> None:
-    """Range-check the parsed arguments; adds args.env_digits (from
-    BELLGAMMA_DIGITS) where it is the default precision, that is for
-    approx, table and constants without --digits, for table
-    args.n_range, and for verify the defaults of the flags its suite
-    reads."""
+    """Range-check what every command shares, and approx's --n and
+    table's range, whose usage errors load no module beyond common; adds
+    args.env_digits (from BELLGAMMA_DIGITS) where it is the default
+    precision, that is for approx, table and constants without --digits,
+    and for table args.n_range.  Each other command's own checks are
+    the check_<command> of the module that runs it."""
     top = _MAX_DIGITS
     if args.command in ("approx", "table"):
         top -= _ROW_GUARD  # convergence_row works at digits + _ROW_GUARD
@@ -215,47 +204,10 @@ def _check_args(args) -> None:
     mu = getattr(args, "mu", None)
     if mu is not None and not 1 <= mu <= args.a - 1:
         raise UsageError("--mu out of range 1..a-1")
-    if args.command == "approx":
-        if args.n < 0:
-            raise UsageError("--n must be nonnegative")
-    elif args.command == "table":
+    if args.command == "approx" and args.n < 0:
+        raise UsageError("--n must be nonnegative")
+    if args.command == "table":
         args.n_range = _parse_range(args.n)
-    elif args.command == "verify":
-        for flag in ("a", "nmax", "digits"):
-            if (getattr(args, flag) is not None
-                    and flag not in _SUITE_FLAGS[args.suite]):
-                raise UsageError("--%s is not read by the %s suite"
-                                 % (flag, args.suite))
-        if args.nmax is not None and args.nmax < 0:
-            raise UsageError("--nmax must be nonnegative")
-        if args.suite == "recurrences" and args.nmax is not None:
-            if args.nmax < 6:
-                raise UsageError("--nmax too small for the recurrence suite")
-        for flag, default in _SUITE_FLAGS[args.suite].items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-    elif args.command == "constants":
-        if not 2 <= args.zeta_max <= 20:
-            raise UsageError("--zeta-max out of range 2..20")
-    elif args.command == "asymptotics":
-        if args.n is not None and args.n < 1:
-            raise UsageError("--n must be positive")
-        if args.n is not None and args.n > sys.float_info.max:
-            # the exponents are evaluated in double precision
-            raise UsageError("--n out of range 1..%g" % sys.float_info.max)
-        if args.n is not None and args.kind in (None, "theorem-qn"):
-            try:
-                math.lgamma(args.n + 1)
-            except OverflowError:
-                raise UsageError("--n too large for theorem-qn: log n! "
-                                 "overflows a double")
-    elif args.command == "roots":
-        if abs(args.u) > args.a:
-            raise UsageError("--u must satisfy |u| <= a")
-        if args.n < 1000:
-            raise UsageError("--n must be at least 1000")
-        if args.n > _ROOTS_N_MAX:
-            raise UsageError("--n must be at most 10^63")
 
 
 def _open_out(path):
@@ -291,9 +243,10 @@ def _write(fh, text: str) -> None:
         raise UsageError("cannot write output: %s" % (exc.strerror or exc))
 
 
-# The module that runs each command, as its function cmd_<command>.
-# main imports only the one a request names, so a process compiles only
-# that command's code.
+# The module that runs each command, as its function cmd_<command>,
+# after its own checks, check_<command>, where it has any.  main imports
+# only the one a request names, so a process compiles only that
+# command's code.
 _RUNNERS = {"approx": "sequences", "table": "table", "verify": "verify",
             "constants": "constants", "asymptotics": "asymptotics",
             "roots": "saddle"}
@@ -309,9 +262,12 @@ def main(argv=None) -> int:
 
             args = build_parser(_FLAGS).parse_args(argv)
         _check_args(args)
+        runner = importlib.import_module("." + _RUNNERS[args.command],
+                                         __package__)
+        check = getattr(runner, "check_" + args.command, None)
+        if check is not None:
+            check(args)
         with _open_out(args.out) as fh:
-            runner = importlib.import_module("." + _RUNNERS[args.command],
-                                             __package__)
             text, code = getattr(runner, "cmd_" + args.command)(args)
             _write(fh, text)
         return code

@@ -1,15 +1,15 @@
-"""What every command shares: exit codes, the precision limits and
-their error, the profile kinds of asymptotics (the values of its
---kind), exact integer helpers (rounding a ratio of ints to nearest
-among them, for BigFix and the tail suite), and the decimal and json
-writers.
+"""What every command shares: exit codes, the usage error, the
+precision limits and their error, the profile kinds of asymptotics (the
+values of its --kind), exact integer helpers (rounding a ratio of ints
+to nearest among them, for BigFix and the tail suite), and the decimal
+and json writers.
 
 The command-line front end loads this module and nothing else of the
 package, also for the --digits limits of its range checks, so it
 imports math alone: no fractions (nor the decimal and numbers modules
-fractions loads), no BigFix.  Each command's body lives next to the
-code whose results it prints and imports this module for its exit code
-and its json.
+fractions loads), no BigFix.  Each command's body, and its own argument
+checks, live next to the code whose results it prints and import this
+module for its exit code, its usage error and its json.
 """
 
 import math
@@ -29,6 +29,10 @@ _ROW_GUARD = 20
 
 # The exponent profiles of asymptotics, also the values of its --kind.
 PROFILE_KINDS = ("theorem-linear-form", "theorem-qn", "corollary")
+
+
+class UsageError(ValueError):
+    """Invalid flag combination or value; maps to exit code 2."""
 
 
 class PrecisionError(ArithmeticError):

@@ -4,8 +4,14 @@ The values come from the oracles of module numerics; only the constants
 command imports this module, so no approx or table request compiles it.
 """
 
-from .common import EXIT_OK, _json
+from .common import EXIT_OK, UsageError, _json
 from .numerics import gamma_const, zeta_const
+
+
+def check_constants(args) -> None:
+    """The `constants` command's own check: --zeta-max is in 2..20."""
+    if not 2 <= args.zeta_max <= 20:
+        raise UsageError("--zeta-max out of range 2..20")
 
 
 def cmd_constants(args) -> tuple[str, int]:

@@ -14,11 +14,13 @@ A row is one Bell ladder over Columns, the arguments' values over k =
 0..n, whose results the weights sum.  This is also a constructive proof
 of the integrality statement D_n^mu p_{n,mu} in Z.  `row` is the one
 place a row is built, and int_rows, the one loop over rows, is the one
-way in to q_n and D^mu p_{n,mu}: approx and table read single rows from
-it and the library tables q_seq and p_seq ranges of rows (module
-sequences), and the integrality and recurrences suites check its ints.
-Only lemma 1 calls `row` itself, for the weights and Columns on which
-it runs its own ladder.  No part of the kernel forms a Fraction.
+way in to q_n and D^mu p_{n,mu}: approx reads a single row from it,
+table its listed rows, every step-th, over one harmonic table at the
+last, and the library values q_at, p_at, q_seq and p_seq single rows or
+ranges of rows (module values); the integrality and recurrences suites
+check its ints.  Only lemma 1 calls `row` itself, for the weights and
+Columns on which it runs its own ladder.  No part of the kernel forms a
+Fraction.
 """
 
 from itertools import repeat
@@ -103,6 +105,12 @@ def harmonic_halves(a: int, n_hi: int, mu_max: int):
     return d, hi, lo
 
 
+def check_mu(a: int, mu: int) -> None:
+    """ValueError unless 1 <= mu <= a-1, the mu of a p_{n,mu}."""
+    if not 1 <= mu <= a - 1:
+        raise ValueError("require 1 <= mu <= a-1")
+
+
 def row(a: int, n: int, halves):
     """(ws, cols, q_n, [D^mu p_{n,mu}, mu = 1..mu_max]) for row n, with
     halves = harmonic_halves(a, n_hi, mu_max) for some n_hi >= n: the
@@ -115,24 +123,25 @@ def row(a: int, n: int, halves):
     return ws, cols, sum(ws), dp
 
 
-def int_rows(a: int, n_lo: int, n_hi: int, mu_max: int):
-    """(D, q, dp) for rows n_lo..n_hi, all ints: D = lcm(1..n_hi) (1
-    when mu_max or n_hi is 0), q[i] = q_{n_lo+i} and
-    dp[mu-1][i] = D^mu p_{n_lo+i,mu}: one kernel row each, over one
-    harmonic_halves table."""
+def int_rows(a: int, n_lo: int, n_hi: int, mu_max: int, step: int = 1):
+    """(D, q, dp) for rows n = n_lo, n_lo + step, ... up to n_hi, all
+    ints: D = lcm(1..n_hi) (1 when mu_max or n_hi is 0), q[i] = q_n and
+    dp[mu-1][i] = D^mu p_{n,mu} for the i-th row n: one kernel row each,
+    over one harmonic_halves table."""
     if a < 2:
         raise ValueError("a must be at least 2")
     if not 0 <= n_lo <= n_hi:
         raise ValueError("require 0 <= n_lo <= n_hi")
     if mu_max < 0:
         raise ValueError("mu_max must be nonnegative")
+    if step < 1:
+        raise ValueError("step must be positive")
     halves = harmonic_halves(a, n_hi, mu_max)
     q = []
     dp = [[] for _ in range(mu_max)]
-    for n in range(n_lo, n_hi + 1):
+    for n in range(n_lo, n_hi + 1, step):
         _, _, qn, vs = row(a, n, halves)
         q.append(qn)
         for col, v in zip(dp, vs):
             col.append(v)
     return halves[0], q, dp
-

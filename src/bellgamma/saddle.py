@@ -1,11 +1,12 @@
 """Saddle roots of e^{i pi u} n (t-1)^a - t^{a-1}, refined by complex
 Newton iteration from the order-3 expansion seed.
 
-Only the `roots` command, cmd_roots, and `verify --suite saddle`,
-suite_saddle, load this module; it is kept apart from exponents so that
-approx and table, which need the exponents alone, never compile it or
-load cmath.  The seeds' c_m are exponents.lagrange_pair's integer
-pairs, so neither command loads asymptotics or fractions.
+Only the `roots` command, check_roots and cmd_roots, and `verify
+--suite saddle`, suite_saddle, load this module; it is kept apart from
+exponents so that approx and table, which need the exponents alone,
+never compile it or load cmath.  The seeds' c_m are
+exponents.lagrange_pair's integer pairs, so neither command loads
+asymptotics or fractions.
 """
 
 import cmath
@@ -13,8 +14,16 @@ import math
 import sys
 from collections import namedtuple
 
-from .common import EXIT_OK, _json
+from .common import EXIT_OK, UsageError, _json
 from .exponents import lagrange_pair
+
+# Past 10^63 the a = 4 saddle roots, about n^{-1/4} from 1 and from each
+# other, come within a few units of double rounding of one another, and
+# Newton's iteration no longer brings the residual to the rounding level
+# of its evaluation: for u = -4, -2, 0, 2, 4 it fails from 7*10^63 on.
+# A scan of m*10^k, m = 1..9, k = 3..64, refined every a = 2..8,
+# |u| <= a, to distinct roots up to 6*10^63.
+_ROOTS_N_MAX = 10 ** 63
 
 
 class CPoint(namedtuple("CPoint", "re im")):
@@ -130,6 +139,17 @@ def suite_saddle(args) -> list:
         out.append(("saddle roots refined: a=%d, all |u|<=%d, n=10^6" % (a, a),
                     ok))
     return out
+
+
+def check_roots(args) -> None:
+    """The `roots` command's own checks: |u| <= a and
+    1000 <= n <= _ROOTS_N_MAX."""
+    if abs(args.u) > args.a:
+        raise UsageError("--u must satisfy |u| <= a")
+    if args.n < 1000:
+        raise UsageError("--n must be at least 1000")
+    if args.n > _ROOTS_N_MAX:
+        raise UsageError("--n must be at most 10^63")
 
 
 def cmd_roots(args) -> tuple[str, int]:

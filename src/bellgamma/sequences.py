@@ -1,31 +1,31 @@
-"""The sequences q_n and p_{n,mu} and their convergence measurements.
+"""The convergence measurements of p_{n,mu}/q_n, and the `approx` command.
 
 q_n = sum_k C(n,k)^a k! and p_{n,mu} = sum_k C(n,k)^a k! Y_mu(r_1(k),...,
 r_mu(k)) approximate the Bell-polynomial combinations alpha_mu of gamma
 and zeta values.  This module serves the `approx` and `table` commands:
-single values, prefix tables, and the measured error of p/q against
-alpha_mu, one Bell ladder over the BigFix constants, certified by a
-stated radius (_ladder_radius, over the same constants).  The log of
-that error is taken at 40 working digits (BigFix.ln_float), not at the
-row's full scale, whenever they settle the double it prints.  Floating
-point enters only in those measurements.  Each row's working digits
-(_row_digits) and the `approx` command, cmd_approx, are at the end; the
-`table` command, cmd_table, which renders many rows (and the optional
-q_n / main-term column), is in module table, so that approx never
-compiles it.  The exactly checked identities live in their own modules,
-so that these commands never compile them: lemma 1 in lemma1 (with
+the measured error of p/q against alpha_mu, one Bell ladder over the
+BigFix constants, certified by a stated radius (_ladder_radius, over
+the same constants).  The log of that error is taken at 40 working
+digits (BigFix.ln_float), not at the row's full scale, whenever they
+settle the double it prints.  Floating point enters only in those
+measurements.  Each row's working digits (_row_digits) and the `approx`
+command, cmd_approx, are at the end; the `table` command, cmd_table,
+which renders many rows (and the optional q_n / main-term column), is
+in module table, so that approx never compiles it.  The library values
+q_at, p_at, q_seq and p_seq are in module values, which no command
+loads, and the exactly checked identities live in their own modules, so
+that these commands never compile them either: lemma 1 in lemma1 (with
 symring), the classical recurrences in recurrences, and the alternating
 tail of the integral remainder in tail.
 
-Costs: every q/p value comes straight from one kernel.int_rows call,
-and nothing is cached between calls.  A single value (q_at, p_at,
-convergence_row) is one kernel row, an O(n) sum over k; q_seq and p_seq
-are rows 0..n_max, O(n_max^2), and q_seq builds q alone.
+Costs: a row's q and p come straight from kernel.int_rows, and nothing
+is cached between calls.  convergence_row reads one kernel row, an O(n)
+sum over k, unless it is given a row already built: table builds all
+its listed rows over one kernel table.
 
-A single row keeps p_{n,mu} as its reduced integer pair (p_num, p_den),
-the pair a Fraction would hold: approx and table print those integers
-and round p/q into a BigFix from them, so neither loads fractions.
-p_at, p_seq and ApproxRecord.p return Fractions for library callers.
+A row keeps p_{n,mu} as its reduced integer pair (p_num, p_den), the
+pair a Fraction would hold: approx and table print those integers and
+round p/q into a BigFix from them, so neither loads fractions.
 """
 
 import math
@@ -41,42 +41,6 @@ from .numerics import LN10, BigFix, gamma_const, zeta_const
 CSV_HEADER = "a,mu,n,p_num,p_den,q,err_log10,predicted_log10"
 
 
-def _check_mu(a: int, mu: int) -> None:
-    if not 1 <= mu <= a - 1:
-        raise ValueError("require 1 <= mu <= a-1")
-
-
-def q_seq(a: int, n_max: int) -> list:
-    """q_0..q_{n_max} as exact integers: the kernel rows of q alone."""
-    return kernel.int_rows(a, 0, n_max, 0)[1]
-
-
-def p_seq(a: int, mu: int, n_max: int) -> list:
-    """p_{0,mu}..p_{n_max,mu} as exact Fractions, 1 <= mu <= a-1: the
-    kernel rows of q and D^nu p_{n,nu}, nu = 1..mu, of which the last
-    is returned over D^mu."""
-    from fractions import Fraction
-
-    _check_mu(a, mu)
-    d, _, dp = kernel.int_rows(a, 0, n_max, mu)
-    dm = d ** mu
-    return [Fraction(v, dm) for v in dp[mu - 1]]
-
-
-def q_at(a: int, n: int):
-    """Single value q_n: one O(n) kernel row."""
-    return kernel.int_rows(a, n, n, 0)[1][0]
-
-
-def p_at(a: int, mu: int, n: int):
-    """Single value p_{n,mu} as a Fraction: one O(n) kernel row."""
-    from fractions import Fraction
-
-    _check_mu(a, mu)
-    d, _, dp = kernel.int_rows(a, n, n, mu)
-    return Fraction(dp[mu - 1][0], d ** mu)
-
-
 class ApproxRecord(namedtuple(
         "ApproxRecord", "a mu n p_num p_den q err_log predicted_exponent")):
     """One measured convergence row: exact p = p_num/p_den in lowest
@@ -84,13 +48,6 @@ class ApproxRecord(namedtuple(
     the predicted_exponent (floats)."""
 
     __slots__ = ()
-
-    @property
-    def p(self):
-        """p_{n,mu} as a Fraction."""
-        from fractions import Fraction
-
-        return Fraction(self.p_num, self.p_den)
 
 
 def auto_digits(predicted: float) -> int:
@@ -143,11 +100,16 @@ def _ladder_radius(xs, errs) -> int:
     return -(-es[-1] // one)
 
 
-def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> ApproxRecord:
+def convergence_row(a: int, mu: int, n: int, digits: int | None = None,
+                    row: tuple | None = None) -> ApproxRecord:
     """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
 
-    digits defaults to auto_digits(predicted).  The difference is
-    evaluated once, at s = digits + _ROW_GUARD digits, with
+    row is (q_n, num, den) with p_{n,mu} = num/den, den > 0, when the
+    caller has built row n already (table builds all its rows over one
+    kernel table); by default it is kernel row n, built over the
+    harmonic table of that row and mu alone.  digits defaults to
+    auto_digits(predicted).  The difference is evaluated once, at
+    s = digits + _ROW_GUARD digits, with
     alpha_mu = Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) one Bell
     ladder over xs, where xs, errs = _alpha_args(a, mu, s).  Its
     mantissa M is within R = _ladder_radius(xs, errs) + 1 units of 10^-s
@@ -164,12 +126,14 @@ def convergence_row(a: int, mu: int, n: int, digits: int | None = None) -> Appro
     names auto_digits(predicted) if that is above digits: the digits
     that resolve the predicted error, with 30 to spare.
     """
+    if row is None:
+        kernel.check_mu(a, mu)
+        d, (q,), dp = kernel.int_rows(a, n, n, mu)
+        row = q, dp[mu - 1][0], d ** mu
+    q, num, den = row
     predicted = corollary_exponent(a, n)
     if digits is None:
         digits = auto_digits(predicted)
-    _check_mu(a, mu)
-    d, (q,), dp = kernel.int_rows(a, n, n, mu)
-    num, den = dp[mu - 1][0], d ** mu
     g = math.gcd(num, den)
     num, den = num // g, den // g
     s = digits + _ROW_GUARD

@@ -1,13 +1,16 @@
 """The `table` command: convergence rows over an inclusive n range.
 
-Each row is sequences.convergence_row at the digits sequences._row_digits
-chooses for it, printed as csv, json or a text grid, with an optional
-q_n / main-term column (qn_log_asymptotic, module exponents).  Only the
-table command imports this module, so no approx request compiles it.
+The listed rows are built by one kernel.int_rows call, over one harmonic
+table at the last n, and each is measured by sequences.convergence_row at
+the digits sequences._row_digits chooses for it.  They are printed as
+csv, json or a text grid, with an optional q_n / main-term column
+(qn_log_asymptotic, module exponents).  Only the table command imports
+this module, so no approx request compiles it.
 """
 
 import math
 
+from . import kernel
 from .common import _ROW_GUARD, EXIT_OK, _json
 from .exponents import qn_log_asymptotic
 from .numerics import LN10, gamma_const, zeta_const
@@ -34,8 +37,12 @@ def cmd_table(args) -> tuple[str, int]:
     gamma_const(top)
     for m in range(2, args.mu + 1):
         zeta_const(m, top)
-    rows = [convergence_row(args.a, args.mu, n, d)
-            for n, d in zip(ns, digits)]
+    # Every row over the lcm D of the last: D^mu p_{n,mu} over D^mu is
+    # p_{n,mu}, which convergence_row reduces.
+    d, qs, dp = kernel.int_rows(args.a, ns[0], ns[-1], args.mu, step)
+    den = d ** args.mu
+    rows = [convergence_row(args.a, args.mu, n, dg, (q, num, den))
+            for n, q, num, dg in zip(ns, qs, dp[-1], digits)]
     ratios = ([_qn_ratio(args.a, r.n, r.q) for r in rows]
               if args.qn_ratio else None)
     if args.fmt == "json":

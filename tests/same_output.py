@@ -50,6 +50,12 @@ EXTRA_ARGVS = (
     "constants --zeta-max 30",
     "approx --a 3 --mu 1 --n 5 --out no-such-directory/row.txt",
     "roots --a 3 --n 10",
+    "asymptotics --a 3 --n 0",
+    "asymptotics --a 3 --kind corollary --n 1" + "0" * 309,
+    "asymptotics --a 4 --n 1" + "0" * 306,
+    "roots --a 3 --u -4",
+    "roots --a 5 --n 1" + "0" * 62 + "1",
+    "verify --suite integrality --nmax -1",
     "bogus",
 )
 

@@ -26,8 +26,9 @@ from bellgamma.recurrences import (
     recurrence_generate,
 )
 from bellgamma.saddle import _p_dp, saddle_roots, saddle_seed
-from bellgamma.sequences import convergence_row, p_seq, q_seq
+from bellgamma.sequences import convergence_row
 from bellgamma.tail import tail_series
+from bellgamma.values import p_seq, q_seq
 
 
 def _report(num, ok, detail, t0, budget):

@@ -11,13 +11,14 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import oracles
 import pytest
 
 import bellgamma
-from bellgamma import (cli, kernel, numerics, parser, partition_sum,
-                       sequences, verify)
+from bellgamma import (cli, kernel, numerics, parser, partition_sum, saddle,
+                       sequences, values, verify)
 from bellgamma.bell import bell_ladder
 from bellgamma.exponents import corollary_exponent
 
@@ -116,6 +117,31 @@ def test_table_qn_ratio_reads_each_row_once(capsys, monkeypatch):
                          "--n", "10:40:10", "--qn-ratio")
     assert code == 0
     assert calls == [(3, n) for n in (10, 20, 30, 40)]
+
+
+@pytest.mark.parametrize("a, mu, spec", [
+    (3, 2, "10:40:10"), (4, 3, "0:241:30"), (2, 1, "7:7"), (8, 7, "0:24:6")])
+def test_table_builds_its_rows_over_one_harmonic_table(a, mu, spec, capsys,
+                                                       monkeypatch):
+    # every listed row over the harmonic table of the last, with the same
+    # reduced p, q and err_log as the row measured on its own
+    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    calls = []
+    real = kernel.harmonic_halves
+    monkeypatch.setattr(kernel, "harmonic_halves",
+                        lambda *args: calls.append(args) or real(*args))
+    code, out, _ = run_cli(capsys, "table", "--a", str(a), "--mu", str(mu),
+                           "--n", spec, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert calls == [(a, rows[-1]["n"], mu)]
+    args = SimpleNamespace(a=a, mu=mu, digits=None, env_digits=50)
+    for r in rows:
+        one = sequences.convergence_row(
+            a, mu, r["n"], sequences._row_digits(args, r["n"]))
+        assert (r["p_num"], r["p_den"], r["q"]) == (one.p_num, one.p_den,
+                                                    one.q)
+        assert r["err_log10"] == one.err_log / numerics.LN10
 
 
 def test_table_json(capsys):
@@ -305,7 +331,8 @@ def test_oserror_in_a_command_is_internal_error(capsys, monkeypatch):
 def test_each_suite_lives_in_the_module_its_table_names():
     # verify --suite accepts the suites of verify's table, and suite_<name>
     # is defined there and in no other module of the package
-    assert list(verify.SUITES) == list(cli._SUITE_FLAGS)
+    assert (list(verify.SUITES) == list(cli._SUITES)
+            == list(verify.SUITE_FLAGS))
     src = os.path.dirname(bellgamma.__file__)
     defined = set()
     for fname in os.listdir(src):
@@ -771,7 +798,7 @@ def test_sweep_rows_never_take_the_full_scale_ln(capsys, monkeypatch):
 def test_roots_refine_up_to_n_max():
     # the bound roots accepts: every a and u still refine at it
     from bellgamma.saddle import root_report
-    n = cli._ROOTS_N_MAX
+    n = saddle._ROOTS_N_MAX
     for a in range(2, 9):
         for u in range(-a, a + 1):
             assert len(root_report(a, u, n)) == a
@@ -886,7 +913,7 @@ def test_approx_past_int_str_limit():
     for i in range(0, len(digits), 1000):
         chunk = digits[i:i + 1000]
         value = value * 10 ** len(chunk) + int(chunk)
-    assert value == sequences.q_at(2, 1548)
+    assert value == values.q_at(2, 1548)
 
 
 # Each command loads only what it runs.  random and typing are left out:
@@ -1013,12 +1040,15 @@ def _modules_after(argv: str):
 
 
 # No approx or table request compiles a function it cannot call: the
-# partition-sum oracle, the argparse fallback, the constants command and
-# the linear-form exponent are defined in modules neither loads, and the
-# table command in one approx does not load.
+# partition-sum oracle, the argparse fallback, the constants command,
+# the linear-form exponent, the library's q/p values and the checks of
+# the commands that are neither are defined in modules neither loads,
+# and the table command in one approx does not load.
 _ROWS_UNCALLED = {"bell_eval_partitions", "partitions",
                   "partition_multinomial", "build_parser", "cmd_constants",
-                  "linform_exponent"}
+                  "linform_exponent", "q_seq", "p_seq", "q_at", "p_at",
+                  "check_verify", "check_constants", "check_asymptotics",
+                  "check_roots"}
 
 
 @pytest.mark.parametrize("argv, uncalled", [
@@ -1043,6 +1073,36 @@ def test_rows_compile_no_function_they_cannot_call(argv, uncalled):
             defined |= {stmt.name for stmt in ast.parse(fh.read()).body
                         if isinstance(stmt, ast.FunctionDef)}
     assert not defined & uncalled
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify --suite tail --a 3", "--a is not read by the tail suite"),
+    ("verify --suite integrality --nmax -1", "--nmax must be nonnegative"),
+    ("verify --suite recurrences --nmax 5",
+     "--nmax too small for the recurrence suite"),
+    ("constants --zeta-max 30", "--zeta-max out of range 2..20"),
+    ("asymptotics --a 3 --n 0", "--n must be positive"),
+    ("asymptotics --a 3 --kind corollary --n %d" % 10 ** 309,
+     "--n out of range 1..1.79769e+308"),
+    ("asymptotics --a 3 --n %d" % 10 ** 306,
+     "--n too large for theorem-qn: log n! overflows a double"),
+    ("roots --a 3 --u 4", "--u must satisfy |u| <= a"),
+    ("roots --a 3 --n 10", "--n must be at least 1000"),
+    ("roots --a 3 --n %d" % (10 ** 63 + 1), "--n must be at most 10^63"),
+    ("approx --a 3 --mu 1 --n -1", "--n must be nonnegative"),
+    ("table --a 3 --mu 1 --n 5:2",
+     "n range must be ascending and nonnegative"),
+    ("table --a 3 --mu 1 --n 0:x",
+     "bad n range '0:x'; expected start:stop[:step]"),
+])
+def test_command_check_fails_before_out_file(argv, message, tmp_path,
+                                             capsys):
+    # each command's own checks run before --out is opened: exit 2 with
+    # the message alone, and no file
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli(capsys, *argv.split(), "--out", str(target))
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
+    assert not target.exists()
 
 
 def test_abbreviated_flag_reads_through_the_fallback():

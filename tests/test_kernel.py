@@ -7,7 +7,7 @@ import pytest
 from bellgamma import kernel
 from bellgamma.bell import bell_ladder
 from bellgamma.common import binom, factorial, lcm_upto
-from bellgamma.sequences import p_seq, q_seq
+from bellgamma.values import p_seq, q_seq
 
 
 def oracle_tables(a, n_max, mu_max):

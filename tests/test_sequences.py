@@ -30,14 +30,11 @@ from bellgamma.sequences import (
     _alpha_args,
     _ladder_radius,
     convergence_row,
-    p_at,
-    p_seq,
-    q_at,
-    q_seq,
     records_to_csv,
 )
 from bellgamma.symring import SymPoly, alpha_poly, lambda_coeff
 from bellgamma.tail import tail_series
+from bellgamma.values import p_at, p_seq, q_at, q_seq
 
 
 def harmonic_direct(k, m):
@@ -139,7 +136,8 @@ def test_convergence_row_reads_one_sum(monkeypatch):
                         lambda *args: calls.append(args[:2]) or row(*args))
     rec = convergence_row(4, 2, 20)
     assert calls == [(4, 20, 2), (4, 20)]
-    assert (rec.q, rec.p) == (q_at(4, 20), p_at(4, 2, 20))
+    assert (rec.q, Fraction(rec.p_num, rec.p_den)) == (q_at(4, 20),
+                                                        p_at(4, 2, 20))
 
 
 def test_p_seq_against_direct_composition():
@@ -615,7 +613,7 @@ def test_convergence_row_n0():
     rec = convergence_row(2, 1, 0)
     assert rec == ApproxRecord(2, 1, 0, 0, 1, 1,
                                rec.err_log, rec.predicted_exponent)
-    assert rec.p == 0
+    assert Fraction(rec.p_num, rec.p_den) == 0
     # error is |gamma - 0| = gamma
     assert math.isclose(rec.err_log, math.log(0.5772156649015329),
                         rel_tol=1e-9)
@@ -625,7 +623,7 @@ def test_convergence_row_n0():
 def test_convergence_row_tracks_prediction():
     rec = convergence_row(3, 1, 30)
     assert rec.q == q_at(3, 30)
-    assert rec.p == p_at(3, 1, 30)
+    assert Fraction(rec.p_num, rec.p_den) == p_at(3, 1, 30)
     assert rec.err_log < 0
     assert abs(rec.err_log / rec.predicted_exponent - 1) < 0.5
     nxt = convergence_row(3, 1, 60)
@@ -668,7 +666,7 @@ def test_records_to_csv_past_int_str_limit():
     try:
         set_limit(0)
         want = "2,1,1548,%d,%d,%d,-0.868589,-1.30288" % (
-            rec.p.numerator, rec.p.denominator, q)
+            rec.p_num, rec.p_den, q)
         set_limit(4300)
         text = records_to_csv([rec])
     finally:
