@@ -14,16 +14,26 @@ The ladder is the one production route, called once per kernel row (on
 Columns of ints over k), per lemma-1 row (on SymPoly over Columns) and
 per alpha_mu (on BigFix); it reads each binomial row C(j-1, .) from a
 small cache and skips the factor C(j-1, 0) = 1.
+
+The paper's point is x_1 = gamma and x_m = c_m zeta(m), with the one
+coefficient point_coeff gives; alpha_mu is Y_mu there.
 """
 
 import functools
-from math import comb
+from math import comb, factorial
 
 
 @functools.lru_cache(maxsize=32)
 def _binomials(j: int) -> tuple:
     """(C(j, 0), ..., C(j, j))."""
     return tuple(comb(j, i) for i in range(j + 1))
+
+
+def point_coeff(a: int, m: int) -> int:
+    """c_m = (m-1)! (a + (-1)^m (a-1)), the factor of zeta(m) in the
+    m-th argument of the paper's point (c_1 = 1, the factor of gamma):
+    (m-1)! (a'+1 + (-1)^m a') with a' = a-1."""
+    return factorial(m - 1) * (a + (-1) ** m * (a - 1))
 
 
 def bell_ladder(xs) -> list:

@@ -188,7 +188,7 @@ def _check_args(args) -> None:
     the check_<command> of the module that runs it."""
     top = _MAX_DIGITS
     if args.command in ("approx", "table"):
-        top -= _ROW_GUARD  # convergence_row works at digits + _ROW_GUARD
+        top -= _ROW_GUARD  # convergence_rows works at digits + _ROW_GUARD
     digits = getattr(args, "digits", None)
     if digits is None and args.command in ("approx", "table", "constants"):
         try:

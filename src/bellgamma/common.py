@@ -22,7 +22,7 @@ EXIT_INTERNAL = 4
 
 # The most digits the gamma and zeta oracles give.
 _MAX_DIGITS = 10000
-# convergence_row evaluates each row at digits + _ROW_GUARD digits, so
+# convergence_rows measures its rows at digits + _ROW_GUARD digits, so
 # approx and table work at most at the constants' limit less _ROW_GUARD.
 _ROW_GUARD = 20
 

@@ -19,15 +19,15 @@ from fractions import Fraction
 from operator import mul
 
 from . import kernel
-from .bell import bell_ladder
-from .common import factorial
+from .bell import bell_ladder, point_coeff
 from .symring import SymPoly, alpha_poly, lambda_coeff
 
 
 def _deriv_coeff(a: int, m: int) -> int:
-    """c_m = (m-1)!((-1)^{m-1}(a-1) - a), the coefficient of z_m in the
-    m-th derivative of the summand exponent (z_1 = g: c_1 = -1)."""
-    return factorial(m - 1) * ((-1) ** (m - 1) * (a - 1) - a)
+    """-c_m = (m-1)!((-1)^{m-1}(a-1) - a), c_m = point_coeff(a, m), the
+    coefficient of z_m in the m-th derivative of the summand exponent
+    (z_1 = g: -c_1 = -1)."""
+    return -point_coeff(a, m)
 
 
 def scaled_row(a: int, n: int):
@@ -68,8 +68,7 @@ def lemma1_residual(a: int, mu: int, n: int) -> SymPoly:
     (_scaled_residual), and the coefficient of a monomial of weight w is
     unscaled by D^{mu-w}.
     """
-    if not 1 <= mu <= a - 1:
-        raise ValueError("require 1 <= mu <= a-1")
+    kernel.check_mu(a, mu)
     row = scaled_row(a, n)
     d = row[0]
     return SymPoly(a - 1, {

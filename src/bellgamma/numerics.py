@@ -12,8 +12,11 @@ gamma and P. Borwein's alternating sum for zeta(m).  Their truncation
 and rounding bounds (in the docstrings of _gamma_mantissa and
 _zeta_mantissa) lie far below the guard digits, so each value is
 correctly rounded unless it lies within about 10^-9 of its last unit
-from a rounding tie.  The `constants` command prints them from its own
-module, constants, so that approx and table never compile it.
+from a rounding tie.  Each call computes its value afresh, and nothing
+is cached: every command asks for each constant at one precision (a
+table's rows share one, at its deepest row's digits).  The `constants`
+command prints them from its own module, constants, so that approx and
+table never compile it.
 
 Only approx, table and constants load this module, and library callers
 such as tail.tail_series; the integer helpers (_div_nearest among them)
@@ -46,10 +49,10 @@ def _fix_atanh_recip(q: int, w: int) -> int:
     return acc
 
 
-# Cached per scale w.  Full-scale ln and the oracles ask for a new scale
-# on every table row, so the caches keep only the recent ones; ln_float
-# always asks for scale _LN_FLOAT_DIGITS, which is computed once per
-# process.
+# Cached per scale w.  ln_float always asks for scale _LN_FLOAT_DIGITS,
+# which is computed once per process; the gamma oracle and a full-scale
+# ln ask for one scale each per request, and library callers for any,
+# so the caches keep only the recent ones.
 @functools.lru_cache(maxsize=32)
 def _ln2_fix(w: int) -> int:
     return 2 * _fix_atanh_recip(3, w)
@@ -279,41 +282,6 @@ def _check_digits(name: str, digits: int) -> None:
         raise PrecisionError("%s supports at most %d digits" % (name, _MAX_DIGITS))
 
 
-# One (digits, mantissa) pair per constant: the most precise value so far.
-# Key "gamma" in _GAMMA_CACHE, m in _ZETA_CACHE.
-_GAMMA_CACHE: dict[str, tuple[int, int]] = {}
-_ZETA_CACHE: dict[int, tuple[int, int]] = {}
-
-
-def _round_cached(have: int, mant: int, digits: int) -> int | None:
-    """mant * 10**-have rounded to `digits` <= have digits, or None when
-    the discarded digits lie within the cached value's error bound (one
-    unit of its last digit) of a half unit, where the rounding could go
-    either way."""
-    if have == digits:
-        return mant
-    unit = 10 ** (have - digits)
-    q, r = divmod(mant, unit)
-    if abs(2 * r - unit) <= 2:
-        return None
-    return q + (2 * r > unit)
-
-
-def _oracle(cache: dict, key, digits: int, compute) -> BigFix:
-    """The constant `key` at `digits`: rounded from the cached mantissa
-    when that is more precise and the rounding is certain, else
-    compute(digits), which replaces a less precise cached value."""
-    hit = cache.get(key)
-    if hit is not None and hit[0] >= digits:
-        mant = _round_cached(hit[0], hit[1], digits)
-        if mant is None:
-            mant = compute(digits)
-        return BigFix(mant, digits)
-    mant = compute(digits)
-    cache[key] = (digits, mant)
-    return BigFix(mant, digits)
-
-
 def _gamma_mantissa(digits: int) -> int:
     """gamma * 10**digits, rounded: algorithm B1 of R. P. Brent and
     E. M. McMillan, "Some new algorithms for high-precision computation
@@ -363,7 +331,7 @@ def gamma_const(digits: int) -> BigFix:
     """Euler's constant, correct to `digits` decimal digits, by the
     Brent-McMillan sum (_gamma_mantissa, which states its bounds)."""
     _check_digits("gamma_const", digits)
-    return _oracle(_GAMMA_CACHE, "gamma", digits, _gamma_mantissa)
+    return BigFix(_gamma_mantissa(digits), digits)
 
 
 def _zeta_mantissa(m: int, digits: int) -> int:
@@ -416,5 +384,4 @@ def zeta_const(m: int, digits: int) -> BigFix:
     if m < 2:
         raise ValueError("zeta_const requires m >= 2")
     _check_digits("zeta_const", digits)
-    return _oracle(_ZETA_CACHE, m, digits,
-                   lambda d: _zeta_mantissa(m, d))
+    return BigFix(_zeta_mantissa(m, digits), digits)

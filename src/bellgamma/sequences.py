@@ -8,20 +8,22 @@ BigFix constants, certified by a stated radius (_ladder_radius, over
 the same constants).  The log of that error is taken at 40 working
 digits (BigFix.ln_float), not at the row's full scale, whenever they
 settle the double it prints.  Floating point enters only in those
-measurements.  Each row's working digits (_row_digits) and the `approx`
+measurements.  A row's working digits (_row_digits) and the `approx`
 command, cmd_approx, are at the end; the `table` command, cmd_table,
-which renders many rows (and the optional q_n / main-term column), is
-in module table, so that approx never compiles it.  The library values
-q_at, p_at, q_seq and p_seq are in module values, which no command
-loads, and the exactly checked identities live in their own modules, so
-that these commands never compile them either: lemma 1 in lemma1 (with
-symring), the classical recurrences in recurrences, and the alternating
-tail of the integral remainder in tail.
+which renders many rows at the digits of its deepest (and the optional
+q_n / main-term column), is in module table, so that approx never
+compiles it.  The library values q_at, p_at, q_seq and p_seq are in
+module values, which no command loads, and the exactly checked
+identities live in their own modules, so that these commands never
+compile them either: lemma 1 in lemma1 (with symring), the classical
+recurrences in recurrences, and the alternating tail of the integral
+remainder in tail.
 
-Costs: a row's q and p come straight from kernel.int_rows, and nothing
-is cached between calls.  convergence_row reads one kernel row, an O(n)
-sum over k, unless it is given a row already built: table builds all
-its listed rows over one kernel table.
+Costs: rows' q and p come straight from one kernel.int_rows call, an
+O(n) sum over k per row, and nothing is cached between calls.
+convergence_rows measures all its rows at one precision, against one
+alpha_mu and one radius; convergence_row is its one-row call, which
+approx makes, and table makes one call for all its listed rows.
 
 A row keeps p_{n,mu} as its reduced integer pair (p_num, p_den), the
 pair a Fraction would hold: approx and table print those integers and
@@ -32,9 +34,9 @@ import math
 from collections import namedtuple
 
 from . import kernel
-from .bell import bell_ladder
+from .bell import bell_ladder, point_coeff
 from .common import (_MAX_DIGITS, _ROW_GUARD, EXIT_OK, PrecisionError,
-                     _decimal_str, _json, factorial)
+                     _decimal_str, _json)
 from .exponents import corollary_exponent
 from .numerics import LN10, BigFix, gamma_const, zeta_const
 
@@ -58,13 +60,12 @@ def auto_digits(predicted: float) -> int:
 
 def _alpha_args(a: int, mu: int, scale: int) -> tuple:
     """(xs, errs): xs = [gamma, c_2 zeta(2), ..., c_mu zeta(mu)] at
-    `scale` digits, c_m = (m-1)! (a + (-1)^m (a-1)), and
+    `scale` digits, c_m = bell.point_coeff(a, m), and
     errs = [1, c_2, ..., c_mu], bounds on their errors in units of
     10^-scale: each constant is within one unit of its true value (the
-    _gamma_mantissa and _zeta_mantissa docstrings, and
-    numerics._round_cached), and the int scalings are exact."""
-    errs = [1] + [factorial(m - 1) * (a + (-1) ** m * (a - 1))
-                  for m in range(2, mu + 1)]
+    _gamma_mantissa and _zeta_mantissa docstrings), and the int scalings
+    are exact."""
+    errs = [point_coeff(a, m) for m in range(1, mu + 1)]
     xs = [gamma_const(scale)] + [
         c * zeta_const(m, scale) for m, c in enumerate(errs[1:], start=2)]
     return xs, errs
@@ -100,59 +101,74 @@ def _ladder_radius(xs, errs) -> int:
     return -(-es[-1] // one)
 
 
-def convergence_row(a: int, mu: int, n: int, digits: int | None = None,
-                    row: tuple | None = None) -> ApproxRecord:
-    """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent.
+def convergence_rows(a: int, mu: int, ns: range,
+                     digits: int | None = None) -> list:
+    """Measure ln|alpha_mu - p_{n,mu}/q_n| against the predicted exponent
+    for every n in ns, a nonempty range: one ApproxRecord per row.
 
-    row is (q_n, num, den) with p_{n,mu} = num/den, den > 0, when the
-    caller has built row n already (table builds all its rows over one
-    kernel table); by default it is kernel row n, built over the
-    harmonic table of that row and mu alone.  digits defaults to
-    auto_digits(predicted).  The difference is evaluated once, at
-    s = digits + _ROW_GUARD digits, with
-    alpha_mu = Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) one Bell
-    ladder over xs, where xs, errs = _alpha_args(a, mu, s).  Its
-    mantissa M is within R = _ladder_radius(xs, errs) + 1 units of 10^-s
-    of the true difference T (the one unit covers from_ratio's half).
-    That R bounds the error at s and at every finer scale, and is the
-    same integer at every s > _ROW_GUARD, since the real bound it rounds
-    up moves by about 10^-s.  The row is accepted when M > 2 10^6 R:
-    then |ln M - ln T| < -ln(1 - 5 10^-7), so err_log, BigFix.ln_float
-    of the difference (the double its full-scale ln rounds to), is
-    within 1e-6 max(1, |err_log|) of the true log.  Otherwise
-    PrecisionError names a, mu, n, s, M and R; when M > R, so that
-    T >= M - R, it also names the least digits + k at which
-    (M - R) 10^k - R > 2 10^6 R, where the row passes.  When M <= R it
-    names auto_digits(predicted) if that is above digits: the digits
-    that resolve the predicted error, with 30 to spare.
+    The rows come from one kernel.int_rows call, over the harmonic table
+    of the last, and all are measured at one precision, s = digits +
+    _ROW_GUARD digits; digits defaults to the largest
+    auto_digits(predicted) over the rows.  alpha_mu =
+    Y_mu(gamma, c_2 zeta(2), ..., c_mu zeta(mu)) is one Bell ladder over
+    xs, where xs, errs = _alpha_args(a, mu, s), and serves every row.
+    Each row's difference has a mantissa M within R =
+    _ladder_radius(xs, errs) + 1 units of 10^-s of the true difference T
+    (the one unit covers from_ratio's half).  That R bounds the error at
+    s and at every finer scale, and is the same integer at every
+    s > _ROW_GUARD, since the real bound it rounds up moves by about
+    10^-s.  A row is accepted when M > 2 10^6 R: then
+    |ln M - ln T| < -ln(1 - 5 10^-7), so err_log, BigFix.ln_float of the
+    difference (the double its full-scale ln rounds to), is within
+    1e-6 max(1, |err_log|) of the true log.  Otherwise PrecisionError
+    names a, mu, n, s, M and R; when M > R, so that T >= M - R, it also
+    names the least digits + k at which (M - R) 10^k - R > 2 10^6 R,
+    where the row passes.  When M <= R it names auto_digits(predicted)
+    if that is above digits: the digits that resolve the predicted
+    error, with 30 to spare.
     """
-    if row is None:
-        kernel.check_mu(a, mu)
-        d, (q,), dp = kernel.int_rows(a, n, n, mu)
-        row = q, dp[mu - 1][0], d ** mu
-    q, num, den = row
-    predicted = corollary_exponent(a, n)
+    kernel.check_mu(a, mu)
+    # Every row over the lcm D of the last: D^mu p_{n,mu} over D^mu is
+    # p_{n,mu}, which each row reduces.
+    d, qs, dp = kernel.int_rows(a, ns[0], ns[-1], mu, ns.step)
+    den = d ** mu
     if digits is None:
-        digits = auto_digits(predicted)
-    g = math.gcd(num, den)
-    num, den = num // g, den // g
+        digits = max(auto_digits(corollary_exponent(a, n)) for n in ns)
     s = digits + _ROW_GUARD
     xs, errs = _alpha_args(a, mu, s)
-    err = abs(bell_ladder(xs)[mu] - BigFix.from_ratio(num, den * q, s))
-    m, r = err.mantissa, _ladder_radius(xs, errs) + 1
-    if m <= 2 * 10 ** 6 * r:
-        hint = "raise digits"
-        if m > r:
-            k = 1
-            while (m - r) * 10 ** k - r <= 2 * 10 ** 6 * r:
-                k += 1
-            hint += " to %d" % (digits + k)
-        elif auto_digits(predicted) > digits:
-            hint += " to %d" % auto_digits(predicted)
-        raise PrecisionError(
-            "a=%d mu=%d n=%d: difference of %d units at %d digits, "
-            "radius %d; %s" % (a, mu, n, m, s, r, hint))
-    return ApproxRecord(a, mu, n, num, den, q, err.ln_float(), predicted)
+    alpha = bell_ladder(xs)[mu]
+    r = _ladder_radius(xs, errs) + 1
+    bar = 2 * 10 ** 6 * r
+    rows = []
+    for n, q, num in zip(ns, qs, dp[-1]):
+        predicted = corollary_exponent(a, n)
+        g = math.gcd(num, den)
+        num //= g
+        dn = den // g
+        err = abs(alpha - BigFix.from_ratio(num, dn * q, s))
+        m = err.mantissa
+        if m <= bar:
+            hint = "raise digits"
+            if m > r:
+                k = 1
+                while (m - r) * 10 ** k - r <= bar:
+                    k += 1
+                hint += " to %d" % (digits + k)
+            elif auto_digits(predicted) > digits:
+                hint += " to %d" % auto_digits(predicted)
+            raise PrecisionError(
+                "a=%d mu=%d n=%d: difference of %d units at %d digits, "
+                "radius %d; %s" % (a, mu, n, m, s, r, hint))
+        rows.append(ApproxRecord(a, mu, n, num, dn, q, err.ln_float(),
+                                 predicted))
+    return rows
+
+
+def convergence_row(a: int, mu: int, n: int,
+                    digits: int | None = None) -> ApproxRecord:
+    """Row n alone, measured by convergence_rows: at digits, by default
+    auto_digits of its predicted exponent."""
+    return convergence_rows(a, mu, range(n, n + 1), digits)[0]
 
 
 def records_to_csv(records) -> str:

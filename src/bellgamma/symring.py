@@ -15,10 +15,9 @@ valid keys.
 
 import functools
 from fractions import Fraction
-from math import factorial
 from operator import add
 
-from .bell import bell_ladder
+from .bell import bell_ladder, point_coeff
 from .common import binom
 
 _new = object.__new__
@@ -222,13 +221,12 @@ def alpha_poly(a: int, mu: int, m_index: int | None = None) -> SymPoly:
 
 @functools.lru_cache(maxsize=64)
 def _alpha_poly(a: int, mu: int, m_index: int) -> SymPoly:
-    """Y_mu at x_1 = g, x_m = (m-1)! (a + (-1)^m (a-1)) z_m."""
+    """Y_mu at x_1 = g, x_m = c_m z_m, c_m = point_coeff(a, m)."""
     if mu == 0:
         return SymPoly.one(m_index)
     xs = [SymPoly.gamma(m_index)]
     for m in range(2, mu + 1):
-        scal = factorial(m - 1) * (a + (-1) ** m * (a - 1))
-        xs.append(scal * SymPoly.zeta(m, m_index))
+        xs.append(point_coeff(a, m) * SymPoly.zeta(m, m_index))
     return bell_ladder(xs)[mu]
 
 

@@ -1,20 +1,18 @@
 """The `table` command: convergence rows over an inclusive n range.
 
-The listed rows are built by one kernel.int_rows call, over one harmonic
-table at the last n, and each is measured by sequences.convergence_row at
-the digits sequences._row_digits chooses for it.  They are printed as
-csv, json or a text grid, with an optional q_n / main-term column
-(qn_log_asymptotic, module exponents).  Only the table command imports
-this module, so no approx request compiles it.
+The listed rows are measured by one sequences.convergence_rows call, all
+at the digits sequences._row_digits chooses for the deepest of them.
+They are printed as csv, json or a text grid, with an optional q_n /
+main-term column (qn_log_asymptotic, module exponents).  Only the table
+command imports this module, so no approx request compiles it.
 """
 
 import math
 
-from . import kernel
-from .common import _ROW_GUARD, EXIT_OK, _json
+from .common import EXIT_OK, _json
 from .exponents import qn_log_asymptotic
-from .numerics import LN10, gamma_const, zeta_const
-from .sequences import _row_digits, convergence_row, records_to_csv
+from .numerics import LN10
+from .sequences import _row_digits, convergence_rows, records_to_csv
 
 
 def _qn_ratio(a: int, n: int, q: int) -> float | None:
@@ -31,18 +29,8 @@ def cmd_table(args) -> tuple[str, int]:
     # The last row first: a range past the limit is refused before it is
     # listed.
     _row_digits(args, ns[-1])
-    digits = [_row_digits(args, n) for n in ns]
-    # The most precise constants first: every row rounds from them.
-    top = max(digits) + _ROW_GUARD
-    gamma_const(top)
-    for m in range(2, args.mu + 1):
-        zeta_const(m, top)
-    # Every row over the lcm D of the last: D^mu p_{n,mu} over D^mu is
-    # p_{n,mu}, which convergence_row reduces.
-    d, qs, dp = kernel.int_rows(args.a, ns[0], ns[-1], args.mu, step)
-    den = d ** args.mu
-    rows = [convergence_row(args.a, args.mu, n, dg, (q, num, den))
-            for n, q, num, dg in zip(ns, qs, dp[-1], digits)]
+    digits = max(_row_digits(args, n) for n in ns)
+    rows = convergence_rows(args.a, args.mu, ns, digits)
     ratios = ([_qn_ratio(args.a, r.n, r.q) for r in rows]
               if args.qn_ratio else None)
     if args.fmt == "json":

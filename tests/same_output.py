@@ -5,7 +5,8 @@
 OTHER_SRC is the src/ directory of the other checkout.  The command
 lines are the first N (default 200) requests of each of perfbench's
 sweep, points and exact workloads for each seed (default 1 2 3), read
-from perfbench/workloads.py, followed by EXTRA_ARGVS, which exit 2 or 3.
+from perfbench/workloads.py, followed by EXTRA_ARGVS: tables whose rows
+need widely spread digits, and requests that exit 2 or 3.
 Each runs as `python3 -m bellgamma.cli`, once with this checkout's src/
 first on PYTHONPATH and once with OTHER_SRC, BELLGAMMA_DIGITS unset, two
 command lines at a time.  Every command line whose stdout, stderr or
@@ -27,9 +28,13 @@ import workloads  # noqa: E402
 
 WORKLOADS = ("sweep", "points", "exact")
 
-# Requests that fail: precision failures (exit 3), within and past the
-# radius, and usage errors (exit 2), both of _read_argv and of argparse.
+# Tables whose rows, measured alone, would take widely spread digits
+# (exit 0), then requests that fail: precision failures (exit 3), within
+# and past the radius, and usage errors (exit 2), both of _read_argv and
+# of argparse.
 EXTRA_ARGVS = (
+    "table --a 2 --mu 1 --n 100:1500:350 --format json",
+    "table --a 4 --mu 3 --n 0:1200:150",
     "approx --a 3 --mu 2 --n 50 --digits 2",
     "approx --a 2 --mu 1 --n 400 --digits 5",
     "approx --a 2 --mu 1 --n 100 --digits 2",

@@ -119,13 +119,26 @@ def test_table_qn_ratio_reads_each_row_once(capsys, monkeypatch):
     assert calls == [(3, n) for n in (10, 20, 30, 40)]
 
 
-@pytest.mark.parametrize("a, mu, spec", [
-    (3, 2, "10:40:10"), (4, 3, "0:241:30"), (2, 1, "7:7"), (8, 7, "0:24:6")])
-def test_table_builds_its_rows_over_one_harmonic_table(a, mu, spec, capsys,
-                                                       monkeypatch):
-    # every listed row over the harmonic table of the last, with the same
-    # reduced p, q and err_log as the row measured on its own
-    monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+@pytest.mark.parametrize("a, mu, spec, env", [
+    pytest.param(a, mu, spec, None, id="%d-%d-%s" % (a, mu, spec))
+    for a, mu, spec in [
+        (3, 2, "10:40:10"), (4, 3, "0:241:30"), (2, 1, "7:7"),
+        (8, 7, "0:24:6"),
+        # rows whose own digits spread from 50 to 93 (json reads ints of
+        # up to 4300 digits: n = 1300 is the last that fits at a = 2)
+        (2, 1, "100:1300:300")]] + [
+    # with BELLGAMMA_DIGITS=120, rows whose own digits spread from 120 to
+    # 164
+    pytest.param(3, 2, "0:600:100", "120", id="3-2-0:600:100-env120")])
+def test_table_builds_its_rows_over_one_harmonic_table(a, mu, spec, env,
+                                                       capsys, monkeypatch):
+    # every listed row over the harmonic table of the last, measured at
+    # the deepest row's digits, with the same reduced p, q and err_log as
+    # the row measured on its own at its own digits
+    if env is None:
+        monkeypatch.delenv("BELLGAMMA_DIGITS", raising=False)
+    else:
+        monkeypatch.setenv("BELLGAMMA_DIGITS", env)
     calls = []
     real = kernel.harmonic_halves
     monkeypatch.setattr(kernel, "harmonic_halves",
@@ -135,7 +148,8 @@ def test_table_builds_its_rows_over_one_harmonic_table(a, mu, spec, capsys,
     assert code == 0
     rows = json.loads(out)
     assert calls == [(a, rows[-1]["n"], mu)]
-    args = SimpleNamespace(a=a, mu=mu, digits=None, env_digits=50)
+    args = SimpleNamespace(a=a, mu=mu, digits=None,
+                           env_digits=int(env or 50))
     for r in rows:
         one = sequences.convergence_row(
             a, mu, r["n"], sequences._row_digits(args, r["n"]))
@@ -847,10 +861,8 @@ def test_main_restores_int_str_limit(capsys):
     ["table", "--a", "4", "--mu", "3", "--n", "0:200:40"],
 ])
 def test_rows_compute_each_constant_once(argv, capsys, monkeypatch):
-    # Every row's one evaluation rounds from one computation of each
-    # constant, made at the deepest precision needed.
-    monkeypatch.setattr(numerics, "_GAMMA_CACHE", {})
-    monkeypatch.setattr(numerics, "_ZETA_CACHE", {})
+    # Every row is measured against one computation of each constant,
+    # made at the deepest precision needed.
     computed = []  # (digits,) for gamma, (m, digits) for zeta(m)
     for name in ("_gamma_mantissa", "_zeta_mantissa"):
         def counted(*args, fn=getattr(numerics, name)):
@@ -865,7 +877,8 @@ def test_rows_compute_each_constant_once(argv, capsys, monkeypatch):
 
 
 def test_rows_evaluate_once(capsys, monkeypatch):
-    # one p/q rounding, one alpha ladder and one logarithm per row
+    # one p/q rounding and one logarithm per row, and one alpha ladder
+    # for all of them
     calls = []
 
     def counted(name, fn):
@@ -884,7 +897,7 @@ def test_rows_evaluate_once(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "table", "--a", "5", "--mu", "4",
                            "--n", "0:100:20")
     assert code == 0 and len(out.splitlines()) == 7
-    assert sorted(calls) == (["from_ratio"] * 6 + ["ladder"] * 6
+    assert sorted(calls) == (["from_ratio"] * 6 + ["ladder"]
                              + ["ln_float"] * 6)
 
 

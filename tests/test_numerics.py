@@ -271,70 +271,8 @@ def test_precision_bounds():
 
 
 # ---------------------------------------------------------------------------
-# the one-mantissa caches
+# the ln constant caches, and the oracles against mpmath
 # ---------------------------------------------------------------------------
-
-@pytest.fixture
-def empty_caches(monkeypatch):
-    monkeypatch.setattr(numerics, "_GAMMA_CACHE", {})
-    monkeypatch.setattr(numerics, "_ZETA_CACHE", {})
-
-
-@pytest.mark.parametrize("m", [None, 2, 3, 7])
-def test_rounded_from_cache_matches_fresh(m, empty_caches):
-    if m is None:
-        const, fresh = gamma_const, numerics._gamma_mantissa
-    else:
-        const = lambda d: zeta_const(m, d)  # noqa: E731
-        fresh = lambda d: numerics._zeta_mantissa(m, d)  # noqa: E731
-    top = 400
-    const(top)
-    for d in range(top - 1, 0, -7):
-        assert const(d).mantissa == fresh(d)
-    cache = numerics._GAMMA_CACHE if m is None else numerics._ZETA_CACHE
-    assert list(cache.values()) == [(top, fresh(top))]
-
-
-def test_ambiguous_tail_computes_directly(empty_caches):
-    # Seeded mantissas whose discarded digits are exactly half a unit
-    # (and wrong in the kept ones): the value must come from a direct
-    # computation, which is not cached.
-    d = 30
-    for cache, key, const, fresh in (
-            (numerics._GAMMA_CACHE, "gamma", gamma_const,
-             numerics._gamma_mantissa),
-            (numerics._ZETA_CACHE, 3, lambda d: zeta_const(3, d),
-             lambda d: numerics._zeta_mantissa(3, d))):
-        seeded = (d + 4, (fresh(d) + 7) * 10 ** 4 + 5000)
-        cache[key] = seeded
-        assert const(d).mantissa == fresh(d)
-        assert cache[key] == seeded
-        # one unit further from the half, the rounding is certain
-        cache[key] = (d + 4, seeded[1] + 2)
-        assert const(d).mantissa == fresh(d) + 8
-
-
-def test_caches_hold_one_entry_per_constant(empty_caches, monkeypatch):
-    computed = []
-
-    def counted(fn):
-        def wrapper(*args):
-            computed.append(args)
-            return fn(*args)
-        return wrapper
-
-    for name in ("_gamma_mantissa", "_zeta_mantissa"):
-        monkeypatch.setattr(numerics, name, counted(getattr(numerics, name)))
-    for d in (40, 90, 60, 90, 20):
-        gamma_const(d)
-        for m in (2, 5):
-            zeta_const(m, d)
-    # computed at 40 and at 90; 60, 90 again and 20 come from the cache
-    assert computed == [(40,), (2, 40), (5, 40), (90,), (2, 90), (5, 90)]
-    assert numerics._GAMMA_CACHE == {"gamma": (90, gamma_const(90).mantissa)}
-    assert sorted(numerics._ZETA_CACHE) == [2, 5]
-    assert all(v[0] == 90 for v in numerics._ZETA_CACHE.values())
-
 
 def test_constant_mantissa_caches_are_bounded():
     # full-scale ln asks for ln 2 and ln 10 at a new scale for every
@@ -349,7 +287,7 @@ def test_constant_mantissa_caches_are_bounded():
         assert info.misses > info.maxsize >= info.currsize
 
 
-def test_constants_match_mpmath(empty_caches):
+def test_constants_match_mpmath():
     mpmath = pytest.importorskip("mpmath")
     for digits in (1000, 3000):
         mpmath.mp.dps = digits + 20
