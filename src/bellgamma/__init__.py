@@ -14,11 +14,10 @@ __version__ = "0.1.0"
 # defining module -> the public names it provides
 _MODULES = {
     "asymptotics": (
-        "ExponentProfile", "bm_coeffs", "exponent_profile", "lagrange_coeff",
+        "ExponentProfile", "bm_coeffs", "exponent_profile",
         "linform_exponent"),
     "bell": ("bell_eval", "bell_ladder"),
-    "bernoulli": ("bernoulli_at", "bernoulli_number", "csc_power_coeffs",
-                  "gen_bernoulli"),
+    "bernoulli": ("bernoulli_at", "bernoulli_number", "csc_power_coeffs"),
     "common": ("PrecisionError", "binom", "factorial", "lcm_upto"),
     "exponents": (
         "bm_pairs", "corollary_exponent", "lagrange_pair", "qn_log_asymptotic"),
@@ -28,8 +27,7 @@ _MODULES = {
     "partition_sum": (
         "bell_eval_partitions", "partition_multinomial", "partitions"),
     "recurrences": (
-        "RecurrenceSpec", "aptekarev_seq", "make_paper_recurrences",
-        "recurrence_check", "recurrence_generate"),
+        "RecurrenceSpec", "make_paper_recurrences", "recurrence_check"),
     "saddle": ("CPoint", "RootRefinementError", "root_report",
                "saddle_roots", "saddle_seed"),
     "sequences": ("ApproxRecord", "convergence_row", "records_to_csv"),

@@ -5,9 +5,9 @@ exponents, with two of the three exponent evaluations: the corollary
 form with cos(2 pi m / a) - 1 factors, and the log-scale asymptotic main
 term of q_n.  The third, the linear-form decay rate (linform_exponent),
 is here, since only this command evaluates it.  This module wraps the
-integer pairs as Fractions (bm_coeffs, lagrange_coeff) and
-cmd_asymptotics prints the profiles.  Only the asymptotics command and
-library callers load it: approx and table read the exponents from
+integer pairs b_m(a) as Fractions (bm_coeffs) and cmd_asymptotics
+prints the profiles.  Only the asymptotics command and library callers
+load it: approx and table read the exponents from
 exponents, and roots and the saddle suite their c_m, so none of them
 loads fractions.  Neither this module nor saddle loads numerics: the
 exponents are doubles.
@@ -19,17 +19,14 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .common import EXIT_OK, PROFILE_KINDS, UsageError, _json
-from .exponents import (bm_pairs, corollary_exponent, lagrange_pair,
-                        qn_log_asymptotic)
-
-
-def lagrange_coeff(a: int, m: int) -> Fraction:
-    """c_m = (2 - m/a)_{m-1} / m!, the series-reversion coefficient."""
-    return Fraction(*lagrange_pair(a, m))
+from .exponents import bm_pairs, corollary_exponent, qn_log_asymptotic
 
 
 def linform_exponent(a: int, n: int) -> float:
-    """sum_{m=1}^{a-1} (-1)^m b_m(a) cos(2 pi m / a) n^{1-m/a}."""
+    """sum_{m=1}^{a-1} (-1)^m b_m(a) cos(2 pi m / a) n^{1-m/a}, for
+    n >= 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return sum((-1) ** m * (num / den) * math.cos(2 * math.pi * m / a)
                * float(n) ** (1 - m / a)
                for m, (num, den) in enumerate(bm_pairs(a)[:-1], 1))

@@ -8,9 +8,9 @@ and the classical recursion and addition formulas are checks of the
 bernoulli suite rather than used for construction.  bernoulli_at, the
 one route to a value B_n^{(m)}(x), evaluates it from that row by one
 integer Horner pass, and csc_power_coeffs takes the csc-power series
-from it alone; gen_bernoulli lists the polynomial's coefficients.  The
-truncated product and power of coefficient lists serve suite_bernoulli,
-which multiplies the csc-power series by a power of the sine series.
+from it alone.  The truncated product and power of coefficient lists
+serve suite_bernoulli, which multiplies the csc-power series by a power
+of the sine series.
 """
 
 from fractions import Fraction
@@ -20,26 +20,6 @@ from .common import binom
 
 _N_LIMIT = 200
 _M_LIMIT = 50
-
-
-def gen_bernoulli(n: int, m: int) -> list:
-    """The ascending coefficients of B_n^{(m)}(x): an int where the
-    coefficient is integral, a Fraction otherwise.
-
-    (z/(e^z-1))^m = (sum z^j/(j+1)!)^{-m}; with its coefficients c_k,
-    B_n^{(m)}(x) = n! sum_k c_k x^{n-k}/(n-k)!.  Each call builds a
-    fresh list; bernoulli_at evaluates B_n^{(m)} without it.
-    """
-    if n < 0 or m < 1:
-        raise ValueError("gen_bernoulli requires n >= 0, m >= 1")
-    if n > _N_LIMIT or m > _M_LIMIT:
-        raise ValueError("gen_bernoulli limited to n <= %d, m <= %d"
-                         % (_N_LIMIT, _M_LIMIT))
-    d, row = _core_row(m, n)
-    nfac = factorial(n)
-    coeffs = [Fraction(row[n - i] * (nfac // factorial(i)), d)
-              for i in range(n + 1)]
-    return [c.numerator if c.denominator == 1 else c for c in coeffs]
 
 
 # m -> (D, [a_0, ..., a_K]): the coefficients c_k = a_k / D of

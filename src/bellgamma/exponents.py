@@ -8,7 +8,7 @@ pair's value is taken as num / den: int true division is correctly
 rounded, so it is the double of the exact rational.  approx and table
 read the predicted exponent (corollary_exponent) here and table the q_n
 main term, roots and the saddle suite the c_m of the root seeds, and
-asymptotics wraps the pairs as Fractions for its profiles.  The
+asymptotics wraps the b_m(a) pairs as Fractions for its profiles.  The
 linear-form exponent, which only the asymptotics command evaluates,
 lives in module asymptotics (linform_exponent), so approx and table do
 not compile it.  So only the commands that print a coefficient load
@@ -66,7 +66,10 @@ def bm_pairs(a: int) -> tuple:
 
 
 def corollary_exponent(a: int, n: int) -> float:
-    """sum_{m=1}^{a-1} (-1)^m b_m(a) (cos(2 pi m / a) - 1) n^{1-m/a}."""
+    """sum_{m=1}^{a-1} (-1)^m b_m(a) (cos(2 pi m / a) - 1) n^{1-m/a},
+    for n >= 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     return sum((-1) ** m * (num / den) * (math.cos(2 * math.pi * m / a) - 1)
                * float(n) ** (1 - m / a)
                for m, (num, den) in enumerate(bm_pairs(a)[:-1], 1))

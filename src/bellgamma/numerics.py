@@ -2,9 +2,9 @@
 
 High-precision reals use BigFix, a decimal fixed-point value stored as
 an arbitrary-precision integer mantissa with value mantissa * 10**-scale;
-a rational input is a pair of ints (from_ratio) or a Fraction
-(from_fraction).  Only to_fraction, which no command calls, imports
-fractions.
+it is built from an int (from_int) or from an integer pair num/den
+(from_ratio), and it carries exactly the operations that a command runs.
+This module does not import fractions.
 
 gamma_const and zeta_const are independent oracles, each one integer
 loop at digits + _GUARD working digits: Brent and McMillan's series for
@@ -97,11 +97,6 @@ class BigFix:
         """num/den rounded to nearest, ties to even; requires den > 0."""
         return cls(_div_nearest(num * 10 ** scale, den), scale)
 
-    @classmethod
-    def from_fraction(cls, fr, scale: int) -> "BigFix":
-        """An int or Fraction fr, rounded as from_ratio rounds it."""
-        return cls.from_ratio(fr.numerator, fr.denominator, scale)
-
     # bookkeeping ----------------------------------------------------------
 
     def _same(self, other: "BigFix") -> None:
@@ -118,9 +113,6 @@ class BigFix:
     def __sub__(self, other: "BigFix") -> "BigFix":
         self._same(other)
         return BigFix(self.mantissa - other.mantissa, self.scale)
-
-    def __neg__(self) -> "BigFix":
-        return BigFix(-self.mantissa, self.scale)
 
     def __abs__(self) -> "BigFix":
         return BigFix(abs(self.mantissa), self.scale)
@@ -143,25 +135,7 @@ class BigFix:
         return BigFix(_div_nearest(self.mantissa ** k,
                                    10 ** (self.scale * (k - 1))), self.scale)
 
-    # comparisons ----------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, BigFix) and self.scale == other.scale
-                and self.mantissa == other.mantissa)
-
-    def __hash__(self):
-        return hash((self.mantissa, self.scale))
-
     # conversion -----------------------------------------------------------
-
-    def to_fraction(self):
-        """The exact value as a Fraction."""
-        from fractions import Fraction
-
-        return Fraction(self.mantissa, 10 ** self.scale)
-
-    def __float__(self) -> float:
-        return self.mantissa / 10 ** self.scale
 
     def to_decimal(self) -> str:
         m, s = self.mantissa, self.scale
@@ -171,9 +145,6 @@ class BigFix:
             return sign + _decimal_str(m)
         digits = _decimal_str(m).rjust(s + 1, "0")
         return f"{sign}{digits[:-s]}.{digits[-s:]}"
-
-    def __repr__(self) -> str:
-        return f"BigFix({self.to_decimal()})"
 
     # logarithm ------------------------------------------------------------
 
@@ -194,19 +165,19 @@ class BigFix:
                       self.scale)
 
     def ln_float(self) -> float:
-        """float(self.ln()), evaluated at _LN_FLOAT_DIGITS working digits
-        whenever they settle it: A. Ziv's rounding test ("Fast evaluation
-        of elementary mathematical functions with correctly rounded last
-        bit", ACM TOMS 17, 1991).
+        """The double nearest ln(), evaluated at _LN_FLOAT_DIGITS working
+        digits whenever they settle it: A. Ziv's rounding test ("Fast
+        evaluation of elementary mathematical functions with correctly
+        rounded last bit", ACM TOMS 17, 1991).
 
         v = _ln_fix(mantissa, scale, w) misses 10^w ln(value) by at most
         e = _ln_fix_error units, and ln() misses ln(value) by less than
         10^-scale (see ln), so ln() lies within e + 10^-scale of v 10^-w.
         Both ends of that interval are rounded to double by int/int true
-        division, which is correctly rounded and so monotone, as is
-        float(ln()).  When the two ends round alike, float(ln()) is that
-        double; otherwise, or where ln's bound is not established,
-        float(self.ln()) is returned.
+        division, which is correctly rounded and so monotone.  When the
+        two ends round alike, the double nearest ln() is that double;
+        otherwise, or where ln's bound is not established, ln() is taken
+        at full scale and its mantissa divided by 10^scale.
         """
         m, s = self.mantissa, self.scale
         if m <= 0:
@@ -219,7 +190,7 @@ class BigFix:
             lo = (v - r) / 10 ** w
             if lo == (v + r) / 10 ** w:
                 return lo
-        return float(self.ln())
+        return self.ln().mantissa / 10 ** s
 
 
 # Working digits of BigFix.ln_float: their bound (b + 4 scale + 1) 111

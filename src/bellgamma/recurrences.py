@@ -6,15 +6,13 @@ sequence, forward generation from the initial values, and the explicit
 sums of Aptekarev's sequences.  Every coefficient of the five families
 is an integer polynomial in n, stored as a function of n that returns
 an int, and every initial value an int or an integer pair (num, den).
-suite_recurrences is `verify --suite recurrences`, in integers from end
-to end: each sequence is read as ints over one common denominator (the
-kernel's integer table kernel.int_rows, Aptekarev's sums over
-lcm(1..2 nmax)), and Rivoal's pair is grown by a forward step that
-never divides.  So the suite loads no fractions; only the library edges
-recurrence_generate, aptekarev_seq and recurrence_check on Fraction
-input build or read Fractions.  Only that suite and library callers
-import this module; it imports neither symring nor sequences nor
-bernoulli.
+Everything here is in integers from end to end: a sequence is read as
+ints over one common denominator (the kernel's integer table
+kernel.int_rows, Aptekarev's sums over lcm(1..2 nmax)), and a pair is
+grown by a forward step that never divides.  So this module imports no
+fractions.  suite_recurrences is `verify --suite recurrences`; only that
+suite and library callers import this module, and it imports neither
+symring nor sequences nor bernoulli.
 """
 
 import math
@@ -58,18 +56,14 @@ class RecurrenceSpec(namedtuple(
         return self.offsets[-1] - self.offsets[0]
 
 
-def recurrence_check(spec: RecurrenceSpec, seq, n_range, den=None) -> bool:
-    """Exact check of spec against seq at every n in n_range.  With den
-    given, seq holds ints over that common denominator L, y_n = seq[n]/L;
-    otherwise seq holds exact values (ints or Fractions), scaled first by
-    the lcm L of their denominators.  sum_i c_i(n) L y_{n+off_i} d(n) is
-    compared with u(n) L, where (u, d) = spec.inhom (with 0 for a
-    homogeneous relation), in integers when the coefficients are ints.
-    The check divides by no coefficient, so it holds also where the
-    leading one vanishes."""
-    if den is None:
-        den = math.lcm(*(v.denominator for v in seq))
-        seq = [v.numerator * (den // v.denominator) for v in seq]
+def recurrence_check(spec: RecurrenceSpec, seq, n_range,
+                     den: int = 1) -> bool:
+    """Exact check of spec against seq at every n in n_range, where seq
+    holds ints over the common denominator L = den, y_n = seq[n]/L.
+    sum_i c_i(n) L y_{n+off_i} d(n) is compared with u(n) L, where
+    (u, d) = spec.inhom (with 0 for a homogeneous relation), in integers
+    when the coefficients are ints.  The check divides by no
+    coefficient, so it holds also where the leading one vanishes."""
     for n in n_range:
         if n < spec.n_min:
             raise ValueError("relation not asserted below n_min=%d" % spec.n_min)
@@ -135,15 +129,6 @@ def _initial_ints(specs) -> tuple:
               for v in spec.initial] for spec in specs]
     e = math.lcm(*(d for ps in pairs for _, d in ps))
     return [[v * (e // d) for v, d in ps] for ps in pairs], e
-
-
-def recurrence_generate(spec: RecurrenceSpec, n_max: int) -> list:
-    """y_0..y_{n_max} as exact values (Fractions), grown forward from
-    spec.initial in integers (_grow)."""
-    from fractions import Fraction
-
-    (ys,), e = _initial_ints([spec])
-    return list(map(Fraction, *_grow(spec, ys, e, n_max)))
 
 
 def _horner(cs: tuple, n):
@@ -240,11 +225,12 @@ def make_paper_recurrences() -> dict:
 
 def _aptekarev_ints(n_max: int):
     """(d, q, p) with d = lcm(1..2 n_max) (1 for n_max = 0), q[n] = q~_n
-    and p[n] = d p~_n, all ints: the explicit sums of aptekarev_seq.
-    Their weights C(n,k)^2 (n+k)! are n! C(n,k)^2 (n+1)...(n+k), so each
-    row sums the smaller C(n,k)^2 (n+1)...(n+k), each from the one
-    before by the term ratio (n-k+1)^2 (n+k) / k^2, and multiplies its
-    two sums by n! once."""
+    and p[n] = d p~_n, all ints: Aptekarev's explicit sums
+    q~_n = sum_k C(n,k)^2 (n+k)! and p~_n, the same sum with the harmonic
+    weight H_{n+k} + 2 H_{n-k} - 2 H_k.  Their weights C(n,k)^2 (n+k)!
+    are n! C(n,k)^2 (n+1)...(n+k), so each row sums the smaller
+    C(n,k)^2 (n+1)...(n+k), each from the one before by the term ratio
+    (n-k+1)^2 (n+k) / k^2, and multiplies its two sums by n! once."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     d = lcm_upto(2 * n_max) if n_max >= 1 else 1
@@ -263,16 +249,6 @@ def _aptekarev_ints(n_max: int):
         q.append(f * qn)
         p.append(f * pn)
     return d, q, p
-
-
-def aptekarev_seq(n_max: int):
-    """(q~, p~) explicit sums: q~_n = sum C(n,k)^2 (n+k)! (ints) and the
-    matching numerator with harmonic weight H_{n+k} + 2H_{n-k} - 2H_k
-    (Fractions), from _aptekarev_ints."""
-    from fractions import Fraction
-
-    d, q, p = _aptekarev_ints(n_max)
-    return q, [Fraction(v, d) for v in p]
 
 
 # Euler's constant truncated to 100 decimals, the source of the Rivoal

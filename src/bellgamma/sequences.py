@@ -120,12 +120,15 @@ def convergence_rows(a: int, mu: int, ns: range,
     10^-s.  A row is accepted when M > 2 10^6 R: then
     |ln M - ln T| < -ln(1 - 5 10^-7), so err_log, BigFix.ln_float of the
     difference (the double its full-scale ln rounds to), is within
-    1e-6 max(1, |err_log|) of the true log.  Otherwise PrecisionError
-    names a, mu, n, s, M and R; when M > R, so that T >= M - R, it also
-    names the least digits + k at which (M - R) 10^k - R > 2 10^6 R,
-    where the row passes.  When M <= R it names auto_digits(predicted)
-    if that is above digits: the digits that resolve the predicted
-    error, with 30 to spare.
+    1e-6 max(1, |err_log|) of the true log.  Otherwise the row fails:
+    when M > R, so that T >= M - R, it needs the least digits + k at
+    which (M - R) 10^k - R > 2 10^6 R, where it passes; when M <= R it
+    needs auto_digits(predicted) if that is above digits: the digits
+    that resolve the predicted error, with 30 to spare.  Every row is
+    measured, and when one fails PrecisionError names a, mu, n, s, M
+    and R of the first that fails, and the most digits that any failing
+    row needs, so that one retry at them passes every row that named
+    its digits.
     """
     kernel.check_mu(a, mu)
     # Every row over the lcm D of the last: D^mu p_{n,mu} over D^mu is
@@ -139,7 +142,7 @@ def convergence_rows(a: int, mu: int, ns: range,
     alpha = bell_ladder(xs)[mu]
     r = _ladder_radius(xs, errs) + 1
     bar = 2 * 10 ** 6 * r
-    rows = []
+    rows, need, failure = [], digits, None
     for n, q, num in zip(ns, qs, dp[-1]):
         predicted = corollary_exponent(a, n)
         g = math.gcd(num, den)
@@ -148,19 +151,19 @@ def convergence_rows(a: int, mu: int, ns: range,
         err = abs(alpha - BigFix.from_ratio(num, dn * q, s))
         m = err.mantissa
         if m <= bar:
-            hint = "raise digits"
-            if m > r:
-                k = 1
-                while (m - r) * 10 ** k - r <= bar:
-                    k += 1
-                hint += " to %d" % (digits + k)
-            elif auto_digits(predicted) > digits:
-                hint += " to %d" % auto_digits(predicted)
-            raise PrecisionError(
+            k = 1
+            while m > r and (m - r) * 10 ** k - r <= bar:
+                k += 1
+            need = max(need, digits + k if m > r else auto_digits(predicted))
+            failure = failure or (
                 "a=%d mu=%d n=%d: difference of %d units at %d digits, "
-                "radius %d; %s" % (a, mu, n, m, s, r, hint))
-        rows.append(ApproxRecord(a, mu, n, num, dn, q, err.ln_float(),
-                                 predicted))
+                "radius %d; raise digits" % (a, mu, n, m, s, r))
+        else:
+            rows.append(ApproxRecord(a, mu, n, num, dn, q, err.ln_float(),
+                                     predicted))
+    if failure:
+        raise PrecisionError(failure + (" to %d" % need if need > digits
+                                        else ""))
     return rows
 
 

@@ -1,11 +1,13 @@
-"""Reference routes that the tests compare the package against.
+"""Reference routes that the tests compare the package against, and
+the Fraction views of package values that only tests read.
 
 Fraction-valued oracles for the lemma-1 sums: harmonic numbers
 H_k^{(m)}, the harmonic parts r_m(k) of the summand exponent's
 derivatives, and F_{n,mu} built over Fraction in the g/z ring, an
 independent route to what module lemma1 computes in integers.  A
 Horner evaluation of ascending coefficient lists, such as those of
-gen_bernoulli.  The rising factorial poch, and the saddle-point
+gen_bernoulli, the coefficients of B_n^{(m)}(x) from the integer row of
+module bernoulli.  The rising factorial poch, and the saddle-point
 coefficients c_m and b_m(a) over Fraction with it, the oracle of the
 integer pairs of module exponents.  And the
 reciprocal, exp and log1p of truncated power
@@ -14,18 +16,30 @@ second route to the generalized Bernoulli and csc-power coefficients,
 and exp and log1p are the oracles of the log expansion in asymptotics.
 The forward generation of a linear recurrence over Fraction, one
 division by the leading coefficient per step, is the oracle of the
-integer forward step of module recurrences.
+integer forward step of module recurrences; recurrence_generate and
+aptekarev_seq read that step and Aptekarev's integer sums as
+Fractions, and common_den reads such values back as ints over one
+denominator.  fraction_of reads a BigFix as the exact Fraction it
+stands for.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from bellgamma import kernel, lemma1
 from bellgamma.bell import bell_ladder
+from bellgamma.bernoulli import _M_LIMIT, _N_LIMIT, _core_row
 from bellgamma.common import factorial
+from bellgamma.recurrences import _aptekarev_ints, _grow, _initial_ints
 from bellgamma.symring import SymPoly
+
+
+def fraction_of(x) -> Fraction:
+    """The exact value of the BigFix x."""
+    return Fraction(x.mantissa, 10 ** x.scale)
 
 
 class HarmonicCache:
@@ -117,6 +131,25 @@ def horner(cs, x):
     return acc
 
 
+def gen_bernoulli(n: int, m: int) -> list:
+    """The ascending coefficients of B_n^{(m)}(x): an int where the
+    coefficient is integral, a Fraction otherwise.
+
+    (z/(e^z-1))^m = (sum z^j/(j+1)!)^{-m}; with its coefficients c_k,
+    B_n^{(m)}(x) = n! sum_k c_k x^{n-k}/(n-k)!.
+    """
+    if n < 0 or m < 1:
+        raise ValueError("gen_bernoulli requires n >= 0, m >= 1")
+    if n > _N_LIMIT or m > _M_LIMIT:
+        raise ValueError("gen_bernoulli limited to n <= %d, m <= %d"
+                         % (_N_LIMIT, _M_LIMIT))
+    d, row = _core_row(m, n)
+    nfac = factorial(n)
+    coeffs = [Fraction(row[n - i] * (nfac // factorial(i)), d)
+              for i in range(n + 1)]
+    return [c.numerator if c.denominator == 1 else c for c in coeffs]
+
+
 def _series_recip(s) -> list:
     """The multiplicative inverse, as Fractions; requires s(0) != 0."""
     if s[0] == 0:
@@ -192,7 +225,7 @@ def bm_fraction(a: int) -> list:
 def recurrence_generate_fraction(spec, n_max: int) -> list:
     """y_0..y_{n_max} of a RecurrenceSpec grown forward over Fraction:
     y_{n+offsets[-1]} = (inhom(n) - sum_i c_i(n) y_{n+offsets[i]}) / c_lead(n),
-    the route that recurrences.recurrence_generate replaced."""
+    the route that the integer step of recurrence_generate replaced."""
     ys = [Fraction(*v) if type(v) is tuple else Fraction(v)
           for v in spec.initial]
     n = spec.n_min
@@ -213,3 +246,27 @@ def recurrence_generate_fraction(spec, n_max: int) -> list:
         ys.append(acc / lead)
         n += 1
     return ys[:n_max + 1]
+
+
+def common_den(seq) -> tuple[list[int], int]:
+    """(ys, den): the exact values seq (ints and Fractions) as ints ys
+    over their least common denominator den, as recurrence_check reads
+    a sequence."""
+    den = math.lcm(*(Fraction(v).denominator for v in seq))
+    return [int(v * den) for v in seq], den
+
+
+def recurrence_generate(spec, n_max: int) -> list:
+    """y_0..y_{n_max} of a RecurrenceSpec as Fractions, grown forward
+    from spec.initial in integers by the package's step
+    (recurrences._grow)."""
+    (ys,), e = _initial_ints([spec])
+    return list(map(Fraction, *_grow(spec, ys, e, n_max)))
+
+
+def aptekarev_seq(n_max: int):
+    """(q~, p~) explicit sums: q~_n = sum C(n,k)^2 (n+k)! (ints) and the
+    matching numerator with harmonic weight H_{n+k} + 2H_{n-k} - 2H_k
+    (Fractions), from recurrences._aptekarev_ints."""
+    d, q, p = _aptekarev_ints(n_max)
+    return q, [Fraction(v, d) for v in p]

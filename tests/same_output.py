@@ -41,6 +41,7 @@ EXTRA_ARGVS = (
     "approx --a 8 --mu 7 --n 60 --digits 3 --format json",
     "table --a 4 --mu 2 --n 0:100:100 --digits 10",
     "table --a 3 --mu 1 --n 0:40:10 --digits 4 --format csv",
+    "table --a 3 --mu 2 --n 0:1000:250 --digits 40",
     "approx --a 3 --mu 1 --n 100000000000000000000000",
     "approx --a 9 --mu 1 --n 5",
     "approx --a 3 --mu 3 --n 5",

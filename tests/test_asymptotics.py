@@ -11,7 +11,6 @@ from bellgamma.asymptotics import (
     ExponentProfile,
     bm_coeffs,
     exponent_profile,
-    lagrange_coeff,
     linform_exponent,
 )
 from bellgamma.bernoulli import _series_mul
@@ -82,7 +81,8 @@ def test_bm_coeffs_match_series_log():
                    / math.factorial(m + 1) for m in range(1, a + 1)]
         log = ps_log1p(s)
         b = bm_coeffs(a)
-        assert b == [-a * log[m] - lagrange_coeff(a, m) for m in range(1, a + 1)]
+        assert b == [-a * log[m] - Fraction(*lagrange_pair(a, m))
+                     for m in range(1, a + 1)]
         assert all(type(v) is Fraction for v in b)
 
 
@@ -100,16 +100,16 @@ def test_bm_closed_forms():
 
 
 def test_lagrange_coeff_values():
-    assert lagrange_coeff(3, 1) == 1
-    assert lagrange_coeff(3, 2) == Fraction(2, 3)
-    assert lagrange_coeff(2, 3) == Fraction(1, 8)
+    assert Fraction(*lagrange_pair(3, 1)) == 1
+    assert Fraction(*lagrange_pair(3, 2)) == Fraction(2, 3)
+    assert Fraction(*lagrange_pair(2, 3)) == Fraction(1, 8)
     for a in (2, 3, 4, 5):
-        assert lagrange_coeff(a, 2) == 1 - Fraction(1, a)
+        assert Fraction(*lagrange_pair(a, 2)) == 1 - Fraction(1, a)
 
 
 def test_lagrange_coeff_is_series_reversion():
-    # z = w (1+z)^{1-1/a}; the reverted series has lagrange_coeff(a, m)
-    # as the w^m coefficient.
+    # z = w (1+z)^{1-1/a}; the reverted series has c_m, the value of
+    # lagrange_pair(a, m), as the w^m coefficient.
     order = 6
     for a in (2, 3, 4, 5):
         e = Fraction(a - 1, a)
@@ -118,7 +118,7 @@ def test_lagrange_coeff_is_series_reversion():
             mul = ps_exp([e * c for c in ps_log1p(z)])
             z = [0] + mul[:-1]  # w * (1+z)^e
         for m in range(1, order + 1):
-            assert z[m] == lagrange_coeff(a, m)
+            assert z[m] == Fraction(*lagrange_pair(a, m))
 
 
 def test_linform_exponent_values():
@@ -190,6 +190,14 @@ def test_qn_log_asymptotic_validation():
         qn_log_asymptotic(1, 5)
 
 
+@pytest.mark.parametrize("exponent", [corollary_exponent, linform_exponent])
+def test_exponents_refuse_negative_n(exponent):
+    # n^{1-m/a} is complex for n < 0; n = 0 is a table's first row
+    with pytest.raises(ValueError):
+        exponent(3, -1)
+    assert exponent(3, 0) == 0
+
+
 def test_exponent_profile():
     p = exponent_profile(3, "corollary")
     assert p.a == 3 and p.kind == "corollary"
@@ -218,7 +226,7 @@ def test_cpoint():
 def test_saddle_seed_formula():
     for a, u, n, k in ((3, 1, 10**6, 0), (4, -2, 10**5, 2), (2, 0, 10**4, 1)):
         want = 1 + sum(
-            complex(lagrange_coeff(a, m))
+            complex(Fraction(*lagrange_pair(a, m)))
             * cmath.exp(1j * m * (2 * math.pi * k - math.pi * u) / a)
             / n ** (m / a)
             for m in (1, 2, 3))

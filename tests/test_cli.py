@@ -652,10 +652,13 @@ def test_precision_exit_code(capsys):
     "approx --a 3 --mu 1 --n 39 --digits 1",
     "approx --a 3 --mu 2 --n 33 --digits 3",
     "approx --a 2 --mu 1 --n 100 --digits 2",
+    "table --a 3 --mu 2 --n 0:1000:250 --digits 40",
 ])
 def test_precision_failure_names_digits_that_pass(argv, capsys):
     # The difference is resolved but its radius is too wide for err_log:
-    # the message names the least digits that pass, and they do.
+    # the message names the least digits that pass, and they do.  A
+    # table names the most that any of its failing rows needs, so one
+    # retry passes every row.
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 3 and out == ""
     head, _, digits = err.rstrip().rpartition(" raise digits to ")

@@ -24,6 +24,25 @@ def test_unknown_name_raises_attribute_error():
         bellgamma.profile_to_json  # removed: no caller outside its test
 
 
+def test_library_map_names_every_public_name():
+    # The README's library map is the contract of the public surface:
+    # each exported name appears there with its use.  The names that
+    # only tests called are no longer exported (tests/oracles.py holds
+    # the Fraction views the tests read).
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library map\n", 1)[1].split("\n## ", 1)[0]
+    assert [n for n in bellgamma.__all__ if "`%s`" % n not in section] == []
+    for name in ("gen_bernoulli", "recurrence_generate", "aptekarev_seq",
+                 "lagrange_coeff"):
+        assert name not in bellgamma.__all__
+        with pytest.raises(AttributeError):
+            getattr(bellgamma, name)
+    # BigFix keeps only the operations a command runs
+    assert not {"from_fraction", "to_fraction", "__neg__", "__eq__",
+                "__hash__", "__float__", "__repr__"} & set(
+                    vars(bellgamma.BigFix))
+
+
 def test_every_library_module_has_an_entry():
     # cli is the front end and parser its argparse fallback, verify the
     # `verify` command with the integrality suite, and table and
